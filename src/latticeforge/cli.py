@@ -204,11 +204,10 @@ def cmd_verify(args):
         print("unknown table %r; choose from %s" % (args.table, ", ".join(_SELECTORS)),
               file=sys.stderr)
         return 2
-    jobs = args.jobs
     if args.table == "all":
-        reports = verify.verify_all(jobs=jobs)
+        reports = verify.verify_all()
     elif args.table == "lambda_p":
-        reports = [verify.verify_lambda_p(jobs=jobs)]
+        reports = [verify.verify_lambda_p()]
     elif args.table == "cubic":
         reports = [verify.verify_cubic_tables()]
     elif args.table == "lsv":
@@ -247,7 +246,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default=argparse.SUPPRESS)
     parser.add_argument("--rank-cap", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
 
 
 def build_parser():
@@ -256,8 +254,6 @@ def build_parser():
         description="Exact-arithmetic toolkit for integral quadratic lattices.")
     top.add_argument("--format", choices=("text", "json", "csv"), default="text")
     top.add_argument("--rank-cap", type=int, default=shortvec.RANK_CAP)
-    top.add_argument("--jobs", type=int,
-                     default=int(os.environ.get("LATTICEFORGE_JOBS", "1")))
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="lattice invariants")
@@ -267,7 +263,9 @@ def build_parser():
 
     p = sub.add_parser("enum", help="count or list vectors of a given norm")
     p.add_argument("lattice")
-    p.add_argument("--norm", type=int, required=True)
+    p.add_argument("--norm", type=int, required=True,
+                   help="target norm, read on the positive definite model: a negative "
+                        "definite lattice is negated first, so the norm is never negative")
     p.add_argument("--dot", action="append",
                    help="constraint like eta=1 or 1,0,0=2; repeatable")
     p.add_argument("--div", type=int, help="keep only vectors of this divisibility")
@@ -322,9 +320,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_jobs = os.environ.get("LATTICEFORGE_JOBS")
-    if env_jobs:
-        args.jobs = int(env_jobs)
     try:
         code = args.func(args)
     except (LatticeForgeError, OSError, KeyError, ValueError,

@@ -126,45 +126,6 @@ def discriminant_action(f):
     return "other", images
 
 
-def _diagonal_basis(gram):
-    """Rational basis vectors (rows) pairwise orthogonal for the form, each of
-    nonzero norm; classical congruence diagonalization."""
-    n = gram.nrows
-    a = [[Fraction(x) for x in r] for r in gram.rows]
-    basis = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def add_rowcol(i, j, fct):
-        basis[i] = [x + fct * y for x, y in zip(basis[i], basis[j])]
-        a[i] = [x + fct * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] += fct * row[j]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            fixed = False
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    a[k], a[j] = a[j], a[k]
-                    basis[k], basis[j] = basis[j], basis[k]
-                    for row in a:
-                        row[k], row[j] = row[j], row[k]
-                    fixed = True
-                    break
-            if not fixed:
-                for j in range(k + 1, n):
-                    if a[k][j] != 0:
-                        add_rowcol(k, j, Fraction(1))
-                        fixed = True
-                        break
-            if not fixed:
-                raise NotAnIsometry("degenerate Gram matrix")
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                add_rowcol(i, k, -a[i][k] / piv)
-    return [tuple(row) for row in basis]
-
-
 def _reflection_matrix(gram, w):
     """Reflection in a non-isotropic vector w, as a rational matrix."""
     gw = gram.apply(w)
@@ -190,7 +151,7 @@ def spinor_norm(f):
     current = f.matrix.to_fraction()
     ident = Matrix.identity(n).to_fraction()
     spin = 1
-    for v in _diagonal_basis(f.lattice.gram):
+    for v in f.lattice.elimination().basis:
         fv = current.apply(v)
         w = tuple(a - b for a, b in zip(fv, v))
         if all(x == 0 for x in w):

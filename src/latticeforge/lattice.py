@@ -24,7 +24,7 @@ from .linalg import Matrix
 class Lattice:
     """Free Z-module of finite rank with a symmetric integer bilinear form."""
 
-    __slots__ = ("gram", "label", "_sig", "_det", "_snf")
+    __slots__ = ("gram", "label", "_elim", "_det", "_snf")
 
     def __init__(self, gram, label=None):
         if not isinstance(gram, Matrix):
@@ -34,7 +34,7 @@ class Lattice:
             raise DegenerateForm("Gram matrix not symmetric")
         self.gram = gram
         self.label = label
-        self._sig = None
+        self._elim = None
         self._det = None
         self._snf = None
 
@@ -42,17 +42,25 @@ class Lattice:
     def rank(self):
         return self.gram.nrows
 
+    def elimination(self):
+        """Symmetric elimination of the Gram matrix; raises DegenerateForm
+        for a degenerate lattice."""
+        if self._elim is None:
+            self._elim = linalg.symmetric_elimination(self.gram)
+        return self._elim
+
     @property
     def det(self):
         if self._det is None:
-            self._det = linalg.bareiss_det(self.gram)
+            try:
+                self._det = self.elimination().det
+            except DegenerateForm:
+                self._det = 0
         return self._det
 
     @property
     def signature(self):
-        if self._sig is None:
-            self._sig = linalg.rational_signature(self.gram)
-        return self._sig
+        return self.elimination().signature
 
     def snf(self):
         if self._snf is None:
@@ -335,6 +343,8 @@ def from_expression(expr):
         if not m:
             raise UnknownName("bad lattice term %r" % part.strip())
         base, twist, power = m.group("base"), m.group("twist"), m.group("power")
+        if power is not None and int(power) == 0:
+            raise BadParams("zero power in lattice term %r" % part.strip())
         if base == "E6*":
             # E6*(3) is the integral matrix itself; E6*(-3) is its negation
             if twist not in ("3", "-3"):

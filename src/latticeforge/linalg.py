@@ -3,8 +3,10 @@
 Everything here works over Python ints and fractions.Fraction; no floating
 point enters any computation.  Sizes stay small (rank <= 26 throughout the
 package), so classical algorithms are used: Bareiss for determinants, SNF by
-elimination with smallest-pivot selection, row-style HNF, and symmetric
-congruence diagonalization over the rationals for signatures.
+elimination with smallest-pivot selection, row-style HNF, and one
+fraction-free symmetric Bareiss elimination (`symmetric_elimination`) whose
+leading minors, echelon rows and orthogonal basis give signatures, spinor
+reflections and the bounds of vector enumeration.
 """
 
 from dataclasses import dataclass
@@ -174,31 +176,8 @@ def bareiss_det(m):
 
 
 def det(m):
-    """Determinant for matrices with int or Fraction entries."""
-    if m.is_integral():
-        return bareiss_det(m.to_int())
-    n = m.nrows
-    a = [[Fraction(x) for x in r] for r in m.rows]
-    d = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            d = -d
-        d *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return d
+    """Determinant of a square matrix with integral (int or Fraction) entries."""
+    return bareiss_det(m.to_int())
 
 
 def inverse(m):
@@ -369,49 +348,88 @@ def integer_kernel(m):
     return Matrix(tuple(rows)) if rows else Matrix(())
 
 
-def rational_signature(g):
-    """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix, by
-    exact congruence diagonalization over the rationals."""
+@dataclass(frozen=True)
+class SymmetricElimination:
+    """Fraction-free elimination of a nondegenerate symmetric integer matrix G.
+
+    Congruence pivoting turns G into G' = P G P^T with P unimodular; P is the
+    identity whenever no diagonal entry vanishes during the elimination, in
+    particular for every definite G.  With D_0 = 1:
+
+    * `minors` are the leading principal minors D_1..D_n of G' (D_n = det G);
+    * `rows[k]` is row k of the Bareiss echelon form of G': zero before
+      column k and D_{k+1} at column k, so that
+      y^T G' y = sum_k (rows[k] . y)^2 / (D_k D_{k+1});
+    * `basis[k]` is an integer vector in the coordinates of G; the basis
+      rows are pairwise orthogonal for G and basis[k] has norm D_k D_{k+1}.
+    """
+
+    minors: tuple
+    rows: tuple
+    basis: tuple
+
+    @property
+    def det(self):
+        return self.minors[-1] if self.minors else 1
+
+    @property
+    def signature(self):
+        """(n_plus, n_minus): pivot k is D_{k+1} / D_k, positive exactly when
+        the two minors have the same sign."""
+        n_plus = 0
+        prev = 1
+        for d in self.minors:
+            n_plus += (d > 0) == (prev > 0)
+            prev = d
+        return (n_plus, len(self.minors) - n_plus)
+
+
+def symmetric_elimination(g):
+    """Symmetric Bareiss elimination of a nondegenerate symmetric integer
+    matrix; see SymmetricElimination.
+
+    A vanishing pivot is replaced by a later nonzero diagonal entry (a
+    symmetric swap), otherwise by adding row and column j to row and column
+    k for the first j with a nonzero off-diagonal entry, which makes the
+    pivot twice that entry.  Every division is exact: after step k each
+    entry is a (k+1)-minor of [G' | P].
+    """
     if not g.is_symmetric():
         raise DegenerateForm("matrix not symmetric")
     n = g.nrows
-    if n == 0:
-        return (0, 0)
-    if det(g) == 0:
-        raise DegenerateForm("degenerate form")
-    a = [[Fraction(x) for x in r] for r in g.rows]
-
-    def sym_row_col(i, j, f):  # row_i += f*row_j and col_i += f*col_j
-        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] += f * row[j]
-
-    n_plus = n_minus = 0
+    a = [list(r) for r in g.rows]
+    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    minors = []
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
-            fixed = False
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    a[k], a[j] = a[j], a[k]
-                    for row in a:
-                        row[k], row[j] = row[j], row[k]
-                    fixed = True
-                    break
-            if not fixed:
-                for j in range(k + 1, n):
-                    if a[k][j] != 0:
-                        sym_row_col(k, j, Fraction(1))
-                        fixed = True
-                        break
-            if not fixed:
-                raise DegenerateForm("degenerate form")
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                b[k], b[j] = b[j], b[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    raise DegenerateForm("degenerate form")
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                b[k] = [x + y for x, y in zip(b[k], b[j])]
+                for row in a:
+                    row[k] += row[j]
         piv = a[k][k]
-        if piv > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
+        minors.append(piv)
+        ak, bk = a[k], b[k]
         for i in range(k + 1, n):
-            if a[i][k]:
-                f = -a[i][k] / piv
-                sym_row_col(i, k, f)
-    return (n_plus, n_minus)
+            f = a[i][k]
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], ak)]
+            b[i] = [(x * piv - f * y) // prev for x, y in zip(b[i], bk)]
+        prev = piv
+    return SymmetricElimination(tuple(minors), tuple(tuple(r) for r in a),
+                                tuple(tuple(r) for r in b))
+
+
+def rational_signature(g):
+    """Signature (n_plus, n_minus) of a nondegenerate symmetric integer
+    matrix, from the sign pattern of its symmetric elimination minors."""
+    return symmetric_elimination(g).signature

@@ -1,16 +1,16 @@
 """Exhaustive vector enumeration on definite lattices.
 
-Fincke-Pohst branch and bound over an exact LDL-type decomposition of the
-Gram matrix; all bounds are computed with integer square roots of rational
-numbers, never floating point.  Negative definite inputs are globally negated
-before enumeration.
+All-integer Fincke-Pohst branch and bound over the fraction-free symmetric
+elimination of the Gram matrix (`linalg.symmetric_elimination`): coordinate
+bounds come from integer square roots and the norm of each vector from the
+running remainder, never from floating point or rational arithmetic.
+Negative definite inputs are globally negated before enumeration.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 
-from .errors import DegenerateForm, IndefiniteLattice, RankTooLarge
+from .errors import BadParams, DegenerateForm, IndefiniteLattice, RankTooLarge
 from .lattice import Lattice
 from .linalg import Matrix
 
@@ -30,87 +30,55 @@ def _flip_to_positive(lat):
     raise IndefiniteLattice("lattice of signature %s is indefinite" % ((p, m),))
 
 
-def _ldl(gram):
-    """Q(x) = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2 for positive definite G."""
-    n = gram.nrows
-    a = [[Fraction(gram[i, j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise DegenerateForm("matrix is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= a[i][j] * a[i][k] / d[i]
-                a[k][j] = a[j][k]
-    return d, u
+def _enumerate_upto(pos, bound):
+    """Yield (x, Q(x)) for every nonzero integer vector x with Q(x) <= bound
+    on a positive definite lattice; both x and -x are produced.
 
-
-def _floor_plus_sqrt(c, b):
-    """floor(c + sqrt(b)) for Fraction c and Fraction b >= 0."""
-    root = isqrt(b.numerator // b.denominator)
-    g = (c.numerator // c.denominator) + root
-
-    def le(k):  # k <= c + sqrt(b)
-        t = k - c
-        return t <= 0 or t * t <= b
-
-    while le(g + 1):
-        g += 1
-    while not le(g):
-        g -= 1
-    return g
-
-
-def _enumerate_upto(gram, bound):
-    """Yield all nonzero integer vectors with 0 < Q(x) <= bound, positive
-    definite Gram; both v and -v are produced."""
-    n = gram.nrows
+    With D_0 = 1, D_k the leading minors and y_i = U_i . x the echelon forms
+    of the elimination, N_i = D_i * sum_{k>=i} y_k^2 / (D_k D_{k+1}) is an
+    integer (the Bareiss Schur complement evaluated at x_i..x_{n-1}),
+    N_i = (D_i N_{i+1} + y_i^2) / D_{i+1} exactly, and N_0 = Q(x).  Level i
+    keeps y_i^2 <= D_i (D_{i+1} bound - N_{i+1}).
+    """
+    n = pos.rank
     if n == 0 or bound <= 0:
         return
-    d, u = _ldl(gram)
-    bound = Fraction(bound)
+    elim = pos.elimination()
+    d = (1,) + elim.minors
+    u = elim.rows
     x = [0] * n
 
-    def rec(i, remaining):
+    def rec(i, rest):
         if i < 0:
-            if any(x):
-                yield tuple(x)
+            if rest:
+                yield tuple(x), rest
             return
-        c = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        hi = _floor_plus_sqrt(-c, remaining / d[i])
-        lo = -_floor_plus_sqrt(c, remaining / d[i])
-        for xi in range(lo, hi + 1):
+        ui = u[i]
+        c = sum(ui[j] * x[j] for j in range(i + 1, n))
+        piv = d[i + 1]
+        r = isqrt(d[i] * (piv * bound - rest))
+        for xi in range(-((r + c) // piv), (r - c) // piv + 1):
             x[i] = xi
-            t = d[i] * (xi + c) ** 2
-            yield from rec(i - 1, remaining - t)
+            y = piv * xi + c
+            yield from rec(i - 1, (d[i] * rest + y * y) // piv)
         x[i] = 0
 
-    yield from rec(n - 1, bound)
+    yield from rec(n - 1, 0)
 
 
 def vectors_of_norm(lat, norm):
     """All vectors of the given positive norm in a definite lattice (negated
     transparently when negative definite)."""
     pos, _sign = _flip_to_positive(lat)
-    if pos.rank == 0:
-        return []
-    out = [v for v in _enumerate_upto(pos.gram, norm) if pos.norm(v) == norm]
-    out.sort()
-    return out
+    return sorted(v for v, nv in _enumerate_upto(pos, norm) if nv == norm)
 
 
 def vectors_up_to(lat, max_norm):
     """Nonzero vectors bucketed by norm, one enumeration pass."""
     pos, _sign = _flip_to_positive(lat)
     buckets = {m: [] for m in range(1, max_norm + 1)}
-    if pos.rank == 0:
-        return buckets
-    for v in _enumerate_upto(pos.gram, max_norm):
-        buckets[pos.norm(v)].append(v)
+    for v, nv in _enumerate_upto(pos, max_norm):
+        buckets[nv].append(v)
     for m in buckets:
         buckets[m].sort()
     return buckets
@@ -128,18 +96,21 @@ def count_vectors(query, want_list=False, rank_cap=RANK_CAP):
     """Exact count of vectors with (v, v) = target and all constraints.
 
     The norm is interpreted on the positive definite model: a negative
-    definite lattice is negated first, and dot constraints refer to the
-    original Gram matrix.
+    definite lattice is negated first, so the target is never negative, and
+    dot constraints refer to the original Gram matrix.
     """
     lat = query.lattice
+    target = query.target_norm
+    if target < 0:
+        raise BadParams("target norm %d is negative; norms are read on the positive "
+                        "definite model" % target)
     if lat.rank > rank_cap:
         raise RankTooLarge("rank %d exceeds the enumeration cap %d" % (lat.rank, rank_cap))
-    pos, sign = _flip_to_positive(lat)
-    target = abs(query.target_norm)
+    pos, _sign = _flip_to_positive(lat)
     vecs = []
     count = 0
-    for v in _enumerate_upto(pos.gram, target) if pos.rank else ():
-        if pos.norm(v) != target:
+    for v, nv in _enumerate_upto(pos, target):
+        if nv != target:
             continue
         ok = True
         for w, val in query.dot_constraints:
@@ -168,11 +139,7 @@ def minimum(lat, rank_cap=RANK_CAP):
     pos, _ = _flip_to_positive(lat)
     bound = 1
     while True:
-        best = None
-        for v in _enumerate_upto(pos.gram, bound):
-            nv = pos.norm(v)
-            if best is None or nv < best:
-                best = nv
+        best = min((nv for _v, nv in _enumerate_upto(pos, bound)), default=None)
         if best is not None:
             return best
         bound *= 2

@@ -1,7 +1,6 @@
 """Row-by-row verification of the embedded classification tables, plus the
 labeling search and the associated-K3 decision procedure."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,16 +107,10 @@ def _verify_rank26_row(row):
     return v
 
 
-def verify_lambda_p(rows=None, jobs=1):
+def verify_lambda_p(rows=None):
     """Check every pair row of the rank-26 table; all columns are recomputed."""
     rows = catalog.RANK26_PAIRS if rows is None else rows
-    report = VerdictReport("lambda_p")
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.rows = list(pool.map(_verify_rank26_row, rows))
-    else:
-        report.rows = [_verify_rank26_row(r) for r in rows]
-    return report
+    return VerdictReport("lambda_p", [_verify_rank26_row(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +646,9 @@ def derive_og10_order3_candidates(mapping=None):
     return report, candidates
 
 
-def verify_all(jobs=1):
+def verify_all():
     reports = [
-        verify_lambda_p(jobs=jobs),
+        verify_lambda_p(),
         verify_cubic_tables(),
         verify_lsv_table(),
         verify_k3_table(),

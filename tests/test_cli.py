@@ -41,12 +41,26 @@ def test_info_unknown_exit_2(capsys):
     assert "error" in err
 
 
+def test_info_zero_power_exit_2(capsys):
+    for expr in ("U^0", "U(3)^0"):
+        code, out, err = run(capsys, "info", expr)
+        assert code == 2 and out == ""
+        assert "zero power" in err and "Traceback" not in err
+
+
 def test_enum_counts(capsys):
     code, out, _ = run(capsys, "enum", "FG_phi35", "--norm", "4")
     assert code == 0 and out.strip() == "54"
     code, out, _ = run(capsys, "enum", "AY_phi32", "--norm", "3", "--dot", "eta=1")
     assert code == 0 and out.strip() == "81"
     code, out, _ = run(capsys, "enum", "A2", "--norm", "2")
+    assert code == 0 and out.strip() == "6"
+
+
+def test_enum_negative_norm_exit_2(capsys):
+    code, out, err = run(capsys, "enum", "A2", "--norm", "-2")
+    assert code == 2 and out == "" and "negative" in err
+    code, out, _ = run(capsys, "enum", "A2(-1)", "--norm", "2")
     assert code == 0 and out.strip() == "6"
 
 

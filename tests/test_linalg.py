@@ -1,13 +1,20 @@
 import random
 
+import pytest
+
+from latticeforge import catalog
+from latticeforge.errors import DegenerateForm
+from latticeforge.lattice import from_expression, make_named
 from latticeforge.linalg import (
     Matrix,
     bareiss_det,
+    det,
     hermite_normal_form,
     integer_kernel,
     inverse,
     rational_signature,
     smith_normal_form,
+    symmetric_elimination,
 )
 
 
@@ -150,3 +157,67 @@ def test_kernel_random_annihilates():
         ker = integer_kernel(m)
         if ker.nrows:
             assert all(all(x == 0 for x in row) for row in (ker @ m).rows)
+
+
+def _descartes_signature(g):
+    """(n_plus, n_minus) from the characteristic polynomial: its roots are
+    real, so the sign changes of its coefficients count the positive roots
+    exactly.  Uses no elimination of the library."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = sympy.Matrix([list(r) for r in g.rows]).charpoly().all_coeffs()
+    signs = [c > 0 for c in coeffs if c != 0]
+    n_plus = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return (n_plus, g.nrows - n_plus)
+
+
+def _check_elimination(g):
+    sympy = pytest.importorskip("sympy")
+    n = g.nrows
+    want_det = sympy.Matrix([list(r) for r in g.rows]).det()
+    if want_det == 0:
+        with pytest.raises(DegenerateForm):
+            symmetric_elimination(g)
+        return False
+    e = symmetric_elimination(g)
+    assert e.det == det(g) == want_det
+    assert e.signature == rational_signature(g) == _descartes_signature(g)
+    d = (1,) + e.minors
+    for k, row in enumerate(e.rows):
+        assert all(x == 0 for x in row[:k]) and row[k] == d[k + 1]
+    b = Matrix(e.basis)
+    assert b @ g @ b.T == Matrix.diagonal([d[k] * d[k + 1] for k in range(n)])
+    return True
+
+
+def test_symmetric_elimination_random_oracle():
+    rng = random.Random(26)
+    nondegenerate = 0
+    for trial in range(200):
+        n = rng.randint(1, 8)
+        a = _random_matrix(rng, n, n, -3, 3)
+        g = [list(r) for r in (a + a.T).rows]
+        if trial % 2:
+            # a zero diagonal exercises both kinds of congruence pivot
+            for i in range(n):
+                g[i][i] = 0
+        nondegenerate += _check_elimination(Matrix(g))
+    assert nondegenerate > 150
+
+
+def _catalog_grams():
+    lats = [make_named(name) for name in ("OG10", "Lambda", "K3", "F", "H4cubic")]
+    lats += [lat for lat in catalog.fixture_lattices().values() if lat.rank]
+    for row in catalog.RANK26_PAIRS:
+        lats += [from_expression(row.coinv), from_expression(row.inv)]
+    return [lat.gram for lat in lats]
+
+
+def test_symmetric_elimination_catalog_oracle():
+    rng = random.Random(10)
+    grams = _catalog_grams()
+    for g in grams:
+        assert _check_elimination(g)
+    for g in grams[:5]:
+        # the same forms in a dense random basis
+        u = _random_unimodular(rng, g.nrows, steps=3 * g.nrows)
+        assert _check_elimination(u.T @ g @ u)

@@ -13,6 +13,7 @@ from latticeforge.shortvec import (
     has_square_one,
     minimum,
     root_report,
+    vectors_up_to,
     wall_class,
 )
 
@@ -33,6 +34,7 @@ def test_count_matches_box_oracle(expr, norm):
         return
     gram = lat.gram if m == 0 else -lat.gram
     assert count_vectors(EnumQuery(lat, norm)) == box_count(gram, norm)
+    assert vectors_up_to(lat, norm)[norm] == box_vectors(gram, norm)
 
 
 def test_counts_even_without_constraints():
