@@ -137,7 +137,7 @@ def cmd_glue(args):
         glues = glue.full_anti_isometry_glues(left, right, max_results=1)
         if not glues:
             print("no full glue map between the discriminant forms", file=sys.stderr)
-            return 1
+            return 2
         g = glues[0]
     # report whatever parity comes out rather than enforcing one
     ext, _, _ = glue.primitive_extension(g, require_even=False)
@@ -278,7 +278,10 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("glue", help="primitive extension of two lattices")
+    p = sub.add_parser("glue", help="primitive extension of two lattices",
+                       description="Primitive extension of two lattices along a full glue "
+                                   "map between their discriminant forms (or the direct sum "
+                                   "with --trivial).  Exits 2 when no full glue map exists.")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--trivial", action="store_true", help="direct sum, no glue")

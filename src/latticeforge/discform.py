@@ -1,8 +1,10 @@
 """Finite discriminant groups with Q/Z bilinear and Q/2Z quadratic forms.
 
-A form is presented by generators in invariant-factor order.  Isomorphism is
-decided by backtracking search, and the mod-8 Gauss-sum invariant is computed
-exactly in a cyclotomic ring; nothing here touches floating point.
+A form is presented by generators in invariant-factor order.  Isomorphism of
+odd p-elementary forms is decided in closed form (length and the Legendre
+class of the determinant), and of all other forms by backtracking search; the
+mod-8 Gauss-sum invariant is computed exactly in a cyclotomic ring; nothing
+here touches floating point.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from .errors import (
     OddLatticeQuadratic,
     TooLarge,
 )
+from .lattice import _is_prime
 from .linalg import Matrix
 
 DESK_GROUP_BOUND = 30000  # largest group we are willing to enumerate
@@ -709,21 +712,57 @@ def _match_maps(src, dst, sign, q_mod=2, max_results=1, require_onto=True,
     return results
 
 
-def forms_isomorphic(f, g, witness=False):
-    """Decide isomorphism of finite quadratic forms by generator search."""
+def _odd_elementary_class(form):
+    """(p, length, Legendre symbol of det(p b) mod p) for a nondegenerate
+    p-elementary form with p an odd prime, else None.
+
+    For odd p the quadratic form is fixed by b, and b is a nondegenerate
+    symmetric bilinear form over F_p, which is classified by its dimension
+    and the square class of its determinant (Nikulin 1979; Conway-Sloane,
+    SPLAG ch. 15), so the triple is a complete invariant.
+    """
+    if not form.orders:
+        return None
+    p = form.orders[0]
+    if p % 2 == 0 or not _is_prime(p) or any(d != p for d in form.orders):
+        return None
+    scaled = []
+    for r in form.b.rows:
+        row = []
+        for x in r:
+            y = p * x
+            if y.denominator != 1:
+                return None
+            row.append(int(y) % p)
+        scaled.append(tuple(row))
+    det = linalg.bareiss_det(Matrix(scaled)) % p
+    if det == 0:
+        return None
+    legendre = 1 if pow(det, (p - 1) // 2, p) == 1 else -1
+    return (p, form.ngens, legendre)
+
+
+def forms_isomorphic(f, g):
+    """Decide isomorphism of finite quadratic forms.
+
+    Nondegenerate p-elementary forms with p odd are decided in closed form
+    by `_odd_elementary_class`, at any group order; every other pair (2-parts,
+    mixed or degenerate groups) by generator search, which raises TooLarge
+    above DESK_GROUP_BOUND.
+    """
+    if sorted(f.orders) != sorted(g.orders):
+        return False
+    if (f.q is None) != (g.q is None):
+        return False
+    cf = _odd_elementary_class(f)
+    cg = _odd_elementary_class(g)
+    if cf is not None and cg is not None:
+        return cf == cg
     if f.group_order > DESK_GROUP_BOUND or g.group_order > DESK_GROUP_BOUND:
         raise TooLarge("forms exceed the desk-scale bound")
-    if sorted(f.orders) != sorted(g.orders):
-        return (False, None) if witness else False
-    if (f.q is None) != (g.q is None):
-        return (False, None) if witness else False
     if f.q is not None and f.q_multiset() != g.q_multiset():
-        return (False, None) if witness else False
-    maps = _match_maps(f, g, 1, max_results=1)
-    ok = bool(maps)
-    if witness:
-        return ok, maps[0] if ok else None
-    return ok
+        return False
+    return bool(_match_maps(f, g, 1, max_results=1))
 
 
 def anti_isometries(f, g, max_results=1):

@@ -188,9 +188,14 @@ def definite_isometric(l1, l2, rank_cap=ISOM_RANK_CAP):
     """Explicit isometry witness between definite lattices, or None.
 
     Searches images of the basis of l1 among the vectors of l2 of matching
-    norm, pruned by pairwise inner products; a complete failed search proves
-    non-isometry.  The returned matrix W has columns = images and satisfies
-    W^T G2 W = G1.
+    norm, longest basis vectors first, with forward checking as in
+    Plesken-Souvignier (1997): each pool vector carries its Gram image G2 v,
+    and choosing an image filters the candidate list of every later basis
+    vector down to the vectors with the inner product G1 requires, so an
+    empty list backtracks at once.  Lists keep pool order, so the first
+    witness is the one a plain depth-first search finds.  A complete failed
+    search proves non-isometry.  The returned matrix W has columns = images
+    and satisfies W^T G2 W = G1.
     """
     if l1.rank != l2.rank:
         return None
@@ -205,32 +210,38 @@ def definite_isometric(l1, l2, rank_cap=ISOM_RANK_CAP):
     n = pos1.rank
     basis_norms = [pos1.gram[i, i] for i in range(n)]
     order = sorted(range(n), key=lambda i: -basis_norms[i])
+    g1 = pos1.gram
+    g2 = pos2.gram
     pools = {}
     for nv in set(basis_norms):
-        pools[nv] = vectors_of_norm(pos2, nv)
-        if len(pools[nv]) != count_vectors(EnumQuery(pos1, nv), rank_cap=max(rank_cap, RANK_CAP)):
+        vecs = vectors_of_norm(pos2, nv)
+        if len(vecs) != count_vectors(EnumQuery(pos1, nv), rank_cap=max(rank_cap, RANK_CAP)):
             return None
+        pools[nv] = [(v, g2.apply(v)) for v in vecs]
     chosen = [None] * n
 
-    def rec(k):
+    def rec(k, lists):
+        """lists[t] holds the candidates for basis vector order[k + t] that
+        pair correctly with every image chosen so far."""
         if k == n:
             return True
         i = order[k]
-        for cand in pools[basis_norms[i]]:
-            ok = True
-            for kk in range(k):
-                j = order[kk]
-                if pos2.inner(cand, chosen[j]) != pos1.gram[i, j]:
-                    ok = False
+        later = order[k + 1:]
+        for cand, gc in lists[0]:
+            filtered = []
+            for j, lst in zip(later, lists[1:]):
+                want = g1[i, j]
+                keep = [(w, gw) for w, gw in lst if sum(a * b for a, b in zip(w, gc)) == want]
+                if not keep:
                     break
-            if ok:
+                filtered.append(keep)
+            else:
                 chosen[i] = cand
-                if rec(k + 1):
+                if rec(k + 1, filtered):
                     return True
-                chosen[i] = None
         return False
 
-    if not rec(0):
+    if not rec(0, [pools[basis_norms[i]] for i in order]):
         return None
     w = Matrix(chosen).T
     assert w.T @ l2.gram @ w == l1.gram

@@ -3,6 +3,7 @@ labeling search and the associated-K3 decision procedure."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import catalog, discform, glue, linalg, shortvec
 from .errors import InfeasibleSignature, NotInScope
@@ -182,13 +183,14 @@ def _verify_cubic_row(row):
     short = long_ = 0
     if perp is not None:
         pv = perp.lattice()
+        # row i of P pairs a vector in eta-perp coordinates with basis
+        # vector i of prim, so gcd(P w) is the divisibility of w in prim
+        pair = prim.basis @ h4.gram @ alg_rows.T @ perp.basis.T
         for w in shortvec.vectors_of_norm(pv, 2):
-            amb = h4_coords(perp, alg_rows, w)
-            if _div_in_sub(h4, prim, amb) == 1:
+            if gcd(*pair.apply(w)) == 1:
                 short += 1
         for w in shortvec.vectors_of_norm(pv, 6):
-            amb = h4_coords(perp, alg_rows, w)
-            if _div_in_sub(h4, prim, amb) == 3:
+            if gcd(*pair.apply(w)) == 3:
                 long_ += 1
     v.add("no_short_roots", short == 0, "%d" % short)
     v.add("no_long_roots", long_ == 0, "%d" % long_)
@@ -215,24 +217,6 @@ def _verify_cubic_row(row):
     return v
 
 
-def h4_coords(sub, rows, w):
-    """Coordinates in the glued lattice of a vector given in sub coordinates,
-    where `rows` embeds the sub's ambient into the glued lattice."""
-    amb = sub.basis.T.apply(w)
-    return rows.T.apply(amb)
-
-
-def _div_in_sub(host, sub, vec_host):
-    """Divisibility of a host vector against a sublattice of the host."""
-    vals = []
-    gv = host.gram.apply(vec_host)
-    for b in sub.basis.rows:
-        vals.append(sum(x * y for x, y in zip(b, gv)))
-    from math import gcd
-
-    return abs(gcd(*vals)) if vals else 0
-
-
 def verify_cubic_tables(rows=None):
     rows = catalog.CUBIC_ROWS if rows is None else rows
     report = VerdictReport("cubic")
@@ -254,8 +238,6 @@ def labeling_search(alg, d_max):
     """
     if alg.rank < 2:
         return []
-    from math import gcd
-
     eta = _eta_vector(alg)
     bound = (d_max + 1) // 3
     found = {}
@@ -425,6 +407,10 @@ def _find_u3_sublattice(lat, max_def_norm=12, coeff_bound=4, pair_budget=400000)
     checked = 0
     for u in cands:
         gu = g.apply(u)
+        # (u, v) = 3 needs the divisibility gcd(G u) to divide 3
+        div = gcd(*gu)
+        if div == 0 or 3 % div:
+            continue
         for v in cands:
             checked += 1
             if checked > pair_budget:
@@ -566,19 +552,6 @@ def verify_lsv_table(rows=None):
 # candidate generation for the order-three pairs
 
 
-def _f3_class(form):
-    """(length, det mod 3) is a complete invariant of nondegenerate
-    3-elementary quadratic forms."""
-    if any(d != 3 for d in form.orders):
-        return None
-    k = form.ngens
-    if k == 0:
-        return (0, 1)
-    b3 = [[int(discform._mod1(form.b[i, j]) * 3) % 3 for j in range(k)] for i in range(k)]
-    det = linalg.bareiss_det(Matrix(b3)) % 3
-    return (k, det)
-
-
 def a2_complement_candidates(host):
     """Genus candidates (sig, form) for the complement of a primitive A2
     inside `host`, over every glue choice.
@@ -635,9 +608,7 @@ def derive_og10_order3_candidates(mapping=None):
         v = RowVerdict("crosscheck_%s" % label)
         hit = False
         for kind, sig, form in candidates.get(target_label, ()):
-            if sig == target.signature and (
-                    _f3_class(form) == _f3_class(ft) if _f3_class(ft) is not None
-                    else discform.forms_isomorphic(form, ft)):
+            if sig == target.signature and discform.forms_isomorphic(form, ft):
                 hit = True
                 break
         v.add("induced_inv_among_candidates", hit,

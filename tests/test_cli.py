@@ -87,6 +87,14 @@ def test_glue_command(capsys):
     assert "rank 4" in out and "glue index 3" in out
 
 
+def test_glue_without_full_glue_map_exit_2(capsys):
+    # disc(A2) and disc(A2) admit no anti-isometry: bad input, not a failed check
+    code, out, err = run(capsys, "glue", "A2", "A2")
+    assert code == 2
+    assert out == ""
+    assert "no full glue map between the discriminant forms" in err
+
+
 def test_isom_files(capsys, tmp_path):
     rot = tmp_path / "rot3_A2.json"
     rot.write_text(json.dumps({"lattice": "A2", "matrix": [[0, -1], [1, -1]]}))

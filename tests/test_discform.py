@@ -1,10 +1,16 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from latticeforge import catalog
 from latticeforge.discform import (
     TRIVIAL_FORM,
+    FiniteQuadraticForm,
+    _match_maps,
+    _odd_elementary_class,
     anti_isometries,
     delta_invariant,
     discriminant_form,
@@ -18,6 +24,7 @@ from latticeforge.discform import (
 )
 from latticeforge.errors import NotTwoElementary, OddLatticeQuadratic
 from latticeforge.lattice import direct_sum, from_expression, make_named, rescale
+from latticeforge.linalg import Matrix, bareiss_det
 
 A2 = make_named("A", 2)
 
@@ -140,6 +147,112 @@ def test_forms_isomorphic_equivalence_relation():
             for k in range(n):
                 if rel[i][j] and rel[j][k]:
                     assert rel[i][k]
+
+
+def _backtracking_isomorphic(f, g):
+    """The generator search the odd p-elementary closed form replaced: equal
+    q-value multisets, then a `_match_maps` isometry.  Kept as the oracle."""
+    if sorted(f.orders) != sorted(g.orders) or (f.q is None) != (g.q is None):
+        return False
+    if f.q is not None and f.q_multiset() != g.q_multiset():
+        return False
+    return bool(_match_maps(f, g, 1, max_results=1))
+
+
+def _assert_closed_form_matches_oracle(forms):
+    for i, f in enumerate(forms):
+        assert _odd_elementary_class(f) is not None
+        for g in forms[i:]:
+            if sorted(f.orders) == sorted(g.orders):
+                assert forms_isomorphic(f, g) == _backtracking_isomorphic(f, g), (f, g)
+
+
+def test_odd_elementary_closed_form_matches_backtracking_on_catalog():
+    # every odd p-elementary discriminant form of the rank-26 table with its
+    # negative, up to group order 729; repeated presentations are checked once
+    forms = {}
+    for row in catalog.RANK26_PAIRS:
+        for expr in (row.coinv, row.inv):
+            f, _ = discriminant_form(from_expression(expr))
+            if f.orders and f.orders[0] % 2 and len(set(f.orders)) == 1 \
+                    and f.group_order <= 729:
+                for h in (f, f.neg()):
+                    forms.setdefault((h.orders, h.b, h.q), h)
+    assert {f.orders[0] for f in forms.values()} >= {3, 5, 7}
+    _assert_closed_form_matches_oracle(list(forms.values()))
+
+
+def _form_mod(n, m):
+    """(Z/n)^k form with b = m / n; for odd n the quadratic value on each
+    generator is the unique lift of b_ii whose n multiple is even."""
+    k = len(m)
+    b = [[Fraction(x, n) for x in r] for r in m]
+    q = [Fraction(m[i][i], n) + m[i][i] % 2 for i in range(k)]
+    return FiniteQuadraticForm((n,) * k, b, q)
+
+
+def _random_nondegenerate(rng, p, k):
+    while True:
+        m = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                m[i][j] = m[j][i] = rng.randrange(p)
+        if bareiss_det(Matrix(m)) % p:
+            return m
+
+
+def _random_base_change(rng, p, m):
+    """A m A^T mod p for a random invertible A over F_p."""
+    k = len(m)
+    while True:
+        a = Matrix([[rng.randrange(p) for _ in range(k)] for _ in range(k)])
+        if bareiss_det(a) % p:
+            break
+    return [[x % p for x in r] for r in (a @ Matrix(m) @ a.T).rows]
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3),
+                                 (7, 1), (7, 2), (7, 3)])
+def test_odd_elementary_closed_form_matches_backtracking_on_random_forms(p, k):
+    rng = random.Random(100 * p + k)
+    mats = []
+    legendre = set()
+    while len(mats) < 6 or len(legendre) < 2:
+        m = _random_nondegenerate(rng, p, k)
+        mats.append(m)
+        legendre.add(_odd_elementary_class(_form_mod(p, m))[2])
+    mats += [_random_base_change(rng, p, m) for m in mats]
+    forms = [_form_mod(p, m) for m in mats]
+    half = len(forms) // 2
+    for f, g in zip(forms[:half], forms[half:]):
+        assert forms_isomorphic(f, g) and forms_isomorphic(g, f)
+    _assert_closed_form_matches_oracle(forms)
+
+
+@pytest.mark.parametrize("n", [9, 15, 25])
+def test_composite_odd_orders_are_not_decided_in_closed_form(n):
+    # (Z/n) with n odd but not prime is not p-elementary, so the Legendre
+    # class of the determinant mod n must not decide it
+    forms = [_form_mod(n, [[a]]) for a in range(1, n) if math.gcd(a, n) == 1]
+    for f in forms:
+        assert _odd_elementary_class(f) is None
+    for f in forms:
+        for g in forms:
+            assert forms_isomorphic(f, g) == _backtracking_isomorphic(f, g), (f, g)
+    if n == 9:
+        # x -> 2x takes b = 1/9 to 4/9, while 8 is not a square mod 9
+        assert forms_isomorphic(_form_mod(9, [[1]]), _form_mod(9, [[4]]))
+        assert not forms_isomorphic(_form_mod(9, [[1]]), _form_mod(9, [[8]]))
+
+
+def test_forms_isomorphic_decides_beyond_desk_bound():
+    # (Z/3)^10 has 59049 elements, above DESK_GROUP_BOUND; the two forms
+    # differ in the Legendre class of their determinant
+    f, _ = discriminant_form(from_expression("A2^10"))
+    g, _ = discriminant_form(from_expression("A2^9 + A2(-1)"))
+    assert f.group_order == g.group_order == 3 ** 10
+    assert forms_isomorphic(f, f) and forms_isomorphic(g, g)
+    assert not forms_isomorphic(f, g) and not forms_isomorphic(g, f)
 
 
 def test_isotropic_subgroups():

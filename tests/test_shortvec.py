@@ -1,18 +1,24 @@
+import random
+
 import pytest
 
 from conftest import box_count, box_minimum, box_vectors
 
+from latticeforge import catalog, glue
 from latticeforge.catalog import FG_PHI35
 from latticeforge.errors import IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix
 from latticeforge.shortvec import (
+    RANK_CAP,
     EnumQuery,
+    _flip_to_positive,
     count_vectors,
     definite_isometric,
     has_square_one,
     minimum,
     root_report,
+    vectors_of_norm,
     vectors_up_to,
     wall_class,
 )
@@ -120,6 +126,88 @@ def test_definite_isometric_negative_definite():
     w = definite_isometric(a, a)
     assert w is not None
     assert w.T @ a.gram @ w == a.gram
+
+
+def _reference_isometric(l1, l2):
+    """The plain depth-first search that forward checking replaced: every
+    candidate is tested against every image chosen so far.  Slow beyond rank
+    8; kept as the oracle for the order in which witnesses are found."""
+    if l1.rank != l2.rank:
+        return None
+    pos1, sign1 = _flip_to_positive(l1)
+    pos2, sign2 = _flip_to_positive(l2)
+    if sign1 != sign2 or l1.det != l2.det or l1.is_even() != l2.is_even():
+        return None
+    n = pos1.rank
+    basis_norms = [pos1.gram[i, i] for i in range(n)]
+    order = sorted(range(n), key=lambda i: -basis_norms[i])
+    pools = {}
+    for nv in set(basis_norms):
+        pools[nv] = vectors_of_norm(pos2, nv)
+        if len(pools[nv]) != count_vectors(EnumQuery(pos1, nv), rank_cap=RANK_CAP):
+            return None
+    chosen = [None] * n
+
+    def rec(k):
+        if k == n:
+            return True
+        i = order[k]
+        for cand in pools[basis_norms[i]]:
+            if all(pos2.inner(cand, chosen[order[kk]]) == pos1.gram[i, order[kk]]
+                   for kk in range(k)):
+                chosen[i] = cand
+                if rec(k + 1):
+                    return True
+        return False
+
+    return Matrix(chosen).T if rec(0) else None
+
+
+def _random_unimodular(rng, n):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return Matrix(m)
+
+
+def _eta_perp_pair(label):
+    row = catalog.cubic_row(label)
+    alg = Lattice(row.alg_gram)
+    eta = tuple(int(i == 0) for i in range(alg.rank))
+    perp = glue.orthogonal_complement(glue.span(alg, [eta])).lattice()
+    return Lattice(row.inv_gram), perp
+
+
+@pytest.mark.parametrize("expr", ["A2 + A2", "D4", "E6", "A2^3"])
+def test_definite_isometric_matches_reference_on_base_changes(expr):
+    lat = from_expression(expr)
+    rng = random.Random(expr)
+    for _ in range(3):
+        u = _random_unimodular(rng, lat.rank)
+        other = Lattice(u @ lat.gram @ u.T)
+        for a, b in ((lat, other), (other, lat)):
+            w = definite_isometric(a, b)
+            assert w is not None and w.T @ b.gram @ w == a.gram
+            assert w == _reference_isometric(a, b)
+
+
+@pytest.mark.parametrize("label", ["phi35", "phi37"])
+def test_definite_isometric_matches_reference_on_cubic_rows(label):
+    inv, perp = _eta_perp_pair(label)
+    for a, b in ((inv, perp), (perp, inv)):
+        w = definite_isometric(a, b)
+        assert w is not None
+        assert w == _reference_isometric(a, b)
+
+
+def test_definite_isometric_none_matches_reference():
+    # the two binary forms of determinant 23 (minima 2 and 4)
+    exa, exb = make_named("ExA"), make_named("ExB")
+    for a, b in ((exa, exb), (exb, exa)):
+        assert definite_isometric(a, b) is None
+        assert _reference_isometric(a, b) is None
 
 
 def test_definite_isometric_rejects_mixed_signs():

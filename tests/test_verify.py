@@ -5,6 +5,7 @@ import pytest
 from latticeforge import catalog, verify
 from latticeforge.errors import NotInScope
 from latticeforge.lattice import Lattice, from_expression, make_named
+from latticeforge.linalg import Matrix
 
 
 def test_lambda_p_all_rows_pass():
@@ -29,6 +30,22 @@ def test_cubic_rows_pass():
     assert report.ok, report.to_text(verbose=True)
 
 
+@pytest.mark.parametrize("alg_gram,coinv,short,long_", [
+    # Hassett's K_2 = <eta, T> with T^2 = 1: eta - 3T has norm 6 and pairs
+    # into 3Z with all of eta-perp, a long root
+    ([[3, 1], [1, 1]], "U + E8^2 + [2] + [-1] + [1]", 0, 2),
+    # K_6 with T^2 = 2 orthogonal to eta: T is a short root
+    ([[3, 0], [0, 2]], "U + E8^2 + [6] + [-1] + [1]", 2, 0),
+], ids=["K2", "K6"])
+def test_cubic_root_counts_on_excluded_discriminants(alg_gram, coinv, short, long_):
+    row = dataclasses.replace(catalog.cubic_row("phi35"), label="K", alg_gram=Matrix(alg_gram),
+                              coinv=coinv, labeling_witness=())
+    checks = {c.name: c for c in verify._verify_cubic_row(row).checks}
+    assert checks["middle_cohomology_glue"].passed
+    assert checks["no_short_roots"].detail == str(short)
+    assert checks["no_long_roots"].detail == str(long_)
+
+
 def test_cubic_negative_control():
     bad = dataclasses.replace(catalog.cubic_row("phi35"), moduli_dim=9)
     report = verify.verify_cubic_tables(rows=[bad])
@@ -46,6 +63,19 @@ def test_lsv_negative_control():
     bad = dataclasses.replace(catalog.induced_row("phi35"), sgn_inv=(1, 5))
     report = verify.verify_lsv_table(rows=[bad])
     assert not report.ok
+
+
+def test_find_u3_sublattice_skips_candidates_of_wrong_divisibility():
+    # the first isotropic candidate (-1, -1, 0, ...) has divisibility 2, so
+    # it pairs to 3 with nothing; skipping it untested leaves the budget for
+    # the candidates that can
+    from latticeforge.glue import saturation_index
+
+    lat = from_expression("[2] + [-2] + E6(-1) + D4(-1)")
+    sub = verify._find_u3_sublattice(lat, pair_budget=1000)
+    assert sub is not None
+    assert sub.gram() == Matrix([[0, 3], [3, 0]])
+    assert saturation_index(sub) == 1
 
 
 def test_k3_table_matches():
