@@ -9,6 +9,7 @@ column of every row.
 
 from dataclasses import dataclass
 
+from .errors import UnknownLabel
 from .lattice import Lattice, from_expression
 from .linalg import Matrix
 
@@ -259,21 +260,21 @@ def cubic_row(label):
     for row in CUBIC_ROWS:
         if row.label == label:
             return row
-    raise KeyError(label)
+    raise UnknownLabel(label)
 
 
 def induced_row(label):
     for row in INDUCED_ROWS:
         if row.label == label:
             return row
-    raise KeyError(label)
+    raise UnknownLabel(label)
 
 
 def rank26_row(label):
     for row in RANK26_PAIRS:
         if row.label == label:
             return row
-    raise KeyError(label)
+    raise UnknownLabel(label)
 
 
 def fixture_lattices():

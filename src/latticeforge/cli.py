@@ -9,7 +9,7 @@ import os
 import sys
 
 from . import catalog, discform, glue, isom, linalg, shortvec, verify
-from .errors import LatticeForgeError
+from .errors import BadInput, LatticeForgeError
 from .lattice import Lattice, from_expression, invariants, make_named
 from .linalg import Matrix
 
@@ -37,6 +37,8 @@ def resolve_lattice(ref):
 def load_isometry(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or "lattice" not in data or "matrix" not in data:
+        raise BadInput('isometry JSON needs "lattice" and "matrix" entries')
     latref = data["lattice"]
     lat = resolve_lattice(latref) if isinstance(latref, str) else Lattice.from_json(latref)
     return isom.Isometry(lat, Matrix(data["matrix"]))
@@ -95,13 +97,14 @@ def cmd_info(args):
 
 def _parse_dot(spec, lat):
     name, _, val = spec.partition("=")
-    if not val:
-        raise LatticeForgeError("dot constraint must look like eta=1")
-    if name == "eta":
-        vec = tuple(1 if i == 0 else 0 for i in range(lat.rank))
-    else:
-        vec = tuple(int(c) for c in name.split(","))
-    return (vec, int(val))
+    try:
+        if name == "eta":
+            vec = tuple(1 if i == 0 else 0 for i in range(lat.rank))
+        else:
+            vec = tuple(int(c) for c in name.split(","))
+        return (vec, int(val))
+    except ValueError:
+        raise BadInput("dot constraint must look like eta=1") from None
 
 
 def cmd_enum(args):
@@ -325,8 +328,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (LatticeForgeError, OSError, KeyError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (LatticeForgeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = 2
     return code

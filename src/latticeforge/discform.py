@@ -1,16 +1,23 @@
 """Finite discriminant groups with Q/Z bilinear and Q/2Z quadratic forms.
 
-A form is presented by generators in invariant-factor order.  Isomorphism of
-odd p-elementary forms is decided in closed form (length and the Legendre
-class of the determinant), and of all other forms by backtracking search; the
+A form is one integer table (orders, den, B, Q) over generators e_i of the
+given orders, with den = lcm(orders):
+
+    b(e_i, e_j) = B[i][j] / den mod 1,   q(e_i) = Q[i] / den mod 2,
+
+B reduced mod den and Q mod 2 den, so a presentation has exactly one table.
+The constructor accepts rational b and q, and `b_of` and `q_of` return
+Fractions; everything else reads the table.  Isomorphism of odd
+p-elementary forms is decided in closed form (length and the Legendre class
+of the determinant), and of all other forms by backtracking search; the
 mod-8 Gauss-sum invariant is computed exactly in a cyclotomic ring; nothing
 here touches floating point.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import linalg
 from .errors import (
@@ -26,41 +33,51 @@ from .linalg import Matrix
 DESK_GROUP_BOUND = 30000  # largest group we are willing to enumerate
 
 
-def _mod1(x):
-    return Fraction(x) % 1
-
-
-def _mod2(x):
-    return Fraction(x) % 2
-
-
 class FiniteQuadraticForm:
     """Finite abelian group with a Q/Z bilinear form and, when available, a
-    Q/2Z quadratic form refining it."""
+    Q/2Z quadratic form refining it; Q is None for a bilinear-only form."""
 
-    __slots__ = ("orders", "b", "q", "_qtab", "_qms")
+    __slots__ = ("orders", "den", "B", "Q", "_qms")
 
     def __init__(self, orders, b, q=None):
-        self.orders = tuple(int(d) for d in orders)
-        if any(d < 2 for d in self.orders):
+        orders = tuple(int(d) for d in orders)
+        if any(d < 2 for d in orders):
             raise DimensionMismatch("generator orders must be > 1")
-        k = len(self.orders)
-        if not isinstance(b, Matrix):
-            b = Matrix(b)
+        k = len(orders)
+        b = (b if isinstance(b, Matrix) else Matrix(b)).to_fraction()
         if b.shape != (k, k) or not b.is_symmetric():
             raise DimensionMismatch("bilinear table must be symmetric k x k")
-        self.b = Matrix(tuple(tuple(_mod1(x) for x in r) for r in b.rows))
+        den = math.lcm(*orders)
+        for i, row in enumerate(b.rows):
+            if any((orders[i] * x).denominator != 1 for x in row):
+                raise DegenerateForm("b not defined modulo the order of generator %d" % i)
+        B = [[int(x * den) for x in row] for row in b.rows]
+        Q = None
         if q is not None:
-            q = tuple(_mod2(x) for x in q)
+            q = [Fraction(x) for x in q]
             if len(q) != k:
                 raise DimensionMismatch("need one quadratic value per generator")
             for i in range(k):
-                if _mod1(q[i] - self.b[i, i]) != 0:
+                if (q[i] - b[i, i]).denominator != 1:
                     raise DegenerateForm("q and b incompatible on generator %d" % i)
-                if _mod2(self.orders[i] ** 2 * q[i]) != 0:
+                if (orders[i] ** 2 * q[i]) % 2 != 0:
                     raise DegenerateForm("q not defined modulo the order of generator %d" % i)
-        self.q = q
-        self._qtab = None
+            Q = [int(x * den) for x in q]
+        self._set_table(orders, B, Q)
+
+    @classmethod
+    def _from_table(cls, orders, B, Q):
+        """Form with the given table at den = lcm(orders); entries need not
+        be reduced."""
+        form = object.__new__(cls)
+        form._set_table(tuple(orders), B, Q)
+        return form
+
+    def _set_table(self, orders, B, Q):
+        self.orders = orders
+        self.den = den = math.lcm(*orders)
+        self.B = tuple(tuple(x % den for x in row) for row in B)
+        self.Q = None if Q is None else tuple(x % (2 * den) for x in Q)
         self._qms = None
 
     # -- basic structure ----------------------------------------------------
@@ -71,10 +88,14 @@ class FiniteQuadraticForm:
 
     @property
     def group_order(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return math.prod(self.orders)
+
+    @property
+    def q(self):
+        """Quadratic values on the generators as Fractions mod 2, or None."""
+        if self.Q is None:
+            return None
+        return tuple(Fraction(v, self.den) for v in self.Q)
 
     def is_trivial(self):
         return not self.orders
@@ -86,102 +107,71 @@ class FiniteQuadraticForm:
         return itertools.product(*(range(d) for d in self.orders))
 
     def element_order(self, x):
-        n = 1
-        for c, d in zip(x, self.orders):
-            dd = d // gcd(c, d)
-            n = n * dd // gcd(n, dd)
-        return n
+        return math.lcm(*(d // math.gcd(c, d) for c, d in zip(x, self.orders)))
+
+    def _b(self, x, y):
+        """den * b(x, y), reduced mod den."""
+        acc = 0
+        for xi, row in zip(x, self.B):
+            if xi:
+                for yj, bij in zip(y, row):
+                    if yj:
+                        acc += xi * yj * bij
+        return acc % self.den
+
+    def _q(self, x):
+        """den * q(x), reduced mod 2 den."""
+        if self.Q is None:
+            raise OddLatticeQuadratic("no quadratic refinement on this form")
+        acc = 0
+        k = len(x)
+        for i, xi in enumerate(x):
+            if xi:
+                acc += xi * xi * self.Q[i]
+                row = self.B[i]
+                for j in range(i + 1, k):
+                    if x[j]:
+                        acc += 2 * xi * x[j] * row[j]
+        return acc % (2 * self.den)
 
     def b_of(self, x, y):
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        acc += xi * yj * self.b[i, j]
-        return _mod1(acc)
+        return Fraction(self._b(x, y), self.den)
 
     def q_of(self, x):
-        if self.q is None:
-            raise OddLatticeQuadratic("no quadratic refinement on this form")
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                acc += xi * xi * self.q[i]
-                for j in range(i + 1, self.ngens):
-                    if x[j]:
-                        acc += 2 * xi * x[j] * self.b[i, j]
-        return _mod2(acc)
-
-    def _q_int_table(self):
-        """(den, diag, off) with q(x) = (sum x_i^2 diag_i + sum_{i<j} x_i x_j off_ij)/den mod 2."""
-        if self._qtab is None:
-            if self.q is None:
-                raise OddLatticeQuadratic("no quadratic refinement on this form")
-            den = 1
-            for v in self.q:
-                den = den * v.denominator // gcd(den, v.denominator)
-            for i in range(self.ngens):
-                for j in range(i + 1, self.ngens):
-                    d = (2 * self.b[i, j]).denominator
-                    den = den * d // gcd(den, d)
-            diag = [int(v * den) for v in self.q]
-            off = [[int(2 * self.b[i, j] * den) for j in range(self.ngens)] for i in range(self.ngens)]
-            self._qtab = (den, diag, off)
-        return self._qtab
+        return Fraction(self._q(x), self.den)
 
     def q_multiset(self):
-        """Sorted scaled q-values over the whole group (exact integers)."""
-        if self._qms is not None:
-            return self._qms
-        den, diag, off = self._q_int_table()
-        two_den = 2 * den
-        vals = []
-        for x in self.elements():
-            acc = 0
-            for i, xi in enumerate(x):
-                if xi:
-                    acc += xi * xi * diag[i]
-                    row = off[i]
-                    for j in range(i + 1, self.ngens):
-                        if x[j]:
-                            acc += xi * x[j] * row[j]
-            vals.append(acc % two_den)
-        vals.sort()
-        self._qms = (den, tuple(vals))
+        """Sorted values den * q(x) over the whole group."""
+        if self._qms is None:
+            self._qms = tuple(sorted(self._q(x) for x in self.elements()))
         return self._qms
 
     def neg(self):
-        return FiniteQuadraticForm(
+        return FiniteQuadraticForm._from_table(
             self.orders,
-            Matrix(tuple(tuple(_mod1(-x) for x in r) for r in self.b.rows)),
-            None if self.q is None else tuple(_mod2(-x) for x in self.q),
+            [[-x for x in row] for row in self.B],
+            None if self.Q is None else [-x for x in self.Q],
         )
 
     def direct_sum(self, other):
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
         k1, k2 = self.ngens, other.ngens
-        b = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-        for i in range(k1):
-            for j in range(k1):
-                b[i][j] = self.b[i, j]
-        for i in range(k2):
-            for j in range(k2):
-                b[k1 + i][k1 + j] = other.b[i, j]
-        q = None
-        if self.q is not None and other.q is not None:
-            q = self.q + other.q
-        return FiniteQuadraticForm(self.orders + other.orders, Matrix(b), q)
+        B = [[s * x for x in row] + [0] * k2 for row in self.B]
+        B += [[0] * k1 + [t * x for x in row] for row in other.B]
+        Q = None
+        if self.Q is not None and other.Q is not None:
+            Q = [s * x for x in self.Q] + [t * x for x in other.Q]
+        return FiniteQuadraticForm._from_table(self.orders + other.orders, B, Q)
 
     def is_nondegenerate(self):
         """True when b(x, -) vanishes only for x = 0."""
-        if not self.orders:
-            return True
-        rad = radical_subgroup(self)
-        return not rad
+        radical = solve_congruences(self.B, [self.den] * self.ngens, self.orders)
+        return not any(any(self.reduce(x)) for x in radical.rows)
 
     def __repr__(self):
         grp = " + ".join("Z/%d" % d for d in self.orders) or "0"
-        if self.q is not None:
+        if self.Q is not None:
             return "FiniteQuadraticForm(%s, q=%s)" % (grp, [str(x) for x in self.q])
         return "FiniteQuadraticForm(%s, bilinear only)" % grp
 
@@ -203,30 +193,28 @@ def discriminant_form(lat):
     if lat.rank == 0:
         return TRIVIAL_FORM, Matrix(())
     snf = lat.snf()
-    gens = []
     orders = []
+    cols = []
     for i, d in enumerate(snf.divisors):
         if d not in (0, 1):
             orders.append(d)
-            col = snf.v.col(i)
-            gens.append(tuple(Fraction(c, d) for c in col))
-    if not gens:
+            cols.append(snf.v.col(i))
+    if not orders:
         return TRIVIAL_FORM, Matrix(())
-    lifts = Matrix(gens)
-    g = lat.gram.to_fraction()
-    k = len(gens)
-    b = [[Fraction(0)] * k for _ in range(k)]
+    lifts = Matrix(tuple(tuple(Fraction(c, d) for c in col) for col, d in zip(cols, orders)))
+    # generator i is c_i / d_i with c_i = cols[i]; c_i.G.c_j / (d_i d_j) has
+    # denominator dividing d_i, so scaling by den = lcm(orders) is exact
+    den = math.lcm(*orders)
+    k = len(orders)
+    B = [[0] * k for _ in range(k)]
+    Q = [0] * k
     for i in range(k):
-        gi = g.apply(gens[i])
+        gc = lat.gram.apply(cols[i])
         for j in range(i, k):
-            val = _mod1(sum(a * c for a, c in zip(gens[j], gi)))
-            b[i][j] = b[j][i] = val
-    q = None
-    if lat.is_even():
-        q = tuple(
-            _mod2(sum(a * c for a, c in zip(gens[i], g.apply(gens[i])))) for i in range(k)
-        )
-    return FiniteQuadraticForm(tuple(orders), Matrix(b), q), lifts
+            dot = sum(a * c for a, c in zip(cols[j], gc))
+            B[i][j] = B[j][i] = dot * den // (orders[i] * orders[j])
+        Q[i] = B[i][i]
+    return FiniteQuadraticForm._from_table(orders, B, Q if lat.is_even() else None), lifts
 
 
 def element_lift(lifts, x):
@@ -286,100 +274,66 @@ def solve_congruences(rows, moduli, orders):
     return Matrix(gens)
 
 
-def radical_subgroup(form):
-    """Nonzero elements pairing integrally with the whole group."""
-    k = form.ngens
-    if k == 0:
-        return []
-    den = 1
-    for r in form.b.rows:
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-    rows = [[int(form.b[i, j] * den) for j in range(k)] for i in range(k)]
-    gens = solve_congruences(rows, [den] * k, form.orders)
-    seen = set()
-    out = []
-    for grow in gens.rows:
-        x = form.reduce(grow)
-        if any(x) and x not in seen:
-            seen.add(x)
-            out.append(x)
-    # close under the group operation within the solution set
-    changed = True
-    members = set(out)
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                c = form.reduce(tuple(p + q for p, q in zip(a, b)))
-                if any(c) and c not in members:
-                    members.add(c)
-                    changed = True
-    return sorted(members)
-
-
 def orthogonal_subgroup(form, subgroup_gens):
     """Generator matrix of the annihilator of a subgroup under b."""
     k = form.ngens
     if not subgroup_gens:
         return Matrix.identity(k)
-    den = 1
-    cols = []
-    for h in subgroup_gens:
-        col = [form.b_of(tuple(1 if t == i else 0 for t in range(k)), h) for i in range(k)]
-        cols.append(col)
-        for x in col:
-            den = den * x.denominator // gcd(den, x.denominator)
-    rows = [[int(cols[j][i] * den) for j in range(len(subgroup_gens))] for i in range(k)]
-    return solve_congruences(rows, [den] * len(subgroup_gens), form.orders)
+    rows = [[form._b(e, h) for h in subgroup_gens] for e in Matrix.identity(k).rows]
+    return solve_congruences(rows, [form.den] * len(subgroup_gens), form.orders)
 
 
-def subquotient_form(form, isotropic_gens, require_quadratic=True):
+def _presentation(form, gen_rows, rel_rows):
+    """Form induced on the subgroup spanned by `gen_rows` modulo the span of
+    `rel_rows`, in invariant-factor presentation.
+
+    Both are integer rows in the generators of `form`; `gen_rows` contain
+    every order_i * e_i and their span contains that of `rel_rows`.  Returns
+    (form, lifts) with the new generators as rows in the old ones.
+    """
+    h, _ = linalg.hermite_normal_form(Matrix(gen_rows))
+    p = Matrix(tuple(r for r in h.rows if any(r)))
+    if p.nrows != form.ngens:
+        raise DegenerateForm("subgroup lattice not full rank")
+    c = (Matrix(rel_rows).to_fraction() @ linalg.inverse(p)).to_int()
+    snf = linalg.smith_normal_form(c)
+    vinv = linalg.inverse(snf.v).to_int()
+    orders = []
+    lifts = []
+    for j, d in enumerate(snf.divisors):
+        if d not in (0, 1):
+            orders.append(d)
+            lifts.append((Matrix((vinv.row(j),)) @ p).row(0))
+    if not orders:
+        return TRIVIAL_FORM, Matrix(())
+    # the values on the new generators have denominators dividing the new
+    # orders, so moving from form.den to their lcm is an exact division
+    step = form.den // math.lcm(*orders)
+    B = [[form._b(x, y) // step for y in lifts] for x in lifts]
+    Q = None if form.Q is None else [form._q(x) // step for x in lifts]
+    return FiniteQuadraticForm._from_table(orders, B, Q), Matrix(lifts)
+
+
+def subgroup_form(form, element_rows):
+    """Present the subgroup generated by the given elements as a standalone
+    form; returns (sub_form, lift_rows) with lifts in the ambient generators."""
+    if form.is_trivial() or not element_rows:
+        return TRIVIAL_FORM, Matrix(())
+    rel = Matrix.diagonal(form.orders).rows
+    return _presentation(form, [form.reduce(r) for r in element_rows] + list(rel), rel)
+
+
+def subquotient_form(form, isotropic_gens):
     """Form induced on (S^perp)/S for an isotropic subgroup S.
 
     `isotropic_gens` are integer coefficient rows.  Returns the quotient as a
     FiniteQuadraticForm in invariant-factor presentation.
     """
-    k = form.ngens
-    if k == 0:
+    if form.is_trivial():
         return TRIVIAL_FORM
     perp = orthogonal_subgroup(form, [form.reduce(h) for h in isotropic_gens])
-    hperp, _ = linalg.hermite_normal_form(perp)
-    prows = [r for r in hperp.rows if any(r)]
-    p = Matrix(prows)
-    if p.nrows != k:
-        raise DegenerateForm("annihilator lattice not full rank")
-    sub_rows = [tuple(h) for h in isotropic_gens]
-    for i in range(k):
-        sub_rows.append(tuple(form.orders[i] if j == i else 0 for j in range(k)))
-    pinv = linalg.inverse(p)
-    c = (Matrix(sub_rows).to_fraction() @ pinv).to_int()
-    snf = linalg.smith_normal_form(c)
-    vinv = linalg.inverse(snf.v).to_int()
-    orders = []
-    lifts = []
-    n = min(snf.d.nrows, snf.d.ncols)
-    for j in range(c.ncols):
-        d = snf.d[j, j] if j < n else 0
-        if d in (0, 1):
-            continue
-        lift = tuple(vinv.row(j))  # in p-coordinates
-        coords = Matrix((lift,)) @ p
-        orders.append(d)
-        lifts.append(coords.row(0))
-    if not orders:
-        return TRIVIAL_FORM
-    m = len(orders)
-    b = [[Fraction(0)] * m for _ in range(m)]
-    q = [Fraction(0)] * m
-    for i in range(m):
-        for j in range(i, m):
-            b[i][j] = b[j][i] = form.b_of(lifts[i], lifts[j])
-        if form.q is not None:
-            q[i] = form.q_of(lifts[i])
-    return FiniteQuadraticForm(
-        tuple(orders), Matrix(b), tuple(q) if (form.q is not None and require_quadratic) else None
-    )
+    rel = [tuple(h) for h in isotropic_gens] + list(Matrix.diagonal(form.orders).rows)
+    return _presentation(form, perp.rows, rel)[0]
 
 
 def isotropic_subgroups(form):
@@ -393,13 +347,8 @@ def isotropic_subgroups(form):
     zero = tuple(0 for _ in form.orders)
     candidates = []
     for x in form.elements():
-        if not any(x):
-            continue
-        if form.q is not None and form.q_of(x) != 0:
-            continue
-        if form.q is None and form.b_of(x, x) != 0:
-            continue
-        candidates.append(x)
+        if any(x) and (form._b(x, x) if form.Q is None else form._q(x)) == 0:
+            candidates.append(x)
     found = {frozenset([zero])}
     frontier = [frozenset([zero])]
     while frontier:
@@ -408,7 +357,7 @@ def isotropic_subgroups(form):
             for x in candidates:
                 if x in h:
                     continue
-                if any(form.b_of(x, y) != 0 for y in h):
+                if any(form._b(x, y) for y in h):
                     continue
                 members = set(h)
                 for mult in range(1, form.element_order(x)):
@@ -430,12 +379,7 @@ def delta_invariant(form):
     """0 when every quadratic value of a 2-elementary form is integral."""
     if any(d != 2 for d in form.orders):
         raise NotTwoElementary("delta needs a 2-elementary form")
-    if form.is_trivial():
-        return 0
-    for x in form.elements():
-        if form.q_of(x).denominator != 1:
-            return 1
-    return 0
+    return int(any(v % form.den for v in form.q_multiset()))
 
 
 @lru_cache(maxsize=None)
@@ -572,28 +516,15 @@ def milgram_signature(form):
         raise TooLarge("group of order %d exceeds the desk-scale bound" % form.group_order)
     if not form.is_nondegenerate():
         raise DegenerateForm("degenerate finite quadratic form")
-    den, diag, off = form._q_int_table()
-    two_den = 2 * den
+    two_den = 2 * form.den
     _, m = _squarefree_split(form.group_order)
     modd = m // 2 if m % 2 == 0 else m
-    ring_n = 8
-    for v in (two_den, modd):
-        ring_n = ring_n * v // gcd(ring_n, v)
+    ring_n = math.lcm(8, two_den, modd)
     ring = _CycloRing(ring_n)
     step = ring_n // two_den
     counts = [0] * ring_n
-    k = form.ngens
-    for x in form.elements():
-        acc = 0
-        for i in range(k):
-            xi = x[i]
-            if xi:
-                acc += xi * xi * diag[i]
-                row = off[i]
-                for j in range(i + 1, k):
-                    if x[j]:
-                        acc += xi * x[j] * row[j]
-        counts[(acc % two_den) * step] += 1
+    for v in form.q_multiset():
+        counts[v * step] += 1
     s_vec = ring.zero()
     for expo, c in enumerate(counts):
         if c:
@@ -620,7 +551,7 @@ def _match_maps(src, dst, sign, q_mod=2, max_results=1, require_onto=True,
     when gluing inside an odd overlattice).  Returns image matrices (rows in
     dst generator coordinates).
     """
-    have_q = src.q is not None and dst.q is not None
+    have_q = src.Q is not None and dst.Q is not None
     k = src.ngens
     if k == 0:
         return [Matrix(())] if (not require_onto or dst.is_trivial()) else []
@@ -628,36 +559,32 @@ def _match_maps(src, dst, sign, q_mod=2, max_results=1, require_onto=True,
         raise TooLarge("group of order %d exceeds the desk-scale bound" % dst.group_order)
     if require_onto and src.group_order != dst.group_order:
         return []
-    # integer-scaled bilinear tables: all b-values become residues mod den
-    den = 1
-    for r in dst.b.rows:
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-    for r in src.b.rows:
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-    dst_b_int = [[int(dst.b[i, j] * den) % den for j in range(dst.ngens)]
-                 for i in range(dst.ngens)]
+    # both tables rescaled to one denominator: b-values are residues mod
+    # den and q-values residues mod q_mod * den
+    den = math.lcm(src.den, dst.den)
+    s_scale, d_scale = den // src.den, den // dst.den
+    q_den = q_mod * den
+    kk = dst.ngens
+    dst_b = [[d_scale * x for x in row] for row in dst.B]
 
     def brow(y):
         """b(y, g_t) * den mod den for every dst generator g_t."""
-        return tuple(sum(y[i] * dst_b_int[i][t] for i in range(dst.ngens) if y[i]) % den
-                     for t in range(dst.ngens))
+        return tuple(sum(y[i] * dst_b[i][t] for i in range(kk) if y[i]) % den
+                     for t in range(kk))
 
     by_key = {}
     rows_of = {}
     for y in dst.elements():
-        key = (dst.element_order(y), dst.q_of(y) % q_mod if have_q else None, dst.b_of(y, y))
+        row = brow(y)
+        key = (dst.element_order(y), d_scale * dst._q(y) % q_den if have_q else None,
+               sum(a * c for a, c in zip(y, row)) % den)
         by_key.setdefault(key, []).append(y)
-        rows_of[y] = brow(y)
-    gens = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
-    src_b = [[src.b_of(gens[i], gens[j]) for j in range(k)] for i in range(k)]
-    want_int = [[int(_mod1(sign * src_b[i][j]) * den) % den for j in range(k)] for i in range(k)]
+        rows_of[y] = row
+    want_int = [[sign * s_scale * src.B[i][j] % den for j in range(k)] for i in range(k)]
     pools = []
     for i in range(k):
-        want_q = (sign * src.q_of(gens[i])) % q_mod if have_q else None
-        want_b = _mod1(sign * src_b[i][i])
-        pool = by_key.get((src.orders[i], want_q, want_b), [])
+        want_q = sign * s_scale * src.Q[i] % q_den if have_q else None
+        pool = by_key.get((src.orders[i], want_q, want_int[i][i]), [])
         if not pool:
             return []
         pools.append(pool)
@@ -666,7 +593,6 @@ def _match_maps(src, dst, sign, q_mod=2, max_results=1, require_onto=True,
 
     def feasible(y, i):
         row_y = rows_of[y]
-        kk = dst.ngens
         for j, prev in enumerate(chosen):
             acc = 0
             for t in range(kk):
@@ -681,10 +607,10 @@ def _match_maps(src, dst, sign, q_mod=2, max_results=1, require_onto=True,
         """Order of dst / (subgroup generated by the images)."""
         rows = [list(img) for img in images]
         for i, d in enumerate(dst.orders):
-            rows.append([d if j == i else 0 for j in range(dst.ngens)])
+            rows.append([d if j == i else 0 for j in range(kk)])
         h, _ = linalg.hermite_normal_form(Matrix(rows))
         vol = 1
-        for i in range(dst.ngens):
+        for i in range(kk):
             vol *= h[i, i]
         return abs(vol)
 
@@ -726,16 +652,7 @@ def _odd_elementary_class(form):
     p = form.orders[0]
     if p % 2 == 0 or not _is_prime(p) or any(d != p for d in form.orders):
         return None
-    scaled = []
-    for r in form.b.rows:
-        row = []
-        for x in r:
-            y = p * x
-            if y.denominator != 1:
-                return None
-            row.append(int(y) % p)
-        scaled.append(tuple(row))
-    det = linalg.bareiss_det(Matrix(scaled)) % p
+    det = linalg.bareiss_det(Matrix(form.B)) % p  # den = p, so B = p b mod p
     if det == 0:
         return None
     legendre = 1 if pow(det, (p - 1) // 2, p) == 1 else -1
@@ -752,7 +669,7 @@ def forms_isomorphic(f, g):
     """
     if sorted(f.orders) != sorted(g.orders):
         return False
-    if (f.q is None) != (g.q is None):
+    if (f.Q is None) != (g.Q is None):
         return False
     cf = _odd_elementary_class(f)
     cg = _odd_elementary_class(g)
@@ -760,7 +677,7 @@ def forms_isomorphic(f, g):
         return cf == cg
     if f.group_order > DESK_GROUP_BOUND or g.group_order > DESK_GROUP_BOUND:
         raise TooLarge("forms exceed the desk-scale bound")
-    if f.q is not None and f.q_multiset() != g.q_multiset():
+    if f.Q is not None and f.q_multiset() != g.q_multiset():
         return False
     return bool(_match_maps(f, g, 1, max_results=1))
 
@@ -775,72 +692,3 @@ def odd_glue_maps(f, g, max_results=1):
     """Bijective maps f -> g with b anti-preserved and q(img) + q(x) integral;
     glue data for extensions inside an odd unimodular overlattice."""
     return _match_maps(f, g, -1, q_mod=1, max_results=max_results)
-
-
-def isometric_embeddings(sub, host, max_results=8):
-    """q-preserving injective maps sub -> host (embedding-subgroup data)."""
-    return _match_maps(sub, host, 1, max_results=max_results,
-                       require_onto=False, require_injective=True)
-
-
-def all_subgroups(form):
-    """Every subgroup, as a sorted tuple of elements, deterministically ordered."""
-    if form.group_order > DESK_GROUP_BOUND:
-        raise TooLarge("group of order %d exceeds the desk-scale bound" % form.group_order)
-    zero = tuple(0 for _ in form.orders)
-    found = {frozenset([zero])}
-    frontier = [frozenset([zero])]
-    elems = [x for x in form.elements() if any(x)]
-    while frontier:
-        new_frontier = []
-        for h in frontier:
-            for x in elems:
-                if x in h:
-                    continue
-                members = set(h)
-                for mult in range(1, form.element_order(x)):
-                    shift = tuple(mult * c for c in x)
-                    members.update(form.reduce(tuple(a + b for a, b in zip(y, shift))) for y in h)
-                fz = frozenset(members)
-                if fz not in found:
-                    found.add(fz)
-                    new_frontier.append(fz)
-        frontier = new_frontier
-    return [tuple(sorted(h)) for h in sorted(found, key=lambda h: (len(h), tuple(sorted(h))))]
-
-
-def subgroup_form(form, element_rows):
-    """Present the subgroup generated by the given elements as a standalone
-    form; returns (sub_form, lift_rows) with lifts in the ambient generators."""
-    k = form.ngens
-    if k == 0 or not element_rows:
-        return TRIVIAL_FORM, Matrix(())
-    rows = [tuple(form.reduce(r)) for r in element_rows]
-    rows += [tuple(form.orders[i] if j == i else 0 for j in range(k)) for i in range(k)]
-    h, _ = linalg.hermite_normal_form(Matrix(rows))
-    p = Matrix(tuple(r for r in h.rows if any(r)))
-    rel = Matrix(tuple(tuple(form.orders[i] if j == i else 0 for j in range(k)) for i in range(k)))
-    c = (rel.to_fraction() @ linalg.inverse(p)).to_int()
-    snf = linalg.smith_normal_form(c)
-    vinv = linalg.inverse(snf.v).to_int()
-    orders = []
-    lifts = []
-    for j in range(k):
-        d = snf.d[j, j]
-        if d in (0, 1):
-            continue
-        coords = Matrix((tuple(vinv.row(j)),)) @ p
-        orders.append(d)
-        lifts.append(coords.row(0))
-    if not orders:
-        return TRIVIAL_FORM, Matrix(())
-    m = len(orders)
-    b = [[Fraction(0)] * m for _ in range(m)]
-    q = [Fraction(0)] * m if form.q is not None else None
-    for i in range(m):
-        for j in range(i, m):
-            b[i][j] = b[j][i] = form.b_of(lifts[i], lifts[j])
-        if q is not None:
-            q[i] = form.q_of(lifts[i])
-    sub = FiniteQuadraticForm(tuple(orders), Matrix(b), tuple(q) if q is not None else None)
-    return sub, Matrix(lifts)

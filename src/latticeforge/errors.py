@@ -17,6 +17,14 @@ class UnknownName(LatticeForgeError):
     pass
 
 
+class UnknownLabel(LatticeForgeError, KeyError):
+    """No catalog row carries the label."""
+
+
+class BadInput(LatticeForgeError):
+    """Malformed input data: a missing JSON entry or a non-integral entry."""
+
+
 class BadParams(LatticeForgeError):
     pass
 

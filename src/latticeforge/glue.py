@@ -7,7 +7,7 @@ generators over a common denominator, so bases are canonical and stable.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from . import discform, linalg
 from .errors import (
@@ -135,15 +135,10 @@ def overlattice(lat, lifts, require_even=None, label=None):
     n = lat.rank
     if require_even is None:
         require_even = lat.is_even()
-    den = 1
-    rows = []
-    for v in lifts:
-        v = tuple(Fraction(x) for x in v)
-        if len(v) != n:
-            raise DimensionMismatch("lift of wrong length")
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        rows.append(v)
+    rows = [tuple(Fraction(x) for x in v) for v in lifts]
+    if any(len(v) != n for v in rows):
+        raise DimensionMismatch("lift of wrong length")
+    den = lcm(*(x.denominator for v in rows for x in v))
     stacked = [tuple(int(x * den) for x in r) for r in rows]
     stacked += [tuple(den if j == i else 0 for j in range(n)) for i in range(n)]
     h = _hnf_rows(Matrix(stacked))
@@ -223,7 +218,7 @@ def full_anti_isometry_glues(left, right, max_results=1):
     fr, _ = discform.discriminant_form(right)
     k = fl.ngens
     gens = Matrix.identity(k) if k else Matrix(())
-    if fl.q is not None and fr.q is not None and left.is_even() and right.is_even():
+    if fl.Q is not None and fr.Q is not None and left.is_even() and right.is_even():
         maps = discform.anti_isometries(fl, fr, max_results=max_results)
         if not maps:
             maps = discform.odd_glue_maps(fl, fr, max_results=max_results)

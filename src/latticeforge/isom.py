@@ -24,7 +24,10 @@ class Isometry:
     def __init__(self, lattice, matrix):
         if not isinstance(matrix, Matrix):
             matrix = Matrix(matrix)
-        matrix = matrix.to_int()
+        try:
+            matrix = matrix.to_int()
+        except ValueError as exc:
+            raise NotAnIsometry("matrix: %s" % exc) from None
         if matrix.shape != (lattice.rank, lattice.rank):
             raise NotAnIsometry("matrix size does not match the rank")
         if matrix.T @ lattice.gram @ matrix != lattice.gram:

@@ -11,6 +11,7 @@ from math import gcd
 
 from . import linalg
 from .errors import (
+    BadInput,
     BadParams,
     DegenerateForm,
     DimensionMismatch,
@@ -29,7 +30,10 @@ class Lattice:
     def __init__(self, gram, label=None):
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
-        gram = gram.to_int()
+        try:
+            gram = gram.to_int()
+        except ValueError as exc:
+            raise BadInput("Gram matrix: %s" % exc) from None
         if not gram.is_symmetric():
             raise DegenerateForm("Gram matrix not symmetric")
         self.gram = gram
@@ -119,6 +123,8 @@ class Lattice:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict) or "gram" not in data:
+            raise BadInput('lattice JSON needs a "gram" entry')
         return cls(Matrix(data["gram"]), data.get("name"))
 
 

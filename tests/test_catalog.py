@@ -1,6 +1,7 @@
 import pytest
 
 from latticeforge import catalog
+from latticeforge.errors import LatticeForgeError
 from latticeforge.lattice import Lattice, from_expression
 from latticeforge.linalg import Matrix
 
@@ -67,3 +68,9 @@ def test_row_lookups():
     assert catalog.induced_row("phi21").p == 2
     with pytest.raises(KeyError):
         catalog.rank26_row("99")
+
+
+def test_unknown_row_label_is_an_input_error():
+    for lookup in (catalog.rank26_row, catalog.cubic_row, catalog.induced_row):
+        with pytest.raises(LatticeForgeError):
+            lookup("99")

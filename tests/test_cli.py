@@ -162,6 +162,25 @@ def test_isom_bad_matrix_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_isom_missing_matrix_exit_2(capsys, tmp_path):
+    path = tmp_path / "no_matrix.json"
+    path.write_text(json.dumps({"lattice": "A2"}))
+    code, out, err = run(capsys, "isom", "order", str(path))
+    assert code == 2 and out == "" and '"matrix"' in err
+
+
+def test_info_non_integral_gram_exit_2(capsys, tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"gram": [[2, 0.5], [0.5, 2]]}))
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == "" and "non-integral" in err
+
+
+def test_enum_bad_dot_exit_2(capsys):
+    code, out, err = run(capsys, "enum", "A2", "--norm", "2", "--dot", "x=1")
+    assert code == 2 and out == "" and "eta=1" in err
+
+
 def test_labeling(capsys):
     code, out, _ = run(capsys, "--format", "json", "labeling", "AY_phi37", "--dmax", "20")
     assert code == 0

@@ -22,7 +22,7 @@ from latticeforge.discform import (
     subgroup_form,
     subquotient_form,
 )
-from latticeforge.errors import NotTwoElementary, OddLatticeQuadratic
+from latticeforge.errors import DegenerateForm, NotTwoElementary, OddLatticeQuadratic
 from latticeforge.lattice import direct_sum, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix, bareiss_det
 
@@ -58,15 +58,48 @@ def test_disc_odd_lattice_has_no_q():
         f.q_of((1,))
 
 
-def test_q_values_brute_force_oracle():
-    # evaluate q on every element of disc(A2 + A2(-1)) directly from lifts
-    lat = direct_sum([A2, rescale(A2, -1)])
-    f, lifts = discriminant_form(lat)
+def _assert_form_matches_lifts(form, lat, lifts, sign=1):
+    """b_of(x, y) mod 1 and q_of(x) mod 2 on every element equal sign times
+    the lifts paired through the Gram matrix; odd lattices have no q."""
     g = lat.gram.to_fraction()
-    for x in f.elements():
-        vec = element_lift(lifts, x)
-        raw = sum(a * b for a, b in zip(vec, g.apply(vec)))
-        assert (raw - f.q_of(x)) % 2 == 0
+    vecs = {x: element_lift(lifts, x) for x in form.elements()}
+    gvecs = {x: g.apply(v) for x, v in vecs.items()}
+    for x, vx in vecs.items():
+        if lat.is_even():
+            assert form.q_of(x) == sign * sum(a * b for a, b in zip(vx, gvecs[x])) % 2, x
+        else:
+            with pytest.raises(OddLatticeQuadratic):
+                form.q_of(x)
+        for y, gy in gvecs.items():
+            assert form.b_of(x, y) == sign * sum(a * b for a, b in zip(vx, gy)) % 1, (x, y)
+
+
+@pytest.mark.parametrize("expr", ["A2 + A2(-1)", "[3] + D4(-1)", "[4] + A2(-1)", "A2 + [4]",
+                                  "D4 + [4]"])
+def test_q_values_brute_force_oracle(expr):
+    # every value of disc(lat), of its negative and of its direct sum with
+    # disc([8]) against the lifts pushed through the Gram matrix
+    lat = from_expression(expr)
+    f, lifts = discriminant_form(lat)
+    _assert_form_matches_lifts(f, lat, lifts)
+    _assert_form_matches_lifts(f.neg(), lat, lifts, sign=-1)
+    eight = make_named("[]", 8)
+    g, glifts = discriminant_form(eight)
+    both = Matrix([r + (0,) for r in lifts.rows] + [(0,) * lat.rank + r for r in glifts.rows])
+    _assert_form_matches_lifts(f.direct_sum(g), direct_sum([lat, eight]), both)
+
+
+def test_degenerate_form():
+    # on (Z/3)^2 with b = 1/3 everywhere, (1, 2) pairs to 0 with everything
+    f = FiniteQuadraticForm((3, 3), [[Fraction(1, 3)] * 2] * 2, [Fraction(4, 3)] * 2)
+    assert not f.is_nondegenerate()
+    assert f.b_of((1, 2), (1, 0)) == f.b_of((1, 2), (0, 1)) == 0
+    with pytest.raises(DegenerateForm):
+        milgram_signature(f)
+    assert discriminant_form(A2)[0].is_nondegenerate()
+    # b(e, e) = 1/4 is not defined on a generator of order 2
+    with pytest.raises(DegenerateForm):
+        FiniteQuadraticForm((2,), [[Fraction(1, 4)]])
 
 
 def test_delta():
@@ -177,7 +210,7 @@ def test_odd_elementary_closed_form_matches_backtracking_on_catalog():
             if f.orders and f.orders[0] % 2 and len(set(f.orders)) == 1 \
                     and f.group_order <= 729:
                 for h in (f, f.neg()):
-                    forms.setdefault((h.orders, h.b, h.q), h)
+                    forms.setdefault((h.orders, h.B, h.Q), h)
     assert {f.orders[0] for f in forms.values()} >= {3, 5, 7}
     _assert_closed_form_matches_oracle(list(forms.values()))
 
