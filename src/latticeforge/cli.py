@@ -10,8 +10,7 @@ import sys
 
 from . import catalog, discform, glue, isom, linalg, shortvec, verify
 from .errors import BadInput, LatticeForgeError
-from .lattice import Lattice, from_expression, invariants, make_named
-from .linalg import Matrix
+from .lattice import Lattice, from_expression, invariants, make_named, matrix_from_json
 
 
 def _registry():
@@ -41,7 +40,7 @@ def load_isometry(path):
         raise BadInput('isometry JSON needs "lattice" and "matrix" entries')
     latref = data["lattice"]
     lat = resolve_lattice(latref) if isinstance(latref, str) else Lattice.from_json(latref)
-    return isom.Isometry(lat, Matrix(data["matrix"]))
+    return isom.Isometry(lat, matrix_from_json(data["matrix"], "isometry matrix"))
 
 
 def _print(data, fmt, text_fn):

@@ -314,15 +314,6 @@ def _presentation(form, gen_rows, rel_rows):
     return FiniteQuadraticForm._from_table(orders, B, Q), Matrix(lifts)
 
 
-def subgroup_form(form, element_rows):
-    """Present the subgroup generated by the given elements as a standalone
-    form; returns (sub_form, lift_rows) with lifts in the ambient generators."""
-    if form.is_trivial() or not element_rows:
-        return TRIVIAL_FORM, Matrix(())
-    rel = Matrix.diagonal(form.orders).rows
-    return _presentation(form, [form.reduce(r) for r in element_rows] + list(rel), rel)
-
-
 def subquotient_form(form, isotropic_gens):
     """Form induced on (S^perp)/S for an isotropic subgroup S.
 
@@ -334,41 +325,6 @@ def subquotient_form(form, isotropic_gens):
     perp = orthogonal_subgroup(form, [form.reduce(h) for h in isotropic_gens])
     rel = [tuple(h) for h in isotropic_gens] + list(Matrix.diagonal(form.orders).rows)
     return _presentation(form, perp.rows, rel)[0]
-
-
-def isotropic_subgroups(form):
-    """All subgroups on which both q and b vanish identically.
-
-    Subgroups are returned as sorted element tuples, smallest first, in a
-    deterministic order.
-    """
-    if form.group_order > DESK_GROUP_BOUND:
-        raise TooLarge("group of order %d exceeds the desk-scale bound" % form.group_order)
-    zero = tuple(0 for _ in form.orders)
-    candidates = []
-    for x in form.elements():
-        if any(x) and (form._b(x, x) if form.Q is None else form._q(x)) == 0:
-            candidates.append(x)
-    found = {frozenset([zero])}
-    frontier = [frozenset([zero])]
-    while frontier:
-        new_frontier = []
-        for h in frontier:
-            for x in candidates:
-                if x in h:
-                    continue
-                if any(form._b(x, y) for y in h):
-                    continue
-                members = set(h)
-                for mult in range(1, form.element_order(x)):
-                    shift = tuple(mult * c for c in x)
-                    members.update(form.reduce(tuple(a + b for a, b in zip(y, shift))) for y in h)
-                fz = frozenset(members)
-                if fz not in found:
-                    found.add(fz)
-                    new_frontier.append(fz)
-        frontier = new_frontier
-    return [tuple(sorted(h)) for h in sorted(found, key=lambda h: (len(h), tuple(sorted(h))))]
 
 
 # ---------------------------------------------------------------------------

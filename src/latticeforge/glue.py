@@ -116,13 +116,33 @@ def orthogonal_complement(s):
 class Extension:
     """An overlattice together with coordinate bookkeeping.
 
-    `basis` rows express the new basis in the old rational coordinates;
-    `old_in_new` rows express the old basis vectors in the new basis.
+    The new basis is `rows / den` in the old coordinates: `rows` is the
+    integer Hermite normal form (upper triangular, positive diagonal) of the
+    generators scaled by `den`.  `old_in_new` rows express the old basis
+    vectors in the new basis, so old_in_new @ rows = den * identity.
     """
 
     lattice: Lattice
-    basis: Matrix
+    rows: Matrix
+    den: int
     old_in_new: Matrix
+
+
+def _scaled_inverse(h, den):
+    """den * h^-1 for an upper triangular integer h, by forward substitution
+    on the columns of h; raises NotIsotropic when it is not integral."""
+    n = h.nrows
+    out = []
+    for i in range(n):
+        x = [0] * n
+        for j in range(i, n):
+            # sum_{k <= j} x_k h_kj = den [i == j]
+            num = (den if j == i else 0) - sum(x[k] * h[k, j] for k in range(i, j))
+            if num % h[j, j]:
+                raise NotIsotropic("original lattice not contained in the overlattice")
+            x[j] = num // h[j, j]
+        out.append(tuple(x))
+    return Matrix(tuple(out))
 
 
 def overlattice(lat, lifts, require_even=None, label=None):
@@ -131,6 +151,11 @@ def overlattice(lat, lifts, require_even=None, label=None):
     `lifts` are rational coordinate rows; they must pair integrally with the
     lattice and with each other (bilinear isotropy of the subgroup they
     span).  With require_even=True their norms must also be even.
+
+    All arithmetic is in integers: with den the common denominator, the HNF
+    H of den * lifts stacked over den * identity gives the new basis H / den,
+    the Gram matrix H G H^T // den^2 (integrality is its divisibility by
+    den^2) and old_in_new = den * H^-1.
     """
     n = lat.rank
     if require_even is None:
@@ -144,17 +169,14 @@ def overlattice(lat, lifts, require_even=None, label=None):
     h = _hnf_rows(Matrix(stacked))
     if h.nrows != n:
         raise DimensionMismatch("overlattice basis is not full rank")
-    basis = Matrix(tuple(tuple(Fraction(x, den) for x in r) for r in h.rows))
-    gram = basis @ lat.gram.to_fraction() @ basis.T
-    if not gram.is_integral():
+    scaled = h @ lat.gram @ h.T
+    den2 = den * den
+    if any(x % den2 for r in scaled.rows for x in r):
         raise NotIsotropic("generators do not pair integrally")
-    gram = gram.to_int()
+    gram = Matrix(tuple(tuple(x // den2 for x in r) for r in scaled.rows))
     if require_even and any(gram[i, i] % 2 for i in range(n)):
         raise NotIsotropic("overlattice of an even lattice fails to be even")
-    old_in_new = linalg.inverse(basis.T).T
-    if not old_in_new.is_integral():
-        raise NotIsotropic("original lattice not contained in the overlattice")
-    return Extension(Lattice(gram, label), basis, old_in_new.to_int())
+    return Extension(Lattice(gram, label), h, den, _scaled_inverse(h, den))
 
 
 def extension_index(lat, ext):

@@ -61,11 +61,6 @@ def neg_identity(lat):
     return Isometry(lat, -Matrix.identity(lat.rank))
 
 
-def block_isometry(lats, blocks):
-    """Isometry of a direct sum acting by the given blocks."""
-    return Isometry(direct_sum(lats), linalg.block_diag([b.matrix if isinstance(b, Isometry) else Matrix(b) for b in blocks]))
-
-
 def isometry_order(f, cap=ORDER_CAP):
     """Smallest n >= 1 with f^n = id, or None beyond the cap."""
     n = f.lattice.rank
@@ -217,7 +212,10 @@ def extend_to_lambda(f):
 
     Acts trivially on the orthogonal A2 when the discriminant action is the
     identity and swaps its two generators when the action is -id; any other
-    discriminant action is an error.
+    discriminant action is an error.  With the new basis rows / den and
+    old_in_new = den * rows^-1 (see glue.Extension), the matrix in the new
+    basis is old_in_new^T . diag(f, tail) . rows^T / den, an exact division
+    for every isometry that extends.
     """
     og, a2, ext = _canonical_extension()
     if f.lattice.gram != og.gram:
@@ -229,12 +227,11 @@ def extend_to_lambda(f):
         tail = Matrix([[0, 1], [1, 0]])
     else:
         raise NontrivialDiscAction("discriminant action is neither id nor -id")
-    bd = linalg.block_diag([f.matrix, tail]).to_fraction()
-    p_t = ext.basis.T
-    m_lambda = linalg.inverse(p_t) @ bd @ p_t
-    if not m_lambda.is_integral():
+    bd = linalg.block_diag([f.matrix, tail])
+    scaled = ext.old_in_new.T @ bd @ ext.rows.T
+    if any(x % ext.den for r in scaled.rows for x in r):
         raise NontrivialDiscAction("extension is not integral; unexpected glue mismatch")
-    return Isometry(ext.lattice, m_lambda.to_int())
+    return Isometry(ext.lattice, Matrix(tuple(tuple(x // ext.den for x in r) for r in scaled.rows)))
 
 
 def nonsymplectic_feasible(pair, p):

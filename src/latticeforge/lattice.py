@@ -4,6 +4,7 @@ A lattice is a free Z-module with a nondegenerate symmetric integer Gram
 matrix.  Vectors are coordinate tuples in the fixed basis.
 """
 
+import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -125,7 +126,30 @@ class Lattice:
     def from_json(cls, data):
         if not isinstance(data, dict) or "gram" not in data:
             raise BadInput('lattice JSON needs a "gram" entry')
-        return cls(Matrix(data["gram"]), data.get("name"))
+        return cls(matrix_from_json(data["gram"], "Gram matrix"), data.get("name"))
+
+
+def matrix_from_json(data, what):
+    """Integer matrix from decoded JSON: a list of equal-length rows of
+    integers (an integral float such as 2.0 counts as an integer).  Anything
+    else raises BadInput naming `what`."""
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise BadInput("%s must be a list of rows" % what)
+    if any(len(r) != len(data[0]) for r in data):
+        raise BadInput("%s has rows of different lengths" % what)
+    rows = []
+    for r in data:
+        row = []
+        for a in r:
+            if isinstance(a, float):
+                if not a.is_integer():
+                    raise BadInput("%s: non-integral entry %r" % (what, a))
+                a = int(a)
+            elif isinstance(a, bool) or not isinstance(a, int):
+                raise BadInput("%s: entry %s is not an integer" % (what, json.dumps(a)))
+            row.append(a)
+        rows.append(tuple(row))
+    return Matrix(rows)
 
 
 @dataclass(frozen=True)
@@ -379,11 +403,3 @@ def from_expression(expr):
         summands.extend([lat] * (int(power) if power else 1))
     out = direct_sum(summands) if summands[1:] else summands[0]
     return out.relabel(expr.strip())
-
-
-ZERO = Lattice(Matrix(()), "0")
-
-
-def zero_lattice():
-    """The rank-zero lattice."""
-    return ZERO

@@ -12,7 +12,7 @@ from math import isqrt
 
 from .errors import BadParams, DegenerateForm, IndefiniteLattice, RankTooLarge
 from .lattice import Lattice
-from .linalg import Matrix
+from .linalg import Matrix, bareiss_det
 
 RANK_CAP = 16
 ISOM_RANK_CAP = 14
@@ -30,7 +30,7 @@ def _flip_to_positive(lat):
     raise IndefiniteLattice("lattice of signature %s is indefinite" % ((p, m),))
 
 
-def _enumerate_upto(pos, bound):
+def _enumerate_upto(pos, bound, l1_window=None):
     """Yield (x, Q(x)) for every nonzero integer vector x with Q(x) <= bound
     on a positive definite lattice; both x and -x are produced.
 
@@ -39,6 +39,11 @@ def _enumerate_upto(pos, bound):
     integer (the Bareiss Schur complement evaluated at x_i..x_{n-1}),
     N_i = (D_i N_{i+1} + y_i^2) / D_{i+1} exactly, and N_0 = Q(x).  Level i
     keeps y_i^2 <= D_i (D_{i+1} bound - N_{i+1}).
+
+    With l1_window = (lo, hi) only the x with lo < |x|_1 <= hi are produced:
+    a branch is cut once its fixed coordinates exceed hi, or once they cannot
+    exceed lo even with every open coordinate at its `coordinate_bounds`
+    value (exact at the last level, where no coordinate is open).
     """
     n = pos.rank
     if n == 0 or bound <= 0:
@@ -47,8 +52,14 @@ def _enumerate_upto(pos, bound):
     d = (1,) + elim.minors
     u = elim.rows
     x = [0] * n
+    if l1_window is not None:
+        lo, hi = l1_window
+        # tail[i]: the largest |x_0| + ... + |x_{i-1}|
+        tail = [0]
+        for b in coordinate_bounds(pos, bound):
+            tail.append(tail[-1] + b)
 
-    def rec(i, rest):
+    def rec(i, rest, size):
         if i < 0:
             if rest:
                 yield tuple(x), rest
@@ -57,13 +68,39 @@ def _enumerate_upto(pos, bound):
         c = sum(ui[j] * x[j] for j in range(i + 1, n))
         piv = d[i + 1]
         r = isqrt(d[i] * (piv * bound - rest))
-        for xi in range(-((r + c) // piv), (r - c) // piv + 1):
+        a, b = -((r + c) // piv), (r - c) // piv
+        if l1_window is None:
+            xs = range(a, b + 1)
+        else:
+            room = hi - size
+            a, b = max(a, -room), min(b, room)
+            need = lo - size - tail[i] + 1  # the least |x_i| that can exceed lo
+            if need > 0:
+                xs = (*range(a, min(b, -need) + 1), *range(max(a, need), b + 1))
+            else:
+                xs = range(a, b + 1)
+        for xi in xs:
             x[i] = xi
             y = piv * xi + c
-            yield from rec(i - 1, (d[i] * rest + y * y) // piv)
+            yield from rec(i - 1, (d[i] * rest + y * y) // piv, size + abs(xi))
         x[i] = 0
 
-    yield from rec(n - 1, 0)
+    yield from rec(n - 1, 0, 0)
+
+
+def coordinate_bounds(lat, max_norm):
+    """Largest |x_i| over the vectors of |norm| <= max_norm of a definite
+    lattice: x_i^2 <= max_norm adj(G)_ii / det G (Cauchy-Schwarz in the
+    dual), so |x_i| <= isqrt(max_norm adj(G)_ii // det G)."""
+    pos, _sign = _flip_to_positive(lat)
+    g = pos.gram
+    n = pos.rank
+    bounds = []
+    for i in range(n):
+        minor = Matrix(tuple(tuple(g[a, b] for b in range(n) if b != i)
+                             for a in range(n) if a != i))
+        bounds.append(isqrt(max_norm * bareiss_det(minor) // pos.det))
+    return tuple(bounds)
 
 
 def vectors_of_norm(lat, norm):
@@ -81,6 +118,19 @@ def vectors_up_to(lat, max_norm):
         buckets[nv].append(v)
     for m in buckets:
         buckets[m].sort()
+    return buckets
+
+
+def vectors_by_l1(lat, max_norm, l1_lo, l1_hi):
+    """Nonzero vectors of |norm| <= max_norm with l1_lo < |x|_1 <= l1_hi,
+    bucketed by (|x|_1, norm), each bucket sorted; one Fincke-Pohst pass
+    with the L1 cuts of `_enumerate_upto`."""
+    pos, _sign = _flip_to_positive(lat)
+    buckets = {}
+    for v, nv in _enumerate_upto(pos, max_norm, (l1_lo, l1_hi)):
+        buckets.setdefault((sum(map(abs, v)), nv), []).append(v)
+    for vecs in buckets.values():
+        vecs.sort()
     return buckets
 
 

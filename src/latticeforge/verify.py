@@ -360,12 +360,52 @@ def verify_k3_table(rows=None):
 # induced actions on the rank-24 lattice
 
 
+def _u3_candidates(block, rest, sign, coeff_bound, max_def_norm):
+    """Isotropic vectors (alpha, beta) + w, nonzero, with |alpha|, |beta| <=
+    coeff_bound and w in the definite part `rest` of |norm| <= max_def_norm,
+    in shells of increasing L1 size s = |alpha| + |beta| + |w|_1.
+
+    Within a shell the order is the (alpha, beta) loop order, then w in
+    lexicographic order.  The w are enumerated lazily by L1 size, each pass
+    reaching twice as far as the last, and never beyond the largest L1 size
+    a vector of norm <= max_def_norm can have (the sum of the coordinate
+    bounds), so the shells up to that size are the whole candidate set.
+    """
+    heads = []
+    for alpha in range(-coeff_bound, coeff_bound + 1):
+        for beta in range(-coeff_bound, coeff_bound + 1):
+            m = block[0, 0] * alpha * alpha + 2 * block[0, 1] * alpha * beta \
+                + block[1, 1] * beta * beta
+            # need w with w^2 = -m in the definite part; its norms have sign `sign`
+            key = -m * sign
+            if 0 <= key <= max_def_norm and (alpha or beta):
+                heads.append((alpha, beta, key))
+    zero = (0,) * rest.rank
+    w_max = sum(shortvec.coordinate_bounds(rest, max_def_norm))
+    by_size = {(0, 0): [zero]}  # (|w|_1, norm) -> sorted w
+    reach = 0  # by_size holds every w with |w|_1 <= reach
+    for s in range(2 * coeff_bound + w_max + 1):
+        if reach < min(s, w_max):
+            top = min(max(s, 2 * reach), w_max)
+            by_size.update(shortvec.vectors_by_l1(rest, max_def_norm, reach, top))
+            reach = top
+        for alpha, beta, key in heads:
+            for w in by_size.get((s - abs(alpha) - abs(beta), key), ()):
+                yield (alpha, beta) + w
+
+
 def _find_u3_sublattice(lat, max_def_norm=12, coeff_bound=4, pair_budget=400000):
     """Primitive rank-2 sublattice with Gram [[0,3],[3,0]], or None.
 
     Fast path: a direct-sum U(3) block.  Otherwise the first two coordinates
     must span an indefinite block orthogonal to a definite rest, and the
-    search runs over bounded isotropic candidates.
+    search runs over the isotropic candidates (alpha, beta) + w with |alpha|,
+    |beta| <= coeff_bound and |w^2| <= max_def_norm, in increasing L1 size
+    (`_u3_candidates`).  The candidate stream is memoised and grown only as
+    far as the pair loops read it, so no ball is built before the first
+    witness.  Pairs (u, v) are tried in stream order, u skipped untested when
+    gcd(G u) does not divide 3; every v tried counts against `pair_budget`,
+    and None is returned once it is spent.
     """
     g = lat.gram
     n = lat.rank
@@ -388,30 +428,29 @@ def _find_u3_sublattice(lat, max_def_norm=12, coeff_bound=4, pair_budget=400000)
     if rest.signature[0] != 0 and rest.signature[1] != 0:
         return None
     sign = -1 if rest.signature[0] == 0 else 1
-    by_norm = shortvec.vectors_up_to(rest, max_def_norm)
-    by_norm[0] = [tuple(0 for _ in range(n - 2))]
     block = Matrix([[g[0, 0], g[0, 1]], [g[0, 1], g[1, 1]]])
+    source = _u3_candidates(block, rest, sign, coeff_bound, max_def_norm)
     cands = []
-    for alpha in range(-coeff_bound, coeff_bound + 1):
-        for beta in range(-coeff_bound, coeff_bound + 1):
-            head = (alpha, beta)
-            m = block[0, 0] * alpha * alpha + 2 * block[0, 1] * alpha * beta + block[1, 1] * beta * beta
-            # need w with w^2 = -m in the definite part; its norms have sign `sign`
-            key = -m * sign if m else 0
-            if key in by_norm:
-                for w in by_norm[key]:
-                    vec = head + tuple(w)
-                    if any(vec):
-                        cands.append(vec)
-    cands.sort(key=lambda v: sum(abs(x) for x in v))
+
+    def stream():
+        i = 0
+        while True:
+            if i == len(cands):
+                nxt = next(source, None)
+                if nxt is None:
+                    return
+                cands.append(nxt)
+            yield cands[i]
+            i += 1
+
     checked = 0
-    for u in cands:
+    for u in stream():
         gu = g.apply(u)
         # (u, v) = 3 needs the divisibility gcd(G u) to divide 3
         div = gcd(*gu)
         if div == 0 or 3 % div:
             continue
-        for v in cands:
+        for v in stream():
             checked += 1
             if checked > pair_budget:
                 return None

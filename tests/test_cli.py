@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latticeforge.cli import main
 
 
@@ -174,6 +176,29 @@ def test_info_non_integral_gram_exit_2(capsys, tmp_path):
     path.write_text(json.dumps({"gram": [[2, 0.5], [0.5, 2]]}))
     code, out, err = run(capsys, "info", str(path))
     assert code == 2 and out == "" and "non-integral" in err
+
+
+@pytest.mark.parametrize("gram", [5, [[2, None], [None, 2]], [[2, 1], [1]], [2, 1], "A2", [[True]]],
+                         ids=["number", "null-entries", "ragged", "flat", "string", "bool"])
+def test_info_malformed_gram_exit_2(capsys, tmp_path, gram):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"gram": gram}))
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == "" and "Gram matrix" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [
+    {"lattice": "A2", "matrix": 5},
+    {"lattice": "A2", "matrix": [[1, None], [None, 1]]},
+    {"lattice": "A2", "matrix": [[1, 0], [0]]},
+    {"lattice": {"gram": 5}, "matrix": [[1, 0], [0, 1]]},
+    {"lattice": {"gram": [[2, None], [None, 2]]}, "matrix": [[1, 0], [0, 1]]},
+], ids=["number", "null-entries", "ragged", "nested-number", "nested-null-entries"])
+def test_isom_malformed_matrix_exit_2(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "isom", "invariant", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_enum_bad_dot_exit_2(capsys):

@@ -16,10 +16,8 @@ from latticeforge.discform import (
     discriminant_form,
     element_lift,
     forms_isomorphic,
-    isotropic_subgroups,
     milgram_signature,
     odd_glue_maps,
-    subgroup_form,
     subquotient_form,
 )
 from latticeforge.errors import DegenerateForm, NotTwoElementary, OddLatticeQuadratic
@@ -288,27 +286,6 @@ def test_forms_isomorphic_decides_beyond_desk_bound():
     assert not forms_isomorphic(f, g) and not forms_isomorphic(g, f)
 
 
-def test_isotropic_subgroups():
-    lat = direct_sum([A2, rescale(A2, -1)])
-    f, _ = discriminant_form(lat)
-    subs = isotropic_subgroups(f)
-    # by brute force: both graph subgroups {(x, x)} and {(x, -x)} are
-    # isotropic, so there are two nontrivial ones of order 3
-    brute = []
-    for gen in itertools.product(range(3), range(3)):
-        if not any(gen):
-            continue
-        members = {(0, 0), gen, tuple((2 * c) % 3 for c in gen)}
-        if all(f.q_of(x) == 0 for x in members):
-            if all(f.b_of(x, y) == 0 for x in members for y in members):
-                brute.append(tuple(sorted(members)))
-    assert sorted(set(brute)) == [h for h in subs if len(h) == 3]
-    assert [len(h) for h in subs] == [1, 3, 3]
-
-    assert [len(h) for h in isotropic_subgroups(discriminant_form(A2)[0])] == [1]
-    assert isotropic_subgroups(TRIVIAL_FORM) == [((),)] or isotropic_subgroups(TRIVIAL_FORM)
-
-
 def test_anti_isometries_exist_for_complements():
     f1, _ = discriminant_form(A2)
     f2, _ = discriminant_form(rescale(A2, -1))
@@ -320,14 +297,6 @@ def test_odd_glue_maps():
     f2, _ = discriminant_form(make_named("F"))
     maps = odd_glue_maps(f1, f2)
     assert maps
-
-
-def test_subgroup_form():
-    lat = direct_sum([A2, rescale(A2, -1)])
-    f, _ = discriminant_form(lat)
-    sub, lifts = subgroup_form(f, [(1, 1)])
-    assert sub.orders == (3,)
-    assert sub.q_of((1,)) == 0
 
 
 def test_subquotient_form():

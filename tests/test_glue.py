@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
+
+from latticeforge import catalog, glue, isom, linalg, verify
 
 from latticeforge.discform import (
     discriminant_form,
@@ -8,7 +12,12 @@ from latticeforge.discform import (
     forms_isomorphic,
     milgram_signature,
 )
-from latticeforge.errors import DegenerateComplement, NotComplementary, NotIsotropicGraph
+from latticeforge.errors import (
+    DegenerateComplement,
+    NotComplementary,
+    NotIsotropic,
+    NotIsotropicGraph,
+)
 from latticeforge.glue import (
     GlueData,
     Sublattice,
@@ -215,3 +224,112 @@ def test_double_complement_is_saturation():
         h1, _ = linalg.hermite_normal_form(sat.basis)
         h2, _ = linalg.hermite_normal_form(dd.basis)
         assert h1 == h2
+
+
+# ---------------------------------------------------------------------------
+# integer overlattices against the Fraction construction they replaced
+
+
+def _fraction_overlattice(lat, lifts, require_even=None):
+    """The earlier overlattice: Fraction basis, Fraction Gram, Gauss-Jordan
+    inverse.  Returns (gram, basis, old_in_new)."""
+    n = lat.rank
+    if require_even is None:
+        require_even = lat.is_even()
+    rows = [tuple(Fraction(x) for x in v) for v in lifts]
+    den = lcm(*(x.denominator for v in rows for x in v))
+    stacked = [tuple(int(x * den) for x in r) for r in rows]
+    stacked += [tuple(den if j == i else 0 for j in range(n)) for i in range(n)]
+    h, _ = linalg.hermite_normal_form(Matrix(stacked))
+    h = Matrix(tuple(r for r in h.rows if any(r)))
+    basis = Matrix(tuple(tuple(Fraction(x, den) for x in r) for r in h.rows))
+    gram = basis @ lat.gram.to_fraction() @ basis.T
+    if not gram.is_integral():
+        raise NotIsotropic("generators do not pair integrally")
+    gram = gram.to_int()
+    if require_even and any(gram[i, i] % 2 for i in range(n)):
+        raise NotIsotropic("overlattice of an even lattice fails to be even")
+    old_in_new = linalg.inverse(basis.T).T
+    if not old_in_new.is_integral():
+        raise NotIsotropic("original lattice not contained in the overlattice")
+    return gram, basis, old_in_new.to_int()
+
+
+def _assert_same_overlattice(lat, lifts, require_even=None):
+    try:
+        want = _fraction_overlattice(lat, lifts, require_even)
+    except NotIsotropic as exc:
+        with pytest.raises(NotIsotropic) as got:
+            overlattice(lat, lifts, require_even=require_even)
+        assert str(got.value) == str(exc)
+        return False
+    ext = overlattice(lat, lifts, require_even=require_even)
+    gram, basis, old_in_new = want
+    assert ext.lattice.gram == gram
+    assert ext.old_in_new == old_in_new
+    assert Matrix(tuple(tuple(Fraction(x, ext.den) for x in r) for r in ext.rows.rows)) == basis
+    return True
+
+
+def _recorded_overlattice_calls(monkeypatch, build):
+    """Inputs of every glue.overlattice call made by build()."""
+    calls = []
+    real = glue.overlattice
+
+    def recording(lat, lifts, require_even=None, label=None):
+        calls.append((lat, list(lifts), require_even))
+        return real(lat, lifts, require_even=require_even, label=label)
+
+    monkeypatch.setattr(glue, "overlattice", recording)
+    build()
+    return calls
+
+
+@pytest.mark.parametrize("label", [r.label for r in catalog.CUBIC_ROWS])
+def test_overlattice_matches_fractions_on_cubic_middle_cohomology(monkeypatch, label):
+    row = catalog.cubic_row(label)
+    alg = Lattice(row.alg_gram)
+    trans = from_expression(row.coinv)
+    calls = _recorded_overlattice_calls(
+        monkeypatch, lambda: verify._build_middle_cohomology(alg, trans))
+    assert len(calls) == 1
+    assert _assert_same_overlattice(*calls[0])
+
+
+def test_overlattice_matches_fractions_on_canonical_lambda(monkeypatch):
+    monkeypatch.setattr(isom, "_CANON", None)
+    calls = _recorded_overlattice_calls(monkeypatch, isom.canonical_lambda)
+    assert len(calls) == 1
+    assert _assert_same_overlattice(*calls[0])
+
+
+def test_overlattice_matches_fractions_on_examples():
+    lat = direct_sum([A2, rescale(A2, -1)])
+    f, lifts = discriminant_form(lat)
+    assert _assert_same_overlattice(lat, [element_lift(lifts, (1, 1))])
+    assert _assert_same_overlattice(lat, [])
+    # disc(A2) glued to itself: q(x) + q(x) = 4/3 pairs non-integrally
+    aa = direct_sum([A2, A2])
+    _, lifts = discriminant_form(aa)
+    assert not _assert_same_overlattice(aa, [element_lift(lifts, (1, 1))])
+    # (1/2, 1/2) in [2] + [2] has norm 1: integral, but odd
+    two = from_expression("[2] + [2]")
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert _assert_same_overlattice(two, [half], require_even=False)
+    assert not _assert_same_overlattice(two, [half], require_even=True)
+
+
+def test_overlattice_matches_fractions_on_random_glue():
+    rng = random.Random(6)
+    blocks = ["A2", "A2(-1)", "E6*(3)"]
+    built = refused = 0
+    for _ in range(60):
+        lat = from_expression(" + ".join(rng.choice(blocks) for _ in range(rng.randint(2, 3))))
+        f, lifts = discriminant_form(lat)
+        gens = [tuple(rng.randrange(d) for d in f.orders) for _ in range(rng.randint(1, 2))]
+        rows = [element_lift(lifts, x) for x in gens]
+        if _assert_same_overlattice(lat, rows, require_even=rng.choice([None, False, True])):
+            built += 1
+        else:
+            refused += 1
+    assert built >= 10 and refused >= 10

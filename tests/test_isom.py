@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from latticeforge.discform import discriminant_form, forms_isomorphic
 from latticeforge.errors import NotAnIsometry
 from latticeforge.isom import (
     Isometry,
+    _canonical_extension,
     canonical_embedding_rows,
     canonical_lambda,
     discriminant_action,
@@ -18,7 +20,7 @@ from latticeforge.isom import (
     spinor_norm,
 )
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
-from latticeforge.linalg import Matrix, block_diag
+from latticeforge.linalg import Matrix, block_diag, inverse
 
 A2 = make_named("A", 2)
 U = make_named("U")
@@ -191,6 +193,34 @@ def test_extend_restricts_to_input():
     assert forms_isomorphic(f2, f3)
 
 
+def _fraction_extension(f):
+    """The earlier conjugation: inverse(P^T) @ diag(f, tail) @ P^T over the
+    Fraction basis P of the overlattice."""
+    _, _, ext = _canonical_extension()
+    kind, _ = discriminant_action(f)
+    tail = Matrix.identity(2) if kind == "id" else Matrix([[0, 1], [1, 0]])
+    basis = Matrix(tuple(tuple(Fraction(x, ext.den) for x in r) for r in ext.rows.rows))
+    bd = block_diag([f.matrix, tail]).to_fraction()
+    return (inverse(basis.T) @ bd @ basis.T).to_int()
+
+
+def _e8_coxeter_on_og10():
+    """Product of the reflections in the simple roots of the first E8(-1)
+    block of OG10 (coordinates 6..13), the identity elsewhere."""
+    og = make_named("OG10")
+    f = identity_isometry(og)
+    for i in range(6, 14):
+        f = _reflection(og, tuple(int(t == i) for t in range(24))) * f
+    return f
+
+
+@pytest.mark.parametrize("make", [neg_identity, lambda og: _e8_coxeter_on_og10()],
+                         ids=["minus-id", "e8-coxeter"])
+def test_extend_matches_fraction_conjugation(make):
+    f = make(make_named("OG10"))
+    assert extend_to_lambda(f).matrix == _fraction_extension(f)
+
+
 def test_extend_rejects_other_action():
     og = make_named("OG10")
     # an isometry moving the discriminant class to something not +-id does
@@ -236,11 +266,7 @@ def test_nonsymplectic_feasible_involution_pair():
     # hyperbolic-type genus by gluing along the 2-parts of the discriminants,
     # then check the feasibility report accepts it
     from latticeforge.catalog import induced_row
-    from latticeforge.discform import (
-        _match_maps,
-        discriminant_form,
-        subgroup_form,
-    )
+    from latticeforge.discform import _match_maps, _presentation, discriminant_form
     from latticeforge.glue import GlueData, Sublattice, glue_group, primitive_extension
     from latticeforge.isom import InvariantPair
 
@@ -250,7 +276,9 @@ def test_nonsymplectic_feasible_involution_pair():
     fi, _ = discriminant_form(inv)
     fc, _ = discriminant_form(coinv)
     two_part = [x for x in fi.elements() if any(x) and fi.element_order(x) == 2]
-    sub, lifts = subgroup_form(fi, two_part)
+    # the subgroup they generate, presented as a standalone form
+    rel = Matrix.diagonal(fi.orders).rows
+    sub, lifts = _presentation(fi, [fi.reduce(x) for x in two_part] + list(rel), rel)
     assert sub.orders == (2,) * 6
     maps = _match_maps(sub, fc, -1, max_results=1)
     assert maps

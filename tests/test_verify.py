@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
+from math import gcd
 
 import pytest
 
-from latticeforge import catalog, verify
+from latticeforge import catalog, glue, linalg, shortvec, verify
 from latticeforge.errors import NotInScope
 from latticeforge.lattice import Lattice, from_expression, make_named
 from latticeforge.linalg import Matrix
@@ -76,6 +78,150 @@ def test_find_u3_sublattice_skips_candidates_of_wrong_divisibility():
     assert sub is not None
     assert sub.gram() == Matrix([[0, 3], [3, 0]])
     assert saturation_index(sub) == 1
+
+
+# ---------------------------------------------------------------------------
+# the U(3) search against the ball-and-sort search it replaced
+
+
+def _ball_and_sort_candidates(lat, max_def_norm=12, coeff_bound=4):
+    """The isotropic candidates of the split shape as the earlier search built
+    them: the whole definite ball to max_def_norm, every candidate, one
+    stable sort by L1 size."""
+    g = lat.gram
+    n = lat.rank
+    rest = Lattice(Matrix(tuple(tuple(g[i, j] for j in range(2, n)) for i in range(2, n))))
+    sign = -1 if rest.signature[0] == 0 else 1
+    by_norm = shortvec.vectors_up_to(rest, max_def_norm)
+    by_norm[0] = [tuple(0 for _ in range(n - 2))]
+    cands = []
+    for alpha in range(-coeff_bound, coeff_bound + 1):
+        for beta in range(-coeff_bound, coeff_bound + 1):
+            m = g[0, 0] * alpha * alpha + 2 * g[0, 1] * alpha * beta + g[1, 1] * beta * beta
+            key = -m * sign if m else 0
+            if key in by_norm:
+                for w in by_norm[key]:
+                    vec = (alpha, beta) + tuple(w)
+                    if any(vec):
+                        cands.append(vec)
+    cands.sort(key=lambda v: sum(abs(x) for x in v))
+    return cands
+
+
+def _ball_and_sort_search(lat, cands, pair_budget=400000):
+    """The earlier pair loop over a candidate list; returns (basis rows or
+    None, pairs checked)."""
+    g = lat.gram
+    checked = 0
+    for u in cands:
+        gu = g.apply(u)
+        div = gcd(*gu)
+        if div == 0 or 3 % div:
+            continue
+        for v in cands:
+            checked += 1
+            if checked > pair_budget:
+                return None, checked
+            if sum(a * b for a, b in zip(v, gu)) != 3:
+                continue
+            sub = glue.Sublattice(lat, Matrix([u, v]))
+            if linalg.det(sub.gram()) != -9:
+                continue
+            if sub.gram() == Matrix([[0, 3], [3, 0]]) and glue.saturation_index(sub) == 1:
+                return sub.basis.rows, checked
+    return None, checked
+
+
+def _stream(lat, max_def_norm=12, coeff_bound=4):
+    g = lat.gram
+    n = lat.rank
+    rest = Lattice(Matrix(tuple(tuple(g[i, j] for j in range(2, n)) for i in range(2, n))))
+    sign = -1 if rest.signature[0] == 0 else 1
+    block = Matrix([[g[0, 0], g[0, 1]], [g[0, 1], g[1, 1]]])
+    return verify._u3_candidates(block, rest, sign, coeff_bound, max_def_norm)
+
+
+PHI23 = "[2] + [-2] + E6(-1) + D4(-1)"
+
+
+@pytest.fixture(scope="module")
+def phi23_oracle():
+    lat = from_expression(PHI23)
+    return lat, _ball_and_sort_candidates(lat)
+
+
+@pytest.mark.parametrize("expr", [
+    "[2] + [-2] + A2(-1)^2", "U + A2(-1) + A2(-1)", "U + E6(-2)", "[1] + [-1] + D4(-1)",
+    "[4] + [-2] + A2(-1)^2",
+])
+def test_u3_candidate_stream_matches_ball_and_sort(expr):
+    lat = from_expression(expr)
+    assert list(_stream(lat)) == _ball_and_sort_candidates(lat)
+    assert list(_stream(lat, max_def_norm=4, coeff_bound=2)) == \
+        _ball_and_sort_candidates(lat, max_def_norm=4, coeff_bound=2)
+
+
+def test_u3_candidate_stream_phi23_prefix(phi23_oracle):
+    lat, cands = phi23_oracle
+    assert list(itertools.islice(_stream(lat), 1000)) == cands[:1000]
+
+
+@pytest.mark.parametrize("label", [r.label for r in catalog.INDUCED_ROWS])
+def test_find_u3_sublattice_same_witness_on_induced_rows(label, phi23_oracle):
+    expr = catalog.induced_row(label).inv
+    lat = from_expression(expr)
+    if expr.startswith("U(3)"):
+        # a direct-sum U(3) block: the fast path returns its two basis vectors
+        want = tuple(tuple(int(j == i) for j in range(lat.rank)) for i in (0, 1))
+    else:
+        cands = phi23_oracle[1] if expr == PHI23 else _ball_and_sort_candidates(lat)
+        want, _ = _ball_and_sort_search(lat, cands)
+    got = verify._find_u3_sublattice(lat)
+    assert want is not None and got.basis.rows == want
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 1000])
+def test_find_u3_sublattice_budget_on_phi23(budget, phi23_oracle):
+    lat, cands = phi23_oracle
+    want, _ = _ball_and_sort_search(lat, cands, pair_budget=budget)
+    got = verify._find_u3_sublattice(lat, pair_budget=budget)
+    assert (got.basis.rows if got is not None else None) == want
+
+
+def test_find_u3_sublattice_budget_boundary():
+    # the witness of this lattice is pair check 52,631 of the earlier search:
+    # one pair less must give None, exactly that many the same witness
+    lat = from_expression("[1] + [-1] + E6(-1)")
+    want, checked = _ball_and_sort_search(lat, _ball_and_sort_candidates(lat))
+    assert want is not None
+    assert verify._find_u3_sublattice(lat, pair_budget=checked - 1) is None
+    assert verify._find_u3_sublattice(lat, pair_budget=checked).basis.rows == want
+
+
+def test_find_u3_sublattice_no_witness_same_pair_count(monkeypatch):
+    # the pair loop calls zip once per pair checked and verify calls it
+    # nowhere else on this path, so a counting zip counts the pairs
+    lat = from_expression("[1] + [-1] + D4(-1)")
+    want, checked = _ball_and_sort_search(lat, _ball_and_sort_candidates(lat))
+    assert want is None and checked > 0
+    calls = []
+
+    def counting_zip(*args):
+        calls.append(None)
+        return zip(*args)
+
+    monkeypatch.setattr(verify, "zip", counting_zip, raising=False)
+    assert verify._find_u3_sublattice(lat) is None
+    assert len(calls) == checked
+
+
+def test_find_u3_sublattice_builds_no_ball(monkeypatch):
+    def no_ball(*args):
+        raise AssertionError("vectors_up_to called")
+
+    monkeypatch.setattr(shortvec, "vectors_up_to", no_ball)
+    sub = verify._find_u3_sublattice(from_expression(PHI23))
+    assert sub is not None and sub.gram() == Matrix([[0, 3], [3, 0]])
 
 
 def test_k3_table_matches():
