@@ -7,7 +7,8 @@ given orders, with den = lcm(orders):
 
 B reduced mod den and Q mod 2 den, so a presentation has exactly one table.
 The constructor accepts rational b and q, and `b_of` and `q_of` return
-Fractions; everything else reads the table.  Isomorphism of odd
+Fractions; everything else reads the table.  Lifts of group elements to the
+dual lattice are integer vectors over the same den.  Isomorphism of odd
 p-elementary forms is decided in closed form (length and the Legendre class
 of the determinant), and of all other forms by backtracking search; the
 mod-8 Gauss-sum invariant is computed exactly in a cyclotomic ring; nothing
@@ -44,21 +45,22 @@ class FiniteQuadraticForm:
         if any(d < 2 for d in orders):
             raise DimensionMismatch("generator orders must be > 1")
         k = len(orders)
-        b = (b if isinstance(b, Matrix) else Matrix(b)).to_fraction()
-        if b.shape != (k, k) or not b.is_symmetric():
+        b = [[Fraction(x) for x in row] for row in (b.rows if isinstance(b, Matrix) else b)]
+        if len(b) != k or any(len(row) != k for row in b) or \
+                any(b[i][j] != b[j][i] for i in range(k) for j in range(i)):
             raise DimensionMismatch("bilinear table must be symmetric k x k")
         den = math.lcm(*orders)
-        for i, row in enumerate(b.rows):
+        for i, row in enumerate(b):
             if any((orders[i] * x).denominator != 1 for x in row):
                 raise DegenerateForm("b not defined modulo the order of generator %d" % i)
-        B = [[int(x * den) for x in row] for row in b.rows]
+        B = [[int(x * den) for x in row] for row in b]
         Q = None
         if q is not None:
             q = [Fraction(x) for x in q]
             if len(q) != k:
                 raise DimensionMismatch("need one quadratic value per generator")
             for i in range(k):
-                if (q[i] - b[i, i]).denominator != 1:
+                if (q[i] - b[i][i]).denominator != 1:
                     raise DegenerateForm("q and b incompatible on generator %d" % i)
                 if (orders[i] ** 2 * q[i]) % 2 != 0:
                     raise DegenerateForm("q not defined modulo the order of generator %d" % i)
@@ -186,9 +188,10 @@ TRIVIAL_FORM = FiniteQuadraticForm((), Matrix(()), ())
 def discriminant_form(lat):
     """Discriminant group of a lattice with its torsion forms.
 
-    Returns (form, lifts) where row i of `lifts` is a rational vector in the
-    lattice basis representing generator i of the dual quotient.  Quadratic
-    values are attached when the lattice is even.
+    Returns (form, lifts) where row i of the integer matrix `lifts`, over
+    form.den, is a dual vector in the lattice basis representing generator i
+    of the dual quotient.  Quadratic values are attached when the lattice is
+    even.
     """
     if lat.rank == 0:
         return TRIVIAL_FORM, Matrix(())
@@ -201,10 +204,10 @@ def discriminant_form(lat):
             cols.append(snf.v.col(i))
     if not orders:
         return TRIVIAL_FORM, Matrix(())
-    lifts = Matrix(tuple(tuple(Fraction(c, d) for c in col) for col, d in zip(cols, orders)))
+    den = math.lcm(*orders)
     # generator i is c_i / d_i with c_i = cols[i]; c_i.G.c_j / (d_i d_j) has
     # denominator dividing d_i, so scaling by den = lcm(orders) is exact
-    den = math.lcm(*orders)
+    lifts = Matrix(tuple(tuple(den // d * c for c in col) for col, d in zip(cols, orders)))
     k = len(orders)
     B = [[0] * k for _ in range(k)]
     Q = [0] * k
@@ -218,9 +221,10 @@ def discriminant_form(lat):
 
 
 def element_lift(lifts, x):
-    """Rational lattice-coordinate vector representing group element x."""
+    """Integer lattice-coordinate vector that, over the den of the form,
+    represents group element x."""
     n = lifts.ncols
-    out = [Fraction(0)] * n
+    out = [0] * n
     for coeff, row in zip(x, lifts.rows):
         if coeff:
             for j in range(n):
@@ -229,18 +233,21 @@ def element_lift(lifts, x):
 
 
 def class_of(lat, lifts, form, vec):
-    """Class of a dual vector (rational coords) in the discriminant group."""
+    """Class of the dual vector vec / form.den (vec an integer vector, like
+    the rows of `lifts`) in the discriminant group: with u G v = d, the
+    coordinates w = v^-1 vec / den of a dual vector have d_i w_i integral,
+    and d_i w_i mod d_i is its coefficient on generator i."""
     if form.is_trivial():
         return ()
     snf = lat.snf()
-    w = linalg.inverse(snf.v).apply(vec)
+    den = form.den
     coeffs = []
-    for i, d in enumerate(snf.divisors):
-        c = Fraction(w[i] * d)
-        if c.denominator != 1:
+    for d, w in zip(snf.divisors, snf.v_inv.apply(vec)):
+        c, rem = divmod(w * d, den)
+        if rem:
             raise DegenerateForm("vector is not in the dual lattice")
         if d not in (0, 1):
-            coeffs.append(int(c) % d)
+            coeffs.append(c % d)
     return tuple(coeffs)
 
 
@@ -295,15 +302,15 @@ def _presentation(form, gen_rows, rel_rows):
     p = Matrix(tuple(r for r in h.rows if any(r)))
     if p.nrows != form.ngens:
         raise DegenerateForm("subgroup lattice not full rank")
-    c = (Matrix(rel_rows).to_fraction() @ linalg.inverse(p)).to_int()
-    snf = linalg.smith_normal_form(c)
-    vinv = linalg.inverse(snf.v).to_int()
+    # the relations in the basis p, then their Smith form: the new
+    # generators are the rows of v^-1 p
+    snf = linalg.smith_normal_form(linalg.triangular_solve(p, Matrix(rel_rows)))
     orders = []
     lifts = []
     for j, d in enumerate(snf.divisors):
         if d not in (0, 1):
             orders.append(d)
-            lifts.append((Matrix((vinv.row(j),)) @ p).row(0))
+            lifts.append(p.T.apply(snf.v_inv.row(j)))
     if not orders:
         return TRIVIAL_FORM, Matrix(())
     # the values on the new generators have denominators dividing the new

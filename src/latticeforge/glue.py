@@ -1,13 +1,14 @@
 """Overlattices, primitive embeddings, orthogonal complements, saturation.
 
 Sublattices carry their ambient lattice and a basis given as integer rows of
-coordinates.  Overlattices are built by Hermite reduction of stacked
-generators over a common denominator, so bases are canonical and stable.
+coordinates.  Overlattices are built by Hermite reduction of integer
+generators stacked over one common denominator, so bases are canonical and
+stable.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from . import discform, linalg
 from .errors import (
@@ -30,7 +31,6 @@ class Sublattice:
     def __init__(self, ambient, basis):
         if not isinstance(basis, Matrix):
             basis = Matrix(basis)
-        basis = basis.to_int()
         if basis.nrows and basis.ncols != ambient.rank:
             raise DimensionMismatch("basis rows must have ambient rank length")
         self.ambient = ambient
@@ -83,19 +83,17 @@ def saturate(s):
 
 
 def saturation_index(s):
-    """Index of s inside its saturation."""
+    """Index of s inside its saturation: the ratio of the products of their
+    HNF pivots, as both Hermite forms have the same pivot columns and the
+    projection onto those columns is injective on their common span."""
     sat = saturate(s)
     if s.rank != sat.rank:
         raise DimensionMismatch("rank drop during saturation")
-    if s.rank == 0:
-        return 1
-    # express the rows of s in the saturation basis; the standard dot-product
-    # Gram keeps this well defined even when the lattice form degenerates
-    b = sat.basis.to_fraction()
-    gram_std = b @ b.T
-    coeffs = (s.basis.to_fraction() @ b.T) @ linalg.inverse(gram_std)
-    c = coeffs.to_int()
-    return abs(linalg.bareiss_det(c))
+    return _pivot_product(s.basis) // _pivot_product(sat.basis)
+
+
+def _pivot_product(m):
+    return prod(next(x for x in r if x) for r in _hnf_rows(m).rows)
 
 
 def orthogonal_complement(s):
@@ -107,7 +105,7 @@ def orthogonal_complement(s):
     m = s.ambient.gram @ s.basis.T  # n x k
     rows = linalg.integer_kernel(m)
     comp = Sublattice(s.ambient, rows)
-    if comp.rank and linalg.det(comp.gram()) == 0:
+    if comp.rank and linalg.bareiss_det(comp.gram()) == 0:
         raise DegenerateComplement("induced form on the complement is degenerate")
     return comp
 
@@ -128,43 +126,28 @@ class Extension:
     old_in_new: Matrix
 
 
-def _scaled_inverse(h, den):
-    """den * h^-1 for an upper triangular integer h, by forward substitution
-    on the columns of h; raises NotIsotropic when it is not integral."""
-    n = h.nrows
-    out = []
-    for i in range(n):
-        x = [0] * n
-        for j in range(i, n):
-            # sum_{k <= j} x_k h_kj = den [i == j]
-            num = (den if j == i else 0) - sum(x[k] * h[k, j] for k in range(i, j))
-            if num % h[j, j]:
-                raise NotIsotropic("original lattice not contained in the overlattice")
-            x[j] = num // h[j, j]
-        out.append(tuple(x))
-    return Matrix(tuple(out))
+def overlattice(lat, rows, den, require_even=None, label=None):
+    """Overlattice of `lat` generated by the dual vectors rows / den.
 
+    `rows` are integer coordinate rows over the positive denominator `den`;
+    the vectors must pair integrally with the lattice and with each other
+    (bilinear isotropy of the subgroup they span).  With require_even=True
+    their norms must also be even.
 
-def overlattice(lat, lifts, require_even=None, label=None):
-    """Overlattice of `lat` generated by the dual vectors in `lifts`.
-
-    `lifts` are rational coordinate rows; they must pair integrally with the
-    lattice and with each other (bilinear isotropy of the subgroup they
-    span).  With require_even=True their norms must also be even.
-
-    All arithmetic is in integers: with den the common denominator, the HNF
-    H of den * lifts stacked over den * identity gives the new basis H / den,
-    the Gram matrix H G H^T // den^2 (integrality is its divisibility by
-    den^2) and old_in_new = den * H^-1.
+    All arithmetic is in integers: with rows and den divided by their common
+    factor, the HNF H of rows stacked over den * identity gives the new basis
+    H / den, the Gram matrix H G H^T // den^2 (integrality is its
+    divisibility by den^2) and old_in_new = den * H^-1.
     """
     n = lat.rank
     if require_even is None:
         require_even = lat.is_even()
-    rows = [tuple(Fraction(x) for x in v) for v in lifts]
+    rows = [tuple(v) for v in rows]
     if any(len(v) != n for v in rows):
         raise DimensionMismatch("lift of wrong length")
-    den = lcm(*(x.denominator for v in rows for x in v))
-    stacked = [tuple(int(x * den) for x in r) for r in rows]
+    g = gcd(den, *(x for v in rows for x in v))
+    den //= g
+    stacked = [tuple(x // g for x in v) for v in rows]
     stacked += [tuple(den if j == i else 0 for j in range(n)) for i in range(n)]
     h = _hnf_rows(Matrix(stacked))
     if h.nrows != n:
@@ -176,7 +159,8 @@ def overlattice(lat, lifts, require_even=None, label=None):
     gram = Matrix(tuple(tuple(x // den2 for x in r) for r in scaled.rows))
     if require_even and any(gram[i, i] % 2 for i in range(n)):
         raise NotIsotropic("overlattice of an even lattice fails to be even")
-    return Extension(Lattice(gram, label), h, den, _scaled_inverse(h, den))
+    old_in_new = linalg.triangular_solve(h, Matrix.identity(n).scale(den))
+    return Extension(Lattice(gram, label), h, den, old_in_new)
 
 
 def extension_index(lat, ext):
@@ -214,13 +198,16 @@ def primitive_extension(g, require_even=None, label=None):
     fr, lr = discform.discriminant_form(right)
     amb = Lattice(linalg.block_diag([left.gram, right.gram]))
     nl = left.rank
-    lifts = []
+    # both lifts over one denominator
+    den = lcm(fl.den, fr.den)
+    sl, sr = den // fl.den, den // fr.den
+    rows = []
     for xrow, yrow in zip(g.subgroup.rows, g.images.rows):
         vx = discform.element_lift(ll, fl.reduce(xrow))
         vy = discform.element_lift(lr, fr.reduce(yrow))
-        lifts.append(tuple(vx) + tuple(vy))
+        rows.append(tuple(sl * x for x in vx) + tuple(sr * y for y in vy))
     try:
-        ext = overlattice(amb, lifts, require_even=require_even, label=label)
+        ext = overlattice(amb, rows, den, require_even=require_even, label=label)
     except NotIsotropic as e:
         raise NotIsotropicGraph(str(e)) from e
     left_rows = Matrix(ext.old_in_new.rows[:nl])

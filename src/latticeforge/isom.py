@@ -2,7 +2,7 @@
 spinor norm, prime-order feasibility, and the canonical rank-26 extension."""
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from . import discform, glue, linalg
 from .errors import (
@@ -24,10 +24,8 @@ class Isometry:
     def __init__(self, lattice, matrix):
         if not isinstance(matrix, Matrix):
             matrix = Matrix(matrix)
-        try:
-            matrix = matrix.to_int()
-        except ValueError as exc:
-            raise NotAnIsometry("matrix: %s" % exc) from None
+        if any(type(x) is not int for r in matrix.rows for x in r):
+            raise NotAnIsometry("matrix entries must be integers")
         if matrix.shape != (lattice.rank, lattice.rank):
             raise NotAnIsometry("matrix size does not match the rank")
         if matrix.T @ lattice.gram @ matrix != lattice.gram:
@@ -109,10 +107,9 @@ def discriminant_action(f):
     form, lifts = discform.discriminant_form(f.lattice)
     if form.is_trivial():
         return "id", Matrix(())
-    mat = f.matrix.to_fraction()
     images = []
     for row in lifts.rows:
-        img = mat.apply(row)
+        img = f.matrix.apply(row)
         images.append(discform.class_of(f.lattice, lifts, form, img))
     images = Matrix(images)
     k = form.ngens
@@ -124,21 +121,30 @@ def discriminant_action(f):
     return "other", images
 
 
-def _reflection_matrix(gram, w):
-    """Reflection in a non-isotropic vector w, as a rational matrix."""
+def _reflect(gram, w, current, scale):
+    """(R_w current / scale) as (matrix, scale) in lowest terms, and nw, for
+    the reflection R_w in w: nw R_w = nw I - 2 w (G w)^T is integral for
+    nw = (w, w) != 0."""
     gw = gram.apply(w)
     nw = sum(a * b for a, b in zip(w, gw))
-    n = gram.nrows
-    return Matrix(tuple(
-        tuple((1 if i == j else 0) - Fraction(2 * w[i] * gw[j], nw) for j in range(n))
-        for i in range(n)
-    ))
+    t = [sum(a * b for a, b in zip(gw, col)) for col in current.transpose().rows]
+    rows = [[nw * x - 2 * wi * tj for x, tj in zip(r, t)] for wi, r in zip(w, current.rows)]
+    scale *= nw
+    g = gcd(scale, *(x for r in rows for x in r))
+    return Matrix(tuple(tuple(x // g for x in r) for r in rows)), scale // g, nw
 
 
 def spinor_norm(f):
     """Spinor norm with the convention +1 on reflections in vectors of
-    negative square (and hence -1 on reflections in positive vectors)."""
-    gram = f.lattice.gram.to_fraction()
+    negative square (and hence -1 on reflections in positive vectors).
+
+    Along the orthogonal basis of the Gram elimination, f is composed with
+    the reflection in fv - v (or, when that is isotropic, in fv + v and then
+    in v) until it is the identity.  The running product is an integer
+    matrix over one scale, and fv - v is taken times that scale: a
+    reflection does not change when its vector is scaled.
+    """
+    gram = f.lattice.gram
     n = f.lattice.rank
     if n == 0:
         return 1
@@ -146,26 +152,22 @@ def spinor_norm(f):
     def contrib(norm_val):
         return 1 if norm_val < 0 else -1
 
-    current = f.matrix.to_fraction()
-    ident = Matrix.identity(n).to_fraction()
+    current, scale = f.matrix, 1
     spin = 1
     for v in f.lattice.elimination().basis:
         fv = current.apply(v)
-        w = tuple(a - b for a, b in zip(fv, v))
+        w = tuple(a - scale * b for a, b in zip(fv, v))
         if all(x == 0 for x in w):
             continue
-        gw = gram.apply(w)
-        nw = sum(a * b for a, b in zip(w, gw))
-        if nw != 0:
-            current = _reflection_matrix(gram, w) @ current
+        if sum(a * b for a, b in zip(w, gram.apply(w))):
+            current, scale, nw = _reflect(gram, w, current, scale)
             spin *= contrib(nw)
         else:
-            u = tuple(a + b for a, b in zip(fv, v))
-            nu = sum(a * b for a, b in zip(u, gram.apply(u)))
-            nv = sum(a * b for a, b in zip(v, gram.apply(v)))
-            current = _reflection_matrix(gram, v) @ _reflection_matrix(gram, u) @ current
+            u = tuple(a + scale * b for a, b in zip(fv, v))
+            current, scale, nu = _reflect(gram, u, current, scale)
+            current, scale, nv = _reflect(gram, v, current, scale)
             spin *= contrib(nu) * contrib(nv)
-    if current != ident:
+    if current != Matrix.identity(n).scale(scale):
         raise NotAnIsometry("reflection factorization failed")
     return spin
 
@@ -184,14 +186,9 @@ def _canonical_extension():
         og = make_named("OG10")
         a2 = make_named("A", 2)
         amb = direct_sum([og, a2])
-        ia, ib, ic, id_ = 22, 23, 24, 25
-        g1 = [Fraction(0)] * 26
-        g2 = [Fraction(0)] * 26
-        for idx, val in ((ia, 1), (ib, -1), (ic, 1), (id_, -1)):
-            g1[idx] = Fraction(val, 3)
-        for idx, val in ((ia, 1), (ib, 2), (ic, 1), (id_, 2)):
-            g2[idx] = Fraction(val, 3)
-        ext = glue.overlattice(amb, [tuple(g1), tuple(g2)], require_even=True, label="Lambda")
+        g1 = (0,) * 22 + (1, -1, 1, -1)
+        g2 = (0,) * 22 + (1, 2, 1, 2)
+        ext = glue.overlattice(amb, [g1, g2], 3, require_even=True, label="Lambda")
         _CANON = (og, a2, ext)
     return _CANON
 

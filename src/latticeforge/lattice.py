@@ -16,6 +16,7 @@ from .errors import (
     BadParams,
     DegenerateForm,
     DimensionMismatch,
+    TooLarge,
     UnknownName,
     ZeroScale,
     ZeroVector,
@@ -31,10 +32,8 @@ class Lattice:
     def __init__(self, gram, label=None):
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
-        try:
-            gram = gram.to_int()
-        except ValueError as exc:
-            raise BadInput("Gram matrix: %s" % exc) from None
+        if any(type(x) is not int for r in gram.rows for x in r):
+            raise BadInput("Gram matrix entries must be integers")
         if not gram.is_symmetric():
             raise DegenerateForm("Gram matrix not symmetric")
         self.gram = gram
@@ -204,14 +203,27 @@ def invariants(lat):
     )
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below this bound (Sorenson and Webster 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Exact primality test by Miller-Rabin on _PRIME_BASES; a number at or
+    above _PRIME_BOUND that no base proves composite raises TooLarge."""
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        # n passes base a when a^d = 1 or a^(2^k d) = -1 for some k < s
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** k, n) != n - 1 for k in range(s)):
             return False
-        d += 1
+    if n >= _PRIME_BOUND:
+        raise TooLarge("primality of %d is not decided" % n)
     return True
 
 
@@ -233,6 +245,8 @@ def _path_gram(n, forks=()):
 
 
 def _gram_A(n):
+    if n < 1:
+        raise BadParams("A_n needs n >= 1")
     return _path_gram(n)
 
 
@@ -357,7 +371,9 @@ _TERM_RE = re.compile(
 )
 
 
-@lru_cache(maxsize=None)
+# bounded: a long session parses ever new expressions, and each cached
+# lattice keeps its Smith form and elimination (verify all parses 134)
+@lru_cache(maxsize=256)
 def from_expression(expr):
     """Parse a lattice expression like 'U + U(3) + A2(-1)^5 + [2]'.
 

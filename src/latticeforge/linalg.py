@@ -1,22 +1,24 @@
-"""Exact integer and rational matrix kernel.
+"""Exact integer matrix kernel.
 
-Everything here works over Python ints and fractions.Fraction; no floating
-point enters any computation.  Sizes stay small (rank <= 26 throughout the
-package), so classical algorithms are used: Bareiss for determinants, SNF by
-elimination with smallest-pivot selection, row-style HNF, and one
-fraction-free symmetric Bareiss elimination (`symmetric_elimination`) whose
-leading minors, echelon rows and orthogonal basis give signatures, spinor
-reflections and the bounds of vector enumeration.
+Every matrix holds Python ints; rational data elsewhere in the package is an
+integer matrix over one denominator.  No floating point and no fraction
+enters any computation.  Sizes stay small (rank <= 26 throughout the
+package), so classical fraction-free algorithms are used: Bareiss for
+determinants, SNF by elimination with smallest-pivot selection (carrying the
+inverse of its column transform), row-style HNF, forward substitution on a
+triangular HNF, and one symmetric Bareiss elimination
+(`symmetric_elimination`) whose leading minors, echelon rows and orthogonal
+basis give signatures, spinor reflections and the bounds of vector
+enumeration.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateForm, DimensionMismatch
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries (int or Fraction)."""
+    """Immutable dense matrix of Python ints."""
 
     __slots__ = ("rows",)
 
@@ -108,25 +110,6 @@ class Matrix:
     def is_symmetric(self):
         return self.rows == self.transpose().rows
 
-    def is_integral(self):
-        return all(Fraction(a).denominator == 1 for r in self.rows for a in r)
-
-    def to_int(self):
-        """Cast all entries to int; entries must be integral."""
-        out = []
-        for r in self.rows:
-            row = []
-            for a in r:
-                f = Fraction(a)
-                if f.denominator != 1:
-                    raise ValueError("non-integral entry %s" % (a,))
-                row.append(int(f))
-            out.append(tuple(row))
-        return Matrix(tuple(out))
-
-    def to_fraction(self):
-        return Matrix(tuple(tuple(Fraction(a) for a in r) for r in self.rows))
-
 
 def block_diag(mats):
     """Block-diagonal sum of square matrices."""
@@ -175,43 +158,33 @@ def bareiss_det(m):
     return sign * a[n - 1][n - 1]
 
 
-def det(m):
-    """Determinant of a square matrix with integral (int or Fraction) entries."""
-    return bareiss_det(m.to_int())
-
-
-def inverse(m):
-    """Exact inverse over the rationals."""
-    n = m.nrows
-    if n != m.ncols:
-        raise DimensionMismatch("inverse of non-square matrix")
-    a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, r in enumerate(m.rows)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise DegenerateForm("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return Matrix(tuple(tuple(r[n:]) for r in a))
+def triangular_solve(h, b):
+    """Integer rows x with x @ h = b for an upper triangular h with nonzero
+    diagonal, by forward substitution on the columns of h; raises
+    DimensionMismatch when a row of b is not in the row lattice of h."""
+    cols = h.transpose().rows
+    out = []
+    for r in b.rows:
+        x = []
+        for j, (rj, col) in enumerate(zip(r, cols)):
+            # sum_{k <= j} x_k h_kj = r_j, with x holding x_0 .. x_{j-1}
+            q, rem = divmod(rj - sum(a * c for a, c in zip(x, col)), col[j])
+            if rem:
+                raise DimensionMismatch("row not in the lattice spanned by the triangular rows")
+            x.append(q)
+        out.append(tuple(x))
+    return Matrix(tuple(out))
 
 
 @dataclass(frozen=True)
 class SnfResult:
-    """u @ m @ v == d with d diagonal, d1 | d2 | ..., |det u| = |det v| = 1."""
+    """u @ m @ v == d with d diagonal, d1 | d2 | ..., |det u| = |det v| = 1,
+    and v_inv @ v == identity."""
 
     d: Matrix
     u: Matrix
     v: Matrix
+    v_inv: Matrix
 
     @property
     def divisors(self):
@@ -220,21 +193,25 @@ class SnfResult:
 
 def smith_normal_form(m):
     """Smith normal form with unimodular transforms, pivoting on the smallest
-    nonzero entry to keep coefficient growth down."""
+    nonzero entry to keep coefficient growth down.  Each column operation on
+    v is matched by its inverse row operation on v_inv, so v_inv is v^-1
+    without a further elimination."""
     r, c = m.nrows, m.ncols
     a = [list(row) for row in m.rows]
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    v_inv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
+    def col_op(i, j, q):  # col_i -= q * col_j; in v_inv row_j += q * row_i
         for row in a:
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
+        v_inv[j] = [x + q * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -245,6 +222,7 @@ def smith_normal_form(m):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     t = 0
     while t < min(r, c):
@@ -290,7 +268,7 @@ def smith_normal_form(m):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-    return SnfResult(Matrix(a), Matrix(u), Matrix(v))
+    return SnfResult(Matrix(a), Matrix(u), Matrix(v), Matrix(v_inv))
 
 
 def hermite_normal_form(m):
@@ -350,7 +328,7 @@ def integer_kernel(m):
 
 @dataclass(frozen=True)
 class SymmetricElimination:
-    """Fraction-free elimination of a nondegenerate symmetric integer matrix G.
+    """Bareiss elimination of a nondegenerate symmetric integer matrix G.
 
     Congruence pivoting turns G into G' = P G P^T with P unimodular; P is the
     identity whenever no diagonal entry vanishes during the elimination, in

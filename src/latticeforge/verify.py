@@ -211,7 +211,7 @@ def _verify_cubic_row(row):
         sat = glue.saturate(k)
         gram = k.gram()
         v.add("labeling_witness_det_14",
-              gram == Matrix([[3, 2], [2, 6]]) and linalg.det(gram) == 14
+              gram == Matrix([[3, 2], [2, 6]]) and linalg.bareiss_det(gram) == 14
               and glue.saturation_index(k) == 1,
               "%s" % (gram.rows,))
     return v
@@ -255,7 +255,7 @@ def labeling_search(alg, d_max):
                 c = vec[0] % g
                 vec = tuple((x - c * e) // g for x, e in zip(vec, eta))
             rows = Matrix([eta, vec])
-            d = linalg.det(rows @ alg.gram @ rows.T)
+            d = linalg.bareiss_det(rows @ alg.gram @ rows.T)
             if 0 < d <= d_max and d not in found:
                 found[d] = rows
     return sorted(found.items())
@@ -457,7 +457,7 @@ def _find_u3_sublattice(lat, max_def_norm=12, coeff_bound=4, pair_budget=400000)
             if sum(a * b for a, b in zip(v, gu)) != 3:
                 continue
             sub = glue.Sublattice(lat, Matrix([u, v]))
-            if linalg.det(sub.gram()) != -9:
+            if linalg.bareiss_det(sub.gram()) != -9:
                 continue
             if sub.gram() == Matrix([[0, 3], [3, 0]]) and glue.saturation_index(sub) == 1:
                 return sub

@@ -1,5 +1,6 @@
 """Shared helpers: independent brute-force oracles kept free of the library's
-enumeration path."""
+enumeration path, and the rational matrix arithmetic the library no longer
+carries, kept as a reference for its integer paths."""
 
 import itertools
 from fractions import Fraction
@@ -7,7 +8,43 @@ from math import isqrt
 
 import pytest
 
-from latticeforge import linalg
+from latticeforge.errors import DegenerateForm
+from latticeforge.linalg import Matrix
+
+
+def fraction_inverse(m):
+    """Exact inverse over the rationals by Gauss-Jordan elimination; a
+    Matrix of Fractions."""
+    n = m.nrows
+    a = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, r in enumerate(m.rows)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise DegenerateForm("singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return Matrix(tuple(tuple(r[n:]) for r in a))
+
+
+def fraction_to_int(m):
+    """Cast a matrix of integral rationals to ints; ValueError on any
+    non-integral entry."""
+    out = []
+    for r in m.rows:
+        row = []
+        for a in r:
+            f = Fraction(a)
+            if f.denominator != 1:
+                raise ValueError("non-integral entry %s" % (a,))
+            row.append(int(f))
+        out.append(tuple(row))
+    return Matrix(tuple(out))
 
 
 def box_vectors(gram, norm):
@@ -18,7 +55,7 @@ def box_vectors(gram, norm):
     of the branch-and-bound enumerator.
     """
     n = gram.nrows
-    inv = linalg.inverse(gram)
+    inv = fraction_inverse(gram)
     bounds = []
     for i in range(n):
         b = Fraction(norm) * inv[i, i]

@@ -151,10 +151,8 @@ def test_criterion_09_explicit_glue_and_extension():
     og = make_named("OG10")
     a2 = make_named("A", 2)
     amb = direct_sum([og, a2])
-    g1 = [Fraction(0)] * 26
-    for idx, val in ((22, 1), (23, -1), (24, 1), (25, -1)):
-        g1[idx] = Fraction(val, 3)
-    ext = overlattice(amb, [tuple(g1)])
+    g1 = (0,) * 22 + (1, -1, 1, -1)
+    ext = overlattice(amb, [g1], 3)
     lam = ext.lattice
     assert lam.is_even()
     assert abs(lam.det) == 1
@@ -193,7 +191,7 @@ def test_criterion_10_property_suites():
 
     pair = direct_sum([make_named("A", 2), rescale(make_named("A", 2), -1)])
     fp, lifts = discriminant_form(pair)
-    ext = overlattice(pair, [element_lift(lifts, (1, 1))])
+    ext = overlattice(pair, [element_lift(lifts, (1, 1))], fp.den)
     idx = extension_index(pair, ext)
     assert abs(ext.lattice.det) * idx * idx == abs(pair.det)
     # prime-order glue bound on generated isometries: delegated module test

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeforge.cli import main
 
@@ -48,6 +54,14 @@ def test_info_zero_power_exit_2(capsys):
         code, out, err = run(capsys, "info", expr)
         assert code == 2 and out == ""
         assert "zero power" in err and "Traceback" not in err
+
+
+def test_a0_exit_2(capsys):
+    for argv in (["info", "A0"], ["enum", "A0", "--norm", "2"], ["k3", "A0"],
+                 ["labeling", "A0", "--dmax", "5"], ["info", "A2 + A0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "A_n needs n >= 1" in err and "Traceback" not in err, argv
 
 
 def test_enum_counts(capsys):
@@ -240,3 +254,63 @@ def test_export_fixtures(capsys, tmp_path):
     assert code == 0
     data = json.loads(out_path.read_text())
     assert len(data["rank26_pairs"]) == 53
+
+
+# ---------------------------------------------------------------------------
+# JSON fuzz: `lattice.matrix_from_json` is the only gate on matrix entries
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3), st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-3, 3), _SCALARS)
+_MATRICES = st.one_of(
+    st.lists(st.lists(_ENTRIES, max_size=4), max_size=4),  # ragged or not
+    st.lists(st.one_of(_ENTRIES, st.lists(st.lists(_ENTRIES, max_size=2), max_size=2)),
+             max_size=4),  # flat, mixed or nested too deep
+    _SCALARS)
+
+
+@st.composite
+def _symmetric(draw):
+    """A well-formed symmetric integer matrix, so the fuzz also reaches the
+    computations behind the parser."""
+    n = draw(st.integers(0, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(_ENTRIES.filter(lambda x: type(x) is int))
+    return g
+
+
+_LATTICES = st.one_of(_symmetric().map(lambda g: {"gram": g}),
+                      _MATRICES.map(lambda g: {"gram": g}),
+                      st.sampled_from(["A2", "U", "A0", "D3", "[0]"]), _SCALARS)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_LATTICES, st.lists(_SCALARS, max_size=2)))
+def test_info_json_fuzz(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lattice.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        code, err = _run_quietly(["info", path])
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LATTICES, st.one_of(_symmetric(), _MATRICES))
+def test_isom_invariant_json_fuzz(lattice, matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "isometry.json")
+        with open(path, "w") as fh:
+            json.dump({"lattice": lattice, "matrix": matrix}, fh)
+        code, err = _run_quietly(["isom", "invariant", path])
+    assert code in (0, 1, 2) and "Traceback" not in err

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_inverse, fraction_to_int
 
 from latticeforge import catalog
 from latticeforge.discform import (
@@ -11,6 +12,7 @@ from latticeforge.discform import (
     FiniteQuadraticForm,
     _match_maps,
     _odd_elementary_class,
+    _presentation,
     anti_isometries,
     delta_invariant,
     discriminant_form,
@@ -18,11 +20,12 @@ from latticeforge.discform import (
     forms_isomorphic,
     milgram_signature,
     odd_glue_maps,
+    orthogonal_subgroup,
     subquotient_form,
 )
 from latticeforge.errors import DegenerateForm, NotTwoElementary, OddLatticeQuadratic
 from latticeforge.lattice import direct_sum, from_expression, make_named, rescale
-from latticeforge.linalg import Matrix, bareiss_det
+from latticeforge.linalg import Matrix, bareiss_det, hermite_normal_form, smith_normal_form
 
 A2 = make_named("A", 2)
 
@@ -58,18 +61,21 @@ def test_disc_odd_lattice_has_no_q():
 
 def _assert_form_matches_lifts(form, lat, lifts, sign=1):
     """b_of(x, y) mod 1 and q_of(x) mod 2 on every element equal sign times
-    the lifts paired through the Gram matrix; odd lattices have no q."""
-    g = lat.gram.to_fraction()
+    the lifts (integer vectors over form.den) paired through the Gram
+    matrix; odd lattices have no q."""
+    den2 = form.den ** 2
     vecs = {x: element_lift(lifts, x) for x in form.elements()}
-    gvecs = {x: g.apply(v) for x, v in vecs.items()}
+    gvecs = {x: lat.gram.apply(v) for x, v in vecs.items()}
     for x, vx in vecs.items():
         if lat.is_even():
-            assert form.q_of(x) == sign * sum(a * b for a, b in zip(vx, gvecs[x])) % 2, x
+            want = sign * Fraction(sum(a * b for a, b in zip(vx, gvecs[x])), den2) % 2
+            assert form.q_of(x) == want, x
         else:
             with pytest.raises(OddLatticeQuadratic):
                 form.q_of(x)
         for y, gy in gvecs.items():
-            assert form.b_of(x, y) == sign * sum(a * b for a, b in zip(vx, gy)) % 1, (x, y)
+            want = sign * Fraction(sum(a * b for a, b in zip(vx, gy)), den2) % 1
+            assert form.b_of(x, y) == want, (x, y)
 
 
 @pytest.mark.parametrize("expr", ["A2 + A2(-1)", "[3] + D4(-1)", "[4] + A2(-1)", "A2 + [4]",
@@ -83,8 +89,12 @@ def test_q_values_brute_force_oracle(expr):
     _assert_form_matches_lifts(f.neg(), lat, lifts, sign=-1)
     eight = make_named("[]", 8)
     g, glifts = discriminant_form(eight)
-    both = Matrix([r + (0,) for r in lifts.rows] + [(0,) * lat.rank + r for r in glifts.rows])
-    _assert_form_matches_lifts(f.direct_sum(g), direct_sum([lat, eight]), both)
+    fg = f.direct_sum(g)
+    # both sets of lifts rewritten over the denominator of the sum
+    sf, sg = fg.den // f.den, fg.den // g.den
+    both = Matrix([tuple(sf * x for x in r) + (0,) for r in lifts.rows]
+                  + [(0,) * lat.rank + tuple(sg * x for x in r) for r in glifts.rows])
+    _assert_form_matches_lifts(fg, direct_sum([lat, eight]), both)
 
 
 def test_degenerate_form():
@@ -307,3 +317,65 @@ def test_subquotient_form():
     # quotient by nothing returns the same class
     same = subquotient_form(f, [])
     assert forms_isomorphic(same, f)
+
+
+def _fraction_presentation(form, gen_rows, rel_rows):
+    """The earlier `_presentation` generators: the relations in the HNF basis
+    P through the Gauss-Jordan inverse of P, new generators from the inverse
+    of the Smith transform.  Returns (orders, lifts)."""
+    h, _ = hermite_normal_form(Matrix(gen_rows))
+    p = Matrix(tuple(r for r in h.rows if any(r)))
+    c = fraction_to_int(Matrix(rel_rows) @ fraction_inverse(p))
+    snf = smith_normal_form(c)
+    vinv = fraction_to_int(fraction_inverse(snf.v))
+    pairs = [(d, (Matrix((vinv.row(j),)) @ p).row(0))
+             for j, d in enumerate(snf.divisors) if d not in (0, 1)]
+    return tuple(d for d, _ in pairs), Matrix(tuple(lift for _, lift in pairs))
+
+
+def _catalog_forms(max_order=729):
+    """Distinct discriminant forms of the catalog lattices, up to the order."""
+    lats = [lat for lat in catalog.fixture_lattices().values() if lat.rank]
+    for row in catalog.RANK26_PAIRS + catalog.INDUCED_ROWS:
+        lats += [from_expression(row.coinv), from_expression(row.inv)]
+    lats += [from_expression(e) for e in ("OG10", "F", "E6*(3)", "L17", "N69", "[3] + D4(-1)")]
+    forms = {}
+    for lat in lats:
+        f, _ = discriminant_form(lat)
+        if not f.is_trivial() and f.group_order <= max_order:
+            forms.setdefault((f.orders, f.B, f.Q), f)
+    return list(forms.values())
+
+
+def _presentation_inputs(form):
+    """(gen_rows, rel_rows) pairs: the subquotient S^perp / S for a few
+    cyclic S = <x> with b(x, x) = 0, and the p-torsion subgroup for every
+    prime p dividing the group order."""
+    diag = list(Matrix.diagonal(form.orders).rows)
+    out = [(diag, diag)]
+    isotropic = [x for x in form.elements() if any(x) and form._b(x, x) == 0]
+    for x in isotropic[:4]:
+        perp = orthogonal_subgroup(form, [x])
+        out.append((list(perp.rows), [x] + diag))
+    for p in sorted({p for p in range(2, form.group_order + 1)
+                     if form.group_order % p == 0 and all(p % q for q in range(2, p))}):
+        gens = [tuple(d // math.gcd(d, p) if j == i else 0 for j, d in enumerate(form.orders))
+                for i in range(form.ngens)]
+        out.append((gens + diag, diag))
+    return out
+
+
+def test_presentation_matches_fractions_on_catalog_forms():
+    forms = _catalog_forms()
+    assert len(forms) >= 20
+    cases = 0
+    for form in forms:
+        for gen_rows, rel_rows in _presentation_inputs(form):
+            got, lifts = _presentation(form, gen_rows, rel_rows)
+            want_orders, want_lifts = _fraction_presentation(form, gen_rows, rel_rows)
+            assert got.orders == want_orders and lifts == want_lifts, (form, gen_rows)
+            if len(rel_rows) > form.ngens:
+                sub = subquotient_form(form, rel_rows[:1])
+                assert (sub.orders, sub.B, sub.Q) == (got.orders, got.B, got.Q)
+            cases += 1
+    assert cases >= 100

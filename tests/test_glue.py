@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from conftest import fraction_inverse, fraction_to_int
 
 from latticeforge import catalog, glue, isom, linalg, verify
 
@@ -79,7 +80,7 @@ def test_complement_of_isotropic_vector_degenerate():
 def test_overlattice_diagonal_glue():
     lat = direct_sum([A2, rescale(A2, -1)])
     f, lifts = discriminant_form(lat)
-    ext = overlattice(lat, [element_lift(lifts, (1, 1))])
+    ext = overlattice(lat, [element_lift(lifts, (1, 1))], f.den)
     assert ext.lattice.rank == 4
     assert abs(ext.lattice.det) == 1
     assert ext.lattice.signature == (2, 2)
@@ -89,14 +90,14 @@ def test_overlattice_diagonal_glue():
 
 def test_overlattice_trivial():
     lat = direct_sum([A2, rescale(A2, -1)])
-    ext = overlattice(lat, [])
+    ext = overlattice(lat, [], 1)
     assert ext.lattice.gram == lat.gram
 
 
 def test_overlattice_det_index_identity():
     lat = direct_sum([A2, rescale(A2, -1)])
     f, lifts = discriminant_form(lat)
-    ext = overlattice(lat, [element_lift(lifts, (1, 1))])
+    ext = overlattice(lat, [element_lift(lifts, (1, 1))], f.den)
     idx = extension_index(lat, ext)
     assert abs(ext.lattice.det) * idx * idx == abs(lat.det)
 
@@ -117,6 +118,16 @@ def test_primitive_extension_bad_glue_rejected():
     g = GlueData(A2, A2, Matrix([(1,)]), Matrix([(1,)]))
     with pytest.raises(NotIsotropicGraph):
         primitive_extension(g)
+
+
+def test_primitive_extension_mixed_denominators():
+    # disc(A2) = Z/3 (q = 2/3) glued onto 2 in disc([-6]) = Z/6 (q = -1/6)
+    six = make_named("[]", -6)
+    ext, lrows, rrows = primitive_extension(GlueData(A2, six, Matrix([(1,)]), Matrix([(2,)])))
+    assert extension_index(direct_sum([A2, six]), ext) == 3
+    assert abs(ext.lattice.det) == 2
+    assert Sublattice(ext.lattice, lrows).gram() == A2.gram
+    assert Sublattice(ext.lattice, rrows).gram() == six.gram
 
 
 def test_trivial_glue_direct_sum():
@@ -230,40 +241,41 @@ def test_double_complement_is_saturation():
 # integer overlattices against the Fraction construction they replaced
 
 
-def _fraction_overlattice(lat, lifts, require_even=None):
+def _fraction_overlattice(lat, rows, den, require_even=None):
     """The earlier overlattice: Fraction basis, Fraction Gram, Gauss-Jordan
     inverse.  Returns (gram, basis, old_in_new)."""
     n = lat.rank
     if require_even is None:
         require_even = lat.is_even()
-    rows = [tuple(Fraction(x) for x in v) for v in lifts]
-    den = lcm(*(x.denominator for v in rows for x in v))
-    stacked = [tuple(int(x * den) for x in r) for r in rows]
+    lifts = [tuple(Fraction(x, den) for x in v) for v in rows]
+    den = lcm(*(x.denominator for v in lifts for x in v))
+    stacked = [tuple(int(x * den) for x in r) for r in lifts]
     stacked += [tuple(den if j == i else 0 for j in range(n)) for i in range(n)]
     h, _ = linalg.hermite_normal_form(Matrix(stacked))
     h = Matrix(tuple(r for r in h.rows if any(r)))
     basis = Matrix(tuple(tuple(Fraction(x, den) for x in r) for r in h.rows))
-    gram = basis @ lat.gram.to_fraction() @ basis.T
-    if not gram.is_integral():
-        raise NotIsotropic("generators do not pair integrally")
-    gram = gram.to_int()
+    try:
+        gram = fraction_to_int(basis @ lat.gram @ basis.T)
+    except ValueError:
+        raise NotIsotropic("generators do not pair integrally") from None
     if require_even and any(gram[i, i] % 2 for i in range(n)):
         raise NotIsotropic("overlattice of an even lattice fails to be even")
-    old_in_new = linalg.inverse(basis.T).T
-    if not old_in_new.is_integral():
-        raise NotIsotropic("original lattice not contained in the overlattice")
-    return gram, basis, old_in_new.to_int()
-
-
-def _assert_same_overlattice(lat, lifts, require_even=None):
     try:
-        want = _fraction_overlattice(lat, lifts, require_even)
+        old_in_new = fraction_to_int(fraction_inverse(basis.T).T)
+    except ValueError:
+        raise NotIsotropic("original lattice not contained in the overlattice") from None
+    return gram, basis, old_in_new
+
+
+def _assert_same_overlattice(lat, rows, den, require_even=None):
+    try:
+        want = _fraction_overlattice(lat, rows, den, require_even)
     except NotIsotropic as exc:
         with pytest.raises(NotIsotropic) as got:
-            overlattice(lat, lifts, require_even=require_even)
+            overlattice(lat, rows, den, require_even=require_even)
         assert str(got.value) == str(exc)
         return False
-    ext = overlattice(lat, lifts, require_even=require_even)
+    ext = overlattice(lat, rows, den, require_even=require_even)
     gram, basis, old_in_new = want
     assert ext.lattice.gram == gram
     assert ext.old_in_new == old_in_new
@@ -276,9 +288,9 @@ def _recorded_overlattice_calls(monkeypatch, build):
     calls = []
     real = glue.overlattice
 
-    def recording(lat, lifts, require_even=None, label=None):
-        calls.append((lat, list(lifts), require_even))
-        return real(lat, lifts, require_even=require_even, label=label)
+    def recording(lat, rows, den, require_even=None, label=None):
+        calls.append((lat, list(rows), den, require_even))
+        return real(lat, rows, den, require_even=require_even, label=label)
 
     monkeypatch.setattr(glue, "overlattice", recording)
     build()
@@ -306,17 +318,18 @@ def test_overlattice_matches_fractions_on_canonical_lambda(monkeypatch):
 def test_overlattice_matches_fractions_on_examples():
     lat = direct_sum([A2, rescale(A2, -1)])
     f, lifts = discriminant_form(lat)
-    assert _assert_same_overlattice(lat, [element_lift(lifts, (1, 1))])
-    assert _assert_same_overlattice(lat, [])
+    assert _assert_same_overlattice(lat, [element_lift(lifts, (1, 1))], f.den)
+    assert _assert_same_overlattice(lat, [], 1)
     # disc(A2) glued to itself: q(x) + q(x) = 4/3 pairs non-integrally
     aa = direct_sum([A2, A2])
-    _, lifts = discriminant_form(aa)
-    assert not _assert_same_overlattice(aa, [element_lift(lifts, (1, 1))])
+    f, lifts = discriminant_form(aa)
+    assert not _assert_same_overlattice(aa, [element_lift(lifts, (1, 1))], f.den)
     # (1/2, 1/2) in [2] + [2] has norm 1: integral, but odd
     two = from_expression("[2] + [2]")
-    half = (Fraction(1, 2), Fraction(1, 2))
-    assert _assert_same_overlattice(two, [half], require_even=False)
-    assert not _assert_same_overlattice(two, [half], require_even=True)
+    assert _assert_same_overlattice(two, [(1, 1)], 2, require_even=False)
+    assert not _assert_same_overlattice(two, [(1, 1)], 2, require_even=True)
+    # a generator written over a multiple of its denominator: (2, 2) / 4
+    assert _assert_same_overlattice(two, [(2, 2)], 4, require_even=False)
 
 
 def test_overlattice_matches_fractions_on_random_glue():
@@ -328,8 +341,41 @@ def test_overlattice_matches_fractions_on_random_glue():
         f, lifts = discriminant_form(lat)
         gens = [tuple(rng.randrange(d) for d in f.orders) for _ in range(rng.randint(1, 2))]
         rows = [element_lift(lifts, x) for x in gens]
-        if _assert_same_overlattice(lat, rows, require_even=rng.choice([None, False, True])):
+        if _assert_same_overlattice(lat, rows, f.den,
+                                    require_even=rng.choice([None, False, True])):
             built += 1
         else:
             refused += 1
     assert built >= 10 and refused >= 10
+
+
+# ---------------------------------------------------------------------------
+# integer saturation index against the Fraction construction it replaced
+
+
+def _fraction_saturation_index(s):
+    """The earlier saturation index: the rows of s in the saturation basis
+    B, through the inverse of the dot-product Gram B B^T."""
+    b = saturate(s).basis
+    coeffs = (s.basis @ b.T) @ fraction_inverse(b @ b.T)
+    return abs(linalg.bareiss_det(fraction_to_int(coeffs)))
+
+
+def test_saturation_index_matches_fractions_on_random_sublattices():
+    rng = random.Random(400)
+    amb = from_expression("U + A2(-1) + D4")
+    n = amb.rank
+    indices = []
+    for _ in range(300):
+        k = rng.randint(1, n - 1)
+        rows = []
+        for _ in range(k):
+            # a random scaling of each row makes non-primitive sublattices common
+            c = rng.choice((1, 1, 2, 3))
+            rows.append(tuple(c * rng.randint(-3, 3) for _ in range(n)))
+        if linalg.integer_kernel(Matrix(rows)).nrows:
+            continue
+        s = Sublattice(amb, rows)
+        indices.append(saturation_index(s))
+        assert indices[-1] == _fraction_saturation_index(s)
+    assert len(indices) > 200 and sum(i > 1 for i in indices) > 100

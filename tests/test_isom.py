@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_inverse, fraction_to_int
 
 from latticeforge.discform import discriminant_form, forms_isomorphic
-from latticeforge.errors import NotAnIsometry
+from latticeforge.errors import DegenerateForm, NotAnIsometry
 from latticeforge.isom import (
     Isometry,
     _canonical_extension,
@@ -20,7 +21,7 @@ from latticeforge.isom import (
     spinor_norm,
 )
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
-from latticeforge.linalg import Matrix, block_diag, inverse
+from latticeforge.linalg import Matrix, block_diag
 
 A2 = make_named("A", 2)
 U = make_named("U")
@@ -200,8 +201,8 @@ def _fraction_extension(f):
     kind, _ = discriminant_action(f)
     tail = Matrix.identity(2) if kind == "id" else Matrix([[0, 1], [1, 0]])
     basis = Matrix(tuple(tuple(Fraction(x, ext.den) for x in r) for r in ext.rows.rows))
-    bd = block_diag([f.matrix, tail]).to_fraction()
-    return (inverse(basis.T) @ bd @ basis.T).to_int()
+    bd = block_diag([f.matrix, tail])
+    return fraction_to_int(fraction_inverse(basis.T) @ bd @ basis.T)
 
 
 def _e8_coxeter_on_og10():
@@ -311,3 +312,130 @@ def test_nonsymplectic_feasible_positive_definite_coinvariant():
     ok, report = nonsymplectic_feasible(pair, 3)
     assert not ok
     assert any(name == "coinvariant_signature" and not passed for name, passed, _ in report)
+
+
+# ---------------------------------------------------------------------------
+# integer discriminant action and spinor norm against the Fraction versions
+# they replaced
+
+
+def _fraction_discriminant_action(f):
+    """The earlier images: Fraction lifts c_i / d_i pushed through f, then
+    classified through the Gauss-Jordan inverse of the Smith transform."""
+    snf = f.lattice.snf()
+    vinv = fraction_inverse(snf.v)
+    images = []
+    for d, col in zip(snf.divisors, snf.v.T.rows):
+        if d in (0, 1):
+            continue
+        w = vinv.apply(f.matrix.apply([Fraction(c, d) for c in col]))
+        coeffs = []
+        for e, wi in zip(snf.divisors, w):
+            if (wi * e).denominator != 1:
+                raise DegenerateForm("vector is not in the dual lattice")
+            if e not in (0, 1):
+                coeffs.append(int(wi * e) % e)
+        images.append(tuple(coeffs))
+    return Matrix(images)
+
+
+def _block_isometries():
+    """(isometry, expected kind) on sums of blocks: -id of a block, Coxeter
+    elements of A_{p-1} blocks (trivial on the discriminant, as is every
+    Weyl group element) and their products; a Coxeter element beside -id on
+    a block with an odd discriminant part acts as neither id nor -id."""
+    cases = []
+    for expr in ("A2", "A4", "A6", "A2(-1)", "A4(-1)", "D4", "E6(-1)", "U(3)", "[2] + [-6]"):
+        lat = from_expression(expr)
+        cases.append((neg_identity(lat), "-id" if max(lat.disc_group_orders()) > 2 else "id"))
+    for p in (3, 5, 7):
+        for twist in ("", "(-1)"):
+            cases.append((_coxeter(from_expression("A%d%s" % (p - 1, twist))), "id"))
+    for left, right in (("A2", "A4(-1)"), ("A6", "U(3)"), ("A2(-1)", "A2 + D4")):
+        a, b = from_expression(left), from_expression(right)
+        cox, neg = _coxeter(a), neg_identity(b)
+        cases.append((Isometry(direct_sum([a, b]), block_diag([cox.matrix, neg.matrix])), "other"))
+        cases.append((Isometry(direct_sum([a, b]),
+                               block_diag([cox.matrix, Matrix.identity(b.rank)])), "id"))
+    og = make_named("OG10")
+    cases += [(neg_identity(og), "-id"), (_e8_coxeter_on_og10(), "id"),
+              (Isometry(og, block_diag([Matrix.identity(22), ROT3])), "id"),
+              (Isometry(og, block_diag([-Matrix.identity(22), ROT3])), "id")]
+    return cases
+
+
+def test_discriminant_action_matches_fractions():
+    for f, kind in _block_isometries():
+        got_kind, images = discriminant_action(f)
+        assert images == _fraction_discriminant_action(f), f.lattice.gram
+        assert got_kind == kind, f.lattice.gram
+
+
+def _fraction_spinor_norm(f):
+    """The earlier spinor norm: the same factorization, with rational
+    reflection matrices."""
+    gram = f.lattice.gram
+    n = f.lattice.rank
+
+    def reflection(w):
+        gw = gram.apply(w)
+        nw = sum(a * b for a, b in zip(w, gw))
+        return Matrix(tuple(tuple((1 if i == j else 0) - Fraction(2 * w[i] * gw[j], nw)
+                                  for j in range(n)) for i in range(n))), nw
+
+    def contrib(norm_val):
+        return 1 if norm_val < 0 else -1
+
+    current = f.matrix
+    spin = 1
+    for v in f.lattice.elimination().basis:
+        fv = current.apply(v)
+        w = tuple(a - b for a, b in zip(fv, v))
+        if not any(w):
+            continue
+        if sum(a * b for a, b in zip(w, gram.apply(w))):
+            r, nw = reflection(w)
+            current = r @ current
+            spin *= contrib(nw)
+        else:
+            ru, nu = reflection(tuple(a + b for a, b in zip(fv, v)))
+            rv, nv = reflection(v)
+            current = rv @ ru @ current
+            spin *= contrib(nu) * contrib(nv)
+    assert current == Matrix.identity(n)
+    return spin
+
+
+@pytest.mark.parametrize("expr", ["A2", "U", "A2 + A2(-1)", "E8(-1)", "U^2 + D4(-1)",
+                                  "[1] + [-1] + [3]", "OG10"])
+def test_spinor_norm_of_minus_identity(expr):
+    lat = from_expression(expr)
+    f = neg_identity(lat)
+    assert spinor_norm(f) == (-1) ** lat.signature[0] == _fraction_spinor_norm(f)
+
+
+@pytest.mark.parametrize("expr", ["A2", "A2(-1)", "A4", "A4(-1)", "A6", "A6(-1)", "OG10"])
+def test_spinor_norm_of_coxeter_elements(expr):
+    # an even number of reflections in vectors of one sign
+    f = _e8_coxeter_on_og10() if expr == "OG10" else _coxeter(from_expression(expr))
+    assert spinor_norm(f) == 1 == _fraction_spinor_norm(f)
+
+
+def test_spinor_norm_random_reflection_products():
+    # a product of reflections in vectors of norm +-1, +-2 has spinor norm
+    # (-1)^(number of positive ones)
+    rng = random.Random(7)
+    lat = from_expression("U + A2 + D4(-1) + [1] + [-1]")
+    n = lat.rank
+    vectors = []
+    while len(vectors) < 40:
+        v = tuple(rng.randint(-1, 1) for _ in range(n))
+        if lat.norm(v) in (-2, -1, 1, 2):
+            vectors.append(v)
+    for _ in range(60):
+        f = identity_isometry(lat)
+        want = 1
+        for v in rng.sample(vectors, rng.randint(1, 6)):
+            f = _reflection(lat, v) * f
+            want *= 1 if lat.norm(v) < 0 else -1
+        assert spinor_norm(f) == want == _fraction_spinor_norm(f)

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from latticeforge.errors import BadParams, UnknownName, ZeroScale, ZeroVector
+from latticeforge.errors import BadParams, TooLarge, UnknownName, ZeroScale, ZeroVector
 from latticeforge.lattice import (
     Lattice,
+    _is_prime,
     direct_sum,
     from_expression,
     invariants,
@@ -76,6 +77,8 @@ def test_bad_names():
         make_named("K", 4)
     with pytest.raises(BadParams):
         make_named("H", 9)
+    with pytest.raises(BadParams):
+        make_named("A", 0)
 
 
 def test_rescale():
@@ -169,3 +172,34 @@ def test_json_roundtrip(tmp_path):
     data = json.loads(json.dumps(lat.to_json()))
     back = Lattice.from_json(data)
     assert back.gram == lat.gram
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(61)
+    cases = list(range(-3, 3000))
+    # Carmichael numbers (56052361 = 211 * 421 * 631 has a^((n-1)/2) = 1
+    # for every base) and strong pseudoprimes to the first bases
+    cases += [561, 1105, 1729, 8911, 56052361, 172947529, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461, 2 ** 61 - 1, 2 ** 67 - 1,
+              3317044064679887385961813]
+    cases += [rng.randrange(2, 3 * 10 ** 24) for _ in range(2000)]
+    for n in cases:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_beyond_the_deterministic_bound():
+    # 3317044064679887385961981 is the least composite that passes all 13
+    # Miller-Rabin bases; from it on, passing numbers are not decided
+    assert _is_prime(3317044064679887385961813)  # the prime below it
+    for n in (3317044064679887385961981, 3317044064679887385962123, 2 ** 89 - 1):
+        with pytest.raises(TooLarge):
+            _is_prime(n)
+    assert not _is_prime(2 ** 89 + 1) and not _is_prime(2 ** 100)
+
+
+def test_invariants_of_a_large_prime_determinant():
+    # trial division up to sqrt(2^61 - 1) would take about 1.5e9 steps
+    inv = invariants(Lattice([[2 ** 61 - 1]]))
+    assert inv.p_elementary == (2 ** 61 - 1, 1)

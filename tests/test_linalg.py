@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeforge import catalog
 from latticeforge.errors import DegenerateForm
@@ -8,10 +10,8 @@ from latticeforge.lattice import from_expression, make_named
 from latticeforge.linalg import (
     Matrix,
     bareiss_det,
-    det,
     hermite_normal_form,
     integer_kernel,
-    inverse,
     rational_signature,
     smith_normal_form,
     symmetric_elimination,
@@ -138,15 +138,40 @@ def test_signature_congruence_invariant():
         assert rational_signature(u.T @ g @ u) == sig
 
 
-def test_inverse_roundtrip():
+def test_snf_v_inv_roundtrip():
     rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(1, 6)
-        while True:
-            m = _random_matrix(rng, n, n)
-            if bareiss_det(m) != 0:
-                break
-        assert (inverse(m) @ m).to_int() == Matrix.identity(n)
+    for _ in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        s = smith_normal_form(_random_matrix(rng, r, c))
+        assert s.v_inv @ s.v == Matrix.identity(c)
+        assert s.v @ s.v_inv == Matrix.identity(c)
+
+
+@st.composite
+def _int_matrices(draw):
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.integers(-50, 50)
+    return Matrix([[draw(entries) for _ in range(c)] for _ in range(r)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices())
+def test_snf_properties(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    s = smith_normal_form(m)
+    r, c = m.shape
+    assert s.u @ m @ s.v == s.d
+    assert s.v_inv @ s.v == Matrix.identity(c)
+    assert abs(bareiss_det(s.u)) == 1 and abs(bareiss_det(s.v)) == 1
+    assert all(s.d[i, j] == 0 for i in range(r) for j in range(c) if i != j)
+    divisors = s.divisors
+    assert all(d >= 0 for d in divisors)
+    # d1 | d2 | ...: every entry divides the next, and 0 only at the end
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(divisors, divisors[1:]))
+    want = sympy_snf(sympy.Matrix([list(row) for row in m.rows]), domain=sympy.ZZ)
+    assert divisors == tuple(abs(int(want[i, i])) for i in range(min(r, c)))
 
 
 def test_kernel_random_annihilates():
@@ -179,7 +204,7 @@ def _check_elimination(g):
             symmetric_elimination(g)
         return False
     e = symmetric_elimination(g)
-    assert e.det == det(g) == want_det
+    assert e.det == bareiss_det(g) == want_det
     assert e.signature == rational_signature(g) == _descartes_signature(g)
     d = (1,) + e.minors
     for k, row in enumerate(e.rows):

@@ -125,7 +125,7 @@ def _ball_and_sort_search(lat, cands, pair_budget=400000):
             if sum(a * b for a, b in zip(v, gu)) != 3:
                 continue
             sub = glue.Sublattice(lat, Matrix([u, v]))
-            if linalg.det(sub.gram()) != -9:
+            if linalg.bareiss_det(sub.gram()) != -9:
                 continue
             if sub.gram() == Matrix([[0, 3], [3, 0]]) and glue.saturation_index(sub) == 1:
                 return sub.basis.rows, checked
@@ -263,7 +263,7 @@ def test_labeling_search_phi37():
     from latticeforge import linalg
 
     gram = (sub @ alg.gram @ sub.T)
-    assert linalg.det(gram) == 14
+    assert linalg.bareiss_det(gram) == 14
 
 
 def test_labeling_search_phi35_multiples_of_six():
