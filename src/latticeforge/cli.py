@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -13,12 +14,15 @@ from .errors import BadInput, LatticeForgeError
 from .lattice import Lattice, from_expression, invariants, make_named, matrix_from_json
 
 
+@functools.cache
 def _registry():
-    reg = {}
-    for name in ("U", "OG10", "Lambda", "F", "K3", "H4cubic", "ExA", "ExB",
-                 "L17", "N69", "N15", "E6*(3)"):
-        reg[name] = lambda n=name: make_named(n)
-    reg.update({k: (lambda v=v: v) for k, v in catalog.fixture_lattices().items()})
+    """Name -> Lattice for the builtin composites and every table lattice,
+    built once per process on first use.  Lattices are immutable, so the
+    queries of one process share them and their cached eliminations."""
+    reg = {name: make_named(name)
+           for name in ("U", "OG10", "Lambda", "F", "K3", "H4cubic", "ExA", "ExB",
+                        "L17", "N69", "N15", "E6*(3)")}
+    reg.update(catalog.fixture_lattices())
     return reg
 
 
@@ -26,7 +30,7 @@ def resolve_lattice(ref):
     """Builtin name, lattice expression, or path to a lattice JSON file."""
     reg = _registry()
     if ref in reg:
-        return reg[ref]()
+        return reg[ref]
     if os.path.exists(ref):
         with open(ref) as fh:
             return Lattice.from_json(json.load(fh))
@@ -250,7 +254,10 @@ def _add_common(parser):
     parser.add_argument("--rank-cap", type=int, default=argparse.SUPPRESS)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on first use; each
+    `parse_args` call returns a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="latticeforge",
         description="Exact-arithmetic toolkit for integral quadratic lattices.")
@@ -299,7 +306,11 @@ def build_parser():
 
     p = sub.add_parser("labeling", help="rank-2 labelings through eta")
     p.add_argument("lattice")
-    p.add_argument("--dmax", type=int, default=60)
+    p.add_argument("--dmax", type=int, default=60,
+                   help="largest discriminant d = n Q(v) - (eta, v)^2 of a saturated "
+                        "<eta, v> to report, with eta the first basis vector and "
+                        "n = eta^2; the search enumerates the v with |Q(v)| <= "
+                        "(dmax + (|n| // 2)^2) // |n|, which is exhaustive")
     _add_common(p)
     p.set_defaults(func=cmd_labeling)
 

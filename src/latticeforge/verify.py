@@ -230,23 +230,35 @@ def verify_cubic_tables(rows=None):
 
 def labeling_search(alg, d_max):
     """All discriminants d <= d_max of saturated rank-2 sublattices containing
-    the distinguished class eta (the first basis vector, of square 3).
+    the distinguished class eta (the first basis vector) of a definite
+    lattice.
 
-    Returns a sorted list of (d, witness_rows).  Every such sublattice has a
-    basis (eta, v) with (eta, v) in {0, 1} and v^2 <= (d+1)/3, so enumerating
-    vectors up to that norm is exhaustive.
+    Returns a sorted list of (d, witness_rows).  With n = eta^2, the pair
+    (eta, v) has d = n Q(v) - (eta, v)^2.  Every such sublattice has a basis
+    (eta, v) with |(eta, v)| <= |n| // 2 (shift v by multiples of eta), so
+    |Q(v)| <= (d_max + (|n| // 2)^2) // |n| and enumerating vectors up to
+    that norm is exhaustive.
     """
     if alg.rank < 2:
         return []
     eta = _eta_vector(alg)
-    bound = (d_max + 1) // 3
+    row0 = alg.gram.rows[0]
+    n = row0[0]
+    half = abs(n) // 2
+    # n = 0 only on an indefinite or degenerate lattice, which
+    # vectors_up_to rejects
+    bound = (d_max + half * half) // abs(n) if n else 0
     found = {}
     buckets = shortvec.vectors_up_to(alg, bound)
     for norm in sorted(buckets):
+        # the bucket key is the norm on the positive definite model
+        q = norm if n > 0 else -norm
         for vec in buckets[norm]:
             tail = vec[1:]
             if not any(tail):
                 continue
+            ev = sum(a * b for a, b in zip(row0, vec))
+            qv = q
             # closed-form saturation of <eta, vec>: eta is the first basis
             # vector, so dividing out the tail content after translating by
             # eta already yields a primitive pair
@@ -254,10 +266,11 @@ def labeling_search(alg, d_max):
             if g > 1:
                 c = vec[0] % g
                 vec = tuple((x - c * e) // g for x, e in zip(vec, eta))
-            rows = Matrix([eta, vec])
-            d = linalg.bareiss_det(rows @ alg.gram @ rows.T)
+                qv = (qv - 2 * c * ev + c * c * n) // (g * g)
+                ev = (ev - c * n) // g
+            d = n * qv - ev * ev
             if 0 < d <= d_max and d not in found:
-                found[d] = rows
+                found[d] = Matrix([eta, vec])
     return sorted(found.items())
 
 

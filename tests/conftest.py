@@ -47,26 +47,31 @@ def fraction_to_int(m):
     return Matrix(tuple(out))
 
 
-def box_vectors(gram, norm):
-    """All vectors of the given norm via plain box enumeration.
+def box_ball(gram, max_norm):
+    """(x, norm) for every nonzero vector of norm <= max_norm, via plain box
+    enumeration.
 
-    Coordinate bounds come from the dual Gram diagonal: |x_i| <= sqrt(norm *
-    (G^-1)_ii) by Cauchy-Schwarz in the positive definite form.  Independent
+    Coordinate bounds come from the dual Gram diagonal: |x_i| <= sqrt(max_norm
+    * (G^-1)_ii) by Cauchy-Schwarz in the positive definite form.  Independent
     of the branch-and-bound enumerator.
     """
     n = gram.nrows
     inv = fraction_inverse(gram)
     bounds = []
     for i in range(n):
-        b = Fraction(norm) * inv[i, i]
+        b = Fraction(max_norm) * inv[i, i]
         bounds.append(isqrt(b.numerator // b.denominator) + 1)
-    out = []
     for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
         if any(x):
             gx = gram.apply(x)
-            if sum(a * c for a, c in zip(x, gx)) == norm:
-                out.append(x)
-    return sorted(out)
+            nx = sum(a * c for a, c in zip(x, gx))
+            if nx <= max_norm:
+                yield x, nx
+
+
+def box_vectors(gram, norm):
+    """All vectors of the given norm via plain box enumeration (`box_ball`)."""
+    return sorted(x for x, nx in box_ball(gram, norm) if nx == norm)
 
 
 def box_count(gram, norm):

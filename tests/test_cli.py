@@ -5,9 +5,10 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from latticeforge import catalog, cli
 from latticeforge.cli import main
 
 
@@ -288,10 +289,15 @@ _LATTICES = st.one_of(_symmetric().map(lambda g: {"gram": g}),
 
 
 def _run_quietly(argv):
+    """(exit code, stdout, stderr) of one `main` call; argparse's exit is
+    read as the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -301,7 +307,7 @@ def test_info_json_fuzz(data):
         path = os.path.join(tmp, "lattice.json")
         with open(path, "w") as fh:
             json.dump(data, fh)
-        code, err = _run_quietly(["info", path])
+        code, _, err = _run_quietly(["info", path])
     assert code in (0, 1, 2) and "Traceback" not in err
 
 
@@ -312,5 +318,96 @@ def test_isom_invariant_json_fuzz(lattice, matrix):
         path = os.path.join(tmp, "isometry.json")
         with open(path, "w") as fh:
             json.dump({"lattice": lattice, "matrix": matrix}, fh)
-        code, err = _run_quietly(["isom", "invariant", path])
+        code, _, err = _run_quietly(["isom", "invariant", path])
     assert code in (0, 1, 2) and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one parser and one registry per process: queries must not see each other
+
+
+def test_repeated_queries_give_the_same_answers(tmp_path):
+    rot = tmp_path / "rot3_A2.json"
+    rot.write_text(json.dumps({"lattice": "A2", "matrix": [[0, -1], [1, -1]]}))
+    lat = tmp_path / "lattice.json"
+    lat.write_text(json.dumps({"gram": [[2, 1], [1, 4]]}))
+    argvs = [
+        ["info", "OG10"], ["--format", "json", "info", "U + U(3) + A2(-1)"],
+        ["info", str(lat)], ["--format", "csv", "info", "AY_phi37"],
+        ["enum", "A2", "--norm", "2", "--list"],
+        ["enum", "AY_phi32", "--norm", "3", "--dot", "eta=1"],
+        ["roots", "E6"], ["glue", "A2", "A2(-1)"], ["glue", "A1", "[3]", "--trivial"],
+        ["isom", "order", str(rot)], ["isom", "spin", str(rot)],
+        ["--format", "json", "isom", "coinvariant", str(rot)],
+        ["labeling", "AY_phi37", "--dmax", "30"], ["labeling", "D4", "--dmax", "30"],
+        ["k3", "TY_phi37"], ["verify", "k3"], ["export-fixtures"],
+        ["info", "Quux99"],                     # unknown label
+        ["info", "U^0"],                        # BadParams
+        ["enum", "A2", "--norm", "-2"],         # BadParams
+        ["glue", "A2", "A2"],                   # no full glue map
+        ["enum", "A2"],                         # argparse error
+        ["labeling", "A2", "--dmax", "x"],      # argparse error
+    ]
+    first = [_run_quietly(argv)[:2] for argv in argvs]
+    second = [_run_quietly(argv)[:2] for argv in argvs]
+    assert first == second
+    codes = [code for code, _ in first]
+    assert codes[:17] == [0] * 17 and codes[17:] == [2] * 6
+    assert first[13][1].splitlines()[-2:] == [
+        "d=24  witness [[1, 0, 0, 0], [-2, -4, -3, -3]]",
+        "d=27  witness [[1, 0, 0, 0], [-3, -5, -3, -3]]"]
+
+
+def test_registry_and_parser_built_once(monkeypatch):
+    calls = []
+    build = catalog.fixture_lattices
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(catalog, "fixture_lattices", counting)
+    cli._registry.cache_clear()
+    names = ["AY_phi37", "OG10", "A2", "TY_phi35", "U"]
+    for i in range(50):
+        code, _, _ = _run_quietly(["info", names[i % len(names)]])
+        assert code == 0
+    assert len(calls) == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+_FUZZ_BASES = {"U": 2, "A1": 1, "A2": 2, "A3": 3, "A4": 4, "D4": 4, "D5": 5, "E6": 6,
+               "E8": 8, "[1]": 1, "[2]": 1, "[-1]": 1, "[3]": 1, "[-6]": 1, "K5": 2,
+               "h7": 2, "ExA": 2, "E6*": 6, "[0]": 1, "A0": 0, "D2": 0, "E9": 0,
+               "Quux": 0}
+
+
+@st.composite
+def _expressions(draw):
+    """Lattice expressions of rank <= 10 built from valid and invalid terms,
+    or short free text of the expression alphabet (no digits, so no term
+    can ask for a huge rank)."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(alphabet="UADEKh[]()-+^* ", min_size=1, max_size=8))
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from(sorted(_FUZZ_BASES)),
+        st.sampled_from(["", "(1)", "(-1)", "(2)", "(3)", "(-3)", "(0)"]),
+        st.sampled_from(["", "", "^1", "^2", "^0"])), min_size=1, max_size=3))
+    rank = sum(_FUZZ_BASES[b] * (2 if p == "^2" else 1) for b, _, p in terms)
+    assume(rank <= 10)
+    return draw(st.sampled_from([" + ", "+", " ⊕ ", " - "])).join(b + t + p for b, t, p in terms)
+
+
+_FIXED_QUERY = ["--format", "json", "labeling", "AY_phi37", "--dmax", "20"]
+_FIXED_ANSWER = []
+
+
+@settings(max_examples=80, deadline=None)
+@given(_expressions(), st.sampled_from([["info"], ["enum", "--norm", "2"],
+                                        ["labeling", "--dmax", "10"]]))
+def test_lattice_expression_fuzz(expr, command):
+    if not _FIXED_ANSWER:
+        _FIXED_ANSWER.append(_run_quietly(_FIXED_QUERY))
+    code, _, err = _run_quietly(command[:1] + [expr] + command[1:])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert _run_quietly(_FIXED_QUERY) == _FIXED_ANSWER[0]

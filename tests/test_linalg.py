@@ -174,6 +174,34 @@ def test_snf_properties(m):
     assert divisors == tuple(abs(int(want[i, i])) for i in range(min(r, c)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices())
+def test_hnf_properties(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    h, u = hermite_normal_form(m)
+    assert u @ m == h
+    assert abs(bareiss_det(u)) == 1
+    # row echelon shape: pivots positive and strictly to the right of the
+    # pivot above, zero rows at the bottom, entries above a pivot in [0, pivot)
+    pivots = []
+    for i, row in enumerate(h.rows):
+        nonzero = [j for j, x in enumerate(row) if x]
+        if not nonzero:
+            assert not any(any(r) for r in h.rows[i:])
+            break
+        j = nonzero[0]
+        assert row[j] > 0 and (not pivots or j > pivots[-1])
+        assert all(0 <= h[k, j] < row[j] for k in range(i))
+        pivots.append(j)
+    # same row module: sympy's HNF is column-style, so compare the transposes
+    def hnf_of_transpose(a):
+        return sympy_hnf(sympy.Matrix([list(r) for r in a.rows]).T)
+
+    assert hnf_of_transpose(m) == hnf_of_transpose(h)
+
+
 def test_kernel_random_annihilates():
     rng = random.Random(13)
     for _ in range(30):

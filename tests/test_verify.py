@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
-from math import gcd
+import random
+from math import gcd, isqrt
 
 import pytest
+from conftest import box_ball, fraction_inverse
 
 from latticeforge import catalog, glue, linalg, shortvec, verify
 from latticeforge.errors import NotInScope
-from latticeforge.lattice import Lattice, from_expression, make_named
+from latticeforge.lattice import Lattice, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix
 
 
@@ -281,6 +283,132 @@ def test_labeling_search_phi32_has_14():
 
 def test_labeling_rank_one_empty():
     assert verify.labeling_search(Lattice(catalog.AY_PHI31), 60) == []
+
+
+def _labeling_oracle(alg, d_max):
+    """The per-vector search `labeling_search` replaced: a Matrix product and
+    a Bareiss determinant for every enumerated vector, over the same vectors
+    in the same order (with the |eta^2| // 2 bound of the fixed search)."""
+    eta = tuple(1 if i == 0 else 0 for i in range(alg.rank))
+    n = abs(alg.gram[0, 0])
+    found = {}
+    buckets = shortvec.vectors_up_to(alg, (d_max + (n // 2) ** 2) // n)
+    for norm in sorted(buckets):
+        for vec in buckets[norm]:
+            tail = vec[1:]
+            if not any(tail):
+                continue
+            g = gcd(*tail)
+            if g > 1:
+                c = vec[0] % g
+                vec = tuple((x - c * e) // g for x, e in zip(vec, eta))
+            rows = Matrix([eta, vec])
+            d = linalg.bareiss_det(rows @ alg.gram @ rows.T)
+            if 0 < d <= d_max and d not in found:
+                found[d] = rows
+    return sorted(found.items())
+
+
+def _random_definite(rng, rank):
+    while True:
+        b = Matrix([[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)])
+        if linalg.bareiss_det(b):
+            return Lattice(b @ b.T)
+
+
+_D_MAXES = (8, 10, 13, 20, 30, 60)
+
+
+def _labeling_cases():
+    """(name, lattice, d_max values)."""
+    fixtures = catalog.fixture_lattices()
+    for name in sorted(k for k in fixtures if k.startswith("AY_")):
+        # AY_phi32 has rank 13: the oracle alone takes seconds from d_max = 20
+        yield name, fixtures[name], _D_MAXES if name != "AY_phi32" else _D_MAXES[:3]
+    yield "A2(-1)", from_expression("A2(-1)"), _D_MAXES
+    yield "AY_phi35(-1)", rescale(fixtures["AY_phi35"], -1), _D_MAXES[:5]
+    rng = random.Random(8)
+    for i in range(24):
+        yield "random %d" % i, _random_definite(rng, rng.randint(2, 6)), (8, 13, 20)
+
+
+def test_labeling_search_matches_determinant_oracle():
+    for name, alg, d_maxes in _labeling_cases():
+        # the oracle's vectors for a smaller d_max are a prefix of its vectors
+        # for the largest, and that prefix already holds a witness for every
+        # d <= d_max, so one oracle run serves every d_max
+        full = _labeling_oracle(alg, d_maxes[-1])
+        for d_max in d_maxes:
+            want = [(d, w) for d, w in full if d <= d_max]
+            assert verify.labeling_search(alg, d_max) == want, (name, d_max)
+
+
+# Bourbaki's simple roots of E8 in the model {x in Z^8 u (Z + 1/2)^8 : sum x
+# even}, doubled to be integral and ordered like make_named("E8"): a chain of
+# seven nodes with the eighth attached to the third
+_E8_ROOTS_2X = ((1, -1, -1, -1, -1, -1, -1, 1), (-2, 2, 0, 0, 0, 0, 0, 0),
+                (0, -2, 2, 0, 0, 0, 0, 0), (0, 0, -2, 2, 0, 0, 0, 0),
+                (0, 0, 0, -2, 2, 0, 0, 0), (0, 0, 0, 0, -2, 2, 0, 0),
+                (0, 0, 0, 0, 0, -2, 2, 0), (2, 2, 0, 0, 0, 0, 0, 0))
+
+
+def _e8_model_ball(max_norm):
+    """(coefficients, norm) of every nonzero vector of E8 of norm <= max_norm,
+    listed in doubled model coordinates y = 2x (all y_i of one parity, sum y
+    divisible by 4) and written in the root basis."""
+    roots = Matrix(_E8_ROOTS_2X)
+    # E8 is unimodular, so basis^-1 = basis^T G^-1 has entries in Z/2 and
+    # 4 * roots^-1 = 2 * basis^-1 is integral
+    inv4 = fraction_inverse(roots).scale(4)
+    assert all(x.denominator == 1 for r in inv4.rows for x in r)
+    inv4 = [[int(x) for x in r] for r in inv4.rows]
+    out = []
+    y = [0] * 8
+
+    def rec(i, left, parity):
+        if i == 8:
+            if any(y) and sum(y) % 4 == 0:
+                coeffs = [sum(y[k] * inv4[k][j] for k in range(8)) for j in range(8)]
+                assert all(c % 4 == 0 for c in coeffs)
+                out.append((tuple(c // 4 for c in coeffs), sum(c * c for c in y) // 4))
+            return
+        r = isqrt(left)
+        for c in range(-r, r + 1):
+            if c % 2 == parity:
+                y[i] = c
+                rec(i + 1, left - c * c, parity)
+        y[i] = 0
+
+    for parity in (0, 1):
+        rec(0, 4 * max_norm, parity)
+    return out
+
+
+@pytest.mark.parametrize("expr,d_max", [("D4", 30), ("A3", 30), ("A4", 30),
+                                        ("[1] + A2", 30), ("E8", 8)])
+def test_labeling_search_matches_box_oracle(expr, d_max):
+    """The found d are exactly the d <= d_max of the saturated <eta, v>.  By
+    the shift argument every such sublattice has a basis (eta, v) with
+    |Q(v)| <= (d_max + (n // 2)^2) // n <= d_max, so the oracle takes every
+    v of norm <= d_max: from the plain box, and for E8 (whose box is too
+    large) from its coordinate model.  <eta, v> is saturated iff the
+    coordinates of v after the first are coprime."""
+    alg = from_expression(expr)
+    g = alg.gram
+    n = g[0, 0]
+    if expr == "E8":
+        roots = Matrix(_E8_ROOTS_2X)
+        assert roots @ roots.T == g.scale(4)
+        ball = _e8_model_ball(d_max)
+    else:
+        ball = box_ball(g, d_max)
+    want = set()
+    for v, nv in ball:
+        if gcd(*v[1:]) == 1:
+            d = n * nv - g.apply(v)[0] ** 2
+            if d <= d_max:
+                want.add(d)
+    assert [d for d, _ in verify.labeling_search(alg, d_max)] == sorted(want)
 
 
 def test_candidates_crosscheck():
