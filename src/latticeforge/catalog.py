@@ -281,8 +281,7 @@ def fixture_lattices():
     """Stable name -> Lattice map for every table lattice (CLI registry)."""
     out = {}
     for row in CUBIC_ROWS:
-        out["FG_%s" % row.label] = (Lattice(row.inv_gram, "FG_%s" % row.label)
-                                    if row.inv_gram.nrows else Lattice(Matrix(()), "FG_%s" % row.label))
+        out["FG_%s" % row.label] = Lattice(row.inv_gram, "FG_%s" % row.label)
         out["FGco_%s" % row.label] = from_expression(row.coinv).relabel("FGco_%s" % row.label)
         out["AY_%s" % row.label] = Lattice(row.alg_gram, "AY_%s" % row.label)
         out["TY_%s" % row.label] = from_expression(row.coinv).relabel("TY_%s" % row.label)

@@ -113,15 +113,14 @@ def _parse_dot(spec, lat):
 def cmd_enum(args):
     lat = resolve_lattice(args.lattice)
     dots = [_parse_dot(s, lat) for s in args.dot or ()]
-    query = shortvec.EnumQuery(lat, args.norm, dot_constraints=dots,
-                               divisibility_filter=args.div)
     if args.list:
-        count, vecs = shortvec.count_vectors(query, want_list=True, rank_cap=args.rank_cap)
+        vecs = shortvec.vectors_of_norm(lat, args.norm, dots, args.div, args.rank_cap)
+        count = len(vecs)
         data = {"count": count, "vectors": [list(v) for v in vecs]}
         _print(data, args.format, lambda: "\n".join(
             ["count %d" % count] + [" ".join(map(str, v)) for v in vecs]))
     else:
-        count = shortvec.count_vectors(query, rank_cap=args.rank_cap)
+        count = shortvec.count_vectors(lat, args.norm, dots, args.div, args.rank_cap)
         _print({"count": count}, args.format, lambda: str(count))
     return 0
 
@@ -140,11 +139,10 @@ def cmd_glue(args):
     if args.trivial:
         g = glue.trivial_glue(left, right)
     else:
-        glues = glue.full_anti_isometry_glues(left, right, max_results=1)
-        if not glues:
+        g = glue.full_glue(left, right)
+        if g is None:
             print("no full glue map between the discriminant forms", file=sys.stderr)
             return 2
-        g = glues[0]
     # report whatever parity comes out rather than enforcing one
     ext, _, _ = glue.primitive_extension(g, require_even=False)
     lat = ext.lattice
@@ -187,7 +185,7 @@ def cmd_isom(args):
 
 def cmd_labeling(args):
     lat = resolve_lattice(args.lattice)
-    found = verify.labeling_search(lat, args.dmax)
+    found = verify.labeling_search(lat, args.dmax, args.rank_cap)
     data = {"discriminants": [d for d, _ in found]}
     _print(data, args.format, lambda: "\n".join(
         "d=%d  witness %s" % (d, [list(r) for r in w.rows]) for d, w in found) or "none")

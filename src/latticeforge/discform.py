@@ -504,24 +504,24 @@ def milgram_signature(form):
 # isomorphism testing
 
 
-def _match_maps(src, dst, sign, q_mod=2, max_results=1, require_onto=True,
-                require_injective=False):
-    """Group morphisms src -> dst matching the torsion forms.
+def _match_maps(src, dst, sign, q_mod=2):
+    """The first bijective morphism src -> dst matching the torsion forms,
+    or None.
 
     Images satisfy b(f x, f y) = sign * b(x, y) mod 1 and q(f x) = sign * q(x)
     modulo `q_mod` (q_mod=2 is a strict (anti-)isometry; q_mod=1 only forces
     q(f x) + q(x) or q(f x) - q(x) to be integral, which is the right notion
-    when gluing inside an odd overlattice).  Returns image matrices (rows in
+    when gluing inside an odd overlattice).  Returns the image matrix (rows in
     dst generator coordinates).
     """
     have_q = src.Q is not None and dst.Q is not None
     k = src.ngens
     if k == 0:
-        return [Matrix(())] if (not require_onto or dst.is_trivial()) else []
+        return Matrix(()) if dst.is_trivial() else None
     if dst.group_order > DESK_GROUP_BOUND:
         raise TooLarge("group of order %d exceeds the desk-scale bound" % dst.group_order)
-    if require_onto and src.group_order != dst.group_order:
-        return []
+    if src.group_order != dst.group_order:
+        return None
     # both tables rescaled to one denominator: b-values are residues mod
     # den and q-values residues mod q_mod * den
     den = math.lcm(src.den, dst.den)
@@ -549,9 +549,8 @@ def _match_maps(src, dst, sign, q_mod=2, max_results=1, require_onto=True,
         want_q = sign * s_scale * src.Q[i] % q_den if have_q else None
         pool = by_key.get((src.orders[i], want_q, want_int[i][i]), [])
         if not pool:
-            return []
+            return None
         pools.append(pool)
-    results = []
     chosen = []
 
     def feasible(y, i):
@@ -578,27 +577,17 @@ def _match_maps(src, dst, sign, q_mod=2, max_results=1, require_onto=True,
         return abs(vol)
 
     def rec(i):
-        if len(results) >= max_results:
-            return
         if i == k:
-            if require_onto and image_index(chosen) != 1:
-                return
-            if require_injective and not require_onto:
-                if dst.group_order % src.group_order or \
-                        image_index(chosen) != dst.group_order // src.group_order:
-                    return
-            results.append(Matrix(tuple(chosen)))
-            return
+            return image_index(chosen) == 1
         for y in pools[i]:
             if feasible(y, i):
                 chosen.append(y)
-                rec(i + 1)
+                if rec(i + 1):
+                    return True
                 chosen.pop()
-                if len(results) >= max_results:
-                    return
+        return False
 
-    rec(0)
-    return results
+    return Matrix(tuple(chosen)) if rec(0) else None
 
 
 def _odd_elementary_class(form):
@@ -642,16 +631,5 @@ def forms_isomorphic(f, g):
         raise TooLarge("forms exceed the desk-scale bound")
     if f.Q is not None and f.q_multiset() != g.q_multiset():
         return False
-    return bool(_match_maps(f, g, 1, max_results=1))
+    return _match_maps(f, g, 1) is not None
 
-
-def anti_isometries(f, g, max_results=1):
-    """Bijective maps f -> g with q(img) = -q(x) mod 2; glue data for even
-    primitive extensions."""
-    return _match_maps(f, g, -1, max_results=max_results)
-
-
-def odd_glue_maps(f, g, max_results=1):
-    """Bijective maps f -> g with b anti-preserved and q(img) + q(x) integral;
-    glue data for extensions inside an odd unimodular overlattice."""
-    return _match_maps(f, g, -1, q_mod=1, max_results=max_results)

@@ -219,34 +219,22 @@ def trivial_glue(left, right):
     return GlueData(left, right, Matrix(()), Matrix(()))
 
 
-def full_anti_isometry_glues(left, right, max_results=1):
-    """Glue data identifying the whole discriminant groups; anti-isometric in
-    the even case, bilinear-anti-preserving in the odd case.  This is the
-    standard glue for complements inside a unimodular lattice."""
+def full_glue(left, right):
+    """Glue data identifying the whole discriminant groups, or None.  The
+    map is an anti-isometry when both lattices and forms are even, and
+    otherwise, or when no anti-isometry exists, anti-preserves b with
+    q(img) + q(x) integral.  This is the standard glue for complements
+    inside a unimodular lattice."""
     fl, _ = discform.discriminant_form(left)
     fr, _ = discform.discriminant_form(right)
-    k = fl.ngens
-    gens = Matrix.identity(k) if k else Matrix(())
+    images = None
     if fl.Q is not None and fr.Q is not None and left.is_even() and right.is_even():
-        maps = discform.anti_isometries(fl, fr, max_results=max_results)
-        if not maps:
-            maps = discform.odd_glue_maps(fl, fr, max_results=max_results)
-    else:
-        maps = discform.odd_glue_maps(fl, fr, max_results=max_results)
-    return [GlueData(left, right, gens, m) for m in maps]
-
-
-def injective_anti_glues(left, right, max_results=1):
-    """Glue data embedding the whole discriminant group of `left`
-    anti-isometrically into disc(right); the standard glue for a pair whose
-    direct sum has finite index in a lattice with small discriminant."""
-    fl, _ = discform.discriminant_form(left)
-    fr, _ = discform.discriminant_form(right)
-    k = fl.ngens
-    gens = Matrix.identity(k) if k else Matrix(())
-    maps = discform._match_maps(fl, fr, -1, max_results=max_results,
-                                require_onto=False, require_injective=True)
-    return [GlueData(left, right, gens, m) for m in maps]
+        images = discform._match_maps(fl, fr, -1)
+    if images is None:
+        images = discform._match_maps(fl, fr, -1, q_mod=1)
+    if images is None:
+        return None
+    return GlueData(left, right, Matrix.identity(fl.ngens), images)
 
 
 def complement_genus(host_form, host_sig, sub, glue):

@@ -74,18 +74,8 @@ class Lattice:
     def is_even(self):
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
 
-    def is_unimodular(self):
-        return abs(self.det) == 1
-
-    def is_definite(self):
-        p, m = self.signature
-        return p == 0 or m == 0
-
     def is_positive_definite(self):
         return self.signature[1] == 0
-
-    def is_negative_definite(self):
-        return self.signature[0] == 0
 
     def disc_group_orders(self):
         """Invariant factors (> 1) of the discriminant group."""
@@ -104,7 +94,7 @@ class Lattice:
         """Positive generator of the ideal {(v, x) : x in the lattice}."""
         if all(c == 0 for c in v):
             raise ZeroVector("divisibility of the zero vector")
-        return gcd(*self.gram.apply(v)) if self.rank > 1 else abs(self.gram.apply(v)[0])
+        return gcd(*self.gram.apply(v))
 
     def relabel(self, label):
         return Lattice(self.gram, label)

@@ -35,10 +35,6 @@ class Matrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, r, c):
-        return cls(tuple((0,) * c for _ in range(r)))
-
-    @classmethod
     def diagonal(cls, entries):
         n = len(entries)
         return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))

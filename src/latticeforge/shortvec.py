@@ -5,10 +5,13 @@ elimination of the Gram matrix (`linalg.symmetric_elimination`): coordinate
 bounds come from integer square roots and the norm of each vector from the
 running remainder, never from floating point or rational arithmetic.
 Negative definite inputs are globally negated before enumeration.
+
+Every vector query reads one stream, `short_vectors`, which owns the sign
+flip and the norm and rank guards; the U(3) search alone reads its own
+L1-windowed pass, `vectors_by_l1`.
 """
 
-from dataclasses import dataclass, field
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import BadParams, DegenerateForm, IndefiniteLattice, RankTooLarge
 from .lattice import Lattice
@@ -103,22 +106,44 @@ def coordinate_bounds(lat, max_norm):
     return tuple(bounds)
 
 
-def vectors_of_norm(lat, norm):
-    """All vectors of the given positive norm in a definite lattice (negated
-    transparently when negative definite)."""
+def short_vectors(lat, max_norm, rank_cap=RANK_CAP):
+    """Stream (v, |Q(v)|) over every nonzero vector v of |Q(v)| <= max_norm
+    in a definite lattice, in Fincke-Pohst order; both v and -v are produced.
+
+    Norms are read on the positive definite model: a negative definite
+    lattice is negated first, so `max_norm` is never negative.  The guards
+    act at the call, before the first vector: BadParams for a negative norm,
+    RankTooLarge above `rank_cap`, IndefiniteLattice for an indefinite input.
+    """
+    if max_norm < 0:
+        raise BadParams("target norm %d is negative; norms are read on the positive "
+                        "definite model" % max_norm)
+    if lat.rank > rank_cap:
+        raise RankTooLarge("rank %d exceeds the enumeration cap %d" % (lat.rank, rank_cap))
     pos, _sign = _flip_to_positive(lat)
-    return sorted(v for v, nv in _enumerate_upto(pos, norm) if nv == norm)
+    return _enumerate_upto(pos, max_norm)
 
 
-def vectors_up_to(lat, max_norm):
-    """Nonzero vectors bucketed by norm, one enumeration pass."""
-    pos, _sign = _flip_to_positive(lat)
-    buckets = {m: [] for m in range(1, max_norm + 1)}
-    for v, nv in _enumerate_upto(pos, max_norm):
-        buckets[nv].append(v)
-    for m in buckets:
-        buckets[m].sort()
-    return buckets
+def _shell(lat, norm, dots, div, rank_cap):
+    """The vectors of |norm| == norm that pair with each (w, value) of `dots`
+    to that value on the original Gram matrix and, when `div` is set, have
+    divisibility `div`."""
+    for v, nv in short_vectors(lat, norm, rank_cap):
+        if nv == norm and all(lat.inner(v, w) == val for w, val in dots) \
+                and (div is None or lat.divisibility(v) == div):
+            yield v
+
+
+def vectors_of_norm(lat, norm, dots=(), div=None, rank_cap=RANK_CAP):
+    """Sorted list of the vectors of |norm| == norm meeting the `dots` and
+    `div` constraints of `_shell`."""
+    return sorted(_shell(lat, norm, dots, div, rank_cap))
+
+
+def count_vectors(lat, norm, dots=(), div=None, rank_cap=RANK_CAP):
+    """Number of the vectors of |norm| == norm meeting the `dots` and `div`
+    constraints of `_shell`, counted as they stream."""
+    return sum(1 for _v in _shell(lat, norm, dots, div, rank_cap))
 
 
 def vectors_by_l1(lat, max_norm, l1_lo, l1_hi):
@@ -134,93 +159,38 @@ def vectors_by_l1(lat, max_norm, l1_lo, l1_hi):
     return buckets
 
 
-@dataclass
-class EnumQuery:
-    lattice: Lattice
-    target_norm: int
-    dot_constraints: list = field(default_factory=list)  # (vector, required value)
-    divisibility_filter: int | None = None
-
-
-def count_vectors(query, want_list=False, rank_cap=RANK_CAP):
-    """Exact count of vectors with (v, v) = target and all constraints.
-
-    The norm is interpreted on the positive definite model: a negative
-    definite lattice is negated first, so the target is never negative, and
-    dot constraints refer to the original Gram matrix.
-    """
-    lat = query.lattice
-    target = query.target_norm
-    if target < 0:
-        raise BadParams("target norm %d is negative; norms are read on the positive "
-                        "definite model" % target)
-    if lat.rank > rank_cap:
-        raise RankTooLarge("rank %d exceeds the enumeration cap %d" % (lat.rank, rank_cap))
-    pos, _sign = _flip_to_positive(lat)
-    vecs = []
-    count = 0
-    for v, nv in _enumerate_upto(pos, target):
-        if nv != target:
-            continue
-        ok = True
-        for w, val in query.dot_constraints:
-            if lat.inner(v, w) != val:
-                ok = False
-                break
-        if ok and query.divisibility_filter is not None:
-            if lat.divisibility(v) != query.divisibility_filter:
-                ok = False
-        if ok:
-            count += 1
-            if want_list:
-                vecs.append(v)
-    if want_list:
-        vecs.sort()
-        return count, vecs
-    return count
-
-
-def minimum(lat, rank_cap=RANK_CAP):
+def minimum(lat):
     """Minimal nonzero |norm| of a definite lattice."""
     if lat.rank == 0:
         raise DegenerateForm("minimum of the rank-zero lattice")
-    if lat.rank > rank_cap:
-        raise RankTooLarge("rank %d exceeds the enumeration cap %d" % (lat.rank, rank_cap))
-    pos, _ = _flip_to_positive(lat)
     bound = 1
     while True:
-        best = min((nv for _v, nv in _enumerate_upto(pos, bound)), default=None)
+        best = min((nv for _v, nv in short_vectors(lat, bound)), default=None)
         if best is not None:
             return best
         bound *= 2
 
 
-def has_square_one(lat, rank_cap=RANK_CAP):
-    """True when some vector has (v, v) = 1 (after sign normalization)."""
-    if lat.rank == 0:
-        return False
-    return count_vectors(EnumQuery(lat, 1), rank_cap=rank_cap) > 0
+def has_square_one(lat):
+    """True when some vector has |(v, v)| = 1."""
+    return count_vectors(lat, 1) > 0
 
 
-def root_report(lat, ambient=None, rank_cap=RANK_CAP):
-    """(number of short roots, number of long roots).
+def root_report(lat, pairing=None, rank_cap=RANK_CAP):
+    """(number of short roots, number of long roots) of a definite lattice.
 
-    Short root: v^2 = 2 with divisibility 1; long root: v^2 = 6 with
-    divisibility 3.  Divisibility is measured in `ambient` (a Sublattice
-    embedding this lattice) when given, else in the lattice itself.  Negative
-    definite lattices are negated first.
+    Short root: |v^2| = 2 with divisibility 1; long root: |v^2| = 6 with
+    divisibility 3.  The divisibility of v is gcd(pairing v), where row i of
+    `pairing` pairs v with basis vector i of the lattice it is measured in;
+    the default, the Gram matrix, measures it in the lattice itself.
     """
-    if lat.rank == 0:
-        return (0, 0)
-
-    def div_of(v):
-        if ambient is None:
-            return lat.divisibility(v)
-        amb_vec = ambient.basis.T.apply(v)
-        return ambient.ambient.divisibility(amb_vec)
-
-    short = sum(1 for v in vectors_of_norm(lat, 2) if div_of(v) == 1)
-    long_ = sum(1 for v in vectors_of_norm(lat, 6) if div_of(v) == 3)
+    pairing = lat.gram if pairing is None else pairing
+    short = long_ = 0
+    for v, nv in short_vectors(lat, 6, rank_cap):
+        if nv == 2 and gcd(*pairing.apply(v)) == 1:
+            short += 1
+        elif nv == 6 and gcd(*pairing.apply(v)) == 3:
+            long_ += 1
     return (short, long_)
 
 
@@ -234,7 +204,7 @@ def wall_class(square, div):
     return "neither"
 
 
-def definite_isometric(l1, l2, rank_cap=ISOM_RANK_CAP):
+def definite_isometric(l1, l2):
     """Explicit isometry witness between definite lattices, or None.
 
     Searches images of the basis of l1 among the vectors of l2 of matching
@@ -251,8 +221,9 @@ def definite_isometric(l1, l2, rank_cap=ISOM_RANK_CAP):
         return None
     if l1.rank == 0:
         return Matrix(())
-    if l1.rank > rank_cap:
-        raise RankTooLarge("rank %d exceeds the isometry-search cap %d" % (l1.rank, rank_cap))
+    if l1.rank > ISOM_RANK_CAP:
+        raise RankTooLarge("rank %d exceeds the isometry-search cap %d"
+                           % (l1.rank, ISOM_RANK_CAP))
     pos1, sign1 = _flip_to_positive(l1)
     pos2, sign2 = _flip_to_positive(l2)
     if sign1 != sign2 or l1.det != l2.det or l1.is_even() != l2.is_even():
@@ -265,7 +236,7 @@ def definite_isometric(l1, l2, rank_cap=ISOM_RANK_CAP):
     pools = {}
     for nv in set(basis_norms):
         vecs = vectors_of_norm(pos2, nv)
-        if len(vecs) != count_vectors(EnumQuery(pos1, nv), rank_cap=max(rank_cap, RANK_CAP)):
+        if len(vecs) != count_vectors(pos1, nv):
             return None
         pools[nv] = [(v, g2.apply(v)) for v in vecs]
     chosen = [None] * n

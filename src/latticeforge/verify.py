@@ -125,15 +125,15 @@ def _eta_vector(alg):
 def _build_middle_cohomology(alg, trans):
     """Glue the algebraic and transcendental lattices to the odd unimodular
     middle-cohomology lattice; returns (extension, alg_rows, trans_rows)."""
-    glues = glue.full_anti_isometry_glues(alg, trans, max_results=1)
-    if not glues:
+    g = glue.full_glue(alg, trans)
+    if g is None:
         return None
-    return glue.primitive_extension(glues[0], require_even=False, label="H4")
+    return glue.primitive_extension(g, require_even=False, label="H4")
 
 
 def _verify_cubic_row(row):
     v = RowVerdict(row.label)
-    inv = Lattice(row.inv_gram) if row.inv_gram.nrows else Lattice(Matrix(()))
+    inv = Lattice(row.inv_gram)
     co = from_expression(row.coinv)
     alg = Lattice(row.alg_gram)
     trans = from_expression(row.coinv)
@@ -182,27 +182,21 @@ def _verify_cubic_row(row):
     prim = glue.orthogonal_complement(glue.span(h4, [eta_h4]))
     short = long_ = 0
     if perp is not None:
-        pv = perp.lattice()
-        # row i of P pairs a vector in eta-perp coordinates with basis
-        # vector i of prim, so gcd(P w) is the divisibility of w in prim
+        # row i of the pairing pairs a vector in eta-perp coordinates with
+        # basis vector i of prim, so divisibilities are measured in prim
         pair = prim.basis @ h4.gram @ alg_rows.T @ perp.basis.T
-        for w in shortvec.vectors_of_norm(pv, 2):
-            if gcd(*pair.apply(w)) == 1:
-                short += 1
-        for w in shortvec.vectors_of_norm(pv, 6):
-            if gcd(*pair.apply(w)) == 3:
-                long_ += 1
+        short, long_ = shortvec.root_report(perp.lattice(), pair)
     v.add("no_short_roots", short == 0, "%d" % short)
     v.add("no_long_roots", long_ == 0, "%d" % long_)
 
     if row.label == "phi35":
         v.add("count_norm4_is_54",
-              shortvec.count_vectors(shortvec.EnumQuery(inv, 4)) == 54)
+              shortvec.count_vectors(inv, 4) == 54)
     if row.label == "phi32":
-        n81 = shortvec.count_vectors(shortvec.EnumQuery(alg, 3, dot_constraints=[(eta, 1)]))
+        n81 = shortvec.count_vectors(alg, 3, dots=[(eta, 1)])
         v.add("count_plane_classes_is_81", n81 == 81, "%d" % n81)
     if row.label == "phi37":
-        n9 = shortvec.count_vectors(shortvec.EnumQuery(alg, 3, dot_constraints=[(eta, 1)]))
+        n9 = shortvec.count_vectors(alg, 3, dots=[(eta, 1)])
         v.add("count_plane_classes_is_9", n9 == 9, "%d" % n9)
 
     if row.labeling_witness:
@@ -228,7 +222,7 @@ def verify_cubic_tables(rows=None):
 # labelings
 
 
-def labeling_search(alg, d_max):
+def labeling_search(alg, d_max, rank_cap=shortvec.RANK_CAP):
     """All discriminants d <= d_max of saturated rank-2 sublattices containing
     the distinguished class eta (the first basis vector) of a definite
     lattice.
@@ -237,41 +231,44 @@ def labeling_search(alg, d_max):
     (eta, v) has d = n Q(v) - (eta, v)^2.  Every such sublattice has a basis
     (eta, v) with |(eta, v)| <= |n| // 2 (shift v by multiples of eta), so
     |Q(v)| <= (d_max + (|n| // 2)^2) // |n| and enumerating vectors up to
-    that norm is exhaustive.
+    that norm is exhaustive.  The enumeration is streamed, keeping for each
+    d only the vector v of least (|Q(v)|, v) that yields it, so the witness
+    of d is that of a search in increasing norm and then lexicographic
+    order, in memory proportional to the number of d.
     """
-    if alg.rank < 2:
+    if alg.rank < 2 or d_max < 1:
         return []
     eta = _eta_vector(alg)
     row0 = alg.gram.rows[0]
     n = row0[0]
     half = abs(n) // 2
     # n = 0 only on an indefinite or degenerate lattice, which
-    # vectors_up_to rejects
+    # short_vectors rejects
     bound = (d_max + half * half) // abs(n) if n else 0
-    found = {}
-    buckets = shortvec.vectors_up_to(alg, bound)
-    for norm in sorted(buckets):
-        # the bucket key is the norm on the positive definite model
-        q = norm if n > 0 else -norm
-        for vec in buckets[norm]:
-            tail = vec[1:]
-            if not any(tail):
-                continue
-            ev = sum(a * b for a, b in zip(row0, vec))
-            qv = q
-            # closed-form saturation of <eta, vec>: eta is the first basis
-            # vector, so dividing out the tail content after translating by
-            # eta already yields a primitive pair
-            g = gcd(*tail)
-            if g > 1:
-                c = vec[0] % g
-                vec = tuple((x - c * e) // g for x, e in zip(vec, eta))
-                qv = (qv - 2 * c * ev + c * c * n) // (g * g)
-                ev = (ev - c * n) // g
-            d = n * qv - ev * ev
-            if 0 < d <= d_max and d not in found:
-                found[d] = Matrix([eta, vec])
-    return sorted(found.items())
+    best = {}  # d -> ((|Q(v)|, v), saturated v)
+    for vec, norm in shortvec.short_vectors(alg, bound, rank_cap):
+        tail = vec[1:]
+        if not any(tail):
+            continue
+        ev = sum(a * b for a, b in zip(row0, vec))
+        # the norm is read on the positive definite model
+        qv = norm if n > 0 else -norm
+        sat = vec
+        # closed-form saturation of <eta, vec>: eta is the first basis
+        # vector, so dividing out the tail content after translating by
+        # eta already yields a primitive pair
+        g = gcd(*tail)
+        if g > 1:
+            c = vec[0] % g
+            sat = tuple((x - c * e) // g for x, e in zip(vec, eta))
+            qv = (qv - 2 * c * ev + c * c * n) // (g * g)
+            ev = (ev - c * n) // g
+        d = n * qv - ev * ev
+        if 0 < d <= d_max:
+            key = (norm, vec)
+            if d not in best or key < best[d][0]:
+                best[d] = (key, sat)
+    return sorted((d, Matrix([eta, sat])) for d, (_key, sat) in best.items())
 
 
 # ---------------------------------------------------------------------------
@@ -528,21 +525,9 @@ def _u3_gluings_to(target, other, y_cap=12):
 def canonical_u3_certificate():
     """U(3) + (the negated primitive-cohomology genus) glued along Z/3 gives
     the rank-24 hyperbolic-type genus; certifies that a U(3) with embedding
-    subgroup Z/3 exists there."""
-    u3 = rescale(make_named("U"), 3)
-    fneg = from_expression("U^2 + E8(-1)^2 + A2(-1)")
-    og = make_named("OG10")
-    fu, _ = discform.discriminant_form(u3)
-    ff, _ = discform.discriminant_form(fneg)
-    for h in fu.elements():
-        if fu.element_order(h) == 3 and (fu.q_of(h) + ff.q_of((1,))) % 2 == 0:
-            ext, u3_rows, _ = glue.primitive_extension(
-                glue.GlueData(u3, fneg, Matrix([h]), Matrix([(1,)])))
-            if _genus_equal(ext.lattice, og):
-                idx = glue.extension_index(
-                    Lattice(linalg.block_diag([u3.gram, fneg.gram])), ext)
-                return idx == 3
-    return False
+    subgroup Z/3 exists there.  The determinants differ by a factor 9, so
+    any gluing `_u3_gluings_to` finds has index 3."""
+    return _u3_gluings_to(make_named("OG10"), from_expression("U^2 + E8(-1)^2 + A2(-1)"))
 
 
 def _verify_induced_row(row):
@@ -576,13 +561,12 @@ def _verify_induced_row(row):
     if u3 is not None:
         comp = glue.orthogonal_complement(u3)
         cl = comp.lattice()
-        minus2 = len(shortvec.vectors_of_norm(cl, 2)) if cl.rank else 0
+        minus2 = len(shortvec.vectors_of_norm(cl, 2))
         detail = "complement rank %d, %d vectors of square -2" % (cl.rank, minus2)
     v.add("contains_primitive_u3", u3 is not None, detail)
     if row.p == 3:
         cubic = catalog.cubic_row(row.label)
-        inv_cubic = Lattice(cubic.inv_gram) if cubic.inv_gram.nrows else Lattice(Matrix(()))
-        neg = Lattice(-inv_cubic.gram) if inv_cubic.rank else inv_cubic
+        neg = Lattice(-cubic.inv_gram)
         v.add("inv_is_u3_glued_with_cubic_inv", _u3_gluings_to(inv, neg),
               "U(3) + negated primitive algebraic lattice reassembles the invariant genus")
     return v

@@ -1,6 +1,7 @@
 """Shared helpers: independent brute-force oracles kept free of the library's
-enumeration path, and the rational matrix arithmetic the library no longer
-carries, kept as a reference for its integer paths."""
+enumeration path, the rational matrix arithmetic the library no longer
+carries, kept as a reference for its integer paths, and an injective glue
+built from the library's one onto glue search."""
 
 import itertools
 from fractions import Fraction
@@ -8,7 +9,9 @@ from math import isqrt
 
 import pytest
 
+from latticeforge.discform import _match_maps, _presentation, discriminant_form, orthogonal_subgroup
 from latticeforge.errors import DegenerateForm
+from latticeforge.glue import GlueData
 from latticeforge.linalg import Matrix
 
 
@@ -47,6 +50,17 @@ def fraction_to_int(m):
     return Matrix(tuple(out))
 
 
+def box_bounds(gram, max_norm):
+    """Coordinate bounds of the box `box_ball` searches: |x_i| <=
+    isqrt(max_norm * (G^-1)_ii) + 1."""
+    inv = fraction_inverse(gram)
+    bounds = []
+    for i in range(gram.nrows):
+        b = Fraction(max_norm) * inv[i, i]
+        bounds.append(isqrt(b.numerator // b.denominator) + 1)
+    return bounds
+
+
 def box_ball(gram, max_norm):
     """(x, norm) for every nonzero vector of norm <= max_norm, via plain box
     enumeration.
@@ -55,13 +69,7 @@ def box_ball(gram, max_norm):
     * (G^-1)_ii) by Cauchy-Schwarz in the positive definite form.  Independent
     of the branch-and-bound enumerator.
     """
-    n = gram.nrows
-    inv = fraction_inverse(gram)
-    bounds = []
-    for i in range(n):
-        b = Fraction(max_norm) * inv[i, i]
-        bounds.append(isqrt(b.numerator // b.denominator) + 1)
-    for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
+    for x in itertools.product(*(range(-b, b + 1) for b in box_bounds(gram, max_norm))):
         if any(x):
             gx = gram.apply(x)
             nx = sum(a * c for a, c in zip(x, gx))
@@ -89,6 +97,31 @@ def box_minimum(lat, coeff_bound=5):
             if best is None or v < best:
                 best = v
     return best
+
+
+def injective_anti_glue(left, right):
+    """Glue data embedding disc(left) anti-isometrically into disc(right) as
+    the subgroup y-perp of one element y, or None.
+
+    y-perp is presented as a form of its own and matched onto by
+    `_match_maps`; one y is tried per nonzero quadratic value, which covers
+    every choice when disc(right) is p-elementary with p odd (Witt's
+    extension theorem over F_p).
+    """
+    fl, _ = discriminant_form(left)
+    fr, _ = discriminant_form(right)
+    rel = Matrix.diagonal(fr.orders).rows
+    seen = set()
+    for y in fr.elements():
+        qy = fr.q_of(y)
+        if qy == 0 or qy in seen:
+            continue
+        seen.add(qy)
+        sub, lifts = _presentation(fr, orthogonal_subgroup(fr, [y]).rows, rel)
+        images = _match_maps(fl, sub, -1)
+        if images is not None:
+            return GlueData(left, right, Matrix.identity(fl.ngens), images @ lifts)
+    return None
 
 
 @pytest.fixture(scope="session")

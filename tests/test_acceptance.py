@@ -26,7 +26,7 @@ from latticeforge.isom import (
 )
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named
 from latticeforge.linalg import Matrix, bareiss_det, smith_normal_form
-from latticeforge.shortvec import EnumQuery, count_vectors, minimum
+from latticeforge.shortvec import count_vectors, minimum
 
 
 def _timed(budget):
@@ -80,7 +80,7 @@ def test_criterion_03_rank26_table():
 
 def test_criterion_04_count_54():
     done = _timed(1.0)
-    assert count_vectors(EnumQuery(Lattice(catalog.FG_PHI35), 4)) == 54
+    assert count_vectors(Lattice(catalog.FG_PHI35), 4) == 54
     t = done("criterion 4")
     print("criterion 4: PASS - 54 vectors of square 4 (%.2fs)" % t)
 
@@ -89,7 +89,7 @@ def test_criterion_05_count_81():
     done = _timed(60.0)
     alg = Lattice(catalog.AY_PHI32)
     eta = (1,) + (0,) * 12
-    assert count_vectors(EnumQuery(alg, 3, dot_constraints=[(eta, 1)])) == 81
+    assert count_vectors(alg, 3, dots=[(eta, 1)]) == 81
     t = done("criterion 5")
     print("criterion 5: PASS - 81 classes of square 3 meeting eta once (%.2fs)" % t)
 
@@ -202,7 +202,7 @@ def test_criterion_10_property_suites():
     for expr in ("A2", "D4", "E6", "ExA", "E6*(3)"):
         lat = from_expression(expr)
         for norm in (2, 4):
-            assert count_vectors(EnumQuery(lat, norm)) == box_count(lat.gram, norm)
+            assert count_vectors(lat, norm) == box_count(lat.gram, norm)
     t = done("criterion 10")
     print("criterion 10: PASS - round trips, Gauss-sum congruences, overlattice "
           "determinants, glue bounds, enumeration oracle (%.1fs)" % t)

@@ -227,6 +227,30 @@ def test_labeling(capsys):
     assert 14 in json.loads(out)["discriminants"]
 
 
+def test_labeling_nonpositive_dmax_prints_none(capsys):
+    for dmax in ("0", "-5"):
+        code, out, err = run(capsys, "labeling", "AY_phi37", "--dmax", dmax)
+        assert code == 0 and out.strip() == "none" and err == ""
+
+
+def test_every_enumerating_command_reads_rank_cap(capsys):
+    # A1^17 has rank 17, one above the default cap of 16
+    for argv in (["enum", "A1^17", "--norm", "2"], ["roots", "A1^17"],
+                 ["labeling", "A1^17", "--dmax", "10"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "rank 17 exceeds the enumeration cap 16" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "--rank-cap", "17", "enum", "A1^17", "--norm", "2")
+    assert code == 0 and out.strip() == "34"
+    # e_i has divisibility 2 and no norm-6 vector has divisibility 3
+    code, out, _ = run(capsys, "--rank-cap", "17", "roots", "A1^17")
+    assert code == 0 and out.strip() == "short 0, long 0"
+    # eta = e_1 and a primitive tail t give d = 4 |t|^2
+    code, out, _ = run(capsys, "--rank-cap", "17", "--format", "json",
+                       "labeling", "A1^17", "--dmax", "10")
+    assert code == 0 and json.loads(out)["discriminants"] == [4, 8]
+
+
 def test_k3_command(capsys):
     code, out, _ = run(capsys, "k3", "TY_phi37")
     assert code == 0 and out.startswith("yes")

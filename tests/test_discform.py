@@ -13,13 +13,11 @@ from latticeforge.discform import (
     _match_maps,
     _odd_elementary_class,
     _presentation,
-    anti_isometries,
     delta_invariant,
     discriminant_form,
     element_lift,
     forms_isomorphic,
     milgram_signature,
-    odd_glue_maps,
     orthogonal_subgroup,
     subquotient_form,
 )
@@ -197,7 +195,7 @@ def _backtracking_isomorphic(f, g):
         return False
     if f.q is not None and f.q_multiset() != g.q_multiset():
         return False
-    return bool(_match_maps(f, g, 1, max_results=1))
+    return _match_maps(f, g, 1) is not None
 
 
 def _assert_closed_form_matches_oracle(forms):
@@ -299,14 +297,13 @@ def test_forms_isomorphic_decides_beyond_desk_bound():
 def test_anti_isometries_exist_for_complements():
     f1, _ = discriminant_form(A2)
     f2, _ = discriminant_form(rescale(A2, -1))
-    assert anti_isometries(f1, f2, max_results=4)
+    assert _match_maps(f1, f2, -1) is not None
 
 
 def test_odd_glue_maps():
     f1, _ = discriminant_form(make_named("[]", 3))
     f2, _ = discriminant_form(make_named("F"))
-    maps = odd_glue_maps(f1, f2)
-    assert maps
+    assert _match_maps(f1, f2, -1, q_mod=1) is not None
 
 
 def test_subquotient_form():

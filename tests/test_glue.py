@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import fraction_inverse, fraction_to_int
+from conftest import fraction_inverse, fraction_to_int, injective_anti_glue
 
 from latticeforge import catalog, glue, isom, linalg, verify
 
@@ -24,9 +24,8 @@ from latticeforge.glue import (
     Sublattice,
     complement_genus,
     extension_index,
-    full_anti_isometry_glues,
+    full_glue,
     glue_group,
-    injective_anti_glues,
     orthogonal_complement,
     overlattice,
     primitive_extension,
@@ -104,8 +103,11 @@ def test_overlattice_det_index_identity():
 
 def test_og10_plus_a2_glue_is_unimodular():
     og = make_named("OG10")
-    for g in full_anti_isometry_glues(og, A2, max_results=2):
-        ext, lrows, rrows = primitive_extension(g)
+    g = full_glue(og, A2)
+    assert g is not None
+    # Z/3 -> Z/3 has two anti-isometries, x -> y and x -> -y
+    for images in (g.images, g.images.scale(-1)):
+        ext, lrows, rrows = primitive_extension(GlueData(og, A2, g.subgroup, images))
         lam = ext.lattice
         assert lam.rank == 26
         assert abs(lam.det) == 1
@@ -191,9 +193,9 @@ def test_glue_group_f_decomposition():
     row = cubic_row("phi35")
     inv = Lattice(row.inv_gram)
     co = from_expression(row.coinv)
-    glues = injective_anti_glues(inv, co, max_results=1)
-    assert glues
-    ext, lrows, rrows = primitive_extension(glues[0])
+    g = injective_anti_glue(inv, co)
+    assert g is not None
+    ext, lrows, rrows = primitive_extension(g)
     f_lat = ext.lattice
     assert f_lat.signature == (20, 2)
     assert abs(f_lat.det) == 3

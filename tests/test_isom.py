@@ -281,10 +281,10 @@ def test_nonsymplectic_feasible_involution_pair():
     rel = Matrix.diagonal(fi.orders).rows
     sub, lifts = _presentation(fi, [fi.reduce(x) for x in two_part] + list(rel), rel)
     assert sub.orders == (2,) * 6
-    maps = _match_maps(sub, fc, -1, max_results=1)
-    assert maps
+    images = _match_maps(sub, fc, -1)
+    assert images is not None
     ext, inv_rows, coinv_rows = primitive_extension(
-        GlueData(inv, coinv, lifts, maps[0]))
+        GlueData(inv, coinv, lifts, images))
     amb = ext.lattice
     assert amb.rank == 24 and abs(amb.det) == 3 and amb.signature == (3, 21)
     s_inv = Sublattice(amb, inv_rows)

@@ -1,25 +1,26 @@
 import random
+from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import box_count, box_minimum, box_vectors
+from conftest import box_ball, box_bounds, box_minimum, box_vectors
 
 from latticeforge import catalog, glue
 from latticeforge.catalog import FG_PHI35
 from latticeforge.errors import IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
-from latticeforge.linalg import Matrix
+from latticeforge.linalg import Matrix, bareiss_det
 from latticeforge.shortvec import (
-    RANK_CAP,
-    EnumQuery,
     _flip_to_positive,
     count_vectors,
     definite_isometric,
     has_square_one,
     minimum,
     root_report,
+    short_vectors,
     vectors_of_norm,
-    vectors_up_to,
     wall_class,
 )
 
@@ -36,23 +37,26 @@ def test_count_matches_box_oracle(expr, norm):
     p, m = lat.signature
     if p and m:
         with pytest.raises(IndefiniteLattice):
-            count_vectors(EnumQuery(lat, norm))
+            count_vectors(lat, norm)
         return
     gram = lat.gram if m == 0 else -lat.gram
-    assert count_vectors(EnumQuery(lat, norm)) == box_count(gram, norm)
-    assert vectors_up_to(lat, norm)[norm] == box_vectors(gram, norm)
+    ball = sorted(box_ball(gram, norm))
+    shell = [x for x, nx in ball if nx == norm]
+    assert sorted(short_vectors(lat, norm)) == ball
+    assert vectors_of_norm(lat, norm) == shell
+    assert count_vectors(lat, norm) == len(shell)
 
 
 def test_counts_even_without_constraints():
     for expr in ("A2", "D4", "E6", "ExA"):
         lat = from_expression(expr)
         for norm in (2, 4, 6):
-            assert count_vectors(EnumQuery(lat, norm)) % 2 == 0
+            assert count_vectors(lat, norm) % 2 == 0
 
 
 def test_count_examples():
-    assert count_vectors(EnumQuery(A2, 2)) == 6
-    assert count_vectors(EnumQuery(Lattice(FG_PHI35), 4)) == 54
+    assert count_vectors(A2, 2) == 6
+    assert count_vectors(Lattice(FG_PHI35), 4) == 54
 
 
 def test_minimum():
@@ -64,7 +68,7 @@ def test_minimum():
 def test_rank_cap():
     lat = direct_sum([make_named("E", 8)] * 3)
     with pytest.raises(RankTooLarge):
-        count_vectors(EnumQuery(lat, 2), rank_cap=16)
+        count_vectors(lat, 2, rank_cap=16)
 
 
 def test_root_report():
@@ -75,6 +79,8 @@ def test_root_report():
     assert root_report(A2) == (6, len(longs)) == (6, 6)
     assert root_report(rescale(A2, -1)) == (6, 6)
     assert root_report(Lattice(Matrix(()))) == (0, 0)
+    # the generator of A1(3) has norm 6 but divisibility 6, not 3
+    assert root_report(from_expression("A1(3)")) == (0, 0)
 
 
 def test_root_report_with_ambient():
@@ -84,7 +90,7 @@ def test_root_report_with_ambient():
     e6 = make_named("E", 6)
     rows = Matrix([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
     sub = Sublattice(e6, rows)
-    short, long_ = root_report(sub.lattice(), ambient=sub)
+    short, long_ = root_report(sub.lattice(), sub.ambient.gram @ sub.basis.T)
     assert short == 6
     assert long_ == 0  # div in E6 of those norm-6 vectors is 1
 
@@ -144,7 +150,7 @@ def _reference_isometric(l1, l2):
     pools = {}
     for nv in set(basis_norms):
         pools[nv] = vectors_of_norm(pos2, nv)
-        if len(pools[nv]) != count_vectors(EnumQuery(pos1, nv), rank_cap=RANK_CAP):
+        if len(pools[nv]) != count_vectors(pos1, nv):
             return None
     chosen = [None] * n
 
@@ -218,12 +224,80 @@ def test_indefinite_rejected():
     with pytest.raises(IndefiniteLattice):
         minimum(make_named("U"))
     with pytest.raises(IndefiniteLattice):
-        count_vectors(EnumQuery(make_named("U"), 2))
+        count_vectors(make_named("U"), 2)
 
 
 def test_dot_and_div_filters():
     eta = (1, 0)
-    assert count_vectors(EnumQuery(A2, 2, dot_constraints=[(eta, 1)])) == 2
+    assert count_vectors(A2, 2, dots=[(eta, 1)]) == 2
     # divisibility filter: norm-6 vectors of A2 all have div 3
-    assert count_vectors(EnumQuery(A2, 6, divisibility_filter=3)) == 6
-    assert count_vectors(EnumQuery(A2, 6, divisibility_filter=1)) == 0
+    assert count_vectors(A2, 6, div=3) == 6
+    assert count_vectors(A2, 6, div=1) == 0
+
+
+# ---------------------------------------------------------------------------
+# every query against the box oracle on random definite lattices
+
+_BOX_NORM = 6  # the largest norm the random suite asks for
+
+
+@st.composite
+def _random_definite(draw):
+    """(lattice, positive definite model): k B B^T for a random nonsingular
+    B of rank 2-5 with |b| <= 3 and k in {1, 2, 3}, so that divisibilities
+    above 1 are common, or its negation; kept to lattices whose oracle box
+    at norm 6 has at most 20000 points."""
+    rank = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    b = Matrix(draw(st.lists(row, min_size=rank, max_size=rank)))
+    assume(bareiss_det(b) != 0)
+    pos = (b @ b.T).scale(draw(st.sampled_from((1, 2, 3))))
+    assume(prod(2 * x + 1 for x in box_bounds(pos, _BOX_NORM)) <= 20000)
+    sign = draw(st.sampled_from((1, -1)))
+    return Lattice(pos if sign == 1 else -pos), pos
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_definite(), st.integers(0, _BOX_NORM))
+def test_stream_and_count_match_box_oracle(case, norm):
+    lat, pos = case
+    ball = sorted(box_ball(pos, norm))
+    assert sorted(short_vectors(lat, norm)) == ball
+    assert count_vectors(lat, norm) == sum(1 for _x, nx in ball if nx == norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_definite(), st.data())
+def test_filtered_shell_matches_box_oracle(case, data):
+    lat, pos = case
+    ball = list(box_ball(pos, _BOX_NORM))
+    norm = data.draw(st.sampled_from(sorted({nx for _x, nx in ball}) or [_BOX_NORM]))
+    shell = sorted(x for x, nx in ball if nx == norm)
+    dots = []
+    if data.draw(st.booleans()):
+        w = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=lat.rank,
+                                     max_size=lat.rank)))
+        val = data.draw(st.sampled_from(sorted({lat.inner(x, w) for x in shell}) or [0]))
+        dots.append((w, val))
+        shell = [x for x in shell if lat.inner(x, w) == val]
+    divs = {x: gcd(*lat.gram.apply(x)) for x in shell}
+    div = data.draw(st.sampled_from([None, *sorted(set(divs.values()))]))
+    want = [x for x in shell if div is None or divs[x] == div]
+    assert vectors_of_norm(lat, norm, dots, div) == want
+    assert count_vectors(lat, norm, dots, div) == len(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_definite())
+def test_minimum_and_roots_match_box_oracle(case):
+    lat, pos = case
+    ball = list(box_ball(pos, _BOX_NORM))
+    box_min = min((nx for _x, nx in ball), default=None)
+    if box_min is None:
+        assert minimum(lat) > _BOX_NORM
+    else:
+        assert minimum(lat) == box_min
+    divs = {x: gcd(*lat.gram.apply(x)) for x, _nx in ball}
+    short = sum(1 for x, nx in ball if nx == 2 and divs[x] == 1)
+    long_ = sum(1 for x, nx in ball if nx == 6 and divs[x] == 3)
+    assert root_report(lat) == (short, long_)

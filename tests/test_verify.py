@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from math import gcd, isqrt
 
 import pytest
-from conftest import box_ball, fraction_inverse
+from conftest import box_ball, fraction_inverse, injective_anti_glue
 
 from latticeforge import catalog, glue, linalg, shortvec, verify
 from latticeforge.errors import NotInScope
@@ -86,6 +87,15 @@ def test_find_u3_sublattice_skips_candidates_of_wrong_divisibility():
 # the U(3) search against the ball-and-sort search it replaced
 
 
+def _norm_buckets(lat, max_norm):
+    """{m: sorted vectors of |norm| m} for m = 1..max_norm, bucketed from one
+    `shortvec.short_vectors` pass."""
+    buckets = {m: [] for m in range(1, max_norm + 1)}
+    for v, nv in shortvec.short_vectors(lat, max_norm):
+        buckets[nv].append(v)
+    return {m: sorted(vs) for m, vs in buckets.items()}
+
+
 def _ball_and_sort_candidates(lat, max_def_norm=12, coeff_bound=4):
     """The isotropic candidates of the split shape as the earlier search built
     them: the whole definite ball to max_def_norm, every candidate, one
@@ -94,7 +104,7 @@ def _ball_and_sort_candidates(lat, max_def_norm=12, coeff_bound=4):
     n = lat.rank
     rest = Lattice(Matrix(tuple(tuple(g[i, j] for j in range(2, n)) for i in range(2, n))))
     sign = -1 if rest.signature[0] == 0 else 1
-    by_norm = shortvec.vectors_up_to(rest, max_def_norm)
+    by_norm = _norm_buckets(rest, max_def_norm)
     by_norm[0] = [tuple(0 for _ in range(n - 2))]
     cands = []
     for alpha in range(-coeff_bound, coeff_bound + 1):
@@ -219,9 +229,9 @@ def test_find_u3_sublattice_no_witness_same_pair_count(monkeypatch):
 
 def test_find_u3_sublattice_builds_no_ball(monkeypatch):
     def no_ball(*args):
-        raise AssertionError("vectors_up_to called")
+        raise AssertionError("short_vectors called")
 
-    monkeypatch.setattr(shortvec, "vectors_up_to", no_ball)
+    monkeypatch.setattr(shortvec, "short_vectors", no_ball)
     sub = verify._find_u3_sublattice(from_expression(PHI23))
     assert sub is not None and sub.gram() == Matrix([[0, 3], [3, 0]])
 
@@ -285,6 +295,19 @@ def test_labeling_rank_one_empty():
     assert verify.labeling_search(Lattice(catalog.AY_PHI31), 60) == []
 
 
+def test_labeling_search_streams_the_ball():
+    # the whole ball to norm (60 + 1) // 3 = 20 of AY_phi37 took 6.1 MB when
+    # it was built before the first vector was read
+    alg = Lattice(catalog.AY_PHI37)
+    tracemalloc.start()
+    try:
+        found = verify.labeling_search(alg, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found and peak < 1_000_000
+
+
 def _labeling_oracle(alg, d_max):
     """The per-vector search `labeling_search` replaced: a Matrix product and
     a Bareiss determinant for every enumerated vector, over the same vectors
@@ -292,7 +315,7 @@ def _labeling_oracle(alg, d_max):
     eta = tuple(1 if i == 0 else 0 for i in range(alg.rank))
     n = abs(alg.gram[0, 0])
     found = {}
-    buckets = shortvec.vectors_up_to(alg, (d_max + (n // 2) ** 2) // n)
+    buckets = _norm_buckets(alg, (d_max + (n // 2) ** 2) // n)
     for norm in sorted(buckets):
         for vec in buckets[norm]:
             tail = vec[1:]
@@ -451,14 +474,14 @@ def test_induced_pair_reassembles_rank24_genus():
     # invariant + coinvariant of the phi37 induced action glue back to a
     # lattice in the rank-24 hyperbolic-type genus, with glue length 7
     from latticeforge.discform import discriminant_form, forms_isomorphic
-    from latticeforge.glue import Sublattice, glue_group, injective_anti_glues, primitive_extension
+    from latticeforge.glue import Sublattice, glue_group, primitive_extension
 
     row = catalog.induced_row("phi37")
     inv = from_expression(row.inv)
     coinv = from_expression(row.coinv)
-    glues = injective_anti_glues(coinv, inv, max_results=1)
-    assert glues
-    ext, corows, invrows = primitive_extension(glues[0])
+    g = injective_anti_glue(coinv, inv)
+    assert g is not None
+    ext, corows, invrows = primitive_extension(g)
     amb = ext.lattice
     og = make_named("OG10")
     assert amb.rank == 24 and amb.signature == (3, 21) and abs(amb.det) == 3
