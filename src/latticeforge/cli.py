@@ -312,7 +312,10 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_labeling)
 
-    p = sub.add_parser("k3", help="associated-K3 verdict for a transcendental lattice")
+    p = sub.add_parser("k3", help="associated-K3 verdict for a transcendental lattice",
+                       description="Whether T(-1) embeds primitively in the K3 lattice: by "
+                       "Nikulin, iff T is even and an even lattice of signature "
+                       "(3 - t-, 19 - t+) carries the discriminant form of T.")
     p.add_argument("lattice")
     _add_common(p)
     p.set_defaults(func=cmd_k3)

@@ -11,8 +11,8 @@ Fractions; everything else reads the table.  Lifts of group elements to the
 dual lattice are integer vectors over the same den.  Isomorphism of odd
 p-elementary forms is decided in closed form (length and the Legendre class
 of the determinant), and of all other forms by backtracking search; the
-mod-8 Gauss-sum invariant is computed exactly in a cyclotomic ring; nothing
-here touches floating point.
+mod-8 Gauss-sum invariant is computed exactly in a cyclotomic ring; Nikulin's
+local existence conditions read one integer matrix per prime; no floats.
 """
 
 import itertools
@@ -28,7 +28,7 @@ from .errors import (
     OddLatticeQuadratic,
     TooLarge,
 )
-from .lattice import _is_prime
+from .lattice import _factorization, _is_prime
 from .linalg import Matrix
 
 DESK_GROUP_BOUND = 30000  # largest group we are willing to enumerate
@@ -428,20 +428,10 @@ class _CycloRing:
 
 def _squarefree_split(n):
     """n = f^2 * m with m squarefree."""
-    f = 1
-    m = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            f *= d ** (e // 2)
-            if e % 2:
-                m *= d
-        d += 1
-    m *= n
+    f = m = 1
+    for p, e in _factorization(n).items():
+        f *= p ** (e // 2)
+        m *= p ** (e % 2)
     return f, m
 
 
@@ -590,9 +580,52 @@ def _match_maps(src, dst, sign, q_mod=2):
     return Matrix(tuple(chosen)) if rec(0) else None
 
 
+def _p_part(form, p):
+    """(M, n): generators x_i = c_i e_i of the p-part of the group, of
+    orders n_i, and the integer matrix M = (n_i b(x_i, x_j)) with n_i q(x_i)
+    on the diagonal (n_i b(x_i, x_i) on a bilinear-only form).  M = D G with
+    D = diag(n) and G the Gram matrix of K* for a p-adic lattice K with K*/K
+    the p-part of the form, so det K = |A_p| det M."""
+    gens = []
+    for i, o in enumerate(form.orders):
+        n = math.gcd(o, p ** o.bit_length())  # the p-part of o
+        if n > 1:
+            gens.append((i, o // n, n))
+    table = [list(row) for row in form.B]
+    for i, q in enumerate(form.Q or ()):
+        table[i][i] = q
+    # exact: n_i b(x_i, x_j) and n_i q(x_i) are integers
+    m = Matrix(tuple(tuple(ni * ci * cj * table[i][j] // form.den for j, cj, _ in gens)
+                     for i, ci, ni in gens))
+    return m, tuple(n for _, _, n in gens)
+
+
+def local_obstruction(form, sig):
+    """The least prime at which no even lattice of signature sig = (s+, s-)
+    with discriminant form `form` exists, or None (Nikulin 1979, Thm 1.10.1;
+    the signature congruence and l(A) <= s+ + s- are the caller's).  Only p
+    with l(A_p) = s+ + s- count.  With M from `_p_part` and m = |A| / |A_p|,
+    odd p needs ((-1)^(s-) m det M / p) = 1, and p = 2 needs m det M = +-1
+    mod 8 unless A_2 has a Z/2 summand with b(x, x) = 1/2."""
+    if form.Q is None:
+        raise OddLatticeQuadratic("only even lattices have a quadratic form")
+    if not form.orders or form.ngens != sig[0] + sig[1]:
+        return None
+    for p in sorted(_factorization(math.gcd(*form.orders))):
+        mat, orders = _p_part(form, p)
+        unit = form.group_order // math.prod(orders) * linalg.bareiss_det(mat)
+        if p == 2:
+            theta = any(n == 2 and mat[i, i] % 2 for i, n in enumerate(orders))
+            if not theta and unit % 8 not in (1, 7):
+                return p
+        elif pow((-1) ** sig[1] * unit, (p - 1) // 2, p) != 1:
+            return p
+    return None
+
+
 def _odd_elementary_class(form):
-    """(p, length, Legendre symbol of det(p b) mod p) for a nondegenerate
-    p-elementary form with p an odd prime, else None.
+    """(p, length, Legendre symbol of det M mod p), M from `_p_part`, for a
+    nondegenerate p-elementary form with p an odd prime, else None.
 
     For odd p the quadratic form is fixed by b, and b is a nondegenerate
     symmetric bilinear form over F_p, which is classified by its dimension
@@ -604,7 +637,7 @@ def _odd_elementary_class(form):
     p = form.orders[0]
     if p % 2 == 0 or not _is_prime(p) or any(d != p for d in form.orders):
         return None
-    det = linalg.bareiss_det(Matrix(form.B)) % p  # den = p, so B = p b mod p
+    det = linalg.bareiss_det(_p_part(form, p)[0]) % p
     if det == 0:
         return None
     legendre = 1 if pow(det, (p - 1) // 2, p) == 1 else -1

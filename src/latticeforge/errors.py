@@ -87,7 +87,3 @@ class RankTooLarge(LatticeForgeError):
 
 class NotAnIsometry(LatticeForgeError):
     pass
-
-
-class NotInScope(LatticeForgeError):
-    pass

@@ -217,6 +217,26 @@ def _is_prime(n):
     return True
 
 
+_TRIAL_BOUND = 1 << 16
+
+
+def _factorization(n):
+    """{p: e} with n = prod p^e, by trial division below _TRIAL_BOUND and
+    `_is_prime` on the cofactor; a composite cofactor raises TooLarge."""
+    out = {}
+    d = 2
+    while d < _TRIAL_BOUND and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if d * d <= n and not _is_prime(n):
+            raise TooLarge("%d has no prime factor below %d" % (n, _TRIAL_BOUND))
+        out[n] = 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # named lattices
 

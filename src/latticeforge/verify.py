@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import catalog, discform, glue, linalg, shortvec
-from .errors import InfeasibleSignature, NotInScope
+from .errors import InfeasibleSignature
 from .lattice import Lattice, from_expression, make_named, rescale
 from .linalg import Matrix
 
@@ -274,83 +274,36 @@ def labeling_search(alg, d_max, rank_cap=shortvec.RANK_CAP):
 # ---------------------------------------------------------------------------
 # associated K3 surfaces
 
-_K3_BLOCKS = ("U", "U(3)", "A2", "A2(-1)", "E6", "E6(-1)", "E6*(3)", "E6*(-3)",
-              "E8", "E8(-1)", "D4(-1)", "A4(-1)")
-
-
-def find_genus_representative(sig, form, blocks=_K3_BLOCKS, max_rank=22):
-    """Direct-sum expression matching the given signature whose discriminant
-    form is isomorphic to `form`, or None."""
-    rank = sig[0] + sig[1]
-    if rank == 0:
-        return Lattice(Matrix(()), "0") if form.is_trivial() else None
-    if rank > max_rank:
-        return None
-    parts = [from_expression(b) for b in blocks]
-
-    def rec(idx, remaining_sig, chosen):
-        if remaining_sig == (0, 0):
-            cand = _sum_expr(chosen)
-            f, _ = discform.discriminant_form(cand)
-            if sorted(f.orders) == sorted(form.orders) and discform.forms_isomorphic(f, form):
-                return cand
-            return None
-        if idx == len(parts):
-            return None
-        out = rec(idx + 1, remaining_sig, chosen)
-        if out is not None:
-            return out
-        part = parts[idx]
-        s = part.signature
-        if s[0] <= remaining_sig[0] and s[1] <= remaining_sig[1]:
-            out = rec(idx, (remaining_sig[0] - s[0], remaining_sig[1] - s[1]),
-                      chosen + [blocks[idx]])
-        return out
-
-    return rec(0, sig, [])
-
-
-def _sum_expr(names):
-    return from_expression(" + ".join(names))
-
-
 def k3_association_verdict(trans):
-    """Whether the negated transcendental lattice embeds primitively in the
-    even unimodular lattice of signature (3, 19).
+    """Whether the negated transcendental lattice T(-1) embeds primitively in
+    the K3 lattice, the even unimodular lattice of signature (3, 19).
 
-    Returns (verdict, reason).  The decision applies, in order: the rank
-    bound, the complement length bound with its boundary case, the Gauss-sum
-    congruence, and finally exhibits a complement genus.  Inputs on which the
-    procedure cannot close the decision raise NotInScope.
+    Returns (verdict, reason).  By Nikulin (1979, Thm 1.12.2 with 1.10.1) it
+    does iff T is even, the complement signature (3 - t-, 19 - t+) is
+    nonnegative, the length of disc T is at most 22 - rank and the local
+    conditions hold (`discform.local_obstruction`).  The signature congruence
+    holds by itself: Milgram gives sign q_T = t+ - t- = s+ - s- (mod 8).
     """
     rank = trans.rank
     if rank > 22:
         return False, "rank %d exceeds the rank-22 target" % rank
-    tm = rescale(trans, -1)
-    sig = (3 - tm.signature[0], 19 - tm.signature[1])
-    if rank == 22:
-        if abs(trans.det) != 1:
-            return False, "rank 22 forces an isometry, impossible with determinant %d" % trans.det
-        raise NotInScope("rank-22 unimodular case needs a full isometry test")
+    if rank == 22 and abs(trans.det) != 1:
+        return False, "rank 22 forces an isometry, impossible with determinant %d" % trans.det
+    if not trans.is_even():
+        return False, "T is odd, so T(-1) is not in an even lattice"
+    t_plus, t_minus = trans.signature
+    sig = (3 - t_minus, 19 - t_plus)
     if sig[0] < 0 or sig[1] < 0:
-        return False, "signature %s does not fit" % (tm.signature,)
+        return False, "signature %s does not fit" % ((t_minus, t_plus),)
     ft, _ = discform.discriminant_form(trans)
     comp_rank = 22 - rank
     length = len(ft.orders)
     if length > comp_rank:
         return False, "complement length %d exceeds rank %d" % (length, comp_rank)
-    if length == comp_rank:
-        # complement would be p * (even unimodular), so its signature
-        # difference must vanish mod 8
-        if (sig[0] - sig[1]) % 8:
-            return False, ("boundary case: complement of signature %s cannot be a "
-                           "rescaled even unimodular lattice" % (sig,))
-    if (discform.milgram_signature(ft) - (sig[0] - sig[1])) % 8:
-        return False, "Gauss-sum congruence fails for the complement form"
-    rep = find_genus_representative(sig, ft)
-    if rep is None:
-        raise NotInScope("no complement representative found at desk scale")
-    return True, "complement genus %s" % rep.label
+    p = discform.local_obstruction(ft, sig)
+    if p is not None:
+        return False, "no even complement of signature %s: the %d-adic condition fails" % (sig, p)
+    return True, "an even complement of signature %s exists" % (sig,)
 
 
 def verify_k3_table(rows=None):
@@ -482,12 +435,13 @@ def _genus_equal(l1, l2):
     return discform.forms_isomorphic(f1, f2)
 
 
-def _u3_gluings_to(target, other, y_cap=12):
+def _u3_gluings_to(target, other):
     """Try to realize target's genus as U(3) glued with `other` (index 1 or
     3); returns True on success.
 
-    By Witt extension over F_3 the glue class only depends on the quadratic
-    value of the glue generator, so a few representative images suffice.
+    Every caller passes an `other` with a 3-elementary discriminant form.  By
+    Witt's theorem over F_3 the y with q(y) = -q(h) form one orbit, so the
+    first one per value q(h) decides (as in `a2_complement_candidates`).
     """
     u3 = rescale(make_named("U"), 3)
     if other.rank == 0:
@@ -500,25 +454,18 @@ def _u3_gluings_to(target, other, y_cap=12):
         return False
     fu, _ = discform.discriminant_form(u3)
     fo, _ = discform.discriminant_form(other)
-    seen_q = set()
+    first_h = {}  # q(h) -> the first h of order 3 with that value
     for h in fu.elements():
-        if fu.element_order(h) != 3:
-            continue
-        qh = fu.q_of(h)
-        if qh in seen_q:
-            continue
-        seen_q.add(qh)
-        tried = 0
+        if fu.element_order(h) == 3:
+            first_h.setdefault(fu.q_of(h), h)
+    for qh, h in first_h.items():
         for y in fo.elements():
-            if fo.element_order(y) != 3 or (qh + fo.q_of(y)) % 2 != 0:
-                continue
-            tried += 1
-            if tried > y_cap:
+            if fo.element_order(y) == 3 and (qh + fo.q_of(y)) % 2 == 0:
+                ext, _, _ = glue.primitive_extension(
+                    glue.GlueData(u3, other, Matrix([h]), Matrix([y])))
+                if _genus_equal(ext.lattice, target):
+                    return True
                 break
-            ext, _, _ = glue.primitive_extension(
-                glue.GlueData(u3, other, Matrix([h]), Matrix([y])))
-            if _genus_equal(ext.lattice, target):
-                return True
     return False
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -258,6 +259,21 @@ def test_k3_command(capsys):
     assert code == 0 and out.startswith("no")
 
 
+@pytest.mark.parametrize("expr,want", [
+    ("U^2 + E8^2 + A1", True), ("U^2 + E8^2 + [6]", True),
+    ("U^2 + E8^2 + [4611686018427387902]", True), ("A1 + U", True), ("[4] + U", True),
+    ("U + U(2) + E8^2", True), ("U^3 + E8^2", True), ("U + [1000000]", True),
+    ("U^11", False), ("U + A2 + [5]", False),
+    ("TY_phi31", False), ("TY_phi35", False), ("TY_phi37", True), ("TY_phi32", True),
+])
+def test_k3_command_decides(capsys, expr, want):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--format", "json", "k3", expr)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert json.loads(out)["associated_k3"] is want
+
+
 def test_verify_selector_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "k3")
     assert code == 0 and "4/4" in out
@@ -428,10 +444,13 @@ _FIXED_ANSWER = []
 
 @settings(max_examples=80, deadline=None)
 @given(_expressions(), st.sampled_from([["info"], ["enum", "--norm", "2"],
-                                        ["labeling", "--dmax", "10"]]))
+                                        ["labeling", "--dmax", "10"], ["k3"]]))
 def test_lattice_expression_fuzz(expr, command):
     if not _FIXED_ANSWER:
         _FIXED_ANSWER.append(_run_quietly(_FIXED_QUERY))
     code, _, err = _run_quietly(command[:1] + [expr] + command[1:])
     assert code in (0, 1, 2) and "Traceback" not in err
+    if command == ["k3"] and _run_quietly(["info", expr])[0] == 0:
+        # k3 decides every lattice that parses
+        assert code == 0, err
     assert _run_quietly(_FIXED_QUERY) == _FIXED_ANSWER[0]

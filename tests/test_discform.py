@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import fraction_inverse, fraction_to_int
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticeforge import catalog
 from latticeforge.discform import (
@@ -12,17 +14,19 @@ from latticeforge.discform import (
     FiniteQuadraticForm,
     _match_maps,
     _odd_elementary_class,
+    _p_part,
     _presentation,
     delta_invariant,
     discriminant_form,
     element_lift,
     forms_isomorphic,
+    local_obstruction,
     milgram_signature,
     orthogonal_subgroup,
     subquotient_form,
 )
 from latticeforge.errors import DegenerateForm, NotTwoElementary, OddLatticeQuadratic
-from latticeforge.lattice import direct_sum, from_expression, make_named, rescale
+from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix, bareiss_det, hermite_normal_form, smith_normal_form
 
 A2 = make_named("A", 2)
@@ -376,3 +380,145 @@ def test_presentation_matches_fractions_on_catalog_forms():
                 assert (sub.orders, sub.B, sub.Q) == (got.orders, got.B, got.Q)
             cases += 1
     assert cases >= 100
+
+
+# ---------------------------------------------------------------------------
+# existence of an even lattice with given signature and form (Nikulin 1.10.1)
+
+
+@st.composite
+def _even_lattices(draw, max_rank=4):
+    """Nondegenerate even lattices of rank <= max_rank with small entries,
+    half of them scaled by 2."""
+    k = draw(st.integers(1, max_rank))
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        gram[i][i] = 2 * draw(st.integers(-5, 5))
+        for j in range(i + 1, k):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    scale = draw(st.sampled_from([1, 2]))
+    lat = Lattice([[scale * x for x in r] for r in gram])
+    assume(lat.det != 0)
+    return lat
+
+
+@settings(max_examples=80, deadline=None)
+@given(_even_lattices())
+def test_milgram_matches_signature_on_random_lattices(lat):
+    assume(abs(lat.det) <= 2000)
+    sp, sm = lat.signature
+    assert milgram_signature(discriminant_form(lat)[0]) == (sp - sm) % 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(_even_lattices())
+def test_local_obstruction_admits_every_lattice(lat):
+    f, _ = discriminant_form(lat)
+    assert f.ngens <= lat.rank and local_obstruction(f, lat.signature) is None
+
+
+def _unimodular(draw, k):
+    """A product of random elementary integer matrices."""
+    u = Matrix.identity(k)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            e = [[int(r == c) for c in range(k)] for r in range(k)]
+            e[i][j] = draw(st.integers(-3, 3))
+            u = Matrix(e) @ u
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_local_obstruction_ignores_the_basis(data):
+    lat = data.draw(_even_lattices())
+    u = _unimodular(data.draw, lat.rank)
+    moved = Lattice(u @ lat.gram @ u.T)
+    f, _ = discriminant_form(lat)
+    g, _ = discriminant_form(moved)
+    n = f.ngens
+    for sp in range(n + 1):
+        assert local_obstruction(f, (sp, n - sp)) == local_obstruction(g, (sp, n - sp))
+
+
+def _binary_even_lattices(n):
+    """Even lattices of rank 1 and 2 with |det| = n, at least one in each
+    isometry class: [+-n] and the reduced Grams [[a, b], [b, c]], which have
+    |2b| <= |a| <= |c| (so a^2 <= 4n/3) or a = 0 <= c < 2b."""
+    out = [Lattice([[n]]), Lattice([[-n]])] if n % 2 == 0 else []
+    amax = math.isqrt(4 * n // 3)
+    for a in range(-amax, amax + 1):
+        if a == 0 or a % 2:
+            continue
+        for b in range(-(abs(a) // 2), abs(a) // 2 + 1):
+            for det in (n, -n):
+                c, r = divmod(det + b * b, a)
+                if r == 0 and c % 2 == 0 and abs(c) >= abs(a):
+                    out.append(Lattice([[a, b], [b, c]]))
+    r = math.isqrt(n)
+    if r * r == n:
+        out += [Lattice([[0, r], [r, c]]) for c in range(0, 2 * r, 2)]
+    return out
+
+
+def _random_even_lattice(rng, max_rank=3, max_det=250):
+    while True:
+        k = rng.randint(1, max_rank)
+        gram = [[0] * k for _ in range(k)]
+        for i in range(k):
+            gram[i][i] = 2 * rng.randint(-6, 6)
+            for j in range(i + 1, k):
+                gram[i][j] = gram[j][i] = rng.randint(-5, 5)
+        lat = Lattice(gram)
+        if lat.det and abs(lat.det) <= max_det:
+            return lat
+
+
+def test_local_obstruction_matches_binary_forms():
+    # every signature of rank 1 or 2 that passes Milgram, for random forms
+    # and their negations: length bound plus local conditions must agree
+    # with a search over all even lattices of that rank and determinant
+    rng = random.Random(1)
+    lats = [_random_even_lattice(rng) for _ in range(400)]
+    lats += [from_expression(e) for e in ("U(2) + A2", "U(2) + A2(-1)", "D4 + [6]",
+                                          "U(2) + [-6]", "A2(2)", "[6] + [6]", "A2(3)")]
+    known = {}
+    seen = set()
+    cases = 0
+    for lat in lats:
+        f, _ = discriminant_form(lat)
+        sp, sm = lat.signature
+        for form, sign in ((f, sp - sm), (f.neg(), sm - sp)):
+            n = form.group_order
+            if n not in known:
+                known[n] = [(l.signature, discriminant_form(l)[0]) for l in _binary_even_lattices(n)]
+            for sig in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+                if (sig[0] - sig[1] - sign) % 8:
+                    continue
+                rank = sig[0] + sig[1]
+                bad = local_obstruction(form, sig) if form.ngens <= rank else 0
+                want = any(s == sig and forms_isomorphic(g, form) for s, g in known[n])
+                assert (bad is None) == want, (lat.gram, form, sig)
+                cases += 1
+                if form.ngens == rank:
+                    for p in _prime_divisors(math.gcd(*form.orders)):
+                        m, orders = _p_part(form, p)
+                        theta = p == 2 and any(o == 2 and m[i, i] % 2 for i, o in enumerate(orders))
+                        seen.add((p == 2, set(orders) == {p}, theta, bad != p))
+    assert cases >= 700
+    # odd and 2-adic conditions, elementary or not, each met and failed;
+    # q_theta(2) summands, elementary or not, never obstruct
+    assert seen == {(two, elem, theta, ok) for two in (False, True) for elem in (False, True)
+                    for theta in ((False, True) if two else (False,))
+                    for ok in ((True,) if theta else (False, True))}
+
+
+def _prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def test_local_obstruction_needs_a_quadratic_form():
+    f, _ = discriminant_form(from_expression("[3]"))
+    with pytest.raises(OddLatticeQuadratic):
+        local_obstruction(f, (1, 0))

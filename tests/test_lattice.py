@@ -6,6 +6,7 @@ import pytest
 from latticeforge.errors import BadParams, TooLarge, UnknownName, ZeroScale, ZeroVector
 from latticeforge.lattice import (
     Lattice,
+    _factorization,
     _is_prime,
     direct_sum,
     from_expression,
@@ -203,3 +204,23 @@ def test_invariants_of_a_large_prime_determinant():
     # trial division up to sqrt(2^61 - 1) would take about 1.5e9 steps
     inv = invariants(Lattice([[2 ** 61 - 1]]))
     assert inv.p_elementary == (2 ** 61 - 1, 1)
+
+
+def test_factorization_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(67)
+    cases = list(range(1, 2000)) + [2 ** 16 - 1, 2 ** 16 + 1, 65521 ** 2, 65521 * 65537,
+                                    2 * (2 ** 61 - 1), 10 ** 6, 2 ** 62]
+    # every n whose part above the trial bound is one prime
+    cases += [rng.randrange(1, 2 ** 16) * rng.choice([1, 65537, 2 ** 31 - 1, 2 ** 61 - 1])
+              for _ in range(300)]
+    for n in cases:
+        assert _factorization(n) == sympy.factorint(n), n
+
+
+def test_factorization_refuses_two_large_primes():
+    # trial division stops below 2^16, so a cofactor with two larger prime
+    # factors is reported instead of searched
+    for n in ((2 ** 31 - 1) * (2 ** 61 - 1), 65537 ** 2, 6 * 65537 * 65539):
+        with pytest.raises(TooLarge):
+            _factorization(n)

@@ -7,8 +7,8 @@ from math import gcd, isqrt
 import pytest
 from conftest import box_ball, fraction_inverse, injective_anti_glue
 
-from latticeforge import catalog, glue, linalg, shortvec, verify
-from latticeforge.errors import NotInScope
+from latticeforge import catalog, discform, glue, linalg, shortvec, verify
+from latticeforge.errors import TooLarge
 from latticeforge.lattice import Lattice, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix
 
@@ -260,11 +260,65 @@ def test_k3_verdict_rank22_det_clash():
     assert not got and "rank 22" in reason
 
 
-def test_k3_verdict_out_of_scope():
-    # a rank-22 unimodular input cannot be decided by the implemented
-    # necessary conditions alone
-    with pytest.raises(NotInScope):
-        verify.k3_association_verdict(from_expression("U^11"))
+def test_k3_verdict_rank22_unimodular():
+    # an indefinite even unimodular lattice is fixed by its signature, so
+    # T(-1) embeds iff it is the K3 lattice itself
+    got, reason = verify.k3_association_verdict(from_expression("U^3 + E8^2"))
+    assert got, reason
+    got, reason = verify.k3_association_verdict(from_expression("U^11"))
+    assert not got and "does not fit" in reason
+
+
+K3_REGRESSIONS = [
+    # T(-1) = U^2 + E8(-1)^2 + [-2k] embeds via e - k f in a further U
+    ("U^2 + E8^2 + A1", True),
+    ("U^2 + E8^2 + [6]", True),
+    ("U^2 + E8^2 + [4611686018427387902]", True),  # 2 (2^61 - 1)
+    ("A1 + U", True),
+    ("[4] + U", True),
+    ("U + U(2) + E8^2", True),  # complement U(2)
+    ("U^3 + E8^2", True),
+    ("U + [1000000]", True),
+    ("U^11", False),
+    ("U + A2 + [5]", False),  # odd
+]
+
+
+@pytest.mark.parametrize("expr,want", K3_REGRESSIONS)
+def test_k3_verdict_regressions(expr, want):
+    got, reason = verify.k3_association_verdict(from_expression(expr))
+    assert got == want, reason
+
+
+@pytest.mark.parametrize("expr,p", [("E8^2 + U(3) + A1 + A1", 3), ("E8^2 + U(2) + A2", 2)])
+def test_k3_verdict_local_condition_fails(expr, p):
+    # the complement has signature (2, 0) and length 2 = its rank, and the
+    # forms of U(3) + A1^2 and U(2) + A2 fail at p = 3 and p = 2
+    got, reason = verify.k3_association_verdict(from_expression(expr))
+    assert not got and "%d-adic" % p in reason
+
+
+def test_k3_verdict_factors_only_where_needed():
+    big = (2 ** 31 - 1) * (2 ** 61 - 1)  # no prime factor below 2^16
+    # length 1 below the complement rank 19: no prime is examined
+    assert verify.k3_association_verdict(from_expression("U + [%d]" % (2 * big)))[0]
+    # a rank-1 complement needs the primes of 2 big, which stay unfactored
+    with pytest.raises(TooLarge):
+        verify.k3_association_verdict(from_expression("U^2 + E8^2 + [%d]" % (2 * big)))
+
+
+@pytest.mark.parametrize("label,expr", [("phi37", "U(3) + E6*(-3)"),
+                                        ("phi32", "U(3) + A2(-1)^2 + E6(-1)")])
+def test_k3_yes_rows_have_an_explicit_complement(label, expr):
+    # the complements the old block search exhibited: each has the
+    # signature and discriminant form the existence test asks for
+    trans = from_expression(catalog.cubic_row(label).coinv)
+    comp = from_expression(expr)
+    tp, tm = trans.signature
+    assert comp.is_even() and comp.signature == (3 - tm, 19 - tp)
+    assert discform.forms_isomorphic(discform.discriminant_form(comp)[0],
+                                     discform.discriminant_form(trans)[0])
+    assert verify.k3_association_verdict(trans)[0]
 
 
 def test_labeling_search_phi37():
@@ -452,22 +506,6 @@ def test_candidates_signature_obstruction():
     # a hyperbolic-plane host has only one positive direction, so no
     # complement of a positive definite A2 can exist
     assert verify.a2_complement_candidates(make_named("U")) == []
-
-
-def test_find_genus_representative():
-    trans = from_expression(catalog.cubic_row("phi37").coinv)
-    from latticeforge.discform import discriminant_form
-
-    f, _ = discform_of(trans)
-    rep = verify.find_genus_representative((1, 7), f)
-    assert rep is not None
-    assert rep.signature == (1, 7)
-
-
-def discform_of(lat):
-    from latticeforge.discform import discriminant_form
-
-    return discriminant_form(lat)
 
 
 def test_induced_pair_reassembles_rank24_genus():
