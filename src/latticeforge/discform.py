@@ -8,17 +8,17 @@ given orders, with den = lcm(orders):
 B reduced mod den and Q mod 2 den, so a presentation has exactly one table.
 The constructor accepts rational b and q, and `b_of` and `q_of` return
 Fractions; everything else reads the table.  Lifts of group elements to the
-dual lattice are integer vectors over the same den.  Isomorphism of odd
-p-elementary forms is decided in closed form (length and the Legendre class
-of the determinant), and of all other forms by backtracking search; the
-mod-8 Gauss-sum invariant is computed exactly in a cyclotomic ring; Nikulin's
-local existence conditions read one integer matrix per prime; no floats.
+dual lattice are integer vectors over the same den.  Local invariants are
+read one prime at a time from the p-part of the table: its Jordan splitting
+gives the mod-8 Gauss-sum signature (by the oddity formula) and decides
+isomorphism of odd p-parts and 2-elementary 2-parts, while other 2-parts
+and degenerate ones are compared by backtracking search; Nikulin's local
+existence conditions read one integer matrix per prime; no floats.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     OddLatticeQuadratic,
     TooLarge,
 )
-from .lattice import _factorization, _is_prime
+from .lattice import _factorization
 from .linalg import Matrix
 
 DESK_GROUP_BOUND = 30000  # largest group we are willing to enumerate
@@ -38,7 +38,7 @@ class FiniteQuadraticForm:
     """Finite abelian group with a Q/Z bilinear form and, when available, a
     Q/2Z quadratic form refining it; Q is None for a bilinear-only form."""
 
-    __slots__ = ("orders", "den", "B", "Q", "_qms")
+    __slots__ = ("orders", "den", "B", "Q")
 
     def __init__(self, orders, b, q=None):
         orders = tuple(int(d) for d in orders)
@@ -80,7 +80,6 @@ class FiniteQuadraticForm:
         self.den = den = math.lcm(*orders)
         self.B = tuple(tuple(x % den for x in row) for row in B)
         self.Q = None if Q is None else tuple(x % (2 * den) for x in Q)
-        self._qms = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -141,12 +140,6 @@ class FiniteQuadraticForm:
 
     def q_of(self, x):
         return Fraction(self._q(x), self.den)
-
-    def q_multiset(self):
-        """Sorted values den * q(x) over the whole group."""
-        if self._qms is None:
-            self._qms = tuple(sorted(self._q(x) for x in self.elements()))
-        return self._qms
 
     def neg(self):
         return FiniteQuadraticForm._from_table(
@@ -339,155 +332,47 @@ def subquotient_form(form, isotropic_gens):
 
 
 def delta_invariant(form):
-    """0 when every quadratic value of a 2-elementary form is integral."""
+    """0 when every quadratic value of a 2-elementary form is integral.
+
+    On a 2-elementary group 2 b(x, y) is an integer, so q mod 1 is additive
+    and the generators decide."""
     if any(d != 2 for d in form.orders):
         raise NotTwoElementary("delta needs a 2-elementary form")
-    return int(any(v % form.den for v in form.q_multiset()))
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n):
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = _cyclotomic(d)
-            poly = _polydiv_exact(poly, phi_d)
-    return tuple(poly)
-
-
-def _polydiv_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    dlead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        coeff = num[i + len(den) - 1]
-        assert coeff % dlead == 0
-        c = coeff // dlead
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    assert all(x == 0 for x in num[: len(den) - 1]) and all(
-        x == 0 for x in num[len(den) - 1:][len(out):]
-    )
-    return out
-
-
-class _CycloRing:
-    """Z[x]/Phi_n(x) with dense integer coefficient vectors."""
-
-    def __init__(self, n):
-        self.n = n
-        phi = _cyclotomic(n)
-        self.deg = len(phi) - 1
-        # reduction table for x^k, k < 2n
-        table = []
-        cur = [0] * self.deg
-        if self.deg:
-            cur[0] = 1
-        table.append(tuple(cur))
-        for k in range(1, 2 * n):
-            nxt = [0] + list(table[-1][: self.deg - 1]) if self.deg > 1 else [0]
-            if self.deg == 1:
-                nxt = [0]
-            carry = table[-1][self.deg - 1] if self.deg >= 1 else 0
-            if carry:
-                for j in range(self.deg):
-                    nxt[j] -= carry * phi[j]
-            table.append(tuple(nxt))
-        self.xpow = table
-
-    def zero(self):
-        return (0,) * self.deg
-
-    def zeta_pow(self, k):
-        return self.xpow[k % self.n]
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def scale(self, a, c):
-        return tuple(c * x for x in a)
-
-    def mul(self, a, b):
-        prod = [0] * (2 * self.deg - 1 if self.deg else 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = [0] * self.deg
-        for k, c in enumerate(prod):
-            if c:
-                row = self.xpow[k]
-                for j in range(self.deg):
-                    out[j] += c * row[j]
-        return tuple(out)
-
-
-def _squarefree_split(n):
-    """n = f^2 * m with m squarefree."""
-    f = m = 1
-    for p, e in _factorization(n).items():
-        f *= p ** (e // 2)
-        m *= p ** (e % 2)
-    return f, m
-
-
-def _sqrt_in_ring(ring, n):
-    """sqrt(n) as an exact element of Z[zeta_L]; needs 8 | L and odd part of
-    the squarefree kernel dividing L."""
-    f, m = _squarefree_split(n)
-    acc = ring.zeta_pow(0)
-    acc = ring.scale(acc, f)
-    if m % 2 == 0:
-        m //= 2
-        root2 = ring.add(ring.zeta_pow(ring.n // 8), ring.zeta_pow(-ring.n // 8))
-        acc = ring.mul(acc, root2)
-    if m > 1:
-        assert ring.n % m == 0
-        g = ring.zero()
-        step = ring.n // m
-        for k in range(m):
-            g = ring.add(g, ring.zeta_pow(step * (k * k)))
-        if m % 4 == 3:
-            g = ring.mul(g, ring.zeta_pow(-ring.n // 4))  # divide by i
-        acc = ring.mul(acc, g)
-    return acc
+    if form.Q is None:
+        raise OddLatticeQuadratic("no quadratic refinement on this form")
+    return int(any(v % form.den for v in form.Q))
 
 
 def milgram_signature(form):
     """Residue s mod 8 with sum_x exp(pi i q(x)) = sqrt(|A|) exp(pi i s / 4).
 
-    Computed exactly: the Gauss sum lives in a cyclotomic ring, and sqrt(|A|)
-    is expressed there through quadratic Gauss sums.
+    The Gauss sum is the product of those of the Jordan blocks, so s is the
+    oddity minus the p-excesses (the oddity formula, SPLAG ch. 15 §7.7).
     """
-    if form.is_trivial():
-        return 0
-    if form.group_order > DESK_GROUP_BOUND:
-        raise TooLarge("group of order %d exceeds the desk-scale bound" % form.group_order)
-    if not form.is_nondegenerate():
-        raise DegenerateForm("degenerate finite quadratic form")
-    two_den = 2 * form.den
-    _, m = _squarefree_split(form.group_order)
-    modd = m // 2 if m % 2 == 0 else m
-    ring_n = math.lcm(8, two_den, modd)
-    ring = _CycloRing(ring_n)
-    step = ring_n // two_den
-    counts = [0] * ring_n
-    for v in form.q_multiset():
-        counts[v * step] += 1
-    s_vec = ring.zero()
-    for expo, c in enumerate(counts):
-        if c:
-            s_vec = ring.add(s_vec, ring.scale(ring.zeta_pow(expo), c))
-    target = _sqrt_in_ring(ring, form.group_order)
-    for s in range(8):
-        cand = ring.mul(target, ring.zeta_pow(s * ring_n // 8))
-        if cand == s_vec:
-            return s
-    raise DegenerateForm("Gauss sum does not have root-of-unity phase")
+    if form.Q is None:
+        raise OddLatticeQuadratic("no quadratic refinement on this form")
+    return sum(_block_signature(p, n, u) for p in _factorization(form.den)
+               for n, u in _jordan(form, p)) % 8
+
+
+def _block_signature(p, n, u):
+    """s mod 8 for the Gauss sum of one Jordan block (n, U) from `_jordan`,
+    n = p^k.
+
+    For odd p it is minus the p-excess, -(n - 1 + 4 [k odd, (u/p) = -1]).
+    For p = 2 it is the oddity: u + 4 [k odd, u = +-3 mod 8] for a 1 x 1
+    block, 0 for the hyperbolic plane (det U = -1 mod 8) and 4k for the
+    other even plane (det U = 3 mod 8).
+    """
+    odd_power = math.isqrt(n) ** 2 != n
+    if p != 2:
+        (u,), = u
+        return -(n - 1 + 4 * (odd_power and pow(u, (p - 1) // 2, p) != 1))
+    if len(u) == 1:
+        (u,), = u
+        return u + 4 * (odd_power and u % 8 in (3, 5))
+    det = u[0][0] * u[1][1] - u[0][1] ** 2
+    return 4 * (odd_power and det % 8 == 3)
 
 
 # ---------------------------------------------------------------------------
@@ -623,46 +508,112 @@ def local_obstruction(form, sig):
     return None
 
 
-def _odd_elementary_class(form):
-    """(p, length, Legendre symbol of det M mod p), M from `_p_part`, for a
-    nondegenerate p-elementary form with p an odd prime, else None.
+def _p_form(form, p):
+    """The p-part of `form` as a form of its own, on the generators of
+    `_p_part`: its table is top b(x_i, x_j), with top q(x_i) on the diagonal
+    and top the largest order n_i."""
+    mat, orders = _p_part(form, p)
+    top = max(orders)
+    table = [[top // n * x for x in row] for n, row in zip(orders, mat.rows)]
+    return FiniteQuadraticForm._from_table(
+        orders, table, None if form.Q is None else [row[i] for i, row in enumerate(table)])
 
-    For odd p the quadratic form is fixed by b, and b is a nondegenerate
-    symmetric bilinear form over F_p, which is classified by its dimension
-    and the square class of its determinant (Nikulin 1979; Conway-Sloane,
-    SPLAG ch. 15), so the triple is a complete invariant.
+
+def _jordan(form, p):
+    """Jordan splitting of the p-part of a form: blocks (n, U) whose
+    orthogonal sum is the p-part, block (n, U) being (Z/n)^k, k = len(U),
+    with b = U / n and q = U_ii / n (Conway-Sloane, SPLAG ch. 15 §7).  U is
+    1 x 1 for odd p, and 1 x 1 or 2 x 2 with even diagonal for p = 2; its
+    determinant is a p-adic unit.  A degenerate p-part raises DegenerateForm.
+
+    The table of `_p_form`, top b(x_i, x_j) with top q(x_i) on the diagonal,
+    is read as the Gram matrix of a p-adic lattice and split by unimodular
+    row and column operations modulo top (2 top for p = 2, whose diagonal
+    carries q): pivot on an entry of least valuation, on the diagonal when
+    one has it, and clear its rows.
     """
-    if not form.orders:
+    mat, orders = _p_part(form, p)
+    top = max(orders)
+    mod = 2 * top if p == 2 else top
+    h = [[top // n * x % mod for x in row] for n, row in zip(orders, mat.rows)]
+    blocks = []
+    while h:
+        k = len(h)
+        s, off, i, j = min((math.gcd(h[i][j], top), i != j, i, j)
+                           for i in range(k) for j in range(i, k))
+        if s == top:
+            raise DegenerateForm("degenerate finite quadratic form")
+        if off and p != 2:
+            # 2 is a unit, so e_i + e_j has the least valuation on the diagonal
+            h[i] = [a + b for a, b in zip(h[i], h[j])]
+            for row in h:
+                row[i] += row[j]
+            off = False
+        piv = (i, j) if off else (i,)
+        n = top // s
+        u = [[h[a][b] // s % (mod // s if a == b else n) for b in piv] for a in piv]
+        if off:
+            det = u[0][0] * u[1][1] - u[0][1] ** 2
+            inv = [[u[1][1], -u[0][1]], [-u[1][0], u[0][0]]]
+        else:
+            det, inv = u[0][0], [[1]]
+        inv_det = pow(det, -1, mod)
+        rest = [t for t in range(k) if t not in piv]
+        cols = [[h[a][r] for r in rest] for a in piv]
+        cleared = []
+        for t in rest:
+            # e_t - c e_piv is orthogonal to the block for c = (h_t,piv / s) U^-1
+            w = [h[t][a] // s for a in piv]
+            row = [h[t][r] for r in rest]
+            for inv_col, col in zip(zip(*inv), cols):
+                c = inv_det * sum(x * y for x, y in zip(w, inv_col)) % mod
+                row = [x - c * y for x, y in zip(row, col)]
+            cleared.append([x % mod for x in row])
+        h = cleared
+        blocks.append((n, tuple(map(tuple, u))))
+    if math.prod(n ** len(u) for n, u in blocks) != math.prod(orders):
+        raise DegenerateForm("degenerate finite quadratic form")
+    return blocks
+
+
+def _local_class(form, p):
+    """A complete invariant of the nondegenerate p-part, or None where only
+    a search decides (2-parts that are not 2-elementary).
+
+    Odd p: per scale n, the dimension and the Legendre class of the
+    determinant of the Jordan component (SPLAG ch. 15 §7).  A 2-elementary
+    2-part: whether q (b, on a bilinear-only form) is non-integral on some
+    element, and the Gauss-sum signature (Nikulin 1979, Thm 3.6.2).
+    """
+    blocks = _jordan(form, p)
+    if p != 2:
+        scales = {}
+        for n, ((u,),) in blocks:
+            dim, det = scales.get(n, (0, 1))
+            scales[n] = (dim + 1, det * u % p)
+        return sorted((n, dim, pow(det, (p - 1) // 2, p)) for n, (dim, det) in scales.items())
+    if any(n != 2 for n, _ in blocks):
         return None
-    p = form.orders[0]
-    if p % 2 == 0 or not _is_prime(p) or any(d != p for d in form.orders):
-        return None
-    det = linalg.bareiss_det(_p_part(form, p)[0]) % p
-    if det == 0:
-        return None
-    legendre = 1 if pow(det, (p - 1) // 2, p) == 1 else -1
-    return (p, form.ngens, legendre)
+    signature = None if form.Q is None else sum(_block_signature(2, n, u) for n, u in blocks) % 8
+    return any(len(u) == 1 for _, u in blocks), signature
 
 
 def forms_isomorphic(f, g):
-    """Decide isomorphism of finite quadratic forms.
+    """Decide isomorphism of finite quadratic forms, one prime at a time.
 
-    Nondegenerate p-elementary forms with p odd are decided in closed form
-    by `_odd_elementary_class`, at any group order; every other pair (2-parts,
-    mixed or degenerate groups) by generator search, which raises TooLarge
-    above DESK_GROUP_BOUND.
+    A form is the orthogonal sum of its p-parts.  A nondegenerate p-part is
+    decided by `_local_class`, at any group order, when p is odd or the
+    2-part is 2-elementary; other 2-parts and degenerate p-parts by
+    generator search (`_match_maps`), which raises TooLarge above
+    DESK_GROUP_BOUND.
     """
-    if sorted(f.orders) != sorted(g.orders):
+    if sorted(f.orders) != sorted(g.orders) or (f.Q is None) != (g.Q is None):
         return False
-    if (f.Q is None) != (g.Q is None):
-        return False
-    cf = _odd_elementary_class(f)
-    cg = _odd_elementary_class(g)
-    if cf is not None and cg is not None:
-        return cf == cg
-    if f.group_order > DESK_GROUP_BOUND or g.group_order > DESK_GROUP_BOUND:
-        raise TooLarge("forms exceed the desk-scale bound")
-    if f.Q is not None and f.q_multiset() != g.q_multiset():
-        return False
-    return _match_maps(f, g, 1) is not None
-
+    for p in _factorization(f.den):
+        try:
+            cf, cg = _local_class(f, p), _local_class(g, p)
+        except DegenerateForm:
+            cf = cg = None
+        if cf != cg or cf is None and _match_maps(_p_form(f, p), _p_form(g, p), 1) is None:
+            return False
+    return True

@@ -4,6 +4,7 @@ A lattice is a free Z-module with a nondegenerate symmetric integer Gram
 matrix.  Vectors are coordinate tuples in the fixed basis.
 """
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -218,11 +219,13 @@ def _is_prime(n):
 
 
 _TRIAL_BOUND = 1 << 16
+_RHO_STEPS = 1 << 20  # squarings Pollard-Brent rho may spend on one number
 
 
 def _factorization(n):
-    """{p: e} with n = prod p^e, by trial division below _TRIAL_BOUND and
-    `_is_prime` on the cofactor; a composite cofactor raises TooLarge."""
+    """{p: e} with n = prod p^e: trial division below _TRIAL_BOUND, then
+    `_is_prime` and Pollard-Brent rho on the cofactors; a cofactor rho does
+    not split within _RHO_STEPS raises TooLarge."""
     out = {}
     d = 2
     while d < _TRIAL_BOUND and d * d <= n:
@@ -230,11 +233,48 @@ def _factorization(n):
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        if d * d <= n and not _is_prime(n):
-            raise TooLarge("%d has no prime factor below %d" % (n, _TRIAL_BOUND))
-        out[n] = 1
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if d * d > m or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_divisor(m)
+            rest += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _rho_divisor(n):
+    """A proper divisor of the composite n by Brent's cycle-finding variant
+    of Pollard's rho (Brent 1980), over x -> x^2 + c for c = 1, 2, ...; raises
+    TooLarge after _RHO_STEPS squarings in all."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            if steps > _RHO_STEPS:
+                raise TooLarge("%d has no prime factor rho finds in %d steps" % (n, _RHO_STEPS))
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:
+            # the batched product lost the factor: redo the last batch singly
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------

@@ -122,21 +122,11 @@ def _eta_vector(alg):
     return tuple(1 if i == 0 else 0 for i in range(alg.rank))
 
 
-def _build_middle_cohomology(alg, trans):
-    """Glue the algebraic and transcendental lattices to the odd unimodular
-    middle-cohomology lattice; returns (extension, alg_rows, trans_rows)."""
-    g = glue.full_glue(alg, trans)
-    if g is None:
-        return None
-    return glue.primitive_extension(g, require_even=False, label="H4")
-
-
 def _verify_cubic_row(row):
     v = RowVerdict(row.label)
     inv = Lattice(row.inv_gram)
     co = from_expression(row.coinv)
     alg = Lattice(row.alg_gram)
-    trans = from_expression(row.coinv)
 
     v.add("inv_positive_definite", inv.rank == 0 or inv.is_positive_definite(),
           "%s" % (inv.signature,))
@@ -165,12 +155,13 @@ def _verify_cubic_row(row):
         perp = None
         v.add("eta_perp_isometric_inv", inv.rank == 0, "rank-0 case")
 
-    # middle cohomology: odd unimodular rank 23 of signature (21, 2)
-    built = _build_middle_cohomology(alg, trans)
-    if built is None:
+    # middle cohomology: glue the algebraic and transcendental (= coinvariant)
+    # lattices to an odd unimodular lattice of rank 23 and signature (21, 2)
+    g = glue.full_glue(alg, co)
+    if g is None:
         v.add("middle_cohomology_glue", False, "no glue map found")
         return v
-    ext, alg_rows, trans_rows = built
+    ext, alg_rows, _ = glue.primitive_extension(g, require_even=False, label="H4")
     h4 = ext.lattice
     v.add("middle_cohomology_glue",
           h4.rank == 23 and abs(h4.det) == 1 and not h4.is_even() and h4.signature == (21, 2),

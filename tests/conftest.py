@@ -1,10 +1,13 @@
 """Shared helpers: independent brute-force oracles kept free of the library's
-enumeration path, the rational matrix arithmetic the library no longer
-carries, kept as a reference for its integer paths, and an injective glue
-built from the library's one onto glue search."""
+enumeration path, the rational matrix arithmetic and the cyclotomic Gauss sum
+the library no longer carries, kept as references for its integer and Jordan
+paths, and an injective glue built from the library's one onto glue search."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from latticeforge.discform import _match_maps, _presentation, discriminant_form, orthogonal_subgroup
 from latticeforge.errors import DegenerateForm
 from latticeforge.glue import GlueData
+from latticeforge.lattice import _factorization
 from latticeforge.linalg import Matrix
 
 
@@ -48,6 +52,118 @@ def fraction_to_int(m):
             row.append(int(f))
         out.append(tuple(row))
     return Matrix(tuple(out))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n):
+    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _polydiv_exact(poly, _cyclotomic(d))
+    return tuple(poly)
+
+
+def _polydiv_exact(num, den):
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    dlead = den[-1]
+    for i in range(len(out) - 1, -1, -1):
+        coeff = num[i + len(den) - 1]
+        assert coeff % dlead == 0
+        c = coeff // dlead
+        out[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+    assert not any(num[: len(den) - 1]) and not any(num[len(den) - 1:][len(out):])
+    return out
+
+
+class _CycloRing:
+    """Z[x]/Phi_n(x) with dense integer coefficient vectors."""
+
+    def __init__(self, n):
+        self.n = n
+        phi = _cyclotomic(n)
+        self.deg = deg = len(phi) - 1
+        # reduction table for x^k, k < 2n
+        table = [tuple(int(j == 0) for j in range(deg))]
+        for _ in range(1, 2 * n):
+            prev = table[-1]
+            nxt = [0] + list(prev[:deg - 1])
+            for j in range(deg):
+                nxt[j] -= prev[deg - 1] * phi[j]
+            table.append(tuple(nxt))
+        self.xpow = table
+
+    def zero(self):
+        return (0,) * self.deg
+
+    def zeta_pow(self, k):
+        return self.xpow[k % self.n]
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def scale(self, a, c):
+        return tuple(c * x for x in a)
+
+    def mul(self, a, b):
+        prod = [0] * (2 * self.deg - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        out = [0] * self.deg
+        for k, c in enumerate(prod):
+            if c:
+                for j, x in enumerate(self.xpow[k]):
+                    out[j] += c * x
+        return tuple(out)
+
+
+def _sqrt_in_ring(ring, n):
+    """sqrt(n) as an exact element of Z[zeta_L]; needs 8 | L and the odd
+    part of the squarefree kernel of n dividing L."""
+    f = m = 1
+    for p, e in _factorization(n).items():
+        f *= p ** (e // 2)
+        m *= p ** (e % 2)
+    acc = ring.scale(ring.zeta_pow(0), f)
+    if m % 2 == 0:
+        m //= 2
+        acc = ring.mul(acc, ring.add(ring.zeta_pow(ring.n // 8), ring.zeta_pow(-ring.n // 8)))
+    if m > 1:
+        g = ring.zero()
+        for k in range(m):
+            g = ring.add(g, ring.zeta_pow(ring.n // m * k * k))
+        if m % 4 == 3:
+            g = ring.mul(g, ring.zeta_pow(-ring.n // 4))  # divide by i
+        acc = ring.mul(acc, g)
+    return acc
+
+
+def cyclotomic_milgram(form):
+    """The Gauss-sum signature by its definition: s mod 8 with sum_x
+    exp(pi i q(x)) = sqrt(|A|) exp(pi i s / 4), the sum over the whole
+    group taken exactly in Z[zeta_L], L = lcm(8, 2 den, odd squarefree
+    kernel of |A|)."""
+    if form.is_trivial():
+        return 0
+    odd_kernel = math.prod(p for p, e in _factorization(form.group_order).items()
+                           if p > 2 and e % 2)
+    ring_n = math.lcm(8, 2 * form.den, odd_kernel)
+    ring = _CycloRing(ring_n)
+    step = ring_n // (2 * form.den)
+    total = ring.zero()
+    for e, c in Counter(form._q(x) * step for x in form.elements()).items():
+        total = ring.add(total, ring.scale(ring.zeta_pow(e), c))
+    target = _sqrt_in_ring(ring, form.group_order)
+    for s in range(8):
+        if ring.mul(target, ring.zeta_pow(s * ring_n // 8)) == total:
+            return s
+    raise DegenerateForm("Gauss sum does not have root-of-unity phase")
 
 
 def box_bounds(gram, max_norm):

@@ -45,6 +45,14 @@ def test_info_json_roundtrip(capsys, tmp_path):
     assert code == 0 and "det -1" in out2
 
 
+def test_info_delta_of_a_large_two_elementary_group(capsys):
+    # delta reads the 20 generators, not the 2^20 elements of the group
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "info", "[2]^20")
+    assert code == 0 and "delta = 1" in out
+    assert time.perf_counter() - start < 2
+
+
 def test_info_unknown_exit_2(capsys):
     code, _, err = run(capsys, "info", "Quux99")
     assert code == 2

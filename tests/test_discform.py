@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import fraction_inverse, fraction_to_int
+from conftest import cyclotomic_milgram, fraction_inverse, fraction_to_int
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +12,9 @@ from latticeforge import catalog
 from latticeforge.discform import (
     TRIVIAL_FORM,
     FiniteQuadraticForm,
+    _jordan,
+    _local_class,
     _match_maps,
-    _odd_elementary_class,
     _p_part,
     _presentation,
     delta_invariant,
@@ -149,7 +150,7 @@ def test_milgram_matches_signature(expr):
     assert lat.is_even()
     f, _ = discriminant_form(lat)
     sp, sm = lat.signature
-    assert milgram_signature(f) == (sp - sm) % 8
+    assert milgram_signature(f) == cyclotomic_milgram(f) == (sp - sm) % 8
 
 
 @pytest.mark.parametrize("expr", EVEN_NAMED)
@@ -192,19 +193,23 @@ def test_forms_isomorphic_equivalence_relation():
                     assert rel[i][k]
 
 
+def _q_multiset(f):
+    return sorted(f._q(x) for x in f.elements())
+
+
 def _backtracking_isomorphic(f, g):
-    """The generator search the odd p-elementary closed form replaced: equal
+    """The whole-group generator search the Jordan symbols replaced: equal
     q-value multisets, then a `_match_maps` isometry.  Kept as the oracle."""
     if sorted(f.orders) != sorted(g.orders) or (f.q is None) != (g.q is None):
         return False
-    if f.q is not None and f.q_multiset() != g.q_multiset():
+    if f.q is not None and _q_multiset(f) != _q_multiset(g):
         return False
     return _match_maps(f, g, 1) is not None
 
 
 def _assert_closed_form_matches_oracle(forms):
     for i, f in enumerate(forms):
-        assert _odd_elementary_class(f) is not None
+        assert _local_class(f, f.orders[0]) is not None
         for g in forms[i:]:
             if sorted(f.orders) == sorted(g.orders):
                 assert forms_isomorphic(f, g) == _backtracking_isomorphic(f, g), (f, g)
@@ -263,7 +268,7 @@ def test_odd_elementary_closed_form_matches_backtracking_on_random_forms(p, k):
     while len(mats) < 6 or len(legendre) < 2:
         m = _random_nondegenerate(rng, p, k)
         mats.append(m)
-        legendre.add(_odd_elementary_class(_form_mod(p, m))[2])
+        legendre.add(pow(bareiss_det(Matrix(m)), (p - 1) // 2, p))
     mats += [_random_base_change(rng, p, m) for m in mats]
     forms = [_form_mod(p, m) for m in mats]
     half = len(forms) // 2
@@ -275,10 +280,12 @@ def test_odd_elementary_closed_form_matches_backtracking_on_random_forms(p, k):
 @pytest.mark.parametrize("n", [9, 15, 25])
 def test_composite_odd_orders_are_not_decided_in_closed_form(n):
     # (Z/n) with n odd but not prime is not p-elementary, so the Legendre
-    # class of the determinant mod n must not decide it
+    # class of the determinant mod n must not decide it: the Jordan splitting
+    # reads one block per prime power
     forms = [_form_mod(n, [[a]]) for a in range(1, n) if math.gcd(a, n) == 1]
     for f in forms:
-        assert _odd_elementary_class(f) is None
+        assert [m for p in (3, 5) if n % p == 0 for m, _ in _jordan(f, p)] == \
+            {9: [9], 15: [3, 5], 25: [25]}[n]
     for f in forms:
         for g in forms:
             assert forms_isomorphic(f, g) == _backtracking_isomorphic(f, g), (f, g)
@@ -296,6 +303,14 @@ def test_forms_isomorphic_decides_beyond_desk_bound():
     assert f.group_order == g.group_order == 3 ** 10
     assert forms_isomorphic(f, f) and forms_isomorphic(g, g)
     assert not forms_isomorphic(f, g) and not forms_isomorphic(g, f)
+    assert milgram_signature(f) == 20 % 8 and milgram_signature(g) == 16 % 8
+    # (Z/2)^20: 2-elementary forms are fixed by delta and the signature, so
+    # <1/2>^20 matches <1/2>^12 + <-1/2>^8 (both 4 mod 8) but not
+    # <1/2>^19 + <-1/2> (2 mod 8) or the delta-0 form of U(2)^10
+    two = [discriminant_form(from_expression(e))[0]
+           for e in ("[2]^20", "[2]^12 + [-2]^8", "[2]^19 + [-2]", "U(2)^10")]
+    assert [milgram_signature(h) for h in two] == [4, 4, 2, 0]
+    assert [forms_isomorphic(two[0], h) for h in two] == [True, True, False, False]
 
 
 def test_anti_isometries_exist_for_complements():
@@ -522,3 +537,142 @@ def test_local_obstruction_needs_a_quadratic_form():
     f, _ = discriminant_form(from_expression("[3]"))
     with pytest.raises(OddLatticeQuadratic):
         local_obstruction(f, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# Jordan splitting against the whole-group oracles
+
+
+def _random_form(rng, orders, quadratic=True):
+    """A random table on the given orders, degenerate or not; q is the lift
+    of b_ii that an element of order n needs (n^2 q even)."""
+    den = math.lcm(*orders)
+    k = len(orders)
+    b = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = math.gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = rng.randrange(g) * (den // g)
+    q = None
+    if quadratic:
+        q = [b[i][i] + den * (orders[i] * b[i][i] // den % 2) for i in range(k)]
+    return FiniteQuadraticForm._from_table(orders, b, q)
+
+
+def _moved(rng, form):
+    """The form on random new generators: the images of the old ones under a
+    product of transvections e_i -> e_i + c (o_j / gcd(o_i, o_j)) e_j and
+    unit scalings, each an automorphism of the group."""
+    orders = form.orders
+    k = len(orders)
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i != j:
+            c = rng.randrange(orders[j]) * (orders[j] // math.gcd(orders[i], orders[j]))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        else:
+            u = rng.randrange(1, orders[i])
+            if math.gcd(u, orders[i]) == 1:
+                rows[i] = [u * a for a in rows[i]]
+    return FiniteQuadraticForm._from_table(
+        orders, [[form._b(x, y) for y in rows] for x in rows],
+        None if form.Q is None else [form._q(x) for x in rows])
+
+
+# 2-parts of exponent >= 4, Z/9 and Z/27, mixed primes
+RANDOM_ORDERS = [(16,), (2, 16), (4, 16), (32,), (2, 2, 8), (2, 2, 2, 2), (9,), (27,), (3, 9),
+                 (9, 9), (3, 81), (5, 25), (7, 49), (6,), (12,), (18,), (24,), (6, 12), (45,)]
+
+
+def _pools():
+    """Forms of order <= 729 grouped by sorted orders: the catalog forms and
+    their negatives, random tables (degenerate ones too, and bilinear-only
+    ones) and a copy of each random table on moved generators."""
+    rng = random.Random(17)
+    forms = _catalog_forms()
+    forms += [f.neg() for f in forms]
+    tables = [_random_form(rng, orders, quadratic) for orders in RANDOM_ORDERS
+              for quadratic in (True, False) for _ in range(6)]
+    forms += tables + [_moved(rng, f) for f in tables]
+    pools = {}
+    for f in forms:
+        pools.setdefault(tuple(sorted(f.orders)), []).append(f)
+    return pools
+
+
+def test_forms_isomorphic_matches_backtracking():
+    pools = _pools()
+    counts = {True: 0, False: 0}
+    degenerate = 0
+    for forms in pools.values():
+        for i, f in enumerate(forms):
+            degenerate += not f.is_nondegenerate()
+            for g in forms[i:]:
+                want = _backtracking_isomorphic(f, g)
+                assert forms_isomorphic(f, g) == forms_isomorphic(g, f) == want, (f, g)
+                counts[want] += 1
+    assert counts[True] >= 300 and counts[False] >= 300 and degenerate >= 20
+
+
+def test_forms_isomorphic_ignores_the_generators():
+    rng = random.Random(23)
+    for forms in _pools().values():
+        for f in forms:
+            g = _moved(rng, f)
+            assert forms_isomorphic(f, g) and forms_isomorphic(g, f), f
+            if f.Q is not None and f.is_nondegenerate():
+                assert milgram_signature(f) == milgram_signature(g)
+                assert all(_local_class(f, p) == _local_class(g, p)
+                           for p in _prime_divisors(f.den))
+
+
+def test_milgram_matches_cyclotomic_oracle():
+    # the oddity formula on the Jordan blocks against the Gauss sum over the
+    # whole group, on catalog forms, their negatives and random even
+    # lattices scaled to reach 2- and 3-parts of higher exponent
+    for f in _catalog_forms():
+        if f.Q is not None:
+            for h in (f, f.neg()):
+                assert milgram_signature(h) == cyclotomic_milgram(h), h
+    rng = random.Random(31)
+    cases = 0
+    while cases < 150:
+        lat = rescale(_random_even_lattice(rng), rng.choice([1, 2, 3, 4]))
+        f, _ = discriminant_form(lat)
+        if f.group_order > 1000:
+            continue
+        sp, sm = lat.signature
+        assert milgram_signature(f) == cyclotomic_milgram(f) == (sp - sm) % 8, lat.gram
+        cases += 1
+
+
+def test_jordan_determinant_matches_local_obstruction():
+    # local_obstruction reads det M of `_p_part`; the Jordan blocks have the
+    # same unit class: the same Legendre symbol for odd p, and the same
+    # residue mod 8 for p = 2 unless a block q(x) = u/2 (theta) lets it move
+    rng = random.Random(37)
+    forms = _catalog_forms() + [discriminant_form(rescale(_random_even_lattice(rng), k))[0]
+                                for k in (1, 2, 4, 8, 3, 9) for _ in range(30)]
+    seen = set()
+    for f in forms:
+        for p in _prime_divisors(f.den):
+            det = bareiss_det(_p_part(f, p)[0])
+            blocks = _jordan(f, p)
+            product = math.prod(bareiss_det(Matrix(u)) for _, u in blocks)
+            if p > 2:
+                assert pow(det * product, (p - 1) // 2, p) == 1, (f, p)
+            elif not any(n == 2 and len(u) == 1 for n, u in blocks):
+                assert (det - product) % 8 == 0, f
+                seen.add(product % 8)
+    assert seen == {1, 3, 5, 7}
+
+
+def test_delta_closed_form_matches_enumeration():
+    rng = random.Random(41)
+    forms = [f for f in _catalog_forms() if set(f.orders) == {2}]
+    forms += [discriminant_form(from_expression(e))[0]
+              for e in ("[2]", "E7", "D4", "U(2)", "[2] + [-2]", "D4 + E7(-1)", "D6 + [2]")]
+    forms += [_random_form(rng, (2,) * k) for k in range(1, 7) for _ in range(8)]
+    for f in forms + [f.neg() for f in forms]:
+        assert delta_invariant(f) == int(any(f._q(x) % f.den for x in f.elements())), f

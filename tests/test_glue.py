@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 from conftest import fraction_inverse, fraction_to_int, injective_anti_glue
 
-from latticeforge import catalog, glue, isom, linalg, verify
+from latticeforge import catalog, glue, isom, linalg
 
 from latticeforge.discform import (
     discriminant_form,
@@ -304,8 +304,8 @@ def test_overlattice_matches_fractions_on_cubic_middle_cohomology(monkeypatch, l
     row = catalog.cubic_row(label)
     alg = Lattice(row.alg_gram)
     trans = from_expression(row.coinv)
-    calls = _recorded_overlattice_calls(
-        monkeypatch, lambda: verify._build_middle_cohomology(alg, trans))
+    calls = _recorded_overlattice_calls(monkeypatch, lambda: glue.primitive_extension(
+        glue.full_glue(alg, trans), require_even=False, label="H4"))
     assert len(calls) == 1
     assert _assert_same_overlattice(*calls[0])
 

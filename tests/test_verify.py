@@ -9,7 +9,7 @@ from conftest import box_ball, fraction_inverse, injective_anti_glue
 
 from latticeforge import catalog, discform, glue, linalg, shortvec, verify
 from latticeforge.errors import TooLarge
-from latticeforge.lattice import Lattice, from_expression, make_named, rescale
+from latticeforge.lattice import Lattice, _factorization, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix
 
 
@@ -302,9 +302,14 @@ def test_k3_verdict_factors_only_where_needed():
     big = (2 ** 31 - 1) * (2 ** 61 - 1)  # no prime factor below 2^16
     # length 1 below the complement rank 19: no prime is examined
     assert verify.k3_association_verdict(from_expression("U + [%d]" % (2 * big)))[0]
-    # a rank-1 complement needs the primes of 2 big, which stay unfactored
+    # a rank-1 complement needs the primes of 2 big, which rho finds
+    assert _factorization(2 * big) == {2: 1, 2 ** 31 - 1: 1, 2 ** 61 - 1: 1}
+    assert verify.k3_association_verdict(from_expression("U^2 + E8^2 + [%d]" % (2 * big))) == \
+        (True, "an even complement of signature (1, 0) exists")
+    # two primes near 2^61 and 2^89 are beyond rho's step budget
+    huge = (2 ** 61 - 1) * (2 ** 89 - 1)
     with pytest.raises(TooLarge):
-        verify.k3_association_verdict(from_expression("U^2 + E8^2 + [%d]" % (2 * big)))
+        verify.k3_association_verdict(from_expression("U^2 + E8^2 + [%d]" % (2 * huge)))
 
 
 @pytest.mark.parametrize("label,expr", [("phi37", "U(3) + E6*(-3)"),
