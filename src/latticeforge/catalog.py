@@ -252,10 +252,6 @@ INDUCED_ROWS = (
     InducedRow("phi32", "U + U(3) + A2(-1)^3", "U(3) + E6(-1) + A2(-1)^3", (1, 13), True, 3),
 )
 
-# order-3 induced rows against the rank-26 table: matched by coinvariant genus
-INDUCED_TO_RANK26 = {"phi31": "30", "phi35": "21", "phi37": "18", "phi32": "10"}
-
-
 def cubic_row(label):
     for row in CUBIC_ROWS:
         if row.label == label:

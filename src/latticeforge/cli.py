@@ -9,19 +9,17 @@ import json
 import os
 import sys
 
-from . import catalog, discform, glue, isom, linalg, shortvec, verify
+from . import catalog, discform, glue, isom, shortvec, verify
 from .errors import BadInput, LatticeForgeError
-from .lattice import Lattice, from_expression, invariants, make_named, matrix_from_json
+from .lattice import NAMED, Lattice, from_expression, invariants, make_named, matrix_from_json
 
 
 @functools.cache
 def _registry():
-    """Name -> Lattice for the builtin composites and every table lattice,
+    """Name -> Lattice for the fixed lattice names and every table lattice,
     built once per process on first use.  Lattices are immutable, so the
     queries of one process share them and their cached eliminations."""
-    reg = {name: make_named(name)
-           for name in ("U", "OG10", "Lambda", "F", "K3", "H4cubic", "ExA", "ExB",
-                        "L17", "N69", "N15", "E6*(3)")}
+    reg = {name: make_named(name) for name in NAMED}
     reg.update(catalog.fixture_lattices())
     return reg
 
@@ -146,11 +144,10 @@ def cmd_glue(args):
     # report whatever parity comes out rather than enforcing one
     ext, _, _ = glue.primitive_extension(g, require_even=False)
     lat = ext.lattice
-    direct = Lattice(linalg.block_diag([left.gram, right.gram]))
     data = {"rank": lat.rank, "determinant": lat.det,
             "signature": list(lat.signature),
             "parity": "even" if lat.is_even() else "odd",
-            "index": glue.extension_index(direct, ext)}
+            "index": ext.index}
     _print(data, args.format, lambda: "rank %d, det %d, sig (%d,%d), %s, glue index %d" % (
         lat.rank, lat.det, lat.signature[0], lat.signature[1], data["parity"], data["index"]))
     return 0
@@ -173,13 +170,10 @@ def cmd_isom(args):
         data = {"rank": sl.rank, "basis": [list(r) for r in sl.basis.rows],
                 "gram": [list(r) for r in sl.gram().rows], "glue_a": pair.glue_a}
         _print(data, args.format, lambda: json.dumps(data))
-    elif sub == "extend-lambda":
+    else:  # extend-lambda; argparse rejects any other action
         ext = isom.extend_to_lambda(f)
         data = {"matrix": [list(r) for r in ext.matrix.rows]}
         _print(data, args.format, lambda: "\n".join(" ".join(map(str, r)) for r in ext.matrix.rows))
-    else:
-        print("unknown isom action %r" % sub, file=sys.stderr)
-        return 2
     return 0
 
 

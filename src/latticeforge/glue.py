@@ -7,8 +7,7 @@ stable.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from . import discform, linalg
 from .errors import (
@@ -83,22 +82,17 @@ def saturate(s):
 
 
 def saturation_index(s):
-    """Index of s inside its saturation: the ratio of the products of their
-    HNF pivots, as both Hermite forms have the same pivot columns and the
-    projection onto those columns is injective on their common span."""
-    sat = saturate(s)
-    if s.rank != sat.rank:
+    """Index of s inside its saturation: the product of the Smith divisors of
+    its basis, as the saturation is the rational span of s meet Z^n."""
+    divisors = linalg.smith_normal_form(s.basis).divisors
+    if not all(divisors) or len(divisors) != s.rank:
         raise DimensionMismatch("rank drop during saturation")
-    return _pivot_product(s.basis) // _pivot_product(sat.basis)
-
-
-def _pivot_product(m):
-    return prod(next(x for x in r if x) for r in _hnf_rows(m).rows)
+    return prod(divisors)
 
 
 def orthogonal_complement(s):
-    """Primitive sublattice of everything orthogonal to s."""
-    s = saturate(s)
+    """Primitive sublattice of everything orthogonal to s: the integer kernel
+    of G B^T, which depends only on the rational span of the basis B."""
     n = s.ambient.rank
     if s.rank == 0:
         return Sublattice(s.ambient, Matrix.identity(n))
@@ -124,6 +118,13 @@ class Extension:
     rows: Matrix
     den: int
     old_in_new: Matrix
+
+    @property
+    def index(self):
+        """Index [M : L] of the original lattice L in the overlattice M: the
+        new basis is rows / den, so [M : L] = den^n / det(rows)."""
+        n = self.rows.nrows
+        return self.den ** n // prod(self.rows[i, i] for i in range(n))
 
 
 def overlattice(lat, rows, den, require_even=None, label=None):
@@ -161,15 +162,6 @@ def overlattice(lat, rows, den, require_even=None, label=None):
         raise NotIsotropic("overlattice of an even lattice fails to be even")
     old_in_new = linalg.triangular_solve(h, Matrix.identity(n).scale(den))
     return Extension(Lattice(gram, label), h, den, old_in_new)
-
-
-def extension_index(lat, ext):
-    """Index [M : L] of the original lattice in the overlattice."""
-    ratio = Fraction(abs(lat.det), abs(ext.lattice.det))
-    num = isqrt(ratio.numerator)
-    if ratio.denominator != 1 or num * num != ratio.numerator:
-        raise DimensionMismatch("index^2 should divide the determinant ratio")
-    return num
 
 
 @dataclass

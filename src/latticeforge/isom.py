@@ -9,6 +9,7 @@ from .errors import (
     InfiniteOrder,
     NontrivialDiscAction,
     NotAnIsometry,
+    TooLarge,
 )
 from .lattice import direct_sum, make_named
 from .linalg import Matrix
@@ -60,15 +61,21 @@ def neg_identity(lat):
 
 
 def isometry_order(f, cap=ORDER_CAP):
-    """Smallest n >= 1 with f^n = id, or None beyond the cap."""
+    """Smallest k >= 1 with f^k = id, or None when f has infinite order.
+
+    The order is infinite once some |tr f^k| exceeds the rank: an isometry of
+    finite order has roots of unity for eigenvalues.  An order neither found
+    nor proved infinite within `cap` powers raises TooLarge."""
     n = f.lattice.rank
     ident = Matrix.identity(n)
     power = f.matrix
     for k in range(1, cap + 1):
         if power == ident:
             return k
+        if abs(sum(power[i, i] for i in range(n))) > n:
+            return None
         power = power @ f.matrix
-    return None
+    raise TooLarge("isometry order exceeds the cap %d" % cap)
 
 
 @dataclass
@@ -88,7 +95,7 @@ class InvariantPair:
 def invariant_coinvariant(f):
     """Saturated fixed sublattice and its orthogonal complement."""
     if isometry_order(f) is None:
-        raise InfiniteOrder("isometry order exceeds the search cap")
+        raise InfiniteOrder("isometry has infinite order")
     n = f.lattice.rank
     diff = f.matrix - Matrix.identity(n)
     inv_rows = linalg.integer_kernel(diff.T)

@@ -325,66 +325,53 @@ def _gram_E(n):
     return Matrix(g)
 
 
-E6_STAR_3 = Matrix([
-    [4, 2, -1, 2, -1, 1],
-    [2, 4, 1, 1, -2, 2],
-    [-1, 1, 4, 1, -2, -1],
-    [2, 1, 1, 4, -2, -1],
-    [-1, -2, -2, -2, 4, -1],
-    [1, 2, -1, -1, -1, 4],
-])
-
-L17 = Matrix([
-    [2, 1, 0, 1],
-    [1, 2, 0, 0],
-    [0, 0, 2, -1],
-    [1, 0, -1, 4],
-])
-
-N69 = Matrix([[6, 3], [3, -10]])
-N15 = Matrix([[4, -1], [-1, 4]])
-EX_A = Matrix([[12, 1], [1, 2]])
-EX_B = Matrix([[6, 1], [1, 4]])
+# Fixed lattice names: each maps to its Gram matrix, or for a composite to the
+# expression it stands for.  `make_named`, `from_expression` and the CLI
+# registry all read this one table.
+NAMED = {
+    "U": Matrix([[0, 1], [1, 0]]),
+    "E6*(3)": Matrix([
+        [4, 2, -1, 2, -1, 1],
+        [2, 4, 1, 1, -2, 2],
+        [-1, 1, 4, 1, -2, -1],
+        [2, 1, 1, 4, -2, -1],
+        [-1, -2, -2, -2, 4, -1],
+        [1, 2, -1, -1, -1, 4],
+    ]),
+    "L17": Matrix([
+        [2, 1, 0, 1],
+        [1, 2, 0, 0],
+        [0, 0, 2, -1],
+        [1, 0, -1, 4],
+    ]),
+    "N69": Matrix([[6, 3], [3, -10]]),
+    "N15": Matrix([[4, -1], [-1, 4]]),
+    "ExA": Matrix([[12, 1], [1, 2]]),
+    "ExB": Matrix([[6, 1], [1, 4]]),
+    "OG10": "U^3 + E8(-1)^2 + A2(-1)",
+    "Lambda": "U^5 + E8(-1)^2",
+    "F": "U^2 + E8^2 + A2",
+    "K3": "U^3 + E8(-1)^2",
+    # middle cohomology lattice of a cubic fourfold: odd unimodular (21, 2)
+    "H4cubic": "[1]^21 + [-1]^2",
+}
+_ALIASES = {"E6*": "E6*(3)", "E6star": "E6*(3)", "E6star3": "E6*(3)"}
 
 
 def make_named(name, *params):
     """Construct a lattice from its conventional name.
 
-    Supported: U, A<n>, D<n>, E<n>, [k] rank-one, K<p>, H<p> (odd prime p),
-    E6*(3), L17, N69, N15, ExA, ExB, and the composite lattices OG10, Lambda,
-    F, K3, H4cubic.
+    Supported: the names of NAMED (U, E6*(3) with its aliases, L17, N69, N15,
+    ExA, ExB and the composites OG10, Lambda, F, K3, H4cubic), and A<n>,
+    D<n>, E<n>, [k] rank-one, K<p>, H<p> (odd prime p) with the parameter.
     """
     key = name.strip()
-    if key == "U":
-        return Lattice(Matrix([[0, 1], [1, 0]]), "U")
-    if key in ("E6*", "E6star", "E6star3", "E6*(3)"):
-        return Lattice(E6_STAR_3, "E6*(3)")
-    if key == "L17":
-        return Lattice(L17, "L17")
-    if key == "N69":
-        return Lattice(N69, "N69")
-    if key == "N15":
-        return Lattice(N15, "N15")
-    if key == "ExA":
-        return Lattice(EX_A, "ExA")
-    if key == "ExB":
-        return Lattice(EX_B, "ExB")
-    if key == "OG10":
-        return direct_sum([make_named("U")] * 3
-                          + [rescale(make_named("E", 8), -1)] * 2
-                          + [rescale(make_named("A", 2), -1)]).relabel("OG10")
-    if key == "Lambda":
-        return direct_sum([make_named("U")] * 5
-                          + [rescale(make_named("E", 8), -1)] * 2).relabel("Lambda")
-    if key == "F":
-        return direct_sum([make_named("U")] * 2 + [make_named("E", 8)] * 2
-                          + [make_named("A", 2)]).relabel("F")
-    if key == "K3":
-        return direct_sum([make_named("U")] * 3
-                          + [rescale(make_named("E", 8), -1)] * 2).relabel("K3")
-    if key == "H4cubic":
-        # middle cohomology lattice of a cubic fourfold: odd unimodular (21, 2)
-        return Lattice(Matrix.diagonal([1] * 21 + [-1] * 2), "H4cubic")
+    key = _ALIASES.get(key, key)
+    entry = NAMED.get(key)
+    if isinstance(entry, Matrix):
+        return Lattice(entry, key)
+    if entry is not None:
+        return from_expression(entry).relabel(key)
 
     if params:
         n = params[0]
@@ -451,9 +438,8 @@ def from_expression(expr):
             twist = None
         elif base.startswith("["):
             lat = make_named("[]", int(base[1:-1]))
-        elif base in ("OG10", "Lambda", "F", "K3", "H4cubic", "L17", "N69",
-                      "N15", "ExA", "ExB", "U"):
-            # composite names win over the ADEKH-family pattern; the rank-two
+        elif base in NAMED:
+            # fixed names win over the ADEKH-family pattern; the rank-two
             # lattice K_3 is A2(-1) anyway, so nothing is lost
             lat = make_named(base)
         else:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from . import catalog, discform, glue, linalg, shortvec
+from . import catalog, discform, glue, shortvec
 from .errors import InfeasibleSignature
 from .lattice import Lattice, from_expression, make_named, rescale
 from .linalg import Matrix
@@ -193,11 +193,9 @@ def _verify_cubic_row(row):
     if row.labeling_witness:
         w = row.labeling_witness
         k = glue.span(alg, [eta, w])
-        sat = glue.saturate(k)
         gram = k.gram()
         v.add("labeling_witness_det_14",
-              gram == Matrix([[3, 2], [2, 6]]) and linalg.bareiss_det(gram) == 14
-              and glue.saturation_index(k) == 1,
+              gram == Matrix([[3, 2], [2, 6]]) and glue.saturation_index(k) == 1,
               "%s" % (gram.rows,))
     return v
 
@@ -411,15 +409,14 @@ def _find_u3_sublattice(lat, max_def_norm=12, coeff_bound=4, pair_budget=400000)
             if sum(a * b for a, b in zip(v, gu)) != 3:
                 continue
             sub = glue.Sublattice(lat, Matrix([u, v]))
-            if linalg.bareiss_det(sub.gram()) != -9:
-                continue
             if sub.gram() == Matrix([[0, 3], [3, 0]]) and glue.saturation_index(sub) == 1:
                 return sub
     return None
 
 
 def _genus_equal(l1, l2):
-    if l1.rank != l2.rank or l1.signature != l2.signature or l1.is_even() != l2.is_even():
+    if l1.rank != l2.rank or l1.signature != l2.signature or l1.is_even() != l2.is_even() \
+            or l1.disc_group_orders() != l2.disc_group_orders():
         return False
     f1, _ = discform.discriminant_form(l1)
     f2, _ = discform.discriminant_form(l2)
@@ -427,24 +424,24 @@ def _genus_equal(l1, l2):
 
 
 def _u3_gluings_to(target, other):
-    """Try to realize target's genus as U(3) glued with `other` (index 1 or
-    3); returns True on success.
+    """Whether target's genus is that of U(3) glued with `other` along the
+    trivial subgroup or a graph of order 3.
 
+    The glued lattice has signature (1, 1) + sig(other), the parity of
+    `other`, and discriminant form H^perp / H on disc U(3) + disc other for
+    the graph H (Nikulin 1979, Prop. 1.4.1), so no overlattice is built.
     Every caller passes an `other` with a 3-elementary discriminant form.  By
     Witt's theorem over F_3 the y with q(y) = -q(h) form one orbit, so the
     first one per value q(h) decides (as in `a2_complement_candidates`).
     """
-    u3 = rescale(make_named("U"), 3)
-    if other.rank == 0:
-        return _genus_equal(u3, target)
-    direct = Lattice(linalg.block_diag([u3.gram, other.gram]))
-    ratio = Fraction(abs(direct.det), abs(target.det))
-    if ratio == 1:
-        return _genus_equal(direct, target)
-    if ratio != 9:
+    sig = (other.signature[0] + 1, other.signature[1] + 1)
+    if target.rank != other.rank + 2 or target.signature != sig \
+            or target.is_even() != other.is_even():
         return False
-    fu, _ = discform.discriminant_form(u3)
+    fu, _ = discform.discriminant_form(from_expression("U(3)"))
     fo, _ = discform.discriminant_form(other)
+    ft, _ = discform.discriminant_form(target)
+    graphs = [()]
     first_h = {}  # q(h) -> the first h of order 3 with that value
     for h in fu.elements():
         if fu.element_order(h) == 3:
@@ -452,12 +449,11 @@ def _u3_gluings_to(target, other):
     for qh, h in first_h.items():
         for y in fo.elements():
             if fo.element_order(y) == 3 and (qh + fo.q_of(y)) % 2 == 0:
-                ext, _, _ = glue.primitive_extension(
-                    glue.GlueData(u3, other, Matrix([h]), Matrix([y])))
-                if _genus_equal(ext.lattice, target):
-                    return True
+                graphs.append((h + y,))
                 break
-    return False
+    big = fu.direct_sum(fo)
+    return any(discform.forms_isomorphic(discform.subquotient_form(big, graph), ft)
+               for graph in graphs)
 
 
 def canonical_u3_certificate():
@@ -468,16 +464,20 @@ def canonical_u3_certificate():
     return _u3_gluings_to(make_named("OG10"), from_expression("U^2 + E8(-1)^2 + A2(-1)"))
 
 
+def _rank24_reading(row, inv):
+    """(expression, lattice) of the first coinvariant reading of an induced
+    row whose rank adds up with the invariant's to 24, or None."""
+    for expr in [row.coinv] + ([row.alt_coinv] if row.alt_coinv else []):
+        co = from_expression(expr)
+        if co.rank + inv.rank == 24:
+            return expr, co
+    return None
+
+
 def _verify_induced_row(row):
     v = RowVerdict(row.label, note=row.note)
     inv = from_expression(row.inv)
-    readings = [row.coinv] + ([row.alt_coinv] if row.alt_coinv else [])
-    chosen = None
-    for expr in readings:
-        co = from_expression(expr)
-        if co.rank + inv.rank == 24:
-            chosen = (expr, co)
-            break
+    chosen = _rank24_reading(row, inv)
     if chosen is None:
         v.add("rank_sum_24", False, "no reading gives rank 24")
         return v
@@ -553,40 +553,41 @@ def a2_complement_candidates(host):
     return out
 
 
-def derive_og10_order3_candidates(mapping=None):
+def derive_og10_order3_candidates():
     """For each order-3 row of the rank-26 table, the possible genus data of
     the complement of A2 in the invariant lattice; cross-checked against the
     order-3 rows of the induced-action table.
 
-    `mapping` pairs induced-action labels with rank-26 row labels (the row
-    whose coinvariant is the induced coinvariant); it defaults to the
-    catalog's genus-matched assignment.
+    Each induced row is paired with the one order-3 rank-26 row whose
+    coinvariant has the genus of the induced coinvariant; no such row, or
+    several, fail the crosscheck.
     """
-    if mapping is None:
-        mapping = catalog.INDUCED_TO_RANK26
+    rows = [r for r in catalog.RANK26_PAIRS if r.p == 3]
     report = VerdictReport("candidates")
     candidates = {}
-    for row in catalog.RANK26_PAIRS:
-        if row.p != 3:
-            continue
+    for row in rows:
         host = from_expression(row.inv)
         cands = a2_complement_candidates(host)
         candidates[row.label] = cands
         v = RowVerdict(row.label)
         v.add("candidates_computed", True, "%d glue choices" % len(cands))
         report.rows.append(v)
-    for label, target_label in mapping.items():
-        induced = catalog.induced_row(label)
+    for induced in catalog.INDUCED_ROWS:
+        if induced.p != 3:
+            continue
+        v = RowVerdict("crosscheck_%s" % induced.label)
         target = from_expression(induced.inv)
-        ft, _ = discform.discriminant_form(target)
-        v = RowVerdict("crosscheck_%s" % label)
-        hit = False
-        for kind, sig, form in candidates.get(target_label, ()):
-            if sig == target.signature and discform.forms_isomorphic(form, ft):
-                hit = True
-                break
-        v.add("induced_inv_among_candidates", hit,
-              "row %s of the rank-26 table" % target_label)
+        co = _rank24_reading(induced, target)
+        labels = [r.label for r in rows if co and _genus_equal(co[1], from_expression(r.coinv))]
+        if len(labels) != 1:
+            v.add("induced_inv_among_candidates", False,
+                  "rank-26 rows with the induced coinvariant genus: %s (need exactly one)"
+                  % (", ".join(labels) or "none"))
+        else:
+            ft, _ = discform.discriminant_form(target)
+            hit = any(sig == target.signature and discform.forms_isomorphic(form, ft)
+                      for _kind, sig, form in candidates[labels[0]])
+            v.add("induced_inv_among_candidates", hit, "row %s of the rank-26 table" % labels[0])
         report.rows.append(v)
     return report, candidates
 

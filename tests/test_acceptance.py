@@ -185,14 +185,13 @@ def test_criterion_10_property_suites():
         f, _ = discriminant_form(lat)
         sp, sm = lat.signature
         assert milgram_signature(f) == (sp - sm) % 8, expr
-    # overlattice determinant identity
-    from latticeforge.glue import extension_index
+    # overlattice determinant identity, the index read from the Hermite form
     from latticeforge.lattice import rescale
 
     pair = direct_sum([make_named("A", 2), rescale(make_named("A", 2), -1)])
     fp, lifts = discriminant_form(pair)
     ext = overlattice(pair, [element_lift(lifts, (1, 1))], fp.den)
-    idx = extension_index(pair, ext)
+    idx = ext.index
     assert abs(ext.lattice.det) * idx * idx == abs(pair.det)
     # prime-order glue bound on generated isometries: delegated module test
     from test_isom import test_prime_order_glue_bound_on_generated_isometries

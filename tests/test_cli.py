@@ -151,6 +151,24 @@ def test_isom_files(capsys, tmp_path):
     assert len(rows) == 26
 
 
+def test_isom_order_cap_exit_2_and_infinite_order(capsys, tmp_path):
+    # Coxeter elements of A2, A4, A6 and -1 on A1 have order 210, above the
+    # cap: an error, not "infinite"
+    from test_isom import _order_210
+
+    f = _order_210()
+    big = tmp_path / "order210.json"
+    big.write_text(json.dumps({"lattice": "A2 + A4 + A6 + A1",
+                               "matrix": [list(r) for r in f.matrix.rows]}))
+    code, out, err = run(capsys, "isom", "order", str(big))
+    assert code == 2 and out == "" and "cap 120" in err
+    pell = tmp_path / "pell.json"
+    pell.write_text(json.dumps({"lattice": {"gram": [[2, 0], [0, -6]]},
+                                "matrix": [[2, 3], [1, 2]]}))
+    code, out, _ = run(capsys, "isom", "order", str(pell))
+    assert code == 0 and out.strip() == "infinite"
+
+
 def test_isom_invariant_subcommands(capsys, tmp_path):
     rot = tmp_path / "rot_block.json"
     # rotation on the A2 tail of a U + A2 lattice

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from conftest import fraction_inverse, fraction_to_int, injective_anti_glue
@@ -15,6 +15,7 @@ from latticeforge.discform import (
 )
 from latticeforge.errors import (
     DegenerateComplement,
+    DimensionMismatch,
     NotComplementary,
     NotIsotropic,
     NotIsotropicGraph,
@@ -23,7 +24,6 @@ from latticeforge.glue import (
     GlueData,
     Sublattice,
     complement_genus,
-    extension_index,
     full_glue,
     glue_group,
     orthogonal_complement,
@@ -46,6 +46,14 @@ def test_saturate_multiple():
     sat = saturate(s)
     assert sat.basis == Matrix([(1, 0)])
     assert saturation_index(s) == 2
+
+
+def test_saturation_index_rank_drop():
+    with pytest.raises(DimensionMismatch):
+        saturation_index(Sublattice(U, [(1, 0), (2, 0)]))
+    with pytest.raises(DimensionMismatch):
+        saturation_index(Sublattice(U, [(1, 0), (0, 1), (1, 1)]))
+    assert saturation_index(Sublattice(U, [])) == 1
 
 
 def test_saturate_idempotent():
@@ -84,7 +92,7 @@ def test_overlattice_diagonal_glue():
     assert abs(ext.lattice.det) == 1
     assert ext.lattice.signature == (2, 2)
     assert ext.lattice.is_even()
-    assert extension_index(lat, ext) == 3
+    assert ext.index == 3
 
 
 def test_overlattice_trivial():
@@ -97,7 +105,7 @@ def test_overlattice_det_index_identity():
     lat = direct_sum([A2, rescale(A2, -1)])
     f, lifts = discriminant_form(lat)
     ext = overlattice(lat, [element_lift(lifts, (1, 1))], f.den)
-    idx = extension_index(lat, ext)
+    idx = ext.index
     assert abs(ext.lattice.det) * idx * idx == abs(lat.det)
 
 
@@ -126,7 +134,7 @@ def test_primitive_extension_mixed_denominators():
     # disc(A2) = Z/3 (q = 2/3) glued onto 2 in disc([-6]) = Z/6 (q = -1/6)
     six = make_named("[]", -6)
     ext, lrows, rrows = primitive_extension(GlueData(A2, six, Matrix([(1,)]), Matrix([(2,)])))
-    assert extension_index(direct_sum([A2, six]), ext) == 3
+    assert ext.index == 3
     assert abs(ext.lattice.det) == 2
     assert Sublattice(ext.lattice, lrows).gram() == A2.gram
     assert Sublattice(ext.lattice, rrows).gram() == six.gram
@@ -381,3 +389,34 @@ def test_saturation_index_matches_fractions_on_random_sublattices():
         indices.append(saturation_index(s))
         assert indices[-1] == _fraction_saturation_index(s)
     assert len(indices) > 200 and sum(i > 1 for i in indices) > 100
+
+
+# ---------------------------------------------------------------------------
+# Extension.index against the determinant ratio it replaced
+
+
+def _det_ratio_index(lat, ext):
+    """The earlier index: the square root of |det L| / |det M|."""
+    ratio = Fraction(abs(lat.det), abs(ext.lattice.det))
+    num = isqrt(ratio.numerator)
+    assert ratio.denominator == 1 and num * num == ratio.numerator
+    return num
+
+
+def test_extension_index_matches_determinant_ratio_on_random_glue():
+    # M + M(-1) glued along the diagonal of a random subgroup of disc(M):
+    # (v, v) pairs to zero with every other such vector, so each glue is
+    # isotropic and the index is the order of the subgroup
+    rng = random.Random(12)
+    blocks = ["A2", "A3", "D4", "E6*(3)", "[4]", "[6]", "U(3)"]
+    indices = []
+    for _ in range(60):
+        m = from_expression(" + ".join(rng.choice(blocks) for _ in range(rng.randint(1, 3))))
+        lat = direct_sum([m, rescale(m, -1)])
+        f, lifts = discriminant_form(m)
+        gens = [tuple(rng.randrange(d) for d in f.orders) for _ in range(rng.randint(1, 2))]
+        lifted = [element_lift(lifts, x) for x in gens]
+        ext = overlattice(lat, [v + v for v in lifted], f.den)
+        indices.append(ext.index)
+        assert ext.index == _det_ratio_index(lat, ext)
+    assert len(set(indices)) >= 5

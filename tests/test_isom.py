@@ -5,7 +5,7 @@ import pytest
 from conftest import fraction_inverse, fraction_to_int
 
 from latticeforge.discform import discriminant_form, forms_isomorphic
-from latticeforge.errors import DegenerateForm, NotAnIsometry
+from latticeforge.errors import DegenerateForm, NotAnIsometry, TooLarge
 from latticeforge.isom import (
     Isometry,
     _canonical_extension,
@@ -237,6 +237,28 @@ def _coxeter(lat):
         v = tuple(1 if t == i else 0 for t in range(lat.rank))
         f = _reflection(lat, v) * f
     return f
+
+
+def _order_210():
+    """Coxeter elements of A2, A4, A6 and -1 on A1: order lcm(3, 5, 7, 2)."""
+    blocks = [_coxeter(from_expression(e)).matrix for e in ("A2", "A4", "A6")]
+    return Isometry(from_expression("A2 + A4 + A6 + A1"), block_diag(blocks + [Matrix([[-1]])]))
+
+
+def test_order_beyond_cap_is_too_large_not_infinite():
+    f = _order_210()
+    with pytest.raises(TooLarge, match="cap 120"):
+        isometry_order(f)
+    assert isometry_order(f, cap=210) == 210
+    with pytest.raises(TooLarge):
+        isometry_order(Isometry(A2, ROT3), cap=2)
+
+
+def test_order_infinite_once_a_trace_exceeds_the_rank():
+    # the Pell automorphism has trace 4 > 2 at the first power
+    lat = Lattice(Matrix([[2, 0], [0, -6]]))
+    f = Isometry(lat, Matrix([[2, 3], [1, 2]]))
+    assert isometry_order(f, cap=1) is None
 
 
 def test_prime_order_glue_bound_on_generated_isometries():

@@ -5,6 +5,7 @@ import pytest
 
 from latticeforge.errors import BadParams, TooLarge, UnknownName, ZeroScale, ZeroVector
 from latticeforge.lattice import (
+    NAMED,
     Lattice,
     _factorization,
     _is_prime,
@@ -58,6 +59,31 @@ def test_named_k7_h5_matrices():
     assert make_named("K", 7).gram == Matrix([[-4, 1], [1, -2]])
     assert make_named("H", 5).gram == Matrix([[2, 1], [1, -2]])
     assert make_named("ExA").gram == Matrix([[12, 1], [1, 2]])
+
+
+def test_named_table_drives_names_expressions_and_registry():
+    from latticeforge import cli
+
+    reg = cli._registry()
+    for name, entry in NAMED.items():
+        want = entry if isinstance(entry, Matrix) else from_expression(entry).gram
+        lat = make_named(name)
+        assert lat.gram == want and lat.label == name
+        assert from_expression(name).gram == want
+        assert reg[name].gram == want
+        if "(" not in name:
+            assert from_expression(name + "(-1)").gram == want.scale(-1)
+    for alias in ("E6*", "E6star", "E6star3"):
+        lat = make_named(alias)
+        assert lat.gram == NAMED["E6*(3)"] and lat.label == "E6*(3)"
+        assert alias not in reg
+    # the composites as the earlier if-chain built them
+    og = direct_sum([make_named("U")] * 3 + [rescale(make_named("E", 8), -1)] * 2
+                    + [rescale(make_named("A", 2), -1)])
+    assert make_named("OG10").gram == og.gram
+    assert make_named("H4cubic").gram == Matrix.diagonal([1] * 21 + [-1] * 2)
+    # a fixed name wins over the K_p family
+    assert from_expression("K3").rank == 22
 
 
 def test_middle_cohomology_lattice():

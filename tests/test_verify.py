@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
+import json
 import random
 import tracemalloc
+from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 from conftest import box_ball, fraction_inverse, injective_anti_glue
@@ -501,10 +504,42 @@ def test_candidates_crosscheck():
     assert all(cands for cands in candidates.values())
 
 
-def test_candidates_negative_control():
-    # pairing an induced row with the wrong rank-26 row breaks the crosscheck
-    report, _ = verify.derive_og10_order3_candidates(mapping={"phi37": "1"})
-    assert not report.ok
+def _replaced(rows, label, **changes):
+    return tuple(dataclasses.replace(r, **changes) if r.label == label else r for r in rows)
+
+
+def _crosscheck(report, label):
+    (row,) = [r for r in report.rows if r.row == "crosscheck_" + label]
+    (check,) = row.checks
+    return check
+
+
+def test_candidates_negative_control(monkeypatch):
+    # an induced coinvariant whose genus no rank-26 row has pairs with no row
+    monkeypatch.setattr(catalog, "INDUCED_ROWS", _replaced(
+        catalog.INDUCED_ROWS, "phi37", coinv="U + U(3) + E8(-1) + [-6]^2"))
+    report, _ = verify.derive_og10_order3_candidates()
+    check = _crosscheck(report, "phi37")
+    assert not check.passed and check.detail.endswith(": none (need exactly one)")
+    assert [r.row for r in report.rows if not r.ok] == ["crosscheck_phi37"]
+
+
+def test_candidates_two_matching_rank26_rows_fail(monkeypatch):
+    twin = dataclasses.replace(catalog.rank26_row("18"), label="18b")
+    monkeypatch.setattr(catalog, "RANK26_PAIRS", catalog.RANK26_PAIRS + (twin,))
+    report, _ = verify.derive_og10_order3_candidates()
+    check = _crosscheck(report, "phi37")
+    assert not check.passed and ": 18, 18b (" in check.detail
+
+
+def test_candidates_wrong_induced_invariant_fails(monkeypatch):
+    # E6(-1) in place of E6*(-3): still rank 10 and signature (1, 9), and
+    # paired with row 18 as before, but among none of its A2 complements
+    monkeypatch.setattr(catalog, "INDUCED_ROWS", _replaced(
+        catalog.INDUCED_ROWS, "phi37", inv="U(3) + E6(-1) + A2(-1)"))
+    report, _ = verify.derive_og10_order3_candidates()
+    check = _crosscheck(report, "phi37")
+    assert not check.passed and check.detail == "row 18 of the rank-26 table"
 
 
 def test_candidates_signature_obstruction():
@@ -534,6 +569,77 @@ def test_induced_pair_reassembles_rank24_genus():
     orders, a = glue_group(amb, Sublattice(amb, invrows), Sublattice(amb, corows), p=3)
     assert a == 7
     assert a <= coinv.rank // 2  # prime-order glue bound at p = 3
+
+
+# ---------------------------------------------------------------------------
+# U(3) gluing genus on forms against the explicit overlattices it replaced
+
+
+def _overlattice_u3_gluings_to(target, other):
+    """The earlier `_u3_gluings_to`: the direct sum or, at determinant ratio
+    9, the overlattices along one graph per q(h), compared by genus."""
+    u3 = rescale(make_named("U"), 3)
+    if other.rank == 0:
+        return verify._genus_equal(u3, target)
+    direct = Lattice(linalg.block_diag([u3.gram, other.gram]))
+    ratio = Fraction(abs(direct.det), abs(target.det))
+    if ratio == 1:
+        return verify._genus_equal(direct, target)
+    if ratio != 9:
+        return False
+    fu, _ = discform.discriminant_form(u3)
+    fo, _ = discform.discriminant_form(other)
+    first_h = {}
+    for h in fu.elements():
+        if fu.element_order(h) == 3:
+            first_h.setdefault(fu.q_of(h), h)
+    for qh, h in first_h.items():
+        for y in fo.elements():
+            if fo.element_order(y) == 3 and (qh + fo.q_of(y)) % 2 == 0:
+                ext, _, _ = glue.primitive_extension(
+                    glue.GlueData(u3, other, Matrix([h]), Matrix([y])))
+                if verify._genus_equal(ext.lattice, target):
+                    return True
+                break
+    return False
+
+
+def _u3_pairs():
+    """(target, other) for the certificate, the four order-3 induced rows and
+    every mismatched pairing of their invariants with other rows' parts."""
+    invs = {r.label: from_expression(r.inv) for r in catalog.INDUCED_ROWS if r.p == 3}
+    negs = {label: Lattice(-catalog.cubic_row(label).inv_gram) for label in invs}
+    pairs = [(make_named("OG10"), from_expression("U^2 + E8(-1)^2 + A2(-1)"))]
+    pairs += [(invs[a], negs[b]) for a in invs for b in invs]
+    # a direct sum, an index-3 glue onto U, a determinant ratio of 81 and a
+    # rank mismatch
+    pairs += [(from_expression("U(3) + A2(-1)^2"), from_expression("A2(-1)^2")),
+              (from_expression("U + A2(-1)^2"), from_expression("A2(-1)^2")),
+              (from_expression("U(3) + E6(-1)"), from_expression("E6*(-3)")),
+              (from_expression("U(3) + A2(-1)"), from_expression("E6(-1)"))]
+    return pairs
+
+
+def test_u3_gluings_on_forms_match_explicit_overlattices():
+    pairs = _u3_pairs()
+    got = [verify._u3_gluings_to(t, o) for t, o in pairs]
+    assert got == [_overlattice_u3_gluings_to(t, o) for t, o in pairs]
+    # the certificate and the four diagonal pairs glue; some mismatches do not
+    assert got[0] and all(got[1 + 5 * i] for i in range(4))
+    assert not all(got) and any(got[17:])
+
+
+# ---------------------------------------------------------------------------
+# verify all against the benchmark reference verdicts
+
+
+def test_verify_all_matches_benchmark_reference():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    want = json.loads(path.read_text())["verify"]
+    got = {report.table: {r.row: sorted([c.name, c.passed] for c in r.checks)
+                          for r in report.rows}
+           for report in verify.verify_all()}
+    assert got == want
 
 
 def test_report_serialization():
