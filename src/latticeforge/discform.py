@@ -19,6 +19,7 @@ existence conditions read one integer matrix per prime; no floats.
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -207,7 +208,7 @@ def discriminant_form(lat):
     for i in range(k):
         gc = lat.gram.apply(cols[i])
         for j in range(i, k):
-            dot = sum(a * c for a, c in zip(cols[j], gc))
+            dot = sum(map(mul, cols[j], gc))
             B[i][j] = B[j][i] = dot * den // (orders[i] * orders[j])
         Q[i] = B[i][i]
     return FiniteQuadraticForm._from_table(orders, B, Q if lat.is_even() else None), lifts
@@ -406,16 +407,16 @@ def _match_maps(src, dst, sign, q_mod=2):
     dst_b = [[d_scale * x for x in row] for row in dst.B]
 
     def brow(y):
-        """b(y, g_t) * den mod den for every dst generator g_t."""
-        return tuple(sum(y[i] * dst_b[i][t] for i in range(kk) if y[i]) % den
-                     for t in range(kk))
+        """b(y, g_t) * den mod den for every dst generator g_t, read on the
+        rows of the symmetric table."""
+        return tuple([sum(map(mul, row, y)) % den for row in dst_b])
 
     by_key = {}
     rows_of = {}
     for y in dst.elements():
         row = brow(y)
         key = (dst.element_order(y), d_scale * dst._q(y) % q_den if have_q else None,
-               sum(a * c for a, c in zip(y, row)) % den)
+               sum(map(mul, y, row)) % den)
         by_key.setdefault(key, []).append(y)
         rows_of[y] = row
     want_int = [[sign * s_scale * src.B[i][j] % den for j in range(k)] for i in range(k)]
@@ -430,15 +431,8 @@ def _match_maps(src, dst, sign, q_mod=2):
 
     def feasible(y, i):
         row_y = rows_of[y]
-        for j, prev in enumerate(chosen):
-            acc = 0
-            for t in range(kk):
-                pt = prev[t]
-                if pt:
-                    acc += pt * row_y[t]
-            if acc % den != want_int[i][j]:
-                return False
-        return True
+        want = want_int[i]
+        return all(sum(map(mul, prev, row_y)) % den == want[j] for j, prev in enumerate(chosen))
 
     def image_index(images):
         """Order of dst / (subgroup generated by the images)."""
@@ -566,7 +560,7 @@ def _jordan(form, p):
             w = [h[t][a] // s for a in piv]
             row = [h[t][r] for r in rest]
             for inv_col, col in zip(zip(*inv), cols):
-                c = inv_det * sum(x * y for x, y in zip(w, inv_col)) % mod
+                c = inv_det * sum(map(mul, w, inv_col)) % mod
                 row = [x - c * y for x, y in zip(row, col)]
             cleared.append([x % mod for x in row])
         h = cleared

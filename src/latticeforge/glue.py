@@ -8,6 +8,7 @@ stable.
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 
 from . import discform, linalg
 from .errors import (
@@ -261,7 +262,7 @@ def glue_group(ambient, s1, s2, p=None):
     for v in s1.basis.rows:
         gv = ambient.gram.apply(v)
         for w in s2.basis.rows:
-            if sum(a * b for a, b in zip(w, gv)) != 0:
+            if sum(map(mul, w, gv)) != 0:
                 raise NotComplementary("sublattices are not orthogonal")
     if s1.rank and s2.rank:
         stacked = linalg.stack([s1.basis, s2.basis])

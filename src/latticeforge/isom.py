@@ -3,9 +3,11 @@ spinor norm, prime-order feasibility, and the canonical rank-26 extension."""
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import discform, glue, linalg
 from .errors import (
+    DegenerateForm,
     InfiniteOrder,
     NontrivialDiscAction,
     NotAnIsometry,
@@ -93,13 +95,24 @@ class InvariantPair:
 
 
 def invariant_coinvariant(f):
-    """Saturated fixed sublattice and its orthogonal complement."""
-    if isometry_order(f) is None:
+    """Saturated fixed sublattice and its orthogonal complement.
+
+    The fixed lattice is the integer kernel of f - 1, so an order beyond
+    `ORDER_CAP` is no obstacle.  A proved infinite order is refused, and so
+    is a degenerate fixed lattice, which on a nondegenerate lattice only an
+    isometry of infinite order has."""
+    try:
+        infinite = isometry_order(f) is None
+    except TooLarge:
+        infinite = False
+    if infinite:
         raise InfiniteOrder("isometry has infinite order")
     n = f.lattice.rank
     diff = f.matrix - Matrix.identity(n)
     inv_rows = linalg.integer_kernel(diff.T)
     inv = glue.Sublattice(f.lattice, inv_rows)
+    if inv.rank and linalg.bareiss_det(inv.gram()) == 0:
+        raise DegenerateForm("the fixed lattice of the isometry is degenerate")
     coinv = glue.orthogonal_complement(inv)
     orders, a = glue.glue_group(f.lattice, inv, coinv)
     return InvariantPair(inv, coinv, orders, a)
@@ -133,8 +146,8 @@ def _reflect(gram, w, current, scale):
     the reflection R_w in w: nw R_w = nw I - 2 w (G w)^T is integral for
     nw = (w, w) != 0."""
     gw = gram.apply(w)
-    nw = sum(a * b for a, b in zip(w, gw))
-    t = [sum(a * b for a, b in zip(gw, col)) for col in current.transpose().rows]
+    nw = sum(map(mul, w, gw))
+    t = [sum(map(mul, gw, col)) for col in current.transpose().rows]
     rows = [[nw * x - 2 * wi * tj for x, tj in zip(r, t)] for wi, r in zip(w, current.rows)]
     scale *= nw
     g = gcd(scale, *(x for r in rows for x in r))
@@ -166,7 +179,7 @@ def spinor_norm(f):
         w = tuple(a - scale * b for a, b in zip(fv, v))
         if all(x == 0 for x in w):
             continue
-        if sum(a * b for a, b in zip(w, gram.apply(w))):
+        if sum(map(mul, w, gram.apply(w))):
             current, scale, nw = _reflect(gram, w, current, scale)
             spin *= contrib(nw)
         else:

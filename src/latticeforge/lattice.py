@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -85,8 +86,7 @@ class Lattice:
     def inner(self, v, w):
         if len(v) != self.rank or len(w) != self.rank:
             raise DimensionMismatch("vector length vs rank %d" % self.rank)
-        gw = self.gram.apply(w)
-        return sum(a * b for a, b in zip(v, gw))
+        return sum(map(mul, v, self.gram.apply(w)))
 
     def norm(self, v):
         return self.inner(v, v)

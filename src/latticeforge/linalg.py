@@ -9,10 +9,12 @@ inverse of its column transform), row-style HNF, forward substitution on a
 triangular HNF, and one symmetric Bareiss elimination
 (`symmetric_elimination`) whose leading minors, echelon rows and orthogonal
 basis give signatures, spinor reflections and the bounds of vector
-enumeration.
+enumeration.  Every dot product is written inline as `sum(map(mul, a, b))`,
+one loop in C per entry; a shared helper would cost a Python call per vector.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DegenerateForm, DimensionMismatch
 
@@ -95,13 +97,13 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch("matmul %s vs %s" % (self.shape, other.shape))
         cols = other.transpose().rows
-        return Matrix(tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.rows))
+        return Matrix(tuple(tuple([sum(map(mul, r, c)) for c in cols]) for r in self.rows))
 
     def apply(self, vec):
         """Matrix-times-column-vector, vec given as a sequence."""
         if self.ncols != len(vec):
             raise DimensionMismatch("apply %s to length %d" % (self.shape, len(vec)))
-        return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.rows)
+        return tuple([sum(map(mul, r, vec)) for r in self.rows])
 
     def is_symmetric(self):
         return self.rows == self.transpose().rows
@@ -164,7 +166,7 @@ def triangular_solve(h, b):
         x = []
         for j, (rj, col) in enumerate(zip(r, cols)):
             # sum_{k <= j} x_k h_kj = r_j, with x holding x_0 .. x_{j-1}
-            q, rem = divmod(rj - sum(a * c for a, c in zip(x, col)), col[j])
+            q, rem = divmod(rj - sum(map(mul, x, col)), col[j])
             if rem:
                 raise DimensionMismatch("row not in the lattice spanned by the triangular rows")
             x.append(q)

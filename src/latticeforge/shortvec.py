@@ -12,10 +12,11 @@ L1-windowed pass, `vectors_by_l1`.
 """
 
 from math import gcd, isqrt
+from operator import mul
 
-from .errors import BadParams, DegenerateForm, IndefiniteLattice, RankTooLarge
+from .errors import BadParams, DegenerateForm, DimensionMismatch, IndefiniteLattice, RankTooLarge
 from .lattice import Lattice
-from .linalg import Matrix, bareiss_det
+from .linalg import Matrix, bareiss_det, hermite_normal_form
 
 RANK_CAP = 16
 ISOM_RANK_CAP = 14
@@ -68,7 +69,9 @@ def _enumerate_upto(pos, bound, l1_window=None):
                 yield tuple(x), rest
             return
         ui = u[i]
-        c = sum(ui[j] * x[j] for j in range(i + 1, n))
+        # x_0 .. x_i are still zero here, so the full row gives U_i . x over
+        # the fixed coordinates x_{i+1} .. x_{n-1}
+        c = sum(map(mul, ui, x))
         piv = d[i + 1]
         r = isqrt(d[i] * (piv * bound - rest))
         a, b = -((r + c) // piv), (r - c) // piv
@@ -183,15 +186,27 @@ def root_report(lat, pairing=None, rank_cap=RANK_CAP):
     divisibility 3.  The divisibility of v is gcd(pairing v), where row i of
     `pairing` pairs v with basis vector i of the lattice it is measured in;
     the default, the Gram matrix, measures it in the lattice itself.
+
+    gcd(pairing v) generates the ideal {(m, v) : m in the row lattice of
+    `pairing`}, so it is read on the nonzero rows of the Hermite normal form,
+    at most rank-many, and once per pair +-v, on the v > 0.
     """
+    vecs = short_vectors(lat, 6, rank_cap)
     pairing = lat.gram if pairing is None else pairing
+    if pairing.ncols != lat.rank:
+        raise DimensionMismatch("pairing %s for rank %d" % (pairing.shape, lat.rank))
+    hnf, _u = hermite_normal_form(pairing)
+    rows = [r for r in hnf.rows if any(r)]
+    zero = (0,) * lat.rank
     short = long_ = 0
-    for v, nv in short_vectors(lat, 6, rank_cap):
-        if nv == 2 and gcd(*pairing.apply(v)) == 1:
-            short += 1
-        elif nv == 6 and gcd(*pairing.apply(v)) == 3:
-            long_ += 1
-    return (short, long_)
+    for v, nv in vecs:
+        if (nv == 2 or nv == 6) and v > zero:
+            div = gcd(*[sum(map(mul, r, v)) for r in rows])
+            if nv == 2:
+                short += div == 1
+            else:
+                long_ += div == 3
+    return (2 * short, 2 * long_)
 
 
 def wall_class(square, div):
@@ -252,7 +267,7 @@ def definite_isometric(l1, l2):
             filtered = []
             for j, lst in zip(later, lists[1:]):
                 want = g1[i, j]
-                keep = [(w, gw) for w, gw in lst if sum(a * b for a, b in zip(w, gc)) == want]
+                keep = [(w, gw) for w, gw in lst if sum(map(mul, w, gc)) == want]
                 if not keep:
                     break
                 filtered.append(keep)

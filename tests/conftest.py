@@ -202,6 +202,23 @@ def box_count(gram, norm):
     return len(box_vectors(gram, norm))
 
 
+def root_report_oracle(lat, pairing=None):
+    """(short roots, long roots) by the definition `shortvec.root_report`
+    reads faster: every vector of norm 2 or 6, both signs, its divisibility
+    gcd(pairing v) taken over every row of the full pairing with generator
+    sums."""
+    from latticeforge.shortvec import short_vectors
+
+    pairing = lat.gram if pairing is None else pairing
+    short = long_ = 0
+    for v, nv in short_vectors(lat, 6):
+        if nv == 2 and math.gcd(*(sum(a * b for a, b in zip(r, v)) for r in pairing.rows)) == 1:
+            short += 1
+        elif nv == 6 and math.gcd(*(sum(a * b for a, b in zip(r, v)) for r in pairing.rows)) == 3:
+            long_ += 1
+    return short, long_
+
+
 def box_minimum(lat, coeff_bound=5):
     """Minimal nonzero |norm| over a +-coeff_bound coordinate box."""
     g = lat.gram

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -167,6 +168,42 @@ def test_isom_order_cap_exit_2_and_infinite_order(capsys, tmp_path):
                                 "matrix": [[2, 3], [1, 2]]}))
     code, out, _ = run(capsys, "isom", "order", str(pell))
     assert code == 0 and out.strip() == "infinite"
+
+
+def test_isom_invariant_beyond_the_order_cap(capsys, tmp_path):
+    # the fixed lattice is the kernel of f - 1, which needs no order: the
+    # order-210 isometry fixes nothing and its coinvariant lattice is all of
+    # A2 + A4 + A6 + A1
+    from test_isom import _order_210
+
+    from latticeforge.linalg import Matrix, bareiss_det
+
+    big = tmp_path / "order210.json"
+    big.write_text(json.dumps({"lattice": "A2 + A4 + A6 + A1",
+                               "matrix": [list(r) for r in _order_210().matrix.rows]}))
+    code, out, _ = run(capsys, "--format", "json", "isom", "invariant", str(big))
+    assert code == 0 and json.loads(out)["rank"] == 0
+    code, out, _ = run(capsys, "--format", "json", "isom", "coinvariant", str(big))
+    data = json.loads(out)
+    assert code == 0 and data["rank"] == 13
+    assert abs(bareiss_det(Matrix(data["gram"]))) == 210
+
+    # the Eichler transvection e -> e, f -> f - e - x, x -> x + 2e on U + [2]:
+    # unipotent, so every trace is 3 and no trace proves the infinite order,
+    # and its fixed lattice span(e) is isotropic
+    eichler = tmp_path / "eichler.json"
+    eichler.write_text(json.dumps({"lattice": "U + [2]",
+                                   "matrix": [[1, -1, 2], [0, 1, 0], [0, -1, 1]]}))
+    for action in ("invariant", "coinvariant"):
+        code, out, err = run(capsys, "isom", action, str(eichler))
+        assert code == 2 and out == "" and "degenerate" in err and "Traceback" not in err
+
+    pell = tmp_path / "pell.json"
+    pell.write_text(json.dumps({"lattice": {"gram": [[2, 0], [0, -6]]},
+                                "matrix": [[2, 3], [1, 2]]}))
+    for action in ("invariant", "coinvariant"):
+        code, out, err = run(capsys, "isom", action, str(pell))
+        assert code == 2 and out == "" and "infinite order" in err
 
 
 def test_isom_invariant_subcommands(capsys, tmp_path):
@@ -480,3 +517,23 @@ def test_lattice_expression_fuzz(expr, command):
         # k3 decides every lattice that parses
         assert code == 0, err
     assert _run_quietly(_FIXED_QUERY) == _FIXED_ANSWER[0]
+
+
+# ---------------------------------------------------------------------------
+# output identity: a change that is not meant to change any answer must leave
+# these two outputs byte for byte as they are.  A change that alters them on
+# purpose updates the digest and says why in CHANGES.md.
+
+_OUTPUT_SHA256 = {
+    ("--format", "json", "verify", "all"):
+        "34d24004df60e3052986a71825b7e2e6dfee4f603445bd384548817c34289765",
+    ("export-fixtures",):
+        "25083e97e553b123afaa151580f05e41c7132ac6cd77c0c53f0c998c0c5bd087",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_OUTPUT_SHA256))
+def test_output_is_byte_identical_to_the_recorded_digest(argv):
+    code, out, err = _run_quietly(list(argv))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _OUTPUT_SHA256[argv]

@@ -254,6 +254,20 @@ def test_order_beyond_cap_is_too_large_not_infinite():
         isometry_order(Isometry(A2, ROT3), cap=2)
 
 
+def test_invariant_coinvariant_needs_no_order():
+    # above the order cap the fixed lattice is still the kernel of f - 1
+    pair = invariant_coinvariant(_order_210())
+    assert pair.invariant.rank == 0 and pair.coinvariant.rank == 13
+    assert abs(pair.coinvariant.lattice().det) == 210
+    # an Eichler transvection: every trace is 3, so its infinite order is
+    # never proved, and its fixed lattice span(e) is isotropic
+    eichler = Isometry(from_expression("U + [2]"), Matrix([[1, -1, 2], [0, 1, 0], [0, -1, 1]]))
+    with pytest.raises(TooLarge):
+        isometry_order(eichler)
+    with pytest.raises(DegenerateForm, match="fixed lattice"):
+        invariant_coinvariant(eichler)
+
+
 def test_order_infinite_once_a_trace_exceeds_the_rank():
     # the Pell automorphism has trace 4 > 2 at the first power
     lat = Lattice(Matrix([[2, 0], [0, -6]]))

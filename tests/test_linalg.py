@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeforge import catalog
-from latticeforge.errors import DegenerateForm
-from latticeforge.lattice import from_expression, make_named
+from latticeforge.errors import DegenerateForm, DimensionMismatch
+from latticeforge.lattice import Lattice, from_expression, make_named
 from latticeforge.linalg import (
     Matrix,
     bareiss_det,
@@ -15,6 +15,7 @@ from latticeforge.linalg import (
     rational_signature,
     smith_normal_form,
     symmetric_elimination,
+    triangular_solve,
 )
 
 
@@ -274,3 +275,93 @@ def test_symmetric_elimination_catalog_oracle():
         # the same forms in a dense random basis
         u = _random_unimodular(rng, g.nrows, steps=3 * g.nrows)
         assert _check_elimination(u.T @ g @ u)
+
+
+
+# ---------------------------------------------------------------------------
+# the dot-product kernels against sympy products: small entries and entries
+# beyond 2^64, 1 x n and empty shapes, and the DimensionMismatch of a bad shape
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(2 ** 64, 2 ** 70),
+                     st.integers(-2 ** 70, -2 ** 64))
+
+
+def _draw_rows(data, r, c):
+    return [[data.draw(_ENTRIES) for _ in range(c)] for _ in range(r)]
+
+
+def _ints(m):
+    """A sympy matrix as a tuple of int rows."""
+    return tuple(tuple(int(x) for x in m.row(i)) for i in range(m.rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_matmul_and_apply_match_sympy(r, k, c, data):
+    sympy = pytest.importorskip("sympy")
+    a, b = _draw_rows(data, r, k), _draw_rows(data, k, c)
+    vec = tuple(data.draw(_ENTRIES) for _ in range(k))
+    assert (Matrix(a) @ Matrix(b)).rows == _ints(sympy.Matrix(a) * sympy.Matrix(b))
+    assert Matrix(a).apply(vec) == tuple(
+        x for (x,) in _ints(sympy.Matrix(a) * sympy.Matrix(k, 1, list(vec))))
+    with pytest.raises(DimensionMismatch):
+        Matrix(a) @ Matrix(_draw_rows(data, k + 1, c))
+    with pytest.raises(DimensionMismatch):
+        Matrix(a).apply(vec + (1,))
+
+
+def test_matmul_and_apply_on_empty_and_single_row_shapes():
+    sympy = pytest.importorskip("sympy")
+    empty = Matrix(())
+    assert (empty @ empty).rows == () and empty.apply(()) == ()
+    # r x 0 times the empty matrix: r empty rows; applied to (), r zeros
+    tall = Matrix([(), (), ()])
+    assert tall.shape == (3, 0)
+    assert (tall @ empty).rows == ((), (), ())
+    assert tall.apply(()) == (0, 0, 0)
+    big = 2 ** 65 + 7
+    row = Matrix([(big, -1, 3)])
+    col = Matrix([(2,), (big,), (-big,)])
+    assert (row @ col).rows == _ints(sympy.Matrix(row.rows) * sympy.Matrix(col.rows))
+    assert (col @ row).rows == _ints(sympy.Matrix(col.rows) * sympy.Matrix(row.rows))
+    assert row.apply((2, big, -big)) == ((row @ col)[0, 0],)
+    for a, b in ((empty, row), (row, empty), (tall, row), (row, row)):
+        with pytest.raises(DimensionMismatch):
+            a @ b
+    with pytest.raises(DimensionMismatch):
+        empty.apply((1,))
+    with pytest.raises(DimensionMismatch):
+        row.apply((1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 4), st.data())
+def test_triangular_solve_matches_sympy(n, r, data):
+    sympy = pytest.importorskip("sympy")
+    nonzero = _ENTRIES.filter(bool)
+    h = [[data.draw(nonzero) if i == j else data.draw(_ENTRIES) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    x = _draw_rows(data, r, n)
+    b = _ints(sympy.Matrix(r, n, [v for row in x for v in row]) * sympy.Matrix(h))
+    assert triangular_solve(Matrix(h), Matrix(b)).rows == tuple(map(tuple, x))
+    if abs(h[0][0]) > 1:
+        # the first coordinate of a row of the lattice is a multiple of h_00
+        with pytest.raises(DimensionMismatch):
+            triangular_solve(Matrix(h), Matrix([(1,) + (0,) * (n - 1)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_lattice_inner_matches_sympy(n, data):
+    sympy = pytest.importorskip("sympy")
+    upper = _draw_rows(data, n, n)
+    gram = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    lat = Lattice(Matrix(gram))
+    v = tuple(data.draw(_ENTRIES) for _ in range(n))
+    w = tuple(data.draw(_ENTRIES) for _ in range(n))
+    want = sympy.Matrix(1, n, list(v)) * sympy.Matrix(gram) * sympy.Matrix(n, 1, list(w))
+    assert lat.inner(v, w) == int(want[0, 0]) == lat.inner(w, v)
+    with pytest.raises(DimensionMismatch):
+        lat.inner(v + (1,), w)
+    with pytest.raises(DimensionMismatch):
+        lat.inner(v, w[:-1])

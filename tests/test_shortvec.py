@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_ball, box_bounds, box_minimum, box_vectors
+from conftest import box_ball, box_bounds, box_minimum, box_vectors, root_report_oracle
 
-from latticeforge import catalog, glue
+from latticeforge import catalog, glue, shortvec, verify
 from latticeforge.catalog import FG_PHI35
-from latticeforge.errors import IndefiniteLattice, RankTooLarge
+from latticeforge.errors import DimensionMismatch, IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix, bareiss_det
 from latticeforge.shortvec import (
@@ -81,6 +81,8 @@ def test_root_report():
     assert root_report(Lattice(Matrix(()))) == (0, 0)
     # the generator of A1(3) has norm 6 but divisibility 6, not 3
     assert root_report(from_expression("A1(3)")) == (0, 0)
+    with pytest.raises(DimensionMismatch):
+        root_report(A2, Matrix([[1, 0, 0]]))
 
 
 def test_root_report_with_ambient():
@@ -301,3 +303,70 @@ def test_minimum_and_roots_match_box_oracle(case):
     short = sum(1 for x, nx in ball if nx == 2 and divs[x] == 1)
     long_ = sum(1 for x, nx in ball if nx == 6 and divs[x] == 3)
     assert root_report(lat) == (short, long_)
+
+
+# ---------------------------------------------------------------------------
+# root_report reads the Hermite rows of the pairing once per +-v; the oracle
+# reads every row of the full pairing on both signs
+
+
+def test_root_report_matches_oracle_on_cubic_rows(monkeypatch):
+    # the (eta-perp, pairing) pairs the cubic rows measure their roots on
+    seen = []
+    real = shortvec.root_report
+
+    def recording(lat, pairing=None, rank_cap=shortvec.RANK_CAP):
+        seen.append((lat, pairing))
+        return real(lat, pairing, rank_cap)
+
+    monkeypatch.setattr(shortvec, "root_report", recording)
+    assert verify.verify_cubic_tables().ok
+    assert len(seen) == 3
+    for lat, pairing in seen:
+        assert pairing.nrows > lat.rank
+        assert root_report(lat, pairing) == root_report_oracle(lat, pairing)
+
+
+@st.composite
+def _root_definite(draw):
+    """(lattice, positive definite model): a small sum of root and scaled
+    lattices, so that norm-2 and norm-6 vectors exist, in a basis changed by
+    random elementary operations, or its negation."""
+    expr = draw(st.sampled_from(("A2", "A3", "D4", "E6", "A2 + A2", "A2 + A1(3)",
+                                 "A2(3) + A1", "[2] + [6]", "A3 + [3]", "E6*(3)")))
+    g = from_expression(expr).gram
+    n = g.nrows
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        c = draw(st.sampled_from((-1, 1)))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    pos = Matrix(u) @ g @ Matrix(u).T
+    sign = draw(st.sampled_from((1, -1)))
+    return Lattice(pos if sign == 1 else -pos), pos
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_random_definite(), _root_definite()), st.data())
+def test_root_report_matches_oracle_on_random_pairings(case, data):
+    lat, _pos = case
+    n = lat.rank
+    coeffs = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = []
+    for _ in range(data.draw(st.integers(1, n + 4), label="rows")):
+        kind = data.draw(st.sampled_from(("zero", "multiple", "lattice", "free")))
+        if kind == "zero":
+            rows.append((0,) * n)
+        elif kind == "multiple" and rows:
+            k = data.draw(st.sampled_from((-3, -2, -1, 2, 3)))
+            rows.append(tuple(k * x for x in data.draw(st.sampled_from(rows))))
+        elif kind == "lattice":
+            # k (c, -): a pairing row of the lattice itself, scaled so that
+            # divisibilities 2, 3 and 6 are common
+            k = data.draw(st.sampled_from((1, 2, 3)))
+            rows.append(tuple(k * x for x in lat.gram.apply(data.draw(coeffs))))
+        else:
+            rows.append(tuple(data.draw(coeffs)))
+    pairing = Matrix(rows)
+    assert root_report(lat, pairing) == root_report_oracle(lat, pairing)
+    assert root_report(lat) == root_report_oracle(lat)
