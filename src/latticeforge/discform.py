@@ -149,6 +149,10 @@ class FiniteQuadraticForm:
             None if self.Q is None else [-x for x in self.Q],
         )
 
+    def bilinear(self):
+        """The same group and b, without the quadratic refinement."""
+        return FiniteQuadraticForm._from_table(self.orders, self.B, None)
+
     def direct_sum(self, other):
         den = math.lcm(self.den, other.den)
         s, t = den // self.den, den // other.den
@@ -524,7 +528,8 @@ def _jordan(form, p):
     is read as the Gram matrix of a p-adic lattice and split by unimodular
     row and column operations modulo top (2 top for p = 2, whose diagonal
     carries q): pivot on an entry of least valuation, on the diagonal when
-    one has it, and clear its rows.
+    one has it (the first diagonal unit, when there is one), and clear its
+    rows.
     """
     mat, orders = _p_part(form, p)
     top = max(orders)
@@ -533,8 +538,9 @@ def _jordan(form, p):
     blocks = []
     while h:
         k = len(h)
-        s, off, i, j = min((math.gcd(h[i][j], top), i != j, i, j)
-                           for i in range(k) for j in range(i, k))
+        unit = next(((1, False, i, i) for i in range(k) if math.gcd(h[i][i], top) == 1), None)
+        s, off, i, j = unit or min((math.gcd(h[i][j], top), i != j, i, j)
+                                   for i in range(k) for j in range(i, k))
         if s == top:
             raise DegenerateForm("degenerate finite quadratic form")
         if off and p != 2:

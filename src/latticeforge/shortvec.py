@@ -14,9 +14,9 @@ L1-windowed pass, `vectors_by_l1`.
 from math import gcd, isqrt
 from operator import mul
 
-from .errors import BadParams, DegenerateForm, DimensionMismatch, IndefiniteLattice, RankTooLarge
+from .errors import BadParams, DegenerateForm, IndefiniteLattice, RankTooLarge
 from .lattice import Lattice
-from .linalg import Matrix, bareiss_det, hermite_normal_form
+from .linalg import Matrix, bareiss_det
 
 RANK_CAP = 16
 ISOM_RANK_CAP = 14
@@ -179,27 +179,16 @@ def has_square_one(lat):
     return count_vectors(lat, 1) > 0
 
 
-def root_report(lat, pairing=None, rank_cap=RANK_CAP):
+def root_report(lat, rank_cap=RANK_CAP):
     """(number of short roots, number of long roots) of a definite lattice.
 
     Short root: |v^2| = 2 with divisibility 1; long root: |v^2| = 6 with
-    divisibility 3.  The divisibility of v is gcd(pairing v), where row i of
-    `pairing` pairs v with basis vector i of the lattice it is measured in;
-    the default, the Gram matrix, measures it in the lattice itself.
-
-    gcd(pairing v) generates the ideal {(m, v) : m in the row lattice of
-    `pairing`}, so it is read on the nonzero rows of the Hermite normal form,
-    at most rank-many, and once per pair +-v, on the v > 0.
-    """
-    vecs = short_vectors(lat, 6, rank_cap)
-    pairing = lat.gram if pairing is None else pairing
-    if pairing.ncols != lat.rank:
-        raise DimensionMismatch("pairing %s for rank %d" % (pairing.shape, lat.rank))
-    hnf, _u = hermite_normal_form(pairing)
-    rows = [r for r in hnf.rows if any(r)]
+    divisibility 3.  The divisibility gcd(G v) is read in the lattice itself,
+    only on norms 2 and 6, and once per pair +-v, on the v > 0."""
+    rows = lat.gram.rows
     zero = (0,) * lat.rank
     short = long_ = 0
-    for v, nv in vecs:
+    for v, nv in short_vectors(lat, 6, rank_cap):
         if (nv == 2 or nv == 6) and v > zero:
             div = gcd(*[sum(map(mul, r, v)) for r in rows])
             if nv == 2:

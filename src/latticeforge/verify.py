@@ -123,6 +123,31 @@ def _eta_vector(alg):
     return tuple(1 if i == 0 else 0 for i in range(alg.rank))
 
 
+def _middle_cohomology_checks(v, alg, trans, perp):
+    """Add the glue and root checks of a cubic row to `v` from A = alg, T =
+    trans and perp = eta-perp in A; False when A and T do not glue.  A + T
+    glues to a unimodular H4 iff b_A ~ -b_T (isometric; Nikulin 1979, 1.5),
+    and H4 is odd when its signature is (21, 2), as an even unimodular
+    lattice has signature 0 mod 8.  eta-perp in H4 has disc Z/3: there a
+    norm-2 v has divisibility 1, and a norm-6 v divisibility 3 iff v = 3w -+
+    eta with w in A, w^2 = 1, (w, eta) = +-1 (Hassett's K_6 and K_2)."""
+    fa, _ = discform.discriminant_form(alg)
+    ft, _ = discform.discriminant_form(trans)
+    if not discform.forms_isomorphic(fa.bilinear(), ft.bilinear().neg()):
+        v.add("middle_cohomology_glue", False, "no glue map found")
+        return False
+    rank = alg.rank + trans.rank
+    det = alg.det * trans.det // fa.group_order ** 2
+    sig = (alg.signature[0] + trans.signature[0], alg.signature[1] + trans.signature[1])
+    v.add("middle_cohomology_glue", rank == 23 and abs(det) == 1 and sig == (21, 2),
+          "rank %d det %d sig %s" % (rank, det, sig))
+    short = shortvec.count_vectors(perp, 2)
+    long_ = 2 * shortvec.count_vectors(alg, 1, dots=[(_eta_vector(alg), 1)])
+    v.add("no_short_roots", short == 0, "%d" % short)
+    v.add("no_long_roots", long_ == 0, "%d" % long_)
+    return True
+
+
 def _verify_cubic_row(row):
     v = RowVerdict(row.label)
     inv = Lattice(row.inv_gram)
@@ -148,38 +173,15 @@ def _verify_cubic_row(row):
     v.add("no_square_one_class", not shortvec.has_square_one(alg))
 
     # eta-perp inside the algebraic lattice is the primitive algebraic part
+    perp = glue.orthogonal_complement(glue.span(alg, [eta])).lattice()
     if alg.rank >= 2:
-        perp = glue.orthogonal_complement(glue.span(alg, [eta]))
-        witness = shortvec.definite_isometric(inv, perp.lattice())
+        witness = shortvec.definite_isometric(inv, perp)
         v.add("eta_perp_isometric_inv", witness is not None, "explicit witness" if witness is not None else "no witness")
     else:
-        perp = None
         v.add("eta_perp_isometric_inv", inv.rank == 0, "rank-0 case")
 
-    # middle cohomology: glue the algebraic and transcendental (= coinvariant)
-    # lattices to an odd unimodular lattice of rank 23 and signature (21, 2)
-    g = glue.full_glue(alg, co)
-    if g is None:
-        v.add("middle_cohomology_glue", False, "no glue map found")
+    if not _middle_cohomology_checks(v, alg, co, perp):
         return v
-    ext, alg_rows, _ = glue.primitive_extension(g, require_even=False, label="H4")
-    h4 = ext.lattice
-    v.add("middle_cohomology_glue",
-          h4.rank == 23 and abs(h4.det) == 1 and not h4.is_even() and h4.signature == (21, 2),
-          "rank %d det %d sig %s" % (h4.rank, h4.det, h4.signature))
-
-    # roots of the primitive algebraic part measured inside eta-perp of the
-    # full middle cohomology
-    eta_h4 = alg_rows.row(0)
-    prim = glue.orthogonal_complement(glue.span(h4, [eta_h4]))
-    short = long_ = 0
-    if perp is not None:
-        # row i of the pairing pairs a vector in eta-perp coordinates with
-        # basis vector i of prim, so divisibilities are measured in prim
-        pair = prim.basis @ h4.gram @ alg_rows.T @ perp.basis.T
-        short, long_ = shortvec.root_report(perp.lattice(), pair)
-    v.add("no_short_roots", short == 0, "%d" % short)
-    v.add("no_long_roots", long_ == 0, "%d" % long_)
 
     if row.label == "phi35":
         v.add("count_norm4_is_54",
@@ -500,9 +502,8 @@ def _verify_induced_row(row):
     u3 = _find_u3_sublattice(inv)
     detail = ""
     if u3 is not None:
-        comp = glue.orthogonal_complement(u3)
-        cl = comp.lattice()
-        minus2 = len(shortvec.vectors_of_norm(cl, 2))
+        cl = glue.orthogonal_complement(u3).lattice()
+        minus2 = shortvec.count_vectors(cl, 2)
         detail = "complement rank %d, %d vectors of square -2" % (cl.rank, minus2)
     v.add("contains_primitive_u3", u3 is not None, detail)
     if row.p == 3:

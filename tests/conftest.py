@@ -1,7 +1,9 @@
 """Shared helpers: independent brute-force oracles kept free of the library's
-enumeration path, the rational matrix arithmetic and the cyclotomic Gauss sum
-the library no longer carries, kept as references for its integer and Jordan
-paths, and an injective glue built from the library's one onto glue search."""
+enumeration path; the rational matrix arithmetic, the cyclotomic Gauss sum,
+the full-minimum Jordan pivot and the cubic root readings through the rank-23
+overlattice, which the library no longer carries, kept as references for its
+integer, Jordan and closed-form paths; and an injective glue built from the
+library's one onto glue search."""
 
 import itertools
 import math
@@ -12,7 +14,13 @@ from math import isqrt
 
 import pytest
 
-from latticeforge.discform import _match_maps, _presentation, discriminant_form, orthogonal_subgroup
+from latticeforge.discform import (
+    _match_maps,
+    _p_part,
+    _presentation,
+    discriminant_form,
+    orthogonal_subgroup,
+)
 from latticeforge.errors import DegenerateForm
 from latticeforge.glue import GlueData
 from latticeforge.lattice import _factorization
@@ -205,8 +213,9 @@ def box_count(gram, norm):
 def root_report_oracle(lat, pairing=None):
     """(short roots, long roots) by the definition `shortvec.root_report`
     reads faster: every vector of norm 2 or 6, both signs, its divisibility
-    gcd(pairing v) taken over every row of the full pairing with generator
-    sums."""
+    gcd(pairing v) taken over every row of the full pairing (the Gram matrix
+    by default) with generator sums.  A pairing whose row i pairs v with
+    basis vector i of an ambient lattice measures the divisibility there."""
     from latticeforge.shortvec import short_vectors
 
     pairing = lat.gram if pairing is None else pairing
@@ -217,6 +226,80 @@ def root_report_oracle(lat, pairing=None):
         elif nv == 6 and math.gcd(*(sum(a * b for a, b in zip(r, v)) for r in pairing.rows)) == 3:
             long_ += 1
     return short, long_
+
+
+def cubic_roots_oracle(alg, co):
+    """The middle-cohomology and root readings of a cubic row through the
+    rank-23 overlattice, as `verify` built them before it read them from A
+    and T alone: H4 = alg + co glued along `glue.full_glue` by
+    `glue.primitive_extension`, eta-perp of H4, and each norm-2 and norm-6
+    vector of eta-perp in A measured through its pairing with eta-perp of H4
+    (`root_report_oracle`).
+
+    Returns (glue check passed, glue detail, short roots, long roots); the
+    root counts are None when no glue map exists."""
+    from latticeforge import glue
+
+    g = glue.full_glue(alg, co)
+    if g is None:
+        return False, "no glue map found", None, None
+    ext, alg_rows, _ = glue.primitive_extension(g, require_even=False, label="H4")
+    h4 = ext.lattice
+    passed = h4.rank == 23 and abs(h4.det) == 1 and not h4.is_even() and h4.signature == (21, 2)
+    detail = "rank %d det %d sig %s" % (h4.rank, h4.det, h4.signature)
+    if alg.rank < 2:
+        return passed, detail, 0, 0
+    eta = (1,) + (0,) * (alg.rank - 1)
+    perp = glue.orthogonal_complement(glue.span(alg, [eta]))
+    prim = glue.orthogonal_complement(glue.span(h4, [alg_rows.row(0)]))
+    pairing = prim.basis @ h4.gram @ alg_rows.T @ perp.basis.T
+    return (passed, detail) + root_report_oracle(perp.lattice(), pairing)
+
+
+def jordan_full_min_oracle(form, p):
+    """`discform._jordan` as it pivoted before it scanned the diagonal for a
+    unit first: every step takes the least (valuation, off-diagonal, i, j)
+    over all k(k + 1)/2 entries of the table."""
+    mat, orders = _p_part(form, p)
+    top = max(orders)
+    mod = 2 * top if p == 2 else top
+    h = [[top // n * x % mod for x in row] for n, row in zip(orders, mat.rows)]
+    blocks = []
+    while h:
+        k = len(h)
+        s, off, i, j = min((math.gcd(h[i][j], top), i != j, i, j)
+                           for i in range(k) for j in range(i, k))
+        if s == top:
+            raise DegenerateForm("degenerate finite quadratic form")
+        if off and p != 2:
+            h[i] = [a + b for a, b in zip(h[i], h[j])]
+            for row in h:
+                row[i] += row[j]
+            off = False
+        piv = (i, j) if off else (i,)
+        n = top // s
+        u = [[h[a][b] // s % (mod // s if a == b else n) for b in piv] for a in piv]
+        if off:
+            det = u[0][0] * u[1][1] - u[0][1] ** 2
+            inv = [[u[1][1], -u[0][1]], [-u[1][0], u[0][0]]]
+        else:
+            det, inv = u[0][0], [[1]]
+        inv_det = pow(det, -1, mod)
+        rest = [t for t in range(k) if t not in piv]
+        cols = [[h[a][r] for r in rest] for a in piv]
+        cleared = []
+        for t in rest:
+            w = [h[t][a] // s for a in piv]
+            row = [h[t][r] for r in rest]
+            for inv_col, col in zip(zip(*inv), cols):
+                c = inv_det * sum(a * b for a, b in zip(w, inv_col)) % mod
+                row = [x - c * y for x, y in zip(row, col)]
+            cleared.append([x % mod for x in row])
+        h = cleared
+        blocks.append((n, tuple(map(tuple, u))))
+    if math.prod(n ** len(u) for n, u in blocks) != math.prod(orders):
+        raise DegenerateForm("degenerate finite quadratic form")
+    return blocks
 
 
 def box_minimum(lat, coeff_bound=5):

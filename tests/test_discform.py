@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import cyclotomic_milgram, fraction_inverse, fraction_to_int
+from conftest import cyclotomic_milgram, fraction_inverse, fraction_to_int, jordan_full_min_oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -666,6 +666,32 @@ def test_jordan_determinant_matches_local_obstruction():
                 assert (det - product) % 8 == 0, f
                 seen.add(product % 8)
     assert seen == {1, 3, 5, 7}
+
+
+def test_jordan_pivot_matches_full_minimum():
+    # _jordan pivots on the first diagonal unit when there is one; the old
+    # search for the least (valuation, off-diagonal, i, j) over the whole
+    # table is the oracle, on the lambda_p forms and on random tables
+    # (degenerate and bilinear-only ones too) and their moved copies
+    rng = random.Random(43)
+    forms = [discriminant_form(from_expression(expr))[0]
+             for row in catalog.RANK26_PAIRS for expr in (row.coinv, row.inv)]
+    tables = [_random_form(rng, orders, quadratic) for orders in RANDOM_ORDERS + [(3, 3, 9)]
+              for quadratic in (True, False) for _ in range(6)]
+    forms += tables + [_moved(rng, f) for f in tables]
+    cases = degenerate = 0
+    for f in forms + [f.neg() for f in forms]:
+        for p in _prime_divisors(f.den):
+            try:
+                want = jordan_full_min_oracle(f, p)
+            except DegenerateForm:
+                with pytest.raises(DegenerateForm):
+                    _jordan(f, p)
+                degenerate += 1
+                continue
+            assert _jordan(f, p) == want, (f, p)
+            cases += 1
+    assert cases >= 500 and degenerate >= 20
 
 
 def test_delta_closed_form_matches_enumeration():

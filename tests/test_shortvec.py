@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import gcd, prod
 
@@ -5,13 +6,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_ball, box_bounds, box_minimum, box_vectors, root_report_oracle
+from conftest import (
+    box_ball,
+    box_bounds,
+    box_minimum,
+    box_vectors,
+    cubic_roots_oracle,
+    root_report_oracle,
+)
 
-from latticeforge import catalog, glue, shortvec, verify
+from latticeforge import catalog, glue, verify
 from latticeforge.catalog import FG_PHI35
-from latticeforge.errors import DimensionMismatch, IndefiniteLattice, RankTooLarge
+from latticeforge.errors import IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
-from latticeforge.linalg import Matrix, bareiss_det
+from latticeforge.linalg import Matrix, bareiss_det, hermite_normal_form
 from latticeforge.shortvec import (
     _flip_to_positive,
     count_vectors,
@@ -81,20 +89,19 @@ def test_root_report():
     assert root_report(Lattice(Matrix(()))) == (0, 0)
     # the generator of A1(3) has norm 6 but divisibility 6, not 3
     assert root_report(from_expression("A1(3)")) == (0, 0)
-    with pytest.raises(DimensionMismatch):
-        root_report(A2, Matrix([[1, 0, 0]]))
 
 
 def test_root_report_with_ambient():
-    # a primitive A2 inside E6: divisibility is measured upstairs
-    from latticeforge.glue import Sublattice
-
+    # a primitive A2 inside E6: root_report measures divisibility in the
+    # lattice it is given, where the six norm-6 vectors are long roots,
+    # while in E6 they have divisibility 1
     e6 = make_named("E", 6)
     rows = Matrix([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
-    sub = Sublattice(e6, rows)
-    short, long_ = root_report(sub.lattice(), sub.ambient.gram @ sub.basis.T)
-    assert short == 6
-    assert long_ == 0  # div in E6 of those norm-6 vectors is 1
+    sub = glue.Sublattice(e6, rows)
+    assert root_report(sub.lattice()) == (6, 6)
+    sixes = vectors_of_norm(sub.lattice(), 6)
+    assert len(sixes) == 6
+    assert {e6.divisibility(rows.T.apply(v)) for v in sixes} == {1}
 
 
 def test_has_square_one():
@@ -306,25 +313,71 @@ def test_minimum_and_roots_match_box_oracle(case):
 
 
 # ---------------------------------------------------------------------------
-# root_report reads the Hermite rows of the pairing once per +-v; the oracle
-# reads every row of the full pairing on both signs
+# verify reads the cubic rows' glue and roots from A and T alone; the oracle
+# builds the rank-23 overlattice H4 and measures each root's divisibility
+# through its pairing with eta-perp of H4
 
 
-def test_root_report_matches_oracle_on_cubic_rows(monkeypatch):
-    # the (eta-perp, pairing) pairs the cubic rows measure their roots on
-    seen = []
-    real = shortvec.root_report
+def _cubic_readings(checks):
+    """(glue check passed, glue detail, short roots, long roots) from the
+    checks of one cubic row; the root counts are None when they are absent."""
+    by_name = {c.name: c for c in checks}
+    glue_check = by_name["middle_cohomology_glue"]
+    roots = [int(by_name[n].detail) if n in by_name else None
+             for n in ("no_short_roots", "no_long_roots")]
+    return (glue_check.passed, glue_check.detail, *roots)
 
-    def recording(lat, pairing=None, rank_cap=shortvec.RANK_CAP):
-        seen.append((lat, pairing))
-        return real(lat, pairing, rank_cap)
 
-    monkeypatch.setattr(shortvec, "root_report", recording)
-    assert verify.verify_cubic_tables().ok
-    assert len(seen) == 3
-    for lat, pairing in seen:
-        assert pairing.nrows > lat.rank
-        assert root_report(lat, pairing) == root_report_oracle(lat, pairing)
+def test_root_report_matches_oracle_on_cubic_rows():
+    # the four catalog rows, Hassett's K2 and K6 (one long root pair and one
+    # short root pair), K6 with a transcendental lattice whose discriminant
+    # form differs from -disc(A) in the Legendre class of its 3-part, and K6
+    # glued to a unimodular lattice of rank 21
+    rows = list(catalog.CUBIC_ROWS)
+    phi35 = catalog.cubic_row("phi35")
+    for gram, coinv in (([[3, 1], [1, 1]], "U + E8^2 + [2] + [-1] + [1]"),
+                        ([[3, 0], [0, 2]], "U + E8^2 + [6] + [-1] + [1]"),
+                        ([[3, 0], [0, 2]], "U + E8^2 + [-6] + [1] + [1]"),
+                        ([[3, 0], [0, 2]], "E8^2 + [6] + [-1] + [1]")):
+        rows.append(dataclasses.replace(phi35, label="K", alg_gram=Matrix(gram), coinv=coinv,
+                                        labeling_witness=()))
+    got = [_cubic_readings(verify._verify_cubic_row(row).checks) for row in rows]
+    want = [cubic_roots_oracle(Lattice(row.alg_gram), from_expression(row.coinv))
+            for row in rows]
+    assert got == want
+    assert [g[2:] for g in got] == [(0, 0)] * 4 + [(0, 2), (2, 0), (None, None), (2, 0)]
+    assert got[-2][:2] == (False, "no glue map found")
+    assert got[-1][:2] == (False, "rank 21 det -1 sig (20, 1)")
+
+
+@st.composite
+def _cubic_algebraic(draw):
+    """(A, T): a saturated A in the positive part of H4cubic = [1]^21 +
+    [-1]^2 with eta = e1 + e2 + e3 as its first basis vector, spanned with
+    eta by up to four random vectors in e1..e6, and T = A-perp."""
+    h4 = make_named("H4cubic")
+    eta = (1, 1, 1) + (0,) * 20
+    extra = draw(st.lists(st.lists(st.integers(-1, 1), min_size=6, max_size=6),
+                          min_size=1, max_size=4))
+    sat = glue.saturate(glue.Sublattice(h4, Matrix([eta] + [tuple(r) + (0,) * 17
+                                                            for r in extra])))
+    # eta has first coordinate 1, so the saturation is Z eta plus its
+    # vectors with first coordinate 0
+    hnf, _ = hermite_normal_form(Matrix([tuple(x - b[0] * e for x, e in zip(b, eta))
+                                         for b in sat.basis.rows]))
+    alg = glue.Sublattice(h4, Matrix([eta] + [r for r in hnf.rows if any(r)]))
+    return alg.lattice(), glue.orthogonal_complement(alg).lattice()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cubic_algebraic())
+def test_cubic_readings_match_oracle_on_random_algebraic_lattices(case):
+    alg, trans = case
+    v = verify.RowVerdict("random")
+    eta = (1,) + (0,) * (alg.rank - 1)
+    perp = glue.orthogonal_complement(glue.span(alg, [eta])).lattice()
+    verify._middle_cohomology_checks(v, alg, trans, perp)
+    assert _cubic_readings(v.checks) == cubic_roots_oracle(alg, trans)
 
 
 @st.composite
@@ -347,26 +400,9 @@ def _root_definite(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(_random_definite(), _root_definite()), st.data())
-def test_root_report_matches_oracle_on_random_pairings(case, data):
+@given(st.one_of(_random_definite(), _root_definite()))
+def test_root_report_matches_oracle_on_random_lattices(case):
+    # root_report reads gcd(G v) once per +-v; the oracle reads it on both
+    # signs with generator sums
     lat, _pos = case
-    n = lat.rank
-    coeffs = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
-    rows = []
-    for _ in range(data.draw(st.integers(1, n + 4), label="rows")):
-        kind = data.draw(st.sampled_from(("zero", "multiple", "lattice", "free")))
-        if kind == "zero":
-            rows.append((0,) * n)
-        elif kind == "multiple" and rows:
-            k = data.draw(st.sampled_from((-3, -2, -1, 2, 3)))
-            rows.append(tuple(k * x for x in data.draw(st.sampled_from(rows))))
-        elif kind == "lattice":
-            # k (c, -): a pairing row of the lattice itself, scaled so that
-            # divisibilities 2, 3 and 6 are common
-            k = data.draw(st.sampled_from((1, 2, 3)))
-            rows.append(tuple(k * x for x in lat.gram.apply(data.draw(coeffs))))
-        else:
-            rows.append(tuple(data.draw(coeffs)))
-    pairing = Matrix(rows)
-    assert root_report(lat, pairing) == root_report_oracle(lat, pairing)
     assert root_report(lat) == root_report_oracle(lat)

@@ -54,6 +54,16 @@ def test_cubic_root_counts_on_excluded_discriminants(alg_gram, coinv, short, lon
     assert checks["no_long_roots"].detail == str(long_)
 
 
+def test_verify_cubic_builds_no_overlattice(monkeypatch):
+    # the glue and root columns are read from A and T alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify cubic built an overlattice")
+
+    for name in ("full_glue", "primitive_extension", "overlattice"):
+        monkeypatch.setattr(glue, name, refuse)
+    assert verify.verify_cubic_tables().ok
+
+
 def test_cubic_negative_control():
     bad = dataclasses.replace(catalog.cubic_row("phi35"), moduli_dim=9)
     report = verify.verify_cubic_tables(rows=[bad])
