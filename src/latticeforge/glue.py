@@ -217,9 +217,12 @@ def full_glue(left, right):
     map is an anti-isometry when both lattices and forms are even, and
     otherwise, or when no anti-isometry exists, anti-preserves b with
     q(img) + q(x) integral.  This is the standard glue for complements
-    inside a unimodular lattice."""
+    inside a unimodular lattice.  Both searches need b anti-preserved, so
+    forms whose b parts are not anti-isometric return None unsearched."""
     fl, _ = discform.discriminant_form(left)
     fr, _ = discform.discriminant_form(right)
+    if not discform.forms_isomorphic(fl.bilinear(), fr.bilinear().neg()):
+        return None
     images = None
     if fl.Q is not None and fr.Q is not None and left.is_even() and right.is_even():
         images = discform._match_maps(fl, fr, -1)

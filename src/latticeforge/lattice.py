@@ -9,7 +9,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from . import linalg
@@ -27,9 +27,13 @@ from .linalg import Matrix
 
 
 class Lattice:
-    """Free Z-module of finite rank with a symmetric integer bilinear form."""
+    """Free Z-module of finite rank with a symmetric integer bilinear form.
 
-    __slots__ = ("gram", "label", "_elim", "_det", "_snf")
+    A lattice built by `direct_sum` keeps its summands and reads its
+    determinant and signature from theirs (Sylvester's law of inertia) until
+    an elimination of its whole Gram matrix is cached."""
+
+    __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands")
 
     def __init__(self, gram, label=None):
         if not isinstance(gram, Matrix):
@@ -43,6 +47,7 @@ class Lattice:
         self._elim = None
         self._det = None
         self._snf = None
+        self._summands = None
 
     @property
     def rank(self):
@@ -58,14 +63,21 @@ class Lattice:
     @property
     def det(self):
         if self._det is None:
-            try:
-                self._det = self.elimination().det
-            except DegenerateForm:
-                self._det = 0
+            if self._summands is not None and self._elim is None:
+                self._det = prod(s.det for s in self._summands)
+            else:
+                try:
+                    self._det = self.elimination().det
+                except DegenerateForm:
+                    self._det = 0
         return self._det
 
     @property
     def signature(self):
+        # a degenerate sum has a degenerate summand, whose elimination raises
+        if self._summands is not None and self._elim is None:
+            sigs = [s.signature for s in self._summands]
+            return (sum(p for p, _ in sigs), sum(m for _, m in sigs))
         return self.elimination().signature
 
     def snf(self):
@@ -98,7 +110,13 @@ class Lattice:
         return gcd(*self.gram.apply(v))
 
     def relabel(self, label):
-        return Lattice(self.gram, label)
+        """The same lattice under another label, with whatever invariants
+        are already computed."""
+        out = Lattice.__new__(Lattice)
+        for slot in Lattice.__slots__:
+            setattr(out, slot, getattr(self, slot))
+        out.label = label
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.gram == other.gram
@@ -164,12 +182,15 @@ def rescale(lat, k):
 
 
 def direct_sum(lats):
-    """Orthogonal direct sum; Gram is block diagonal."""
+    """Orthogonal direct sum; Gram is block diagonal.  The summands are kept
+    for the determinant and signature."""
     lats = list(lats)
     if not lats:
         raise BadParams("direct sum of an empty list")
     label = " + ".join(l.label or "?" for l in lats) if len(lats) > 1 else lats[0].label
-    return Lattice(linalg.block_diag([l.gram for l in lats]), label)
+    out = Lattice(linalg.block_diag([l.gram for l in lats]), label)
+    out._summands = tuple(lats)
+    return out
 
 
 def invariants(lat):
@@ -409,13 +430,16 @@ _TERM_RE = re.compile(
 
 
 # bounded: a long session parses ever new expressions, and each cached
-# lattice keeps its Smith form and elimination (verify all parses 134)
+# lattice keeps its Smith form and elimination (verify all leaves 140
+# entries: its 114 expressions and the further terms they are built from)
 @lru_cache(maxsize=256)
 def from_expression(expr):
     """Parse a lattice expression like 'U + U(3) + A2(-1)^5 + [2]'.
 
     Terms are named lattices with an optional integer rescaling in
-    parentheses and an optional repetition power.
+    parentheses and an optional repetition power.  A sum is built from the
+    cached single-term lattices, so each distinct term is built, and its
+    invariants computed, once per process.
     """
     parts = expr.replace("⊕", "+").split("+")
     if not parts or not expr.strip():
@@ -428,30 +452,34 @@ def from_expression(expr):
         base, twist, power = m.group("base"), m.group("twist"), m.group("power")
         if power is not None and int(power) == 0:
             raise BadParams("zero power in lattice term %r" % part.strip())
-        if base == "E6*":
-            # E6*(3) is the integral matrix itself; E6*(-3) is its negation
-            if twist not in ("3", "-3"):
-                raise UnknownName("E6* occurs only as E6*(3) or E6*(-3)")
-            lat = make_named("E6*(3)")
-            if twist == "-3":
-                lat = rescale(lat, -1).relabel("E6*(-3)")
-            twist = None
-        elif base.startswith("["):
-            lat = make_named("[]", int(base[1:-1]))
-        elif base in NAMED:
-            # fixed names win over the ADEKH-family pattern; the rank-two
-            # lattice K_3 is A2(-1) anyway, so nothing is lost
-            lat = make_named(base)
-        else:
-            mm = re.fullmatch(r"([ADEKH])(\d+)", base)
-            if mm:
-                lat = make_named(mm.group(1), int(mm.group(2)))
-            elif re.fullmatch(r"h(\d+)", base):
-                lat = make_named("H", int(base[1:]))
-            else:
-                lat = make_named(base)
-        if twist is not None:
-            lat = rescale(lat, int(twist))
-        summands.extend([lat] * (int(power) if power else 1))
+        if power is None and not parts[1:]:
+            return _term(base, twist).relabel(expr.strip())
+        term = base if twist is None else "%s(%s)" % (base, twist)
+        summands.extend([from_expression(term)] * (int(power) if power else 1))
     out = direct_sum(summands) if summands[1:] else summands[0]
     return out.relabel(expr.strip())
+
+
+def _term(base, twist):
+    """The lattice of one term of an expression, without its power."""
+    if base == "E6*":
+        # E6*(3) is the integral matrix itself; E6*(-3) is its negation
+        if twist not in ("3", "-3"):
+            raise UnknownName("E6* occurs only as E6*(3) or E6*(-3)")
+        lat = make_named("E6*(3)")
+        return rescale(lat, -1).relabel("E6*(-3)") if twist == "-3" else lat
+    if base.startswith("["):
+        lat = make_named("[]", int(base[1:-1]))
+    elif base in NAMED:
+        # fixed names win over the ADEKH-family pattern; the rank-two
+        # lattice K_3 is A2(-1) anyway, so nothing is lost
+        lat = make_named(base)
+    else:
+        mm = re.fullmatch(r"([ADEKH])(\d+)", base)
+        if mm:
+            lat = make_named(mm.group(1), int(mm.group(2)))
+        elif re.fullmatch(r"h(\d+)", base):
+            lat = make_named("H", int(base[1:]))
+        else:
+            lat = make_named(base)
+    return rescale(lat, int(twist)) if twist is not None else lat

@@ -224,16 +224,25 @@ def smith_normal_form(m):
 
     t = 0
     while t < min(r, c):
-        # locate smallest nonzero entry in the trailing block
-        piv = None
+        # locate the first smallest nonzero entry in the trailing block; no
+        # entry is strictly smaller than a unit, so the scan stops at one
+        piv, least = None, 0
         for i in range(t, r):
+            row = a[i]
             for j in range(t, c):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = abs(row[j])
+                if x and (piv is None or x < least):
+                    piv, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        if piv[0] != t:
+            swap_rows(t, piv[0])
+        if piv[1] != t:
+            swap_cols(t, piv[1])
         dirty = False
         for i in range(t + 1, r):
             if a[i][t]:
@@ -249,15 +258,17 @@ def smith_normal_form(m):
                     dirty = True
         if dirty:
             continue
-        # enforce divisibility of the remaining block by the pivot
+        # enforce divisibility of the remaining block by the pivot; a unit
+        # divides everything
         bad = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % a[t][t]:
-                    bad = i
+        if least != 1:
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if a[i][j] % a[t][t]:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
             row_op(t, bad, -1)
             continue
@@ -398,8 +409,13 @@ def symmetric_elimination(g):
         ak, bk = a[k], b[k]
         for i in range(k + 1, n):
             f = a[i][k]
-            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], ak)]
-            b[i] = [(x * piv - f * y) // prev for x, y in zip(b[i], bk)]
+            if f:
+                a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], ak)]
+                b[i] = [(x * piv - f * y) // prev for x, y in zip(b[i], bk)]
+            elif piv != prev:
+                # a zero multiplier only rescales the row by piv / prev
+                a[i] = [x * piv // prev for x in a[i]]
+                b[i] = [x * piv // prev for x in b[i]]
         prev = piv
     return SymmetricElimination(tuple(minors), tuple(tuple(r) for r in a),
                                 tuple(tuple(r) for r in b))

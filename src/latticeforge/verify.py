@@ -539,7 +539,7 @@ def a2_complement_candidates(host):
     (Witt extension for quadratic spaces over F_3), so one representative
     image suffices.
     """
-    a2 = make_named("A", 2)
+    a2 = from_expression("A2")
     fh, _ = discform.discriminant_form(host)
     out = []
     try:

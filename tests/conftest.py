@@ -1,9 +1,10 @@
 """Shared helpers: independent brute-force oracles kept free of the library's
 enumeration path; the rational matrix arithmetic, the cyclotomic Gauss sum,
-the full-minimum Jordan pivot and the cubic root readings through the rank-23
-overlattice, which the library no longer carries, kept as references for its
-integer, Jordan and closed-form paths; and an injective glue built from the
-library's one onto glue search."""
+the full-minimum Jordan pivot, the cubic root readings through the rank-23
+overlattice and the Smith and symmetric elimination kernels before their
+early exits, which the library no longer carries, kept as references for its
+integer, Jordan, closed-form and kernel paths; and an injective glue built
+from the library's one onto glue search."""
 
 import itertools
 import math
@@ -24,7 +25,7 @@ from latticeforge.discform import (
 from latticeforge.errors import DegenerateForm
 from latticeforge.glue import GlueData
 from latticeforge.lattice import _factorization
-from latticeforge.linalg import Matrix
+from latticeforge.linalg import Matrix, SnfResult, SymmetricElimination
 
 
 def fraction_inverse(m):
@@ -172,6 +173,104 @@ def cyclotomic_milgram(form):
         if ring.mul(target, ring.zeta_pow(s * ring_n // 8)) == total:
             return s
     raise DegenerateForm("Gauss sum does not have root-of-unity phase")
+
+
+def smith_normal_form_oracle(m):
+    """`linalg.smith_normal_form` as it was before it stopped its pivot scan
+    at a unit and skipped the divisibility scan of a unit pivot: every step
+    scans the whole trailing block for the first smallest entry."""
+    r, c = m.nrows, m.ncols
+    a = [list(row) for row in m.rows]
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    v_inv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j; in v_inv row_j += q * row_i
+        for row in a:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+        v_inv[j] = [x + q * y for x, y in zip(v_inv[j], v_inv[i])]
+
+    t = 0
+    while t < min(r, c):
+        piv = None
+        for i in range(t, r):
+            for j in range(t, c):
+                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
+        v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
+        dirty = False
+        for i in range(t + 1, r):
+            if a[i][t]:
+                row_op(i, t, a[i][t] // a[t][t])
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, c):
+            if a[t][j]:
+                col_op(j, t, a[t][j] // a[t][t])
+                dirty = dirty or a[t][j] != 0
+        if dirty:
+            continue
+        bad = next((i for i in range(t + 1, r) for j in range(t + 1, c)
+                    if a[i][j] % a[t][t]), None)
+        if bad is not None:
+            row_op(t, bad, -1)
+            continue
+        t += 1
+    for i in range(min(r, c)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    return SnfResult(Matrix(a), Matrix(u), Matrix(v), Matrix(v_inv))
+
+
+def symmetric_elimination_oracle(g):
+    """`linalg.symmetric_elimination` as it was before it left rows with a
+    zero multiplier alone: every row below the pivot takes the full Bareiss
+    update."""
+    if not g.is_symmetric():
+        raise DegenerateForm("matrix not symmetric")
+    n = g.nrows
+    a = [list(r) for r in g.rows]
+    b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    minors = []
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                b[k], b[j] = b[j], b[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    raise DegenerateForm("degenerate form")
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                b[k] = [x + y for x, y in zip(b[k], b[j])]
+                for row in a:
+                    row[k] += row[j]
+        piv = a[k][k]
+        minors.append(piv)
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], a[k])]
+            b[i] = [(x * piv - f * y) // prev for x, y in zip(b[i], b[k])]
+        prev = piv
+    return SymmetricElimination(tuple(minors), tuple(tuple(r) for r in a),
+                                tuple(tuple(r) for r in b))
 
 
 def box_bounds(gram, max_norm):

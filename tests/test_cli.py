@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -120,6 +122,19 @@ def test_glue_without_full_glue_map_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "no full glue map between the discriminant forms" in err
+
+
+def test_glue_without_anti_isometric_bilinear_forms_exits_at_once():
+    # both groups are (Z/3)^6 but their Legendre classes differ; the glue
+    # search used to backtrack over partial maps for minutes
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticeforge.cli", "glue", "AY_phi35",
+         "U + U(3) + E6 + A2^2 + A2(-1)"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "no full glue map between the discriminant forms" in proc.stderr
 
 
 def test_isom_files(capsys, tmp_path):
@@ -531,9 +546,28 @@ _OUTPUT_SHA256 = {
         "25083e97e553b123afaa151580f05e41c7132ac6cd77c0c53f0c998c0c5bd087",
 }
 
+# `info` prints disc_q on the generators of the Smith form of the whole Gram
+# matrix, so these digests also pin that presentation
+_INFO_SHA256 = {
+    "OG10": "943b0f94b5667064d5364d6a7c85dbcb199cc7a2ac4d5e1eac8ff2f9a7de10f1",
+    "Lambda": "7fc46e5eba820aaee1299f9995228dc682c2cb63f4a9637dee9024cb851acd5e",
+    "U + U(3) + A2^2 + [6]": "88a49da17f10acae362ab9a1eb428bd4a5a8897665596c59cf8acb5bfc14e900",
+    "E6 + D4(-1) + [2]": "d92de991838591dc6ac62b4c32d4a20574b16962f76562b3bb58cf1225313ba2",
+    "U^3 + E8(-1)^2 + A2(-1)^2 + [6]":
+        "8549c273d2e19eef158f5447c211c61062c04fcb60369a9006c185a8e8a72230",
+    "FGco_phi35": "070f6171818da9e8fd4d18579524d6b3918d0512cea8262c9c62c491fcbc0d1a",
+}
+
 
 @pytest.mark.parametrize("argv", sorted(_OUTPUT_SHA256))
 def test_output_is_byte_identical_to_the_recorded_digest(argv):
     code, out, err = _run_quietly(list(argv))
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == _OUTPUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("name", sorted(_INFO_SHA256))
+def test_info_json_is_byte_identical_to_the_recorded_digest(name):
+    code, out, err = _run_quietly(["--format", "json", "info", name])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _INFO_SHA256[name]

@@ -2,8 +2,18 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticeforge.errors import BadParams, TooLarge, UnknownName, ZeroScale, ZeroVector
+from latticeforge import catalog, linalg, verify
+from latticeforge.errors import (
+    BadParams,
+    DegenerateForm,
+    TooLarge,
+    UnknownName,
+    ZeroScale,
+    ZeroVector,
+)
 from latticeforge.lattice import (
     NAMED,
     Lattice,
@@ -133,6 +143,94 @@ def test_direct_sum():
     assert og.rank == 24 and og.det == -3 and og.signature == (3, 21)
     lam = from_expression("U^5 + E8(-1)^2")
     assert lam.rank == 26 and lam.det == -1
+
+
+# a direct sum reads det and signature from its summands; the whole Gram's
+# elimination is the reference
+
+_TERMS = ("U", "A2", "A1", "D4", "E6", "E8", "K5", "h5", "N69", "E6*(3)", "[3]", "[-2]", "[1]")
+
+
+@st.composite
+def _sum_terms(draw):
+    """A summand: a named or rank-one term, possibly twisted, the degenerate
+    [0], or a direct sum of such summands."""
+    kind = draw(st.sampled_from(("term", "term", "term", "zero", "sum")))
+    if kind == "zero":
+        return Lattice([[0]])
+    if kind == "sum":
+        return direct_sum(draw(st.lists(_sum_terms(), min_size=1, max_size=3)))
+    lat = from_expression(draw(st.sampled_from(_TERMS)))
+    twist = draw(st.sampled_from((1, 1, -1, 2, -3)))
+    return rescale(lat, twist) if twist != 1 else lat
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_sum_terms(), min_size=1, max_size=5), st.booleans())
+def test_direct_sum_invariants_match_the_whole_elimination(summands, det_first):
+    lat = direct_sum(summands)
+    try:
+        whole = linalg.symmetric_elimination(lat.gram)
+    except DegenerateForm:
+        assert lat.det == 0
+        with pytest.raises(DegenerateForm, match="degenerate form"):
+            lat.signature
+        return
+    # the signature also reads the det; either may come first
+    if det_first:
+        assert lat.det == whole.det
+        assert lat.signature == whole.signature
+    else:
+        assert lat.signature == whole.signature
+        assert lat.det == whole.det
+
+
+def test_verify_lambda_p_eliminates_terms_only(monkeypatch):
+    # the rank-26 rows are sums of terms of rank at most 10 (A10(-1) in the
+    # p = 11 row); det and signature come from the terms, each eliminated
+    # once, and no whole Gram is eliminated
+    grams = []
+    real = linalg.symmetric_elimination
+
+    def recording(g):
+        grams.append(g)
+        return real(g)
+
+    from_expression.cache_clear()
+    monkeypatch.setattr(linalg, "symmetric_elimination", recording)
+    try:
+        assert verify.verify_lambda_p().ok
+    finally:
+        from_expression.cache_clear()
+    monkeypatch.undo()
+    terms = {term.gram for row in catalog.RANK26_PAIRS for expr in (row.coinv, row.inv)
+             for term in from_expression(expr)._summands or [from_expression(expr)]}
+    assert grams and max(g.nrows for g in grams) <= 10
+    assert len(set(grams)) == len(grams) and set(grams) <= terms
+
+
+def test_relabel_keeps_the_caches(monkeypatch):
+    lat = from_expression("U + U(3) + A2^2")
+    snf, elim, det = lat.snf(), lat.elimination(), lat.det
+
+    def refuse(_m):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(linalg, "symmetric_elimination", refuse)
+    copy = lat.relabel("copy")
+    assert copy.label == "copy" and lat.label == "U + U(3) + A2^2"
+    assert copy.snf() is snf and copy.elimination() is elim and copy.det == det
+    assert copy == lat
+
+
+def test_expression_terms_are_built_once():
+    from_expression.cache_clear()
+    a = from_expression("U + E8(-1)^2 + A2")
+    b = from_expression("U^3 + E8(-1)")
+    assert a._summands[1] is a._summands[2] is b._summands[3] is from_expression("E8(-1)")
+    assert a._summands[0] is b._summands[0]
+    assert a.label == "U + E8(-1)^2 + A2" and b.label == "U^3 + E8(-1)"
 
 
 def test_invariants_fields():

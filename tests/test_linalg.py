@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeforge import catalog
+from conftest import smith_normal_form_oracle, symmetric_elimination_oracle
+
+from latticeforge import catalog, linalg, verify
 from latticeforge.errors import DegenerateForm, DimensionMismatch
 from latticeforge.lattice import Lattice, from_expression, make_named
 from latticeforge.linalg import (
     Matrix,
     bareiss_det,
+    block_diag,
     hermite_normal_form,
     integer_kernel,
     rational_signature,
@@ -276,6 +279,121 @@ def test_symmetric_elimination_catalog_oracle():
         u = _random_unimodular(rng, g.nrows, steps=3 * g.nrows)
         assert _check_elimination(u.T @ g @ u)
 
+
+
+# ---------------------------------------------------------------------------
+# the Smith and symmetric elimination kernels stop their pivot scan at a unit
+# and leave rows with a zero multiplier alone; the oracles in conftest run
+# every pass, and both must give exactly the same result or exception
+
+
+def _same_as_oracle(kernel, oracle, m):
+    try:
+        want = oracle(m)
+    except DegenerateForm as exc:
+        with pytest.raises(DegenerateForm, match=str(exc)):
+            kernel(m)
+        return False
+    assert kernel(m) == want
+    return True
+
+
+def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
+    seen = {"snf": set(), "elim": set()}
+    real_snf, real_elim = linalg.smith_normal_form, linalg.symmetric_elimination
+
+    def snf(m):
+        seen["snf"].add(m)
+        return real_snf(m)
+
+    def elim(g):
+        seen["elim"].add(g)
+        return real_elim(g)
+
+    from_expression.cache_clear()
+    monkeypatch.setattr(linalg, "smith_normal_form", snf)
+    monkeypatch.setattr(linalg, "symmetric_elimination", elim)
+    try:
+        assert all(report.ok for report in verify.verify_all())
+    finally:
+        from_expression.cache_clear()
+    monkeypatch.undo()
+    assert len(seen["snf"]) > 50 and len(seen["elim"]) > 50
+    for m in seen["snf"]:
+        assert smith_normal_form(m) == smith_normal_form_oracle(m)
+    for g in seen["elim"]:
+        _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
+
+
+# mostly zeros and units, so that unit pivots, zero multipliers and zero
+# pivots all occur
+_SMALL = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -6))
+
+
+@st.composite
+def _sparse_matrices(draw):
+    r, c = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return Matrix([[draw(_SMALL) for _ in range(c)] for _ in range(r)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_int_matrices(), _sparse_matrices()))
+def test_smith_normal_form_matches_oracle(m):
+    assert smith_normal_form(m) == smith_normal_form_oracle(m)
+
+
+@st.composite
+def _symmetric_blocks(draw):
+    """A symmetric matrix: a block diagonal of random symmetric blocks,
+    zero-diagonal U-like blocks [[0, a], [a, 0]] and zero blocks, with a few
+    entries coupling the blocks and optionally a zero diagonal, in a random
+    order of the basis."""
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(("random", "hyperbolic", "zero")),
+                              min_size=1, max_size=4)):
+        if kind == "random":
+            n = draw(st.integers(1, 3))
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = draw(_SMALL)
+            blocks.append(Matrix(g))
+        elif kind == "hyperbolic":
+            a = draw(st.sampled_from((1, -1, 2, 3)))
+            blocks.append(Matrix([[0, a], [a, 0]]))
+        else:
+            blocks.append(Matrix([[0]]))
+    g = [list(r) for r in block_diag(blocks).rows]
+    n = len(g)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        g[i][j] = g[j][i] = draw(_SMALL)
+    if draw(st.booleans()):
+        for i in range(n):
+            g[i][i] = 0
+    order = draw(st.permutations(range(n)))
+    return Matrix([[g[i][j] for j in order] for i in order])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_blocks())
+def test_symmetric_elimination_matches_oracle(g):
+    _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # zero multipliers, piv == prev
+    [[2, 0, 0], [0, 3, 0], [0, 0, 5]],  # zero multipliers, piv != prev
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]],  # U + U(3)
+    [[0, 0, 1], [0, 2, 0], [1, 0, 0]],  # a zero pivot swapped
+    [[2, 1], [1, 0]],
+    [[0, 0], [0, 3]],  # degenerate
+    [[2, 2], [2, 2]],  # degenerate
+])
+def test_kernels_match_oracles_on_hand_picked_inputs(rows):
+    m = Matrix(rows)
+    assert smith_normal_form(m) == smith_normal_form_oracle(m)
+    _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, m)
 
 
 # ---------------------------------------------------------------------------

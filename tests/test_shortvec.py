@@ -331,8 +331,9 @@ def _cubic_readings(checks):
 def test_root_report_matches_oracle_on_cubic_rows():
     # the four catalog rows, Hassett's K2 and K6 (one long root pair and one
     # short root pair), K6 with a transcendental lattice whose discriminant
-    # form differs from -disc(A) in the Legendre class of its 3-part, and K6
-    # glued to a unimodular lattice of rank 21
+    # form differs from -disc(A) in the Legendre class of its 3-part, K6
+    # glued to a unimodular lattice of rank 21, and phi35 with A2(-1) in
+    # place of one A2 in T (both groups (Z/3)^6, Legendre classes differ)
     rows = list(catalog.CUBIC_ROWS)
     phi35 = catalog.cubic_row("phi35")
     for gram, coinv in (([[3, 1], [1, 1]], "U + E8^2 + [2] + [-1] + [1]"),
@@ -341,13 +342,15 @@ def test_root_report_matches_oracle_on_cubic_rows():
                         ([[3, 0], [0, 2]], "E8^2 + [6] + [-1] + [1]")):
         rows.append(dataclasses.replace(phi35, label="K", alg_gram=Matrix(gram), coinv=coinv,
                                         labeling_witness=()))
+    rows.append(dataclasses.replace(phi35, coinv="U + U(3) + E6 + A2^2 + A2(-1)"))
     got = [_cubic_readings(verify._verify_cubic_row(row).checks) for row in rows]
     want = [cubic_roots_oracle(Lattice(row.alg_gram), from_expression(row.coinv))
             for row in rows]
     assert got == want
-    assert [g[2:] for g in got] == [(0, 0)] * 4 + [(0, 2), (2, 0), (None, None), (2, 0)]
-    assert got[-2][:2] == (False, "no glue map found")
-    assert got[-1][:2] == (False, "rank 21 det -1 sig (20, 1)")
+    assert [g[2:] for g in got] == [(0, 0)] * 4 + [(0, 2), (2, 0), (None, None), (2, 0),
+                                                   (None, None)]
+    assert got[-3][:2] == got[-1][:2] == (False, "no glue map found")
+    assert got[-2][:2] == (False, "rank 21 det -1 sig (20, 1)")
 
 
 @st.composite
