@@ -259,20 +259,6 @@ def cubic_row(label):
     raise UnknownLabel(label)
 
 
-def induced_row(label):
-    for row in INDUCED_ROWS:
-        if row.label == label:
-            return row
-    raise UnknownLabel(label)
-
-
-def rank26_row(label):
-    for row in RANK26_PAIRS:
-        if row.label == label:
-            return row
-    raise UnknownLabel(label)
-
-
 def fixture_lattices():
     """Stable name -> Lattice map for every table lattice (CLI registry)."""
     out = {}

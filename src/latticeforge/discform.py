@@ -6,9 +6,9 @@ given orders, with den = lcm(orders):
     b(e_i, e_j) = B[i][j] / den mod 1,   q(e_i) = Q[i] / den mod 2,
 
 B reduced mod den and Q mod 2 den, so a presentation has exactly one table.
-The constructor accepts rational b and q, and `b_of` and `q_of` return
-Fractions; everything else reads the table.  Lifts of group elements to the
-dual lattice are integer vectors over the same den.  Local invariants are
+The constructor accepts rational b and q, and `q_of` returns a Fraction;
+everything else reads the table.  Lifts of group elements to the dual
+lattice are integer vectors over the same den.  Local invariants are
 read one prime at a time from the p-part of the table: its Jordan splitting
 gives the mod-8 Gauss-sum signature (by the oddity formula) and decides
 isomorphism of odd p-parts and 2-elementary 2-parts, while other 2-parts
@@ -136,9 +136,6 @@ class FiniteQuadraticForm:
                         acc += 2 * xi * x[j] * row[j]
         return acc % (2 * self.den)
 
-    def b_of(self, x, y):
-        return Fraction(self._b(x, y), self.den)
-
     def q_of(self, x):
         return Fraction(self._q(x), self.den)
 
@@ -164,11 +161,6 @@ class FiniteQuadraticForm:
             Q = [s * x for x in self.Q] + [t * x for x in other.Q]
         return FiniteQuadraticForm._from_table(self.orders + other.orders, B, Q)
 
-    def is_nondegenerate(self):
-        """True when b(x, -) vanishes only for x = 0."""
-        radical = solve_congruences(self.B, [self.den] * self.ngens, self.orders)
-        return not any(any(self.reduce(x)) for x in radical.rows)
-
     def __repr__(self):
         grp = " + ".join("Z/%d" % d for d in self.orders) or "0"
         if self.Q is not None:
@@ -189,14 +181,18 @@ def discriminant_form(lat):
     Returns (form, lifts) where row i of the integer matrix `lifts`, over
     form.den, is a dual vector in the lattice basis representing generator i
     of the dual quotient.  Quadratic values are attached when the lattice is
-    even.
+    even.  A degenerate lattice, whose Smith form has a zero divisor, raises
+    DegenerateForm: its dual quotient is infinite.
     """
     if lat.rank == 0:
         return TRIVIAL_FORM, Matrix(())
     snf = lat.snf()
+    divisors = snf.divisors
+    if 0 in divisors:
+        raise DegenerateForm("degenerate form")
     orders = []
     cols = []
-    for i, d in enumerate(snf.divisors):
+    for i, d in enumerate(divisors):
         if d not in (0, 1):
             orders.append(d)
             cols.append(snf.v.col(i))

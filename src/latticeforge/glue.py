@@ -47,9 +47,6 @@ class Sublattice:
     def lattice(self, label=None):
         return Lattice(self.gram(), label)
 
-    def is_primitive(self):
-        return _hnf_rows(self.basis) == _hnf_rows(saturate(self).basis)
-
     def __repr__(self):
         return "Sublattice(rank %d of %r)" % (self.rank, self.ambient)
 
@@ -67,19 +64,6 @@ def span(ambient, rows):
     if m.nrows and _hnf_rows(m).nrows != m.nrows:
         raise DimensionMismatch("rows are linearly dependent")
     return Sublattice(ambient, m)
-
-
-def saturate(s):
-    """Smallest primitive sublattice containing s."""
-    n = s.ambient.rank
-    k = s.basis.nrows
-    if k == 0:
-        return Sublattice(s.ambient, Matrix(()))
-    if k == n:
-        return Sublattice(s.ambient, Matrix.identity(n))
-    perp = linalg.integer_kernel(s.basis.T)
-    sat = linalg.integer_kernel(perp.T)
-    return Sublattice(s.ambient, sat)
 
 
 def saturation_index(s):

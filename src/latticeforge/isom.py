@@ -1,6 +1,7 @@
 """Lattice isometries: invariant/coinvariant splitting, discriminant action,
 spinor norm, prime-order feasibility, and the canonical rank-26 extension."""
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
@@ -44,22 +45,8 @@ class Isometry:
     def apply(self, v):
         return self.matrix.apply(v)
 
-    def is_identity(self):
-        return self.matrix == Matrix.identity(self.lattice.rank)
-
     def __repr__(self):
         return "Isometry(%r)" % (self.lattice,)
-
-    def to_json(self):
-        return {"lattice": self.lattice.to_json(), "matrix": [list(r) for r in self.matrix.rows]}
-
-
-def identity_isometry(lat):
-    return Isometry(lat, Matrix.identity(lat.rank))
-
-
-def neg_identity(lat):
-    return Isometry(lat, -Matrix.identity(lat.rank))
 
 
 def isometry_order(f, cap=ORDER_CAP):
@@ -195,33 +182,22 @@ def spinor_norm(f):
 # ---------------------------------------------------------------------------
 # the canonical embedding of the rank-24 lattice into the rank-26 unimodular one
 
-_CANON = None
-
-
+@functools.cache
 def _canonical_extension():
     """Overlattice of OG10 + A2 along (a-b+c-d)/3 and (a+2b+c+2d)/3, where
     a, b span the A2(-1) tail of OG10 and c, d span the orthogonal A2."""
-    global _CANON
-    if _CANON is None:
-        og = make_named("OG10")
-        a2 = make_named("A", 2)
-        amb = direct_sum([og, a2])
-        g1 = (0,) * 22 + (1, -1, 1, -1)
-        g2 = (0,) * 22 + (1, 2, 1, 2)
-        ext = glue.overlattice(amb, [g1, g2], 3, require_even=True, label="Lambda")
-        _CANON = (og, a2, ext)
-    return _CANON
+    og = make_named("OG10")
+    a2 = make_named("A", 2)
+    amb = direct_sum([og, a2])
+    g1 = (0,) * 22 + (1, -1, 1, -1)
+    g2 = (0,) * 22 + (1, 2, 1, 2)
+    ext = glue.overlattice(amb, [g1, g2], 3, require_even=True, label="Lambda")
+    return og, a2, ext
 
 
 def canonical_lambda():
     """The glued rank-26 even unimodular lattice of signature (5, 21)."""
     return _canonical_extension()[2].lattice
-
-
-def canonical_embedding_rows():
-    """(og10_rows, a2_rows): the 24 + 2 old basis vectors in glued coordinates."""
-    _, _, ext = _canonical_extension()
-    return Matrix(ext.old_in_new.rows[:24]), Matrix(ext.old_in_new.rows[24:])
 
 
 def extend_to_lambda(f):

@@ -31,9 +31,11 @@ class Lattice:
 
     A lattice built by `direct_sum` keeps its summands and reads its
     determinant and signature from theirs (Sylvester's law of inertia) until
-    an elimination of its whole Gram matrix is cached."""
+    an elimination of its whole Gram matrix is cached.  `_negation`, the
+    lattice of Gram matrix -G, is built once by the vector enumeration of a
+    negative definite lattice and kept with the caches."""
 
-    __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands")
+    __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands", "_negation")
 
     def __init__(self, gram, label=None):
         if not isinstance(gram, Matrix):
@@ -48,6 +50,7 @@ class Lattice:
         self._det = None
         self._snf = None
         self._summands = None
+        self._negation = None
 
     @property
     def rank(self):
@@ -126,9 +129,6 @@ class Lattice:
 
     def __repr__(self):
         return "Lattice(%s, rank=%d)" % (self.label or "?", self.rank)
-
-    def to_json(self):
-        return {"name": self.label, "gram": [list(r) for r in self.gram.rows]}
 
     @classmethod
     def from_json(cls, data):

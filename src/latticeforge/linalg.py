@@ -419,9 +419,3 @@ def symmetric_elimination(g):
         prev = piv
     return SymmetricElimination(tuple(minors), tuple(tuple(r) for r in a),
                                 tuple(tuple(r) for r in b))
-
-
-def rational_signature(g):
-    """Signature (n_plus, n_minus) of a nondegenerate symmetric integer
-    matrix, from the sign pattern of its symmetric elimination minors."""
-    return symmetric_elimination(g).signature

@@ -4,7 +4,8 @@ All-integer Fincke-Pohst branch and bound over the fraction-free symmetric
 elimination of the Gram matrix (`linalg.symmetric_elimination`): coordinate
 bounds come from integer square roots and the norm of each vector from the
 running remainder, never from floating point or rational arithmetic.
-Negative definite inputs are globally negated before enumeration.
+Negative definite inputs are globally negated before enumeration, once per
+lattice: the negation is kept with the lattice's caches.
 
 Every vector query reads one stream, `short_vectors`, which owns the sign
 flip and the norm and rank guards; the U(3) search alone reads its own
@@ -14,7 +15,7 @@ L1-windowed pass, `vectors_by_l1`.
 from math import gcd, isqrt
 from operator import mul
 
-from .errors import BadParams, DegenerateForm, IndefiniteLattice, RankTooLarge
+from .errors import BadParams, IndefiniteLattice, RankTooLarge
 from .lattice import Lattice
 from .linalg import Matrix, bareiss_det
 
@@ -30,7 +31,9 @@ def _flip_to_positive(lat):
     if m == 0:
         return lat, 1
     if p == 0:
-        return Lattice(-lat.gram, lat.label), -1
+        if lat._negation is None:
+            lat._negation = Lattice(-lat.gram, lat.label)
+        return lat._negation, -1
     raise IndefiniteLattice("lattice of signature %s is indefinite" % ((p, m),))
 
 
@@ -162,18 +165,6 @@ def vectors_by_l1(lat, max_norm, l1_lo, l1_hi):
     return buckets
 
 
-def minimum(lat):
-    """Minimal nonzero |norm| of a definite lattice."""
-    if lat.rank == 0:
-        raise DegenerateForm("minimum of the rank-zero lattice")
-    bound = 1
-    while True:
-        best = min((nv for _v, nv in short_vectors(lat, bound)), default=None)
-        if best is not None:
-            return best
-        bound *= 2
-
-
 def has_square_one(lat):
     """True when some vector has |(v, v)| = 1."""
     return count_vectors(lat, 1) > 0
@@ -196,16 +187,6 @@ def root_report(lat, rank_cap=RANK_CAP):
             else:
                 long_ += div == 3
     return (2 * short, 2 * long_)
-
-
-def wall_class(square, div):
-    """Classify a (square, divisibility) pair against the numerical wall and
-    prime-exceptional sets of the rank-24 hyperbolic-type lattice."""
-    if square == -2 or (square == -6 and div == 3):
-        return "pex"
-    if square == -4 or (square == -24 and div == 3):
-        return "wall"
-    return "neither"
 
 
 def definite_isometric(l1, l2):

@@ -3,7 +3,9 @@ enumeration path; the rational matrix arithmetic, the cyclotomic Gauss sum,
 the full-minimum Jordan pivot, the cubic root readings through the rank-23
 overlattice and the Smith and symmetric elimination kernels before their
 early exits, which the library no longer carries, kept as references for its
-integer, Jordan, closed-form and kernel paths; and an injective glue built
+integer, Jordan, closed-form and kernel paths; the saturation of a
+sublattice and the radical of a finite form, references for
+`saturation_index` and for degenerate forms; and an injective glue built
 from the library's one onto glue search."""
 
 import itertools
@@ -21,11 +23,12 @@ from latticeforge.discform import (
     _presentation,
     discriminant_form,
     orthogonal_subgroup,
+    solve_congruences,
 )
 from latticeforge.errors import DegenerateForm
-from latticeforge.glue import GlueData
+from latticeforge.glue import GlueData, Sublattice
 from latticeforge.lattice import _factorization
-from latticeforge.linalg import Matrix, SnfResult, SymmetricElimination
+from latticeforge.linalg import Matrix, SnfResult, SymmetricElimination, integer_kernel
 
 
 def fraction_inverse(m):
@@ -412,6 +415,25 @@ def box_minimum(lat, coeff_bound=5):
             if best is None or v < best:
                 best = v
     return best
+
+
+def saturate(s):
+    """Smallest primitive sublattice containing s: the integer kernel of the
+    integer kernel of its basis."""
+    n = s.ambient.rank
+    k = s.basis.nrows
+    if k == 0:
+        return Sublattice(s.ambient, Matrix(()))
+    if k == n:
+        return Sublattice(s.ambient, Matrix.identity(n))
+    perp = integer_kernel(s.basis.T)
+    return Sublattice(s.ambient, integer_kernel(perp.T))
+
+
+def is_nondegenerate(form):
+    """True when b(x, -) vanishes only for x = 0 on a finite form."""
+    radical = solve_congruences(form.B, [form.den] * form.ngens, form.orders)
+    return not any(any(form.reduce(x)) for x in radical.rows)
 
 
 def injective_anti_glue(left, right):

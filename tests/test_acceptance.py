@@ -17,16 +17,11 @@ from latticeforge.discform import (
     forms_isomorphic,
     milgram_signature,
 )
-from latticeforge.glue import overlattice, span
-from latticeforge.isom import (
-    canonical_embedding_rows,
-    canonical_lambda,
-    extend_to_lambda,
-    neg_identity,
-)
+from latticeforge.glue import overlattice, saturation_index, span
+from latticeforge.isom import Isometry, _canonical_extension, extend_to_lambda
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named
 from latticeforge.linalg import Matrix, bareiss_det, smith_normal_form
-from latticeforge.shortvec import count_vectors, minimum
+from latticeforge.shortvec import count_vectors, short_vectors
 
 
 def _timed(budget):
@@ -59,8 +54,8 @@ def test_criterion_02_genus_vs_isometry_example():
     fa, _ = discriminant_form(ua)
     fb, _ = discriminant_form(ub)
     assert forms_isomorphic(fa, fb)
-    assert box_minimum(exa, 5) == 2 and minimum(exa) == 2
-    assert box_minimum(exb, 5) == 4 and minimum(exb) == 4
+    assert box_minimum(exa, 5) == 2 and min(nv for _v, nv in short_vectors(exa, 4)) == 2
+    assert box_minimum(exb, 5) == 4 and min(nv for _v, nv in short_vectors(exb, 4)) == 4
     t = done("criterion 2")
     print("criterion 2: PASS - same genus, minima 2 vs 4 (%.2fs)" % t)
 
@@ -135,7 +130,7 @@ def test_criterion_08_labelings():
         witness = span(alg, [eta, row.labeling_witness])
         assert witness.gram() == Matrix([[3, 2], [2, 6]])
         assert bareiss_det(witness.gram()) == 14
-        assert witness.is_primitive()
+        assert saturation_index(witness) == 1
         found = dict(verify.labeling_search(alg, 20))
         assert 14 in found
     alg35 = Lattice(catalog.AY_PHI35)
@@ -158,10 +153,11 @@ def test_criterion_09_explicit_glue_and_extension():
     assert abs(lam.det) == 1
     assert lam.signature == (5, 21)
 
-    lam2 = canonical_lambda()
-    f = extend_to_lambda(neg_identity(og))
+    _, _, canon = _canonical_extension()
+    lam2 = canon.lattice
+    f = extend_to_lambda(Isometry(og, -Matrix.identity(og.rank)))
     assert f.matrix.T @ lam2.gram @ f.matrix == lam2.gram
-    _, a2_rows = canonical_embedding_rows()
+    a2_rows = Matrix(canon.old_in_new.rows[24:])
     c, d = a2_rows.row(0), a2_rows.row(1)
     assert f.matrix.apply(c) == d and f.matrix.apply(d) == c
     t = done("criterion 9")

@@ -63,14 +63,13 @@ def test_fixtures_as_json_shape():
 
 
 def test_row_lookups():
-    assert catalog.rank26_row("52").p == 23
+    assert next(r for r in catalog.RANK26_PAIRS if r.label == "52").p == 23
     assert catalog.cubic_row("phi37").l_alg == 7
-    assert catalog.induced_row("phi21").p == 2
+    assert next(r for r in catalog.INDUCED_ROWS if r.label == "phi21").p == 2
     with pytest.raises(KeyError):
-        catalog.rank26_row("99")
+        catalog.cubic_row("99")
 
 
 def test_unknown_row_label_is_an_input_error():
-    for lookup in (catalog.rank26_row, catalog.cubic_row, catalog.induced_row):
-        with pytest.raises(LatticeForgeError):
-            lookup("99")
+    with pytest.raises(LatticeForgeError):
+        catalog.cubic_row("99")

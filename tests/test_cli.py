@@ -221,6 +221,21 @@ def test_isom_invariant_beyond_the_order_cap(capsys, tmp_path):
         assert code == 2 and out == "" and "infinite order" in err
 
 
+def test_degenerate_lattice_exit_2(capsys, tmp_path):
+    # the Smith form of [[0, 0], [0, 2]] has a zero divisor, so the dual
+    # quotient is infinite: every command that reads it refuses the input
+    lat = tmp_path / "degenerate.json"
+    lat.write_text(json.dumps({"gram": [[0, 0], [0, 2]]}))
+    iso = tmp_path / "degenerate_id.json"
+    iso.write_text(json.dumps({"lattice": {"gram": [[0, 0], [0, 2]]},
+                               "matrix": [[1, 0], [0, 1]]}))
+    for argv in (["isom", "disc-action", str(iso)], ["isom", "spin", str(iso)],
+                 ["glue", "A2", str(lat)], ["glue", "A2", str(lat), "--trivial"],
+                 ["info", str(lat)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "degenerate form" in err, argv
+
+
 def test_isom_invariant_subcommands(capsys, tmp_path):
     rot = tmp_path / "rot_block.json"
     # rotation on the A2 tail of a U + A2 lattice
@@ -440,6 +455,51 @@ def test_isom_invariant_json_fuzz(lattice, matrix):
     assert code in (0, 1, 2) and "Traceback" not in err
 
 
+_ISOM_LATTICES = {"A2": 2, "U": 2, "A2(-1)": 2, "[2] + [-6]": 2, "A1 + [3]": 2,
+                  "A2 + A2(-1)": 4, "U + A2": 4, "D4": 4, "E6": 6, "OG10": 24}
+
+
+@st.composite
+def _isometry_files(draw):
+    """An isometry file on a named lattice or a small Gram matrix, with a
+    random, degenerate, non-unimodular or genuine matrix: -id, or a signed
+    permutation of the basis, which preserves a diagonal Gram matrix."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(_ISOM_LATTICES)))
+        lattice, n = name, _ISOM_LATTICES[name]
+    else:
+        diag = draw(st.lists(st.integers(-3, 3), max_size=4))
+        g = draw(st.one_of(st.just([[d * (i == j) for j, _ in enumerate(diag)]
+                                    for i, d in enumerate(diag)]), _symmetric()))
+        lattice, n = {"gram": g}, len(g)
+    kind = draw(st.sampled_from(["random", "zero", "double", "minus-id", "signed-perm"]))
+    if kind == "random":
+        m = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(n)]
+    elif kind == "zero":
+        m = [[0] * n for _ in range(n)]
+    elif kind == "double":
+        m = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    elif kind == "minus-id":
+        m = [[-(i == j) for j in range(n)] for i in range(n)]
+    else:
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        m = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
+    return {"lattice": lattice, "matrix": m}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_isometry_files(),
+       st.sampled_from(["order", "spin", "disc-action", "coinvariant", "extend-lambda"]))
+def test_isom_actions_fuzz(data, action):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "isometry.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        code, _, err = _run_quietly(["isom", action, path])
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # one parser and one registry per process: queries must not see each other
 
@@ -501,10 +561,10 @@ _FUZZ_BASES = {"U": 2, "A1": 1, "A2": 2, "A3": 3, "A4": 4, "D4": 4, "D5": 5, "E6
 
 
 @st.composite
-def _expressions(draw):
-    """Lattice expressions of rank <= 10 built from valid and invalid terms,
-    or short free text of the expression alphabet (no digits, so no term
-    can ask for a huge rank)."""
+def _expressions(draw, max_rank=10):
+    """Lattice expressions of rank <= max_rank built from valid and invalid
+    terms, or short free text of the expression alphabet (no digits, so no
+    term can ask for a huge rank)."""
     if draw(st.integers(0, 4)) == 0:
         return draw(st.text(alphabet="UADEKh[]()-+^* ", min_size=1, max_size=8))
     terms = draw(st.lists(st.tuples(
@@ -512,8 +572,15 @@ def _expressions(draw):
         st.sampled_from(["", "(1)", "(-1)", "(2)", "(3)", "(-3)", "(0)"]),
         st.sampled_from(["", "", "^1", "^2", "^0"])), min_size=1, max_size=3))
     rank = sum(_FUZZ_BASES[b] * (2 if p == "^2" else 1) for b, _, p in terms)
-    assume(rank <= 10)
+    assume(rank <= max_rank)
     return draw(st.sampled_from([" + ", "+", " ⊕ ", " - "])).join(b + t + p for b, t, p in terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_expressions(max_rank=6), _expressions(max_rank=6), st.booleans())
+def test_glue_fuzz(left, right, trivial):
+    code, _, err = _run_quietly(["glue", left, right] + (["--trivial"] if trivial else []))
+    assert code in (0, 1, 2) and "Traceback" not in err
 
 
 _FIXED_QUERY = ["--format", "json", "labeling", "AY_phi37", "--dmax", "20"]

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from conftest import fraction_inverse, fraction_to_int, injective_anti_glue
+from conftest import fraction_inverse, fraction_to_int, injective_anti_glue, saturate
 
 from latticeforge import catalog, glue, isom, linalg
 
@@ -29,7 +29,6 @@ from latticeforge.glue import (
     orthogonal_complement,
     overlattice,
     primitive_extension,
-    saturate,
     saturation_index,
     span,
     trivial_glue,
@@ -59,17 +58,16 @@ def test_saturation_index_rank_drop():
 def test_saturate_idempotent():
     s = span(U, [(1, 0)])
     assert saturate(s).basis == saturate(saturate(s)).basis
-    assert s.is_primitive()
+    assert saturation_index(s) == 1
 
 
 def test_orthogonal_complement_a2_in_lambda():
     lam = make_named("Lambda")
     # standard A2 embedded in the U + U block: (e1 + f1 + e2, -e1 - f2) has
     # Gram A2; simpler: glue the canonical construction instead
-    from latticeforge.isom import canonical_embedding_rows, canonical_lambda
-
-    lam = canonical_lambda()
-    _, a2_rows = canonical_embedding_rows()
+    _, _, ext = isom._canonical_extension()
+    lam = ext.lattice
+    a2_rows = Matrix(ext.old_in_new.rows[24:])
     comp = orthogonal_complement(Sublattice(lam, a2_rows))
     cl = comp.lattice()
     assert cl.rank == 24
@@ -185,10 +183,9 @@ def test_glue_group():
     orders, a = glue_group(uu, s1, s2)
     assert orders == () and a == 0
 
-    from latticeforge.isom import canonical_embedding_rows, canonical_lambda
-
-    lam = canonical_lambda()
-    og_rows, a2_rows = canonical_embedding_rows()
+    _, _, ext = isom._canonical_extension()
+    lam = ext.lattice
+    og_rows, a2_rows = Matrix(ext.old_in_new.rows[:24]), Matrix(ext.old_in_new.rows[24:])
     orders, a = glue_group(lam, Sublattice(lam, og_rows), Sublattice(lam, a2_rows), p=3)
     assert orders == (3,) and a == 1
 
@@ -319,7 +316,7 @@ def test_overlattice_matches_fractions_on_cubic_middle_cohomology(monkeypatch, l
 
 
 def test_overlattice_matches_fractions_on_canonical_lambda(monkeypatch):
-    monkeypatch.setattr(isom, "_CANON", None)
+    isom._canonical_extension.cache_clear()
     calls = _recorded_overlattice_calls(monkeypatch, isom.canonical_lambda)
     assert len(calls) == 1
     assert _assert_same_overlattice(*calls[0])

@@ -15,7 +15,6 @@ from latticeforge.linalg import (
     block_diag,
     hermite_normal_form,
     integer_kernel,
-    rational_signature,
     smith_normal_form,
     symmetric_elimination,
     triangular_solve,
@@ -63,9 +62,9 @@ def test_kernel_saturated():
 
 
 def test_signature_examples():
-    assert rational_signature(Matrix([[0, 1], [1, 0]])) == (1, 1)
+    assert symmetric_elimination(Matrix([[0, 1], [1, 0]])).signature == (1, 1)
     e8 = _e8()
-    assert rational_signature(e8.scale(-1)) == (0, 8)
+    assert symmetric_elimination(e8.scale(-1)).signature == (0, 8)
 
 
 def _e8():
@@ -137,9 +136,9 @@ def test_signature_congruence_invariant():
             g = a + a.T
             if bareiss_det(g) != 0:
                 break
-        sig = rational_signature(g)
+        sig = symmetric_elimination(g).signature
         u = _random_unimodular(rng, n)
-        assert rational_signature(u.T @ g @ u) == sig
+        assert symmetric_elimination(u.T @ g @ u).signature == sig
 
 
 def test_snf_v_inv_roundtrip():
@@ -237,7 +236,7 @@ def _check_elimination(g):
         return False
     e = symmetric_elimination(g)
     assert e.det == bareiss_det(g) == want_det
-    assert e.signature == rational_signature(g) == _descartes_signature(g)
+    assert e.signature == _descartes_signature(g)
     d = (1,) + e.minors
     for k, row in enumerate(e.rows):
         assert all(x == 0 for x in row[:k]) and row[k] == d[k + 1]

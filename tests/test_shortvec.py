@@ -13,23 +13,24 @@ from conftest import (
     box_vectors,
     cubic_roots_oracle,
     root_report_oracle,
+    saturate,
 )
 
-from latticeforge import catalog, glue, verify
+from latticeforge import catalog, glue, linalg, verify
 from latticeforge.catalog import FG_PHI35
 from latticeforge.errors import IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix, bareiss_det, hermite_normal_form
 from latticeforge.shortvec import (
     _flip_to_positive,
+    coordinate_bounds,
     count_vectors,
     definite_isometric,
     has_square_one,
-    minimum,
     root_report,
     short_vectors,
+    vectors_by_l1,
     vectors_of_norm,
-    wall_class,
 )
 
 A2 = make_named("A", 2)
@@ -68,9 +69,10 @@ def test_count_examples():
 
 
 def test_minimum():
-    assert minimum(make_named("ExA")) == box_minimum(make_named("ExA")) == 2
-    assert minimum(make_named("ExB")) == box_minimum(make_named("ExB")) == 4
-    assert minimum(make_named("E", 8)) == 2
+    exa, exb = make_named("ExA"), make_named("ExB")
+    assert min(nv for _v, nv in short_vectors(exa, 4)) == box_minimum(exa) == 2
+    assert min(nv for _v, nv in short_vectors(exb, 4)) == box_minimum(exb) == 4
+    assert min(nv for _v, nv in short_vectors(make_named("E", 8), 4)) == 2
 
 
 def test_rank_cap():
@@ -110,16 +112,6 @@ def test_has_square_one():
     assert not has_square_one(rescale(make_named("E", 8), -1))
 
 
-def test_wall_class():
-    assert wall_class(-2, 1) == "pex"
-    assert wall_class(-6, 3) == "pex"
-    assert wall_class(-6, 1) == "neither"
-    assert wall_class(-4, 2) == "wall"
-    assert wall_class(-24, 3) == "wall"
-    assert wall_class(-24, 1) == "neither"
-    assert wall_class(2, 1) == "neither"
-
-
 def test_definite_isometric():
     exa, exb = make_named("ExA"), make_named("ExB")
     assert definite_isometric(exa, exb) is None
@@ -141,6 +133,26 @@ def test_definite_isometric_negative_definite():
     w = definite_isometric(a, a)
     assert w is not None
     assert w.T @ a.gram @ w == a.gram
+
+
+def test_negative_definite_queries_negate_once(monkeypatch):
+    # the negation of a negative definite lattice is kept with its caches,
+    # so repeated queries eliminate the negated Gram matrix once
+    seen = []
+    real = linalg.symmetric_elimination
+    monkeypatch.setattr(linalg, "symmetric_elimination", lambda g: seen.append(g) or real(g))
+    from_expression.cache_clear()
+    try:
+        lat = from_expression("E8(-1) + A2(-1)")
+        counts = [count_vectors(lat, 2) for _ in range(2)]
+        windows = [vectors_by_l1(lat, 2, lo, hi) for lo, hi in ((0, 1), (1, 2), (0, 2))]
+        bounds = coordinate_bounds(lat, 2)
+    finally:
+        from_expression.cache_clear()
+    assert counts == [240 + 6] * 2
+    assert {**windows[0], **windows[1]} == windows[2]
+    assert len(bounds) == 10
+    assert len([g for g in seen if g in (lat.gram, -lat.gram)]) == 1
 
 
 def _reference_isometric(l1, l2):
@@ -231,7 +243,7 @@ def test_definite_isometric_rejects_mixed_signs():
 
 def test_indefinite_rejected():
     with pytest.raises(IndefiniteLattice):
-        minimum(make_named("U"))
+        short_vectors(make_named("U"), 2)
     with pytest.raises(IndefiniteLattice):
         count_vectors(make_named("U"), 2)
 
@@ -302,10 +314,7 @@ def test_minimum_and_roots_match_box_oracle(case):
     lat, pos = case
     ball = list(box_ball(pos, _BOX_NORM))
     box_min = min((nx for _x, nx in ball), default=None)
-    if box_min is None:
-        assert minimum(lat) > _BOX_NORM
-    else:
-        assert minimum(lat) == box_min
+    assert min((nv for _v, nv in short_vectors(lat, _BOX_NORM)), default=None) == box_min
     divs = {x: gcd(*lat.gram.apply(x)) for x, _nx in ball}
     short = sum(1 for x, nx in ball if nx == 2 and divs[x] == 1)
     long_ = sum(1 for x, nx in ball if nx == 6 and divs[x] == 3)
@@ -362,8 +371,8 @@ def _cubic_algebraic(draw):
     eta = (1, 1, 1) + (0,) * 20
     extra = draw(st.lists(st.lists(st.integers(-1, 1), min_size=6, max_size=6),
                           min_size=1, max_size=4))
-    sat = glue.saturate(glue.Sublattice(h4, Matrix([eta] + [tuple(r) + (0,) * 17
-                                                            for r in extra])))
+    sat = saturate(glue.Sublattice(h4, Matrix([eta] + [tuple(r) + (0,) * 17
+                                                       for r in extra])))
     # eta has first coordinate 1, so the saturation is Z eta plus its
     # vectors with first coordinate 0
     hnf, _ = hermite_normal_form(Matrix([tuple(x - b[0] * e for x, e in zip(b, eta))

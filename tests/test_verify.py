@@ -26,7 +26,7 @@ def test_lambda_p_all_rows_pass():
 
 
 def test_lambda_p_negative_control():
-    bad = dataclasses.replace(catalog.rank26_row("1"), a=2)
+    bad = dataclasses.replace(next(r for r in catalog.RANK26_PAIRS if r.label == "1"), a=2)
     report = verify.verify_lambda_p(rows=[bad])
     assert not report.ok
     names = {c.name for c in report.rows[0].checks if not c.passed}
@@ -78,7 +78,8 @@ def test_lsv_rows_pass():
 
 
 def test_lsv_negative_control():
-    bad = dataclasses.replace(catalog.induced_row("phi35"), sgn_inv=(1, 5))
+    row = next(r for r in catalog.INDUCED_ROWS if r.label == "phi35")
+    bad = dataclasses.replace(row, sgn_inv=(1, 5))
     report = verify.verify_lsv_table(rows=[bad])
     assert not report.ok
 
@@ -193,7 +194,7 @@ def test_u3_candidate_stream_phi23_prefix(phi23_oracle):
 
 @pytest.mark.parametrize("label", [r.label for r in catalog.INDUCED_ROWS])
 def test_find_u3_sublattice_same_witness_on_induced_rows(label, phi23_oracle):
-    expr = catalog.induced_row(label).inv
+    expr = next(r.inv for r in catalog.INDUCED_ROWS if r.label == label)
     lat = from_expression(expr)
     if expr.startswith("U(3)"):
         # a direct-sum U(3) block: the fast path returns its two basis vectors
@@ -535,7 +536,8 @@ def test_candidates_negative_control(monkeypatch):
 
 
 def test_candidates_two_matching_rank26_rows_fail(monkeypatch):
-    twin = dataclasses.replace(catalog.rank26_row("18"), label="18b")
+    twin = dataclasses.replace(
+        next(r for r in catalog.RANK26_PAIRS if r.label == "18"), label="18b")
     monkeypatch.setattr(catalog, "RANK26_PAIRS", catalog.RANK26_PAIRS + (twin,))
     report, _ = verify.derive_og10_order3_candidates()
     check = _crosscheck(report, "phi37")
@@ -564,7 +566,7 @@ def test_induced_pair_reassembles_rank24_genus():
     from latticeforge.discform import discriminant_form, forms_isomorphic
     from latticeforge.glue import Sublattice, glue_group, primitive_extension
 
-    row = catalog.induced_row("phi37")
+    row = next(r for r in catalog.INDUCED_ROWS if r.label == "phi37")
     inv = from_expression(row.inv)
     coinv = from_expression(row.coinv)
     g = injective_anti_glue(coinv, inv)
