@@ -6,14 +6,14 @@ given orders, with den = lcm(orders):
     b(e_i, e_j) = B[i][j] / den mod 1,   q(e_i) = Q[i] / den mod 2,
 
 B reduced mod den and Q mod 2 den, so a presentation has exactly one table.
-The constructor accepts rational b and q, and `q_of` returns a Fraction;
-everything else reads the table.  Lifts of group elements to the dual
-lattice are integer vectors over the same den.  Local invariants are
-read one prime at a time from the p-part of the table: its Jordan splitting
-gives the mod-8 Gauss-sum signature (by the oddity formula) and decides
-isomorphism of odd p-parts and 2-elementary 2-parts, while other 2-parts
-and degenerate ones are compared by backtracking search; Nikulin's local
-existence conditions read one integer matrix per prime; no floats.
+The constructor takes the integer table; only `q` and `q_of` return
+Fractions.  Lifts of group elements to the dual lattice are integer vectors
+over the same den.  Local invariants are read one prime at a time from one
+Jordan splitting of the p-part: it gives the mod-8 Gauss-sum signature (by
+the oddity formula), Nikulin's local existence conditions (from the
+determinants of its blocks), and decides isomorphism of odd p-parts and
+2-elementary 2-parts, while other 2-parts and degenerate ones are compared
+by backtracking search; no floats.
 """
 
 import itertools
@@ -24,7 +24,6 @@ from operator import mul
 from . import linalg
 from .errors import (
     DegenerateForm,
-    DimensionMismatch,
     NotTwoElementary,
     OddLatticeQuadratic,
     TooLarge,
@@ -41,43 +40,10 @@ class FiniteQuadraticForm:
 
     __slots__ = ("orders", "den", "B", "Q")
 
-    def __init__(self, orders, b, q=None):
-        orders = tuple(int(d) for d in orders)
-        if any(d < 2 for d in orders):
-            raise DimensionMismatch("generator orders must be > 1")
-        k = len(orders)
-        b = [[Fraction(x) for x in row] for row in (b.rows if isinstance(b, Matrix) else b)]
-        if len(b) != k or any(len(row) != k for row in b) or \
-                any(b[i][j] != b[j][i] for i in range(k) for j in range(i)):
-            raise DimensionMismatch("bilinear table must be symmetric k x k")
-        den = math.lcm(*orders)
-        for i, row in enumerate(b):
-            if any((orders[i] * x).denominator != 1 for x in row):
-                raise DegenerateForm("b not defined modulo the order of generator %d" % i)
-        B = [[int(x * den) for x in row] for row in b]
-        Q = None
-        if q is not None:
-            q = [Fraction(x) for x in q]
-            if len(q) != k:
-                raise DimensionMismatch("need one quadratic value per generator")
-            for i in range(k):
-                if (q[i] - b[i][i]).denominator != 1:
-                    raise DegenerateForm("q and b incompatible on generator %d" % i)
-                if (orders[i] ** 2 * q[i]) % 2 != 0:
-                    raise DegenerateForm("q not defined modulo the order of generator %d" % i)
-            Q = [int(x * den) for x in q]
-        self._set_table(orders, B, Q)
-
-    @classmethod
-    def _from_table(cls, orders, B, Q):
-        """Form with the given table at den = lcm(orders); entries need not
-        be reduced."""
-        form = object.__new__(cls)
-        form._set_table(tuple(orders), B, Q)
-        return form
-
-    def _set_table(self, orders, B, Q):
-        self.orders = orders
+    def __init__(self, orders, B, Q=None):
+        """The form whose table at den = lcm(orders) is B and Q; entries
+        need not be reduced."""
+        self.orders = orders = tuple(orders)
         self.den = den = math.lcm(*orders)
         self.B = tuple(tuple(x % den for x in row) for row in B)
         self.Q = None if Q is None else tuple(x % (2 * den) for x in Q)
@@ -140,7 +106,7 @@ class FiniteQuadraticForm:
         return Fraction(self._q(x), self.den)
 
     def neg(self):
-        return FiniteQuadraticForm._from_table(
+        return FiniteQuadraticForm(
             self.orders,
             [[-x for x in row] for row in self.B],
             None if self.Q is None else [-x for x in self.Q],
@@ -148,7 +114,7 @@ class FiniteQuadraticForm:
 
     def bilinear(self):
         """The same group and b, without the quadratic refinement."""
-        return FiniteQuadraticForm._from_table(self.orders, self.B, None)
+        return FiniteQuadraticForm(self.orders, self.B, None)
 
     def direct_sum(self, other):
         den = math.lcm(self.den, other.den)
@@ -159,7 +125,7 @@ class FiniteQuadraticForm:
         Q = None
         if self.Q is not None and other.Q is not None:
             Q = [s * x for x in self.Q] + [t * x for x in other.Q]
-        return FiniteQuadraticForm._from_table(self.orders + other.orders, B, Q)
+        return FiniteQuadraticForm(self.orders + other.orders, B, Q)
 
     def __repr__(self):
         grp = " + ".join("Z/%d" % d for d in self.orders) or "0"
@@ -168,7 +134,7 @@ class FiniteQuadraticForm:
         return "FiniteQuadraticForm(%s, bilinear only)" % grp
 
 
-TRIVIAL_FORM = FiniteQuadraticForm((), Matrix(()), ())
+TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +177,7 @@ def discriminant_form(lat):
             dot = sum(map(mul, cols[j], gc))
             B[i][j] = B[j][i] = dot * den // (orders[i] * orders[j])
         Q[i] = B[i][i]
-    return FiniteQuadraticForm._from_table(orders, B, Q if lat.is_even() else None), lifts
+    return FiniteQuadraticForm(orders, B, Q if lat.is_even() else None), lifts
 
 
 def element_lift(lifts, x):
@@ -312,7 +278,7 @@ def _presentation(form, gen_rows, rel_rows):
     step = form.den // math.lcm(*orders)
     B = [[form._b(x, y) // step for y in lifts] for x in lifts]
     Q = None if form.Q is None else [form._q(x) // step for x in lifts]
-    return FiniteQuadraticForm._from_table(orders, B, Q), Matrix(lifts)
+    return FiniteQuadraticForm(orders, B, Q), Matrix(lifts)
 
 
 def subquotient_form(form, isotropic_gens):
@@ -459,42 +425,25 @@ def _match_maps(src, dst, sign, q_mod=2):
     return Matrix(tuple(chosen)) if rec(0) else None
 
 
-def _p_part(form, p):
-    """(M, n): generators x_i = c_i e_i of the p-part of the group, of
-    orders n_i, and the integer matrix M = (n_i b(x_i, x_j)) with n_i q(x_i)
-    on the diagonal (n_i b(x_i, x_i) on a bilinear-only form).  M = D G with
-    D = diag(n) and G the Gram matrix of K* for a p-adic lattice K with K*/K
-    the p-part of the form, so det K = |A_p| det M."""
-    gens = []
-    for i, o in enumerate(form.orders):
-        n = math.gcd(o, p ** o.bit_length())  # the p-part of o
-        if n > 1:
-            gens.append((i, o // n, n))
-    table = [list(row) for row in form.B]
-    for i, q in enumerate(form.Q or ()):
-        table[i][i] = q
-    # exact: n_i b(x_i, x_j) and n_i q(x_i) are integers
-    m = Matrix(tuple(tuple(ni * ci * cj * table[i][j] // form.den for j, cj, _ in gens)
-                     for i, ci, ni in gens))
-    return m, tuple(n for _, _, n in gens)
-
-
 def local_obstruction(form, sig):
     """The least prime at which no even lattice of signature sig = (s+, s-)
     with discriminant form `form` exists, or None (Nikulin 1979, Thm 1.10.1;
     the signature congruence and l(A) <= s+ + s- are the caller's).  Only p
-    with l(A_p) = s+ + s- count.  With M from `_p_part` and m = |A| / |A_p|,
-    odd p needs ((-1)^(s-) m det M / p) = 1, and p = 2 needs m det M = +-1
-    mod 8 unless A_2 has a Z/2 summand with b(x, x) = 1/2."""
+    with l(A_p) = s+ + s- count.  With u the product of the determinants of
+    the `_jordan` blocks of A_p and m = |A| / |A_p|, odd p needs
+    ((-1)^(s-) m u / p) = 1, and p = 2 needs m u = +-1 mod 8 unless A_2 has
+    a Z/2 summand with b(x, x) = 1/2, a 1 x 1 block of order 2."""
     if form.Q is None:
         raise OddLatticeQuadratic("only even lattices have a quadratic form")
     if not form.orders or form.ngens != sig[0] + sig[1]:
         return None
     for p in sorted(_factorization(math.gcd(*form.orders))):
-        mat, orders = _p_part(form, p)
-        unit = form.group_order // math.prod(orders) * linalg.bareiss_det(mat)
+        blocks = _jordan(form, p)
+        unit = form.group_order // math.prod(n ** len(u) for n, u in blocks)
+        for n, u in blocks:
+            unit *= u[0][0] if len(u) == 1 else u[0][0] * u[1][1] - u[0][1] ** 2
         if p == 2:
-            theta = any(n == 2 and mat[i, i] % 2 for i, n in enumerate(orders))
+            theta = any(n == 2 and len(u) == 1 for n, u in blocks)
             if not theta and unit % 8 not in (1, 7):
                 return p
         elif pow((-1) ** sig[1] * unit, (p - 1) // 2, p) != 1:
@@ -503,14 +452,20 @@ def local_obstruction(form, sig):
 
 
 def _p_form(form, p):
-    """The p-part of `form` as a form of its own, on the generators of
-    `_p_part`: its table is top b(x_i, x_j), with top q(x_i) on the diagonal
-    and top the largest order n_i."""
-    mat, orders = _p_part(form, p)
-    top = max(orders)
-    table = [[top // n * x for x in row] for n, row in zip(orders, mat.rows)]
-    return FiniteQuadraticForm._from_table(
-        orders, table, None if form.Q is None else [row[i] for i, row in enumerate(table)])
+    """The p-part of `form` as a form of its own, on the generators
+    x_i = c_i e_i of orders n_i, the p-parts of the orders: at
+    top = max n_i its table is top b(x_i, x_j), with top q(x_i) on the
+    diagonal."""
+    gens = []
+    for i, o in enumerate(form.orders):
+        n = math.gcd(o, p ** o.bit_length())  # the p-part of o
+        if n > 1:
+            gens.append((i, o // n, n))
+    top = max(n for _, _, n in gens)
+    # exact: b(x_i, x_j) and q(x_i) lie in (1 / n_i) Z
+    B = [[top * ci * cj * form.B[i][j] // form.den for j, cj, _ in gens] for i, ci, _ in gens]
+    Q = None if form.Q is None else [top * ci * ci * form.Q[i] // form.den for i, ci, _ in gens]
+    return FiniteQuadraticForm([n for _, _, n in gens], B, Q)
 
 
 def _jordan(form, p):
@@ -522,15 +477,17 @@ def _jordan(form, p):
 
     The table of `_p_form`, top b(x_i, x_j) with top q(x_i) on the diagonal,
     is read as the Gram matrix of a p-adic lattice and split by unimodular
-    row and column operations modulo top (2 top for p = 2, whose diagonal
-    carries q): pivot on an entry of least valuation, on the diagonal when
-    one has it (the first diagonal unit, when there is one), and clear its
-    rows.
+    row and column operations modulo top (2 top where p = 2 and the diagonal
+    carries q; on a bilinear-only form U is b alone, read modulo n): pivot
+    on an entry of least valuation, on the diagonal when one has it (the
+    first diagonal unit, when there is one), and clear its rows.
     """
-    mat, orders = _p_part(form, p)
-    top = max(orders)
-    mod = 2 * top if p == 2 else top
-    h = [[top // n * x % mod for x in row] for n, row in zip(orders, mat.rows)]
+    pf = _p_form(form, p)
+    top = pf.den
+    mod = 2 * top if p == 2 and pf.Q is not None else top
+    h = [list(row) for row in pf.B]
+    for i, q in enumerate(pf.Q or ()):
+        h[i][i] = q % mod
     blocks = []
     while h:
         k = len(h)
@@ -567,7 +524,7 @@ def _jordan(form, p):
             cleared.append([x % mod for x in row])
         h = cleared
         blocks.append((n, tuple(map(tuple, u))))
-    if math.prod(n ** len(u) for n, u in blocks) != math.prod(orders):
+    if math.prod(n ** len(u) for n, u in blocks) != pf.group_order:
         raise DegenerateForm("degenerate finite quadratic form")
     return blocks
 

@@ -84,7 +84,7 @@ def orthogonal_complement(s):
     m = s.ambient.gram @ s.basis.T  # n x k
     rows = linalg.integer_kernel(m)
     comp = Sublattice(s.ambient, rows)
-    if comp.rank and linalg.bareiss_det(comp.gram()) == 0:
+    if comp.rank and comp.lattice().det == 0:
         raise DegenerateComplement("induced form on the complement is degenerate")
     return comp
 

@@ -21,7 +21,8 @@ ORDER_CAP = 120  # everything in scope has prime order <= 23; the cap guards jun
 
 
 class Isometry:
-    """Integer matrix preserving a Gram matrix; acts on column vectors."""
+    """Integer matrix preserving a nondegenerate Gram matrix; acts on column
+    vectors.  From M^T G M = G and det G != 0, det M = +-1 follows."""
 
     __slots__ = ("lattice", "matrix")
 
@@ -34,8 +35,8 @@ class Isometry:
             raise NotAnIsometry("matrix size does not match the rank")
         if matrix.T @ lattice.gram @ matrix != lattice.gram:
             raise NotAnIsometry("matrix does not preserve the Gram matrix")
-        if abs(linalg.bareiss_det(matrix)) != 1:
-            raise NotAnIsometry("matrix is not unimodular")
+        if lattice.det == 0:
+            raise DegenerateForm("degenerate form")
         self.lattice = lattice
         self.matrix = matrix
 
@@ -98,7 +99,7 @@ def invariant_coinvariant(f):
     diff = f.matrix - Matrix.identity(n)
     inv_rows = linalg.integer_kernel(diff.T)
     inv = glue.Sublattice(f.lattice, inv_rows)
-    if inv.rank and linalg.bareiss_det(inv.gram()) == 0:
+    if inv.rank and inv.lattice().det == 0:
         raise DegenerateForm("the fixed lattice of the isometry is degenerate")
     coinv = glue.orthogonal_complement(inv)
     orders, a = glue.glue_group(f.lattice, inv, coinv)
@@ -271,7 +272,7 @@ def nonsymplectic_feasible(pair, p):
 
     in_p, in_rest = split_p(in_orders)
     amb_p, amb_rest = split_p(amb_orders)
-    check("invariant_p_part_elementary", all(v == p for v in in_p), "%s" % (in_orders,))
+    check("invariant_p_elementary", all(v == p for v in in_p), "%s" % (in_orders,))
     check("invariant_offp_part_from_ambient",
           not in_rest or in_rest == amb_rest,
           "%s vs ambient %s" % (in_rest, amb_rest))

@@ -3,12 +3,12 @@
 Every matrix holds Python ints; rational data elsewhere in the package is an
 integer matrix over one denominator.  No floating point and no fraction
 enters any computation.  Sizes stay small (rank <= 26 throughout the
-package), so classical fraction-free algorithms are used: Bareiss for
-determinants, SNF by elimination with smallest-pivot selection (carrying the
-inverse of its column transform), row-style HNF, forward substitution on a
-triangular HNF, and one symmetric Bareiss elimination
-(`symmetric_elimination`) whose leading minors, echelon rows and orthogonal
-basis give signatures, spinor reflections and the bounds of vector
+package), so classical fraction-free algorithms are used: SNF by elimination
+with smallest-pivot selection (carrying the inverse of its column
+transform), row-style HNF, forward substitution on a triangular HNF, and one
+symmetric Bareiss elimination (`symmetric_elimination`), the only Bareiss
+kernel, whose leading minors, echelon rows and orthogonal basis give
+determinants, signatures, spinor reflections and the bounds of vector
 enumeration.  Every dot product is written inline as `sum(map(mul, a, b))`,
 one loop in C per entry; a shared helper would cost a Python call per vector.
 """
@@ -127,33 +127,6 @@ def stack(mats):
     for m in mats:
         rows.extend(m.rows)
     return Matrix(tuple(rows))
-
-
-def bareiss_det(m):
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = m.nrows
-    if n != m.ncols:
-        raise DimensionMismatch("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def triangular_solve(h, b):

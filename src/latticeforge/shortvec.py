@@ -12,12 +12,12 @@ flip and the norm and rank guards; the U(3) search alone reads its own
 L1-windowed pass, `vectors_by_l1`.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import BadParams, IndefiniteLattice, RankTooLarge
 from .lattice import Lattice
-from .linalg import Matrix, bareiss_det
+from .linalg import Matrix
 
 RANK_CAP = 16
 ISOM_RANK_CAP = 14
@@ -99,17 +99,17 @@ def _enumerate_upto(pos, bound, l1_window=None):
 
 def coordinate_bounds(lat, max_norm):
     """Largest |x_i| over the vectors of |norm| <= max_norm of a definite
-    lattice: x_i^2 <= max_norm adj(G)_ii / det G (Cauchy-Schwarz in the
-    dual), so |x_i| <= isqrt(max_norm adj(G)_ii // det G)."""
-    pos, _sign = _flip_to_positive(lat)
-    g = pos.gram
-    n = pos.rank
-    bounds = []
-    for i in range(n):
-        minor = Matrix(tuple(tuple(g[a, b] for b in range(n) if b != i)
-                             for a in range(n) if a != i))
-        bounds.append(isqrt(max_norm * bareiss_det(minor) // pos.det))
-    return tuple(bounds)
+    lattice: x_i^2 <= max_norm (G^-1)_ii (Cauchy-Schwarz in the dual).  The
+    orthogonal basis b_k of the elimination, of norms D_k D_{k+1}, gives
+    (G^-1)_ii = sum_k b_k[i]^2 / (D_k D_{k+1}), read over one common
+    denominator."""
+    elim = _flip_to_positive(lat)[0].elimination()
+    d = (1,) + elim.minors
+    norms = [a * b for a, b in zip(d, d[1:])]
+    den = lcm(*norms)
+    weights = [den // m for m in norms]
+    return tuple(isqrt(max_norm * sum(w * b[i] ** 2 for w, b in zip(weights, elim.basis)) // den)
+                 for i in range(len(norms)))
 
 
 def short_vectors(lat, max_norm, rank_cap=RANK_CAP):

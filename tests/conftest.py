@@ -1,12 +1,13 @@
 """Shared helpers: independent brute-force oracles kept free of the library's
 enumeration path; the rational matrix arithmetic, the cyclotomic Gauss sum,
 the full-minimum Jordan pivot, the cubic root readings through the rank-23
-overlattice and the Smith and symmetric elimination kernels before their
-early exits, which the library no longer carries, kept as references for its
-integer, Jordan, closed-form and kernel paths; the saturation of a
-sublattice and the radical of a finite form, references for
-`saturation_index` and for degenerate forms; and an injective glue built
-from the library's one onto glue search."""
+overlattice, the Smith and symmetric elimination kernels before their early
+exits, the general Bareiss determinant, and the whole p-part matrix with
+the local obstruction read from its determinant, which the library no
+longer carries, kept as references for its integer, Jordan, closed-form and
+kernel paths; the saturation of a sublattice and the radical of a finite
+form, references for `saturation_index` and for degenerate forms; and an
+injective glue built from the library's one onto glue search."""
 
 import itertools
 import math
@@ -19,13 +20,12 @@ import pytest
 
 from latticeforge.discform import (
     _match_maps,
-    _p_part,
     _presentation,
     discriminant_form,
     orthogonal_subgroup,
     solve_congruences,
 )
-from latticeforge.errors import DegenerateForm
+from latticeforge.errors import DegenerateForm, DimensionMismatch, OddLatticeQuadratic
 from latticeforge.glue import GlueData, Sublattice
 from latticeforge.lattice import _factorization
 from latticeforge.linalg import Matrix, SnfResult, SymmetricElimination, integer_kernel
@@ -358,13 +358,87 @@ def cubic_roots_oracle(alg, co):
     return (passed, detail) + root_report_oracle(perp.lattice(), pairing)
 
 
+def bareiss_det(m):
+    """Determinant of a square integer matrix by fraction-free elimination
+    with row swaps; the library reads every determinant from its symmetric
+    elimination or from a Jordan splitting instead."""
+    n = m.nrows
+    if n != m.ncols:
+        raise DimensionMismatch("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _p_part(form, p):
+    """(M, n): generators x_i = c_i e_i of the p-part of the group, of
+    orders n_i, and the integer matrix M = (n_i b(x_i, x_j)) with n_i q(x_i)
+    on the diagonal (n_i b(x_i, x_i) on a bilinear-only form), as
+    `discform` built it before the p-part became a form of its own
+    (`discform._p_form`).  M = D G with D = diag(n) and G the Gram matrix of
+    K* for a p-adic lattice K with K*/K the p-part of the form, so
+    det K = |A_p| det M."""
+    gens = []
+    for i, o in enumerate(form.orders):
+        n = math.gcd(o, p ** o.bit_length())  # the p-part of o
+        if n > 1:
+            gens.append((i, o // n, n))
+    table = [list(row) for row in form.B]
+    for i, q in enumerate(form.Q or ()):
+        table[i][i] = q
+    m = Matrix(tuple(tuple(ni * ci * cj * table[i][j] // form.den for j, cj, _ in gens)
+                     for i, ci, ni in gens))
+    return m, tuple(n for _, _, n in gens)
+
+
+def local_obstruction_oracle(form, sig):
+    """`discform.local_obstruction` as it read the determinant of the whole
+    p-part matrix of `_p_part` rather than the Jordan blocks: with
+    m = |A| / |A_p|, odd p needs ((-1)^(s-) m det M / p) = 1, and p = 2
+    needs m det M = +-1 mod 8 unless some generator of order 2 has
+    b(x, x) = 1/2."""
+    if form.Q is None:
+        raise OddLatticeQuadratic("only even lattices have a quadratic form")
+    if not form.orders or form.ngens != sig[0] + sig[1]:
+        return None
+    for p in sorted(_factorization(math.gcd(*form.orders))):
+        mat, orders = _p_part(form, p)
+        unit = form.group_order // math.prod(orders) * bareiss_det(mat)
+        if p == 2:
+            theta = any(n == 2 and mat[i, i] % 2 for i, n in enumerate(orders))
+            if not theta and unit % 8 not in (1, 7):
+                return p
+        elif pow((-1) ** sig[1] * unit, (p - 1) // 2, p) != 1:
+            return p
+    return None
+
+
 def jordan_full_min_oracle(form, p):
     """`discform._jordan` as it pivoted before it scanned the diagonal for a
     unit first: every step takes the least (valuation, off-diagonal, i, j)
-    over all k(k + 1)/2 entries of the table."""
+    over all k(k + 1)/2 entries of the table.  A bilinear-only form carries
+    no q, so its table is read modulo top at every prime, as the library
+    reads it."""
     mat, orders = _p_part(form, p)
     top = max(orders)
-    mod = 2 * top if p == 2 else top
+    mod = 2 * top if p == 2 and form.Q is not None else top
     h = [[top // n * x % mod for x in row] for n, row in zip(orders, mat.rows)]
     blocks = []
     while h:

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import box_count, box_minimum
+from conftest import bareiss_det, box_count, box_minimum
 
 from latticeforge import catalog, verify
 from latticeforge.discform import (
@@ -20,7 +20,7 @@ from latticeforge.discform import (
 from latticeforge.glue import overlattice, saturation_index, span
 from latticeforge.isom import Isometry, _canonical_extension, extend_to_lambda
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named
-from latticeforge.linalg import Matrix, bareiss_det, smith_normal_form
+from latticeforge.linalg import Matrix, smith_normal_form
 from latticeforge.shortvec import count_vectors, short_vectors
 
 

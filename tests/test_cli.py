@@ -9,7 +9,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latticeforge import catalog, cli
@@ -189,9 +189,10 @@ def test_isom_invariant_beyond_the_order_cap(capsys, tmp_path):
     # the fixed lattice is the kernel of f - 1, which needs no order: the
     # order-210 isometry fixes nothing and its coinvariant lattice is all of
     # A2 + A4 + A6 + A1
+    from conftest import bareiss_det
     from test_isom import _order_210
 
-    from latticeforge.linalg import Matrix, bareiss_det
+    from latticeforge.linalg import Matrix
 
     big = tmp_path / "order210.json"
     big.write_text(json.dumps({"lattice": "A2 + A4 + A6 + A1",
@@ -223,13 +224,16 @@ def test_isom_invariant_beyond_the_order_cap(capsys, tmp_path):
 
 def test_degenerate_lattice_exit_2(capsys, tmp_path):
     # the Smith form of [[0, 0], [0, 2]] has a zero divisor, so the dual
-    # quotient is infinite: every command that reads it refuses the input
+    # quotient is infinite: every command that reads it refuses the input,
+    # and an isometry of it is refused before any action runs
     lat = tmp_path / "degenerate.json"
     lat.write_text(json.dumps({"gram": [[0, 0], [0, 2]]}))
     iso = tmp_path / "degenerate_id.json"
     iso.write_text(json.dumps({"lattice": {"gram": [[0, 0], [0, 2]]},
                                "matrix": [[1, 0], [0, 1]]}))
     for argv in (["isom", "disc-action", str(iso)], ["isom", "spin", str(iso)],
+                 ["isom", "order", str(iso)], ["isom", "invariant", str(iso)],
+                 ["isom", "coinvariant", str(iso)],
                  ["glue", "A2", str(lat)], ["glue", "A2", str(lat), "--trivial"],
                  ["info", str(lat)]):
         code, out, err = run(capsys, *argv)
@@ -498,6 +502,93 @@ def test_isom_actions_fuzz(data, action):
             json.dump(data, fh)
         code, _, err = _run_quietly(["isom", action, path])
     assert code in (0, 1, 2) and "Traceback" not in err
+
+
+# named lattices for the vector queries: definite of both signs, indefinite,
+# and a degenerate term
+_VECTOR_LATTICES = ["A2", "A2(-1)", "D4", "D4(-1)", "E6", "A1 + [3]", "[2] + [-6]", "U",
+                    "A2 + U(2)", "A2 + [0]"]
+
+
+@st.composite
+def _vector_lattices(draw):
+    """A named lattice, or a small Gram JSON that is definite of either sign
+    (diagonally dominant), random (mostly indefinite) or degenerate (its
+    last row repeated)."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_VECTOR_LATTICES))
+    kind = draw(st.sampled_from(["definite", "random", "degenerate"]))
+    if kind == "random":
+        return {"gram": draw(_symmetric())}
+    n = draw(st.integers(1, 4))
+    sign = draw(st.sampled_from((1, -1)))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-1, 1))
+    for i in range(n):
+        g[i][i] = sum(abs(x) for x in g[i]) + draw(st.integers(1, 3))
+    g = [[sign * x for x in r] for r in g]
+    if kind == "degenerate":
+        g = [r + [r[-1]] for r in g]
+        g.append(g[-1])
+    return {"gram": g}
+
+
+# `--dot` values: eta=, coordinate vectors of lengths 1 to 5 (so both the
+# right and the wrong length for the lattices above), and malformed specs
+_DOT_SPECS = st.one_of(
+    st.integers(-2, 2).map("eta={}".format),
+    st.tuples(st.lists(st.integers(-2, 2), min_size=1, max_size=5), st.integers(-2, 2)).map(
+        lambda t: "%s=%d" % (",".join(map(str, t[0])), t[1])),
+    st.sampled_from(["eta", "eta=", "=1", "eta=x", "1,,0=1", "1;0=1", "", "eta=1=2", "x=1",
+                     "1.5=2", "eta=0x1"]))
+
+
+def _with_lattice_file(ref, argv_of):
+    """Run the argv lists that `argv_of(reference)` returns, with a Gram JSON
+    reference written to a file first; returns their (code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if not isinstance(ref, str):
+            path = os.path.join(tmp, "lattice.json")
+            with open(path, "w") as fh:
+                json.dump(ref, fh)
+            ref = path
+        return [_run_quietly(argv) for argv in argv_of(ref)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_lattices(), st.one_of(st.sampled_from([2, 4, 6]), st.integers(-1, 6)),
+       st.lists(_DOT_SPECS, max_size=2), st.one_of(st.none(), st.integers(-3, 6)))
+@example("A2", 2, ["eta=1"], None)
+@example("D4(-1)", 2, ["0,1,0,0=-1", "eta=0"], 1)
+@example("E6", 2, [], 1)
+@example("A1 + [3]", 3, ["0,1=3"], 0)
+@example("A2", 2, ["1,0,0=1"], -1)
+def test_enum_dot_and_div_fuzz(ref, norm, dots, div):
+    flags = ["--norm", str(norm)] + ["--dot=" + spec for spec in dots]
+    if div is not None:
+        flags.append("--div=%d" % div)
+    (code, out, err), (lcode, lout, lerr) = _with_lattice_file(ref, lambda r: (
+        ["--format", "json", "enum", r] + flags, ["--format", "json", "enum", r, "--list"] + flags))
+    assert code in (0, 1, 2) and "Traceback" not in err and "Traceback" not in lerr
+    assert code == lcode
+    if code == 0:
+        listed = json.loads(lout)
+        assert json.loads(out)["count"] == listed["count"] == len(listed["vectors"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vector_lattices())
+def test_roots_fuzz(ref):
+    (code, out, err), (ecode, _, _) = _with_lattice_file(ref, lambda r: (
+        ["--format", "json", "roots", r], ["enum", r, "--norm", "2"]))
+    assert code in (0, 1, 2) and "Traceback" not in err
+    # both read the same definite stream, so both succeed or neither does
+    assert code == ecode
+    if code == 0:
+        roots = json.loads(out)
+        assert roots["short_roots"] >= 0 and roots["long_roots"] >= 0
 
 
 # ---------------------------------------------------------------------------

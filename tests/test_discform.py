@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    bareiss_det,
     cyclotomic_milgram,
     fraction_inverse,
     fraction_to_int,
     is_nondegenerate,
     jordan_full_min_oracle,
+    local_obstruction_oracle,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,6 @@ from latticeforge.discform import (
     _jordan,
     _local_class,
     _match_maps,
-    _p_part,
     _presentation,
     delta_invariant,
     discriminant_form,
@@ -34,7 +35,7 @@ from latticeforge.discform import (
 )
 from latticeforge.errors import DegenerateForm, NotTwoElementary, OddLatticeQuadratic
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
-from latticeforge.linalg import Matrix, bareiss_det, hermite_normal_form, smith_normal_form
+from latticeforge.linalg import Matrix, hermite_normal_form, smith_normal_form
 
 A2 = make_named("A", 2)
 
@@ -108,15 +109,12 @@ def test_q_values_brute_force_oracle(expr):
 
 def test_degenerate_form():
     # on (Z/3)^2 with b = 1/3 everywhere, (1, 2) pairs to 0 with everything
-    f = FiniteQuadraticForm((3, 3), [[Fraction(1, 3)] * 2] * 2, [Fraction(4, 3)] * 2)
+    f = FiniteQuadraticForm((3, 3), [[1, 1], [1, 1]], [4, 4])
     assert not is_nondegenerate(f)
     assert f._b((1, 2), (1, 0)) == f._b((1, 2), (0, 1)) == 0
     with pytest.raises(DegenerateForm):
         milgram_signature(f)
     assert is_nondegenerate(discriminant_form(A2)[0])
-    # b(e, e) = 1/4 is not defined on a generator of order 2
-    with pytest.raises(DegenerateForm):
-        FiniteQuadraticForm((2,), [[Fraction(1, 4)]])
 
 
 def test_delta():
@@ -239,10 +237,7 @@ def test_odd_elementary_closed_form_matches_backtracking_on_catalog():
 def _form_mod(n, m):
     """(Z/n)^k form with b = m / n; for odd n the quadratic value on each
     generator is the unique lift of b_ii whose n multiple is even."""
-    k = len(m)
-    b = [[Fraction(x, n) for x in r] for r in m]
-    q = [Fraction(m[i][i], n) + m[i][i] % 2 for i in range(k)]
-    return FiniteQuadraticForm((n,) * k, b, q)
+    return FiniteQuadraticForm((n,) * len(m), m, [r[i] + n * (r[i] % 2) for i, r in enumerate(m)])
 
 
 def _random_nondegenerate(rng, p, k):
@@ -524,9 +519,9 @@ def test_local_obstruction_matches_binary_forms():
                 cases += 1
                 if form.ngens == rank:
                     for p in _prime_divisors(math.gcd(*form.orders)):
-                        m, orders = _p_part(form, p)
-                        theta = p == 2 and any(o == 2 and m[i, i] % 2 for i, o in enumerate(orders))
-                        seen.add((p == 2, set(orders) == {p}, theta, bad != p))
+                        blocks = _jordan(form, p)
+                        theta = p == 2 and any(n == 2 and len(u) == 1 for n, u in blocks)
+                        seen.add((p == 2, {n for n, _ in blocks} == {p}, theta, bad != p))
     assert cases >= 700
     # odd and 2-adic conditions, elementary or not, each met and failed;
     # q_theta(2) summands, elementary or not, never obstruct
@@ -562,7 +557,7 @@ def _random_form(rng, orders, quadratic=True):
     q = None
     if quadratic:
         q = [b[i][i] + den * (orders[i] * b[i][i] // den % 2) for i in range(k)]
-    return FiniteQuadraticForm._from_table(orders, b, q)
+    return FiniteQuadraticForm(orders, b, q)
 
 
 def _moved(rng, form):
@@ -581,7 +576,7 @@ def _moved(rng, form):
             u = rng.randrange(1, orders[i])
             if math.gcd(u, orders[i]) == 1:
                 rows[i] = [u * a for a in rows[i]]
-    return FiniteQuadraticForm._from_table(
+    return FiniteQuadraticForm(
         orders, [[form._b(x, y) for y in rows] for x in rows],
         None if form.Q is None else [form._q(x) for x in rows])
 
@@ -654,24 +649,34 @@ def test_milgram_matches_cyclotomic_oracle():
 
 
 def test_jordan_determinant_matches_local_obstruction():
-    # local_obstruction reads det M of `_p_part`; the Jordan blocks have the
-    # same unit class: the same Legendre symbol for odd p, and the same
-    # residue mod 8 for p = 2 unless a block q(x) = u/2 (theta) lets it move
+    # local_obstruction reads the unit from the Jordan blocks; the oracle
+    # reads det M of the whole p-part matrix.  Every signature of rank <= 5
+    # is asked; the local conditions are read where the rank is the form's
+    # length, and those cases are counted
     rng = random.Random(37)
     forms = _catalog_forms() + [discriminant_form(rescale(_random_even_lattice(rng), k))[0]
-                                for k in (1, 2, 4, 8, 3, 9) for _ in range(30)]
+                                for k in (1, 2, 4, 8, 3, 9) for _ in range(100)]
+    # a 2-adic V summand dropped from the rank: 2-obstructed without theta
+    forms += [discriminant_form(from_expression(e))[0] for e in ("A2 + [4]", "A2 + U(2)")]
+    cases = 0
     seen = set()
     for f in forms:
-        for p in _prime_divisors(f.den):
-            det = bareiss_det(_p_part(f, p)[0])
-            blocks = _jordan(f, p)
-            product = math.prod(bareiss_det(Matrix(u)) for _, u in blocks)
-            if p > 2:
-                assert pow(det * product, (p - 1) // 2, p) == 1, (f, p)
-            elif not any(n == 2 and len(u) == 1 for n, u in blocks):
-                assert (det - product) % 8 == 0, f
-                seen.add(product % 8)
-    assert seen == {1, 3, 5, 7}
+        if f.Q is None:
+            continue
+        for h in (f, f.neg()):
+            for rank in range(6):
+                for sp in range(rank + 1):
+                    sig = (sp, rank - sp)
+                    got = local_obstruction(h, sig)
+                    assert got == local_obstruction_oracle(h, sig), (h, sig)
+                    if h.ngens == rank:
+                        cases += 1
+                        if h.orders and math.gcd(*h.orders) % 2 == 0:
+                            blocks = _jordan(h, 2)
+                            seen.add((any(n == 2 and len(u) == 1 for n, u in blocks), got == 2))
+    assert cases >= 3000
+    # theta and non-theta 2-parts, the latter both obstructed and not
+    assert seen >= {(True, False), (False, False), (False, True)}
 
 
 def test_jordan_pivot_matches_full_minimum():

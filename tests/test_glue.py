@@ -3,7 +3,13 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import pytest
-from conftest import fraction_inverse, fraction_to_int, injective_anti_glue, saturate
+from conftest import (
+    bareiss_det,
+    fraction_inverse,
+    fraction_to_int,
+    injective_anti_glue,
+    saturate,
+)
 
 from latticeforge import catalog, glue, isom, linalg
 
@@ -365,7 +371,7 @@ def _fraction_saturation_index(s):
     B, through the inverse of the dot-product Gram B B^T."""
     b = saturate(s).basis
     coeffs = (s.basis @ b.T) @ fraction_inverse(b @ b.T)
-    return abs(linalg.bareiss_det(fraction_to_int(coeffs)))
+    return abs(bareiss_det(fraction_to_int(coeffs)))
 
 
 def test_saturation_index_matches_fractions_on_random_sublattices():

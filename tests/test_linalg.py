@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import smith_normal_form_oracle, symmetric_elimination_oracle
+from conftest import bareiss_det, smith_normal_form_oracle, symmetric_elimination_oracle
 
 from latticeforge import catalog, linalg, verify
 from latticeforge.errors import DegenerateForm, DimensionMismatch
 from latticeforge.lattice import Lattice, from_expression, make_named
 from latticeforge.linalg import (
     Matrix,
-    bareiss_det,
     block_diag,
     hermite_normal_form,
     integer_kernel,

@@ -1,12 +1,13 @@
 import dataclasses
 import random
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bareiss_det,
     box_ball,
     box_bounds,
     box_minimum,
@@ -20,7 +21,7 @@ from latticeforge import catalog, glue, linalg, verify
 from latticeforge.catalog import FG_PHI35
 from latticeforge.errors import IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
-from latticeforge.linalg import Matrix, bareiss_det, hermite_normal_form
+from latticeforge.linalg import Matrix, hermite_normal_form
 from latticeforge.shortvec import (
     _flip_to_positive,
     coordinate_bounds,
@@ -153,6 +154,46 @@ def test_negative_definite_queries_negate_once(monkeypatch):
     assert {**windows[0], **windows[1]} == windows[2]
     assert len(bounds) == 10
     assert len([g for g in seen if g in (lat.gram, -lat.gram)]) == 1
+
+
+def _adjugate_bounds(gram, max_norm):
+    """isqrt(max_norm adj(G)_ii // det G) for a positive definite G, every
+    minor taken by the oracle `bareiss_det`: `coordinate_bounds` as it read
+    them before it read the orthogonal basis of the elimination."""
+    n = gram.nrows
+    det = bareiss_det(gram)
+    return tuple(isqrt(max_norm * bareiss_det(Matrix(tuple(
+        tuple(gram[a, b] for b in range(n) if b != i) for a in range(n) if a != i))) // det)
+        for i in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 6), st.sampled_from((1, 2, 3)), st.sampled_from((1, -1)),
+       st.integers(0, 40))
+def test_coordinate_bounds_match_adjugate_oracle(data, rank, k, sign, max_norm):
+    # k B B^T for a random nonsingular B, and its negation
+    row = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    b = Matrix(data.draw(st.lists(row, min_size=rank, max_size=rank)))
+    assume(bareiss_det(b) != 0)
+    pos = (b @ b.T).scale(k)
+    lat = Lattice(pos.scale(sign))
+    assert coordinate_bounds(lat, max_norm) == _adjugate_bounds(pos, max_norm)
+
+
+def test_coordinate_bounds_read_the_cached_elimination(monkeypatch):
+    # once a lattice (or the negation a negative definite one keeps) is
+    # eliminated, the bounds need no further elimination
+    pos = Lattice(linalg.block_diag([make_named("E", 6).gram, make_named("D", 4).gram]))
+    neg = rescale(pos, -1)
+    pos.elimination()
+    want = coordinate_bounds(neg, 6)
+
+    def refuse(g):
+        raise AssertionError("symmetric_elimination ran again")
+
+    monkeypatch.setattr(linalg, "symmetric_elimination", refuse)
+    assert coordinate_bounds(pos, 6) == coordinate_bounds(neg, 6) == want
+    assert want == _adjugate_bounds(pos.gram, 6)
 
 
 def _reference_isometric(l1, l2):

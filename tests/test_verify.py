@@ -8,7 +8,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
-from conftest import box_ball, fraction_inverse, injective_anti_glue
+from conftest import bareiss_det, box_ball, fraction_inverse, injective_anti_glue
 
 from latticeforge import catalog, discform, glue, linalg, shortvec, verify
 from latticeforge.errors import TooLarge
@@ -151,7 +151,7 @@ def _ball_and_sort_search(lat, cands, pair_budget=400000):
             if sum(a * b for a, b in zip(v, gu)) != 3:
                 continue
             sub = glue.Sublattice(lat, Matrix([u, v]))
-            if linalg.bareiss_det(sub.gram()) != -9:
+            if bareiss_det(sub.gram()) != -9:
                 continue
             if sub.gram() == Matrix([[0, 3], [3, 0]]) and glue.saturation_index(sub) == 1:
                 return sub.basis.rows, checked
@@ -345,10 +345,8 @@ def test_labeling_search_phi37():
     found = dict(verify.labeling_search(alg, 20))
     assert 14 in found
     sub = found[14]
-    from latticeforge import linalg
-
     gram = (sub @ alg.gram @ sub.T)
-    assert linalg.bareiss_det(gram) == 14
+    assert bareiss_det(gram) == 14
 
 
 def test_labeling_search_phi35_multiples_of_six():
@@ -399,7 +397,7 @@ def _labeling_oracle(alg, d_max):
                 c = vec[0] % g
                 vec = tuple((x - c * e) // g for x, e in zip(vec, eta))
             rows = Matrix([eta, vec])
-            d = linalg.bareiss_det(rows @ alg.gram @ rows.T)
+            d = bareiss_det(rows @ alg.gram @ rows.T)
             if 0 < d <= d_max and d not in found:
                 found[d] = rows
     return sorted(found.items())
@@ -408,7 +406,7 @@ def _labeling_oracle(alg, d_max):
 def _random_definite(rng, rank):
     while True:
         b = Matrix([[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)])
-        if linalg.bareiss_det(b):
+        if bareiss_det(b):
             return Lattice(b @ b.T)
 
 
