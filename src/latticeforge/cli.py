@@ -63,8 +63,9 @@ def _print(data, fmt, text_fn):
 
 def cmd_info(args):
     lat = resolve_lattice(args.lattice)
-    inv = invariants(lat)
+    # the Smith form that `disc_q` is printed on also gives the group
     form, _ = discform.discriminant_form(lat)
+    inv = invariants(lat)
     data = {
         "name": lat.label or args.lattice,
         "gram": [list(r) for r in lat.gram.rows],
@@ -103,9 +104,13 @@ def _parse_dot(spec, lat):
             vec = tuple(1 if i == 0 else 0 for i in range(lat.rank))
         else:
             vec = tuple(int(c) for c in name.split(","))
-        return (vec, int(val))
+        val = int(val)
     except ValueError:
         raise BadInput("dot constraint must look like eta=1") from None
+    if len(vec) != lat.rank:
+        raise BadInput("dot constraint vector %s has %d coordinates, the rank is %d"
+                       % (name, len(vec), lat.rank))
+    return (vec, val)
 
 
 def cmd_enum(args):

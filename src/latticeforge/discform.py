@@ -28,7 +28,7 @@ from .errors import (
     OddLatticeQuadratic,
     TooLarge,
 )
-from .lattice import _factorization
+from .lattice import _factorization, _invariant_factors
 from .linalg import Matrix
 
 DESK_GROUP_BOUND = 30000  # largest group we are willing to enumerate
@@ -178,6 +178,25 @@ def discriminant_form(lat):
             B[i][j] = B[j][i] = dot * den // (orders[i] * orders[j])
         Q[i] = B[i][i]
     return FiniteQuadraticForm(orders, B, Q if lat.is_even() else None), lifts
+
+
+def form_class(lat):
+    """A form isomorphic to the discriminant form of `lat`, in no fixed
+    presentation and without lifts.  A direct sum gives the orthogonal sum
+    of its summands' forms, so no Smith form of its whole Gram matrix is
+    needed; any other lattice gives `discriminant_form(lat)[0]`."""
+    if lat._summands is None:
+        return discriminant_form(lat)[0]
+    out = TRIVIAL_FORM
+    for s in lat._summands:
+        if abs(s.det) != 1:  # a unimodular summand has the trivial form
+            f = form_class(s)
+            out = f if out.is_trivial() else out.direct_sum(f)
+    # an odd unimodular summand leaves no trace in the forms but makes the
+    # sum odd, and an odd lattice carries no quadratic form
+    if out.Q is not None and not out.is_trivial() and not lat.is_even():
+        out = out.bilinear()
+    return out
 
 
 def element_lift(lifts, x):
@@ -461,6 +480,8 @@ def _p_form(form, p):
         n = math.gcd(o, p ** o.bit_length())  # the p-part of o
         if n > 1:
             gens.append((i, o // n, n))
+    if len(gens) == form.ngens and all(c == 1 for _, c, _ in gens):
+        return form  # a p-group is its own p-part, on the same generators
     top = max(n for _, _, n in gens)
     # exact: b(x_i, x_j) and q(x_i) lie in (1 / n_i) Z
     B = [[top * ci * cj * form.B[i][j] // form.den for j, cj, _ in gens] for i, ci, _ in gens]
@@ -480,7 +501,9 @@ def _jordan(form, p):
     row and column operations modulo top (2 top where p = 2 and the diagonal
     carries q; on a bilinear-only form U is b alone, read modulo n): pivot
     on an entry of least valuation, on the diagonal when one has it (the
-    first diagonal unit, when there is one), and clear its rows.
+    first diagonal unit, when there is one), and clear its rows.  The table
+    is cleared in place; the rows and columns of the blocks already split
+    off are left stale and never read again.
     """
     pf = _p_form(form, p)
     top = pf.den
@@ -488,41 +511,45 @@ def _jordan(form, p):
     h = [list(row) for row in pf.B]
     for i, q in enumerate(pf.Q or ()):
         h[i][i] = q % mod
+    live = list(range(len(h)))  # the rows and columns not yet split off
     blocks = []
-    while h:
-        k = len(h)
-        unit = next(((1, False, i, i) for i in range(k) if math.gcd(h[i][i], top) == 1), None)
+    while live:
+        unit = next(((1, False, i, i) for i in live if math.gcd(h[i][i], top) == 1), None)
         s, off, i, j = unit or min((math.gcd(h[i][j], top), i != j, i, j)
-                                   for i in range(k) for j in range(i, k))
+                                   for i in live for j in live if j >= i)
         if s == top:
             raise DegenerateForm("degenerate finite quadratic form")
         if off and p != 2:
             # 2 is a unit, so e_i + e_j has the least valuation on the diagonal
-            h[i] = [a + b for a, b in zip(h[i], h[j])]
-            for row in h:
-                row[i] += row[j]
+            hi, hj = h[i], h[j]
+            for t in live:
+                hi[t] += hj[t]
+            for t in live:
+                h[t][i] += h[t][j]
             off = False
         piv = (i, j) if off else (i,)
         n = top // s
         u = [[h[a][b] // s % (mod // s if a == b else n) for b in piv] for a in piv]
         if off:
             det = u[0][0] * u[1][1] - u[0][1] ** 2
-            inv = [[u[1][1], -u[0][1]], [-u[1][0], u[0][0]]]
+            adj = [(u[1][1], -u[0][1]), (-u[1][0], u[0][0])]
         else:
-            det, inv = u[0][0], [[1]]
+            det, adj = u[0][0], [(1,)]
         inv_det = pow(det, -1, mod)
-        rest = [t for t in range(k) if t not in piv]
-        cols = [[h[a][r] for r in rest] for a in piv]
-        cleared = []
-        for t in rest:
-            # e_t - c e_piv is orthogonal to the block for c = (h_t,piv / s) U^-1
-            w = [h[t][a] // s for a in piv]
-            row = [h[t][r] for r in rest]
-            for inv_col, col in zip(zip(*inv), cols):
-                c = inv_det * sum(map(mul, w, inv_col)) % mod
-                row = [x - c * y for x, y in zip(row, col)]
-            cleared.append([x % mod for x in row])
-        h = cleared
+        # the columns of U^-1 = adj / det modulo mod, each with its pivot row
+        cols = [([inv_det * x % mod for x in col], h[a]) for col, a in zip(zip(*adj), piv)]
+        live = [t for t in live if t not in piv]
+        for t in live:
+            # e_t - c e_piv is orthogonal to the block for c = (h_t,piv / s) U^-1;
+            # the entries of a row nothing is subtracted from are reduced already
+            ht = h[t]
+            w = [ht[a] // s for a in piv]
+            for col, row in cols:
+                c = sum(map(mul, w, col)) % mod
+                if c:
+                    ht = [x - c * y for x, y in zip(ht, row)]
+            if ht is not h[t]:
+                h[t] = [x % mod for x in ht]
         blocks.append((n, tuple(map(tuple, u))))
     if math.prod(n ** len(u) for n, u in blocks) != pf.group_order:
         raise DegenerateForm("degenerate finite quadratic form")
@@ -552,15 +579,18 @@ def _local_class(form, p):
 
 
 def forms_isomorphic(f, g):
-    """Decide isomorphism of finite quadratic forms, one prime at a time.
+    """Decide isomorphism of finite quadratic forms in any presentations,
+    one prime at a time.
 
-    A form is the orthogonal sum of its p-parts.  A nondegenerate p-part is
+    The groups must have the same invariant factors (Z/6 is Z/2 + Z/3), and
+    a form is the orthogonal sum of its p-parts.  A nondegenerate p-part is
     decided by `_local_class`, at any group order, when p is odd or the
     2-part is 2-elementary; other 2-parts and degenerate p-parts by
     generator search (`_match_maps`), which raises TooLarge above
     DESK_GROUP_BOUND.
     """
-    if sorted(f.orders) != sorted(g.orders) or (f.Q is None) != (g.Q is None):
+    if _invariant_factors(f.orders) != _invariant_factors(g.orders) \
+            or (f.Q is None) != (g.Q is None):
         return False
     for p in _factorization(f.den):
         try:

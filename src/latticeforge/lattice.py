@@ -31,9 +31,10 @@ class Lattice:
 
     A lattice built by `direct_sum` keeps its summands and reads its
     determinant and signature from theirs (Sylvester's law of inertia) until
-    an elimination of its whole Gram matrix is cached.  `_negation`, the
-    lattice of Gram matrix -G, is built once by the vector enumeration of a
-    negative definite lattice and kept with the caches."""
+    an elimination of its whole Gram matrix is cached, and its discriminant
+    group until a Smith form of its whole Gram matrix is cached.
+    `_negation`, the lattice of Gram matrix -G, is built once by the vector
+    enumeration of a negative definite lattice and kept with the caches."""
 
     __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands", "_negation")
 
@@ -95,7 +96,11 @@ class Lattice:
         return self.signature[1] == 0
 
     def disc_group_orders(self):
-        """Invariant factors (> 1) of the discriminant group."""
+        """Invariant factors (> 1) of the discriminant group, the torsion of
+        Z^n / G Z^n; a block-diagonal G has the summands' torsion groups as
+        summands."""
+        if self._summands is not None and self._snf is None:
+            return _invariant_factors([d for s in self._summands for d in s.disc_group_orders()])
         return tuple(d for d in self.snf().divisors if d not in (0, 1))
 
     def inner(self, v, w):
@@ -181,9 +186,21 @@ def rescale(lat, k):
     return Lattice(lat.gram.scale(k), name)
 
 
+def _invariant_factors(orders):
+    """Invariant factors (> 1) of the sum of the cyclic groups Z/d, d in
+    `orders`, all positive: Z/a + Z/b = Z/gcd + Z/lcm, so taking gcd and lcm
+    of every pair leaves d_1 | d_2 | ...; no factoring is needed."""
+    d = sorted(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(x for x in d if x != 1)
+
+
 def direct_sum(lats):
     """Orthogonal direct sum; Gram is block diagonal.  The summands are kept
-    for the determinant and signature."""
+    for the determinant, signature and discriminant group."""
     lats = list(lats)
     if not lats:
         raise BadParams("direct sum of an empty list")

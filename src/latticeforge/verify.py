@@ -102,9 +102,8 @@ def _verify_rank26_row(row):
     v.add("inv_p_elementary", all(d == p for d in oi) and len(oi) == row.a,
           "(Z/%d)^%d vs a=%d" % (p, len(oi), row.a))
     v.add("glue_bound", row.a <= co.rank // (p - 1), "a=%d, m=%d" % (row.a, co.rank // (p - 1)))
-    fc, _ = discform.discriminant_form(co)
-    fi, _ = discform.discriminant_form(inv)
-    v.add("disc_anti_isometry", discform.forms_isomorphic(fi, fc.neg()),
+    v.add("disc_anti_isometry",
+          discform.forms_isomorphic(discform.form_class(inv), discform.form_class(co).neg()),
           "disc(inv) vs -disc(coinv)")
     return v
 
@@ -423,9 +422,7 @@ def _genus_equal(l1, l2):
     if l1.rank != l2.rank or l1.signature != l2.signature or l1.is_even() != l2.is_even() \
             or l1.disc_group_orders() != l2.disc_group_orders():
         return False
-    f1, _ = discform.discriminant_form(l1)
-    f2, _ = discform.discriminant_form(l2)
-    return discform.forms_isomorphic(f1, f2)
+    return discform.forms_isomorphic(discform.form_class(l1), discform.form_class(l2))
 
 
 def _u3_gluings_to(target, other):
@@ -443,9 +440,9 @@ def _u3_gluings_to(target, other):
     if target.rank != other.rank + 2 or target.signature != sig \
             or target.is_even() != other.is_even():
         return False
-    fu, _ = discform.discriminant_form(from_expression("U(3)"))
-    fo, _ = discform.discriminant_form(other)
-    ft, _ = discform.discriminant_form(target)
+    fu = discform.form_class(from_expression("U(3)"))
+    fo = discform.form_class(other)
+    ft = discform.form_class(target)
     graphs = [()]
     first_h = {}  # q(h) -> the first h of order 3 with that value
     for h in fu.elements():
@@ -540,7 +537,7 @@ def a2_complement_candidates(host):
     image suffices.
     """
     a2 = from_expression("A2")
-    fh, _ = discform.discriminant_form(host)
+    fh = discform.form_class(host)
     out = []
     try:
         sig, form = glue.complement_genus(fh, host.signature, a2, (Matrix(()), Matrix(())))
@@ -588,7 +585,7 @@ def derive_og10_order3_candidates():
                   "rank-26 rows with the induced coinvariant genus: %s (need exactly one)"
                   % (", ".join(labels) or "none"))
         else:
-            ft, _ = discform.discriminant_form(target)
+            ft = discform.form_class(target)
             hit = any(sig == target.signature and discform.forms_isomorphic(form, ft)
                       for _kind, sig, form in candidates[labels[0]])
             v.add("induced_inv_among_candidates", hit, "row %s of the rank-26 table" % labels[0])

@@ -1,6 +1,7 @@
 """Shared helpers: independent brute-force oracles kept free of the library's
 enumeration path; the rational matrix arithmetic, the cyclotomic Gauss sum,
-the full-minimum Jordan pivot, the cubic root readings through the rank-23
+the full-minimum Jordan pivot, the Jordan splitting that rebuilds its
+table after every block, the cubic root readings through the rank-23
 overlattice, the Smith and symmetric elimination kernels before their early
 exits, the general Bareiss determinant, and the whole p-part matrix with
 the local obstruction read from its determinant, which the library no
@@ -15,11 +16,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 import pytest
 
 from latticeforge.discform import (
     _match_maps,
+    _p_form,
     _presentation,
     discriminant_form,
     orthogonal_subgroup,
@@ -474,6 +477,55 @@ def jordan_full_min_oracle(form, p):
         h = cleared
         blocks.append((n, tuple(map(tuple, u))))
     if math.prod(n ** len(u) for n, u in blocks) != math.prod(orders):
+        raise DegenerateForm("degenerate finite quadratic form")
+    return blocks
+
+
+def jordan_rebuild_oracle(form, p):
+    """`discform._jordan` as it was before it cleared the table in place:
+    after every block it builds the remaining k x k table anew, reducing
+    every entry."""
+    pf = _p_form(form, p)
+    top = pf.den
+    mod = 2 * top if p == 2 and pf.Q is not None else top
+    h = [list(row) for row in pf.B]
+    for i, q in enumerate(pf.Q or ()):
+        h[i][i] = q % mod
+    blocks = []
+    while h:
+        k = len(h)
+        unit = next(((1, False, i, i) for i in range(k) if math.gcd(h[i][i], top) == 1), None)
+        s, off, i, j = unit or min((math.gcd(h[i][j], top), i != j, i, j)
+                                   for i in range(k) for j in range(i, k))
+        if s == top:
+            raise DegenerateForm("degenerate finite quadratic form")
+        if off and p != 2:
+            h[i] = [a + b for a, b in zip(h[i], h[j])]
+            for row in h:
+                row[i] += row[j]
+            off = False
+        piv = (i, j) if off else (i,)
+        n = top // s
+        u = [[h[a][b] // s % (mod // s if a == b else n) for b in piv] for a in piv]
+        if off:
+            det = u[0][0] * u[1][1] - u[0][1] ** 2
+            inv = [[u[1][1], -u[0][1]], [-u[1][0], u[0][0]]]
+        else:
+            det, inv = u[0][0], [[1]]
+        inv_det = pow(det, -1, mod)
+        rest = [t for t in range(k) if t not in piv]
+        cols = [[h[a][r] for r in rest] for a in piv]
+        cleared = []
+        for t in rest:
+            w = [h[t][a] // s for a in piv]
+            row = [h[t][r] for r in rest]
+            for inv_col, col in zip(zip(*inv), cols):
+                c = inv_det * sum(map(mul, w, inv_col)) % mod
+                row = [x - c * y for x, y in zip(row, col)]
+            cleared.append([x % mod for x in row])
+        h = cleared
+        blocks.append((n, tuple(map(tuple, u))))
+    if math.prod(n ** len(u) for n, u in blocks) != pf.group_order:
         raise DegenerateForm("degenerate finite quadratic form")
     return blocks
 

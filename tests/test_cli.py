@@ -319,6 +319,14 @@ def test_enum_bad_dot_exit_2(capsys):
     assert code == 2 and out == "" and "eta=1" in err
 
 
+@pytest.mark.parametrize("norm", ["2", "3"])
+def test_enum_dot_of_the_wrong_length_exit_2(capsys, norm):
+    # A2 has vectors of norm 2 but none of norm 3; the length is refused
+    # before any enumeration either way
+    code, out, err = run(capsys, "enum", "A2", "--norm", norm, "--dot=1,0,0=1")
+    assert code == 2 and out == "" and "3 coordinates, the rank is 2" in err
+
+
 def test_labeling(capsys):
     code, out, _ = run(capsys, "--format", "json", "labeling", "AY_phi37", "--dmax", "20")
     assert code == 0

@@ -11,12 +11,13 @@ from conftest import (
     fraction_to_int,
     is_nondegenerate,
     jordan_full_min_oracle,
+    jordan_rebuild_oracle,
     local_obstruction_oracle,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latticeforge import catalog
+from latticeforge import catalog, discform, verify
 from latticeforge.discform import (
     TRIVIAL_FORM,
     FiniteQuadraticForm,
@@ -27,6 +28,7 @@ from latticeforge.discform import (
     delta_invariant,
     discriminant_form,
     element_lift,
+    form_class,
     forms_isomorphic,
     local_obstruction,
     milgram_signature,
@@ -172,6 +174,30 @@ def test_forms_isomorphic_examples():
     f2, _ = discriminant_form(rescale(A2, -1))
     assert not forms_isomorphic(f1, f2)
     assert forms_isomorphic(TRIVIAL_FORM, TRIVIAL_FORM)
+
+
+def test_forms_isomorphic_across_presentations():
+    # disc(A1 + A2) read from the whole Gram is Z/6 with q = 7/6; read from
+    # the summands it is Z/2 + Z/3 with q = 1/2, 2/3.  The groups have the
+    # same elementary divisors, so the forms are compared prime by prime
+    lat = from_expression("A1 + A2")
+    whole, _ = discriminant_form(Lattice(lat.gram))
+    split = form_class(lat)
+    assert whole.orders == (6,) and whole.q == (Fraction(7, 6),)
+    assert split.orders == (2, 3) and split.q == (Fraction(1, 2), Fraction(2, 3))
+    assert forms_isomorphic(whole, split) and forms_isomorphic(split, whole)
+    assert not forms_isomorphic(whole, split.neg())
+    # Z/2 + Z/2 is not Z/4, whatever the forms
+    assert not forms_isomorphic(form_class(from_expression("[2] + [2]")),
+                                discriminant_form(from_expression("[4]"))[0])
+
+
+def test_form_class_of_an_odd_sum_is_bilinear_only():
+    # [1] adds nothing to the group but makes the sum odd
+    f = form_class(from_expression("A2 + [1]"))
+    assert f.orders == (3,) and f.Q is None
+    assert forms_isomorphic(f, discriminant_form(Lattice(from_expression("A2 + [1]").gram))[0])
+    assert form_class(from_expression("U + [1]")) is TRIVIAL_FORM
 
 
 def test_forms_isomorphic_pairs_of_opposite_blocks():
@@ -703,6 +729,53 @@ def test_jordan_pivot_matches_full_minimum():
             assert _jordan(f, p) == want, (f, p)
             cases += 1
     assert cases >= 500 and degenerate >= 20
+
+
+def _same_blocks_as_rebuild_oracle(f, p):
+    """Whether `_jordan` splits like the table-rebuilding oracle, both
+    raising DegenerateForm alike; False on a degenerate p-part."""
+    try:
+        want = jordan_rebuild_oracle(f, p)
+    except DegenerateForm:
+        with pytest.raises(DegenerateForm):
+            _jordan(f, p)
+        return False
+    assert _jordan(f, p) == want, (f, p)
+    return True
+
+
+_PRIME_POWERS = st.sampled_from((2, 4, 8, 16, 3, 9, 27, 5, 25, 7, 6, 12, 18, 45))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PRIME_POWERS, min_size=1, max_size=7), st.booleans(), st.randoms(use_true_random=False))
+def test_jordan_matches_the_rebuild_oracle(orders, quadratic, rng):
+    # _jordan clears its table in place; the oracle builds the rest anew
+    # after every block.  Random tables (degenerate and bilinear-only ones
+    # too), their moved copies and negatives
+    f = _random_form(rng, orders, quadratic)
+    for g in (f, f.neg(), _moved(rng, f)):
+        for p in _prime_divisors(g.den):
+            _same_blocks_as_rebuild_oracle(g, p)
+
+
+def test_jordan_matches_the_rebuild_oracle_on_every_verify_all_input(monkeypatch):
+    seen = []
+    real = discform._jordan
+
+    def recording(form, p):
+        seen.append((form, p))
+        return real(form, p)
+
+    from_expression.cache_clear()
+    monkeypatch.setattr(discform, "_jordan", recording)
+    try:
+        assert all(report.ok for report in verify.verify_all())
+    finally:
+        from_expression.cache_clear()
+    monkeypatch.undo()
+    assert len(seen) > 100
+    assert all(_same_blocks_as_rebuild_oracle(f, p) for f, p in seen)
 
 
 def test_delta_closed_form_matches_enumeration():

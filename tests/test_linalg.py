@@ -323,6 +323,17 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
         _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
 
 
+def test_smith_normal_form_matches_oracle_on_the_lambda_p_grams():
+    # verify reads the rank-26 rows' discriminant data from their terms, so
+    # their block-diagonal Grams, of rank up to 24, reach the Smith kernel
+    # only through `info` and the like; the 106 expressions have 102 Grams
+    grams = {from_expression(expr).gram for row in catalog.RANK26_PAIRS
+             for expr in (row.coinv, row.inv)}
+    assert len(grams) == 102 and max(g.nrows for g in grams) == 24
+    for g in grams:
+        assert smith_normal_form(g) == smith_normal_form_oracle(g)
+
+
 # mostly zeros and units, so that unit pivots, zero multipliers and zero
 # pivots all occur
 _SMALL = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -6))
