@@ -304,10 +304,13 @@ def subquotient_form(form, isotropic_gens):
     """Form induced on (S^perp)/S for an isotropic subgroup S.
 
     `isotropic_gens` are integer coefficient rows.  Returns the quotient as a
-    FiniteQuadraticForm in invariant-factor presentation.
+    FiniteQuadraticForm in invariant-factor presentation; for S = 0 the
+    quotient is the form itself, returned as it is presented.
     """
     if form.is_trivial():
         return TRIVIAL_FORM
+    if not isotropic_gens:
+        return form
     perp = orthogonal_subgroup(form, [form.reduce(h) for h in isotropic_gens])
     rel = [tuple(h) for h in isotropic_gens] + list(Matrix.diagonal(form.orders).rows)
     return _presentation(form, perp.rows, rel)[0]

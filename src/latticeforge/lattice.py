@@ -472,7 +472,12 @@ def from_expression(expr):
         if power is None and not parts[1:]:
             return _term(base, twist).relabel(expr.strip())
         term = base if twist is None else "%s(%s)" % (base, twist)
-        summands.extend([from_expression(term)] * (int(power) if power else 1))
+        lat = from_expression(term)
+        try:
+            summands.extend([lat] * (int(power) if power else 1))
+        except (MemoryError, OverflowError):
+            raise BadParams("power %s in lattice term %r is too large to expand"
+                            % (power, part.strip())) from None
     out = direct_sum(summands) if summands[1:] else summands[0]
     return out.relabel(expr.strip())
 

@@ -3,13 +3,16 @@
 All-integer Fincke-Pohst branch and bound over the fraction-free symmetric
 elimination of the Gram matrix (`linalg.symmetric_elimination`): coordinate
 bounds come from integer square roots and the norm of each vector from the
-running remainder, never from floating point or rational arithmetic.
+running remainder, never from floating point or rational arithmetic.  The
+tree is walked in one generator frame that keeps each level's state in
+lists, so a vector is handed out by one `yield`, not one per coordinate.
 Negative definite inputs are globally negated before enumeration, once per
 lattice: the negation is kept with the lattice's caches.
 
 Every vector query reads one stream, `short_vectors`, which owns the sign
 flip and the norm and rank guards; the U(3) search alone reads its own
-L1-windowed pass, `vectors_by_l1`.
+L1-windowed pass, `vectors_by_l1`.  `definite_isometric` searches basis
+images with Plesken-Souvignier forward checking over pools of vectors.
 """
 
 from math import gcd, isqrt, lcm
@@ -47,6 +50,12 @@ def _enumerate_upto(pos, bound, l1_window=None):
     N_i = (D_i N_{i+1} + y_i^2) / D_{i+1} exactly, and N_0 = Q(x).  Level i
     keeps y_i^2 <= D_i (D_{i+1} bound - N_{i+1}).
 
+    The tree is walked in this one frame, last coordinate first: level i
+    keeps the center c_i = U_i . x over the fixed coordinates x_{i+1} ..
+    x_{n-1}, the remainder N_{i+1}, the L1 size of those coordinates and the
+    iterator over x_i.  Level 0 is a plain loop that reads Q(x) off its
+    center and remainder.
+
     With l1_window = (lo, hi) only the x with lo < |x|_1 <= hi are produced:
     a branch is cut once its fixed coordinates exceed hi, or once they cannot
     exceed lo even with every open coordinate at its `coordinate_bounds`
@@ -58,7 +67,6 @@ def _enumerate_upto(pos, bound, l1_window=None):
     elim = pos.elimination()
     d = (1,) + elim.minors
     u = elim.rows
-    x = [0] * n
     if l1_window is not None:
         lo, hi = l1_window
         # tail[i]: the largest |x_0| + ... + |x_{i-1}|
@@ -66,15 +74,13 @@ def _enumerate_upto(pos, bound, l1_window=None):
         for b in coordinate_bounds(pos, bound):
             tail.append(tail[-1] + b)
 
-    def rec(i, rest, size):
-        if i < 0:
-            if rest:
-                yield tuple(x), rest
-            return
-        ui = u[i]
-        # x_0 .. x_i are still zero here, so the full row gives U_i . x over
-        # the fixed coordinates x_{i+1} .. x_{n-1}
-        c = sum(map(mul, ui, x))
+    x = [0] * n
+    # per open level i >= 1: c_i, N_{i+1}, the L1 size of x_{i+1} ..
+    # x_{n-1}, and the iterator over x_i; x_0 .. x_i are zero when level i
+    # is opened
+    centers, rests, sizes, iters = [0] * n, [0] * n, [0] * n, [None] * n
+    i, c, rest, size = n - 1, 0, 0, 0  # the level to open and its state
+    while True:
         piv = d[i + 1]
         r = isqrt(d[i] * (piv * bound - rest))
         a, b = -((r + c) // piv), (r - c) // piv
@@ -88,13 +94,34 @@ def _enumerate_upto(pos, bound, l1_window=None):
                 xs = (*range(a, min(b, -need) + 1), *range(max(a, need), b + 1))
             else:
                 xs = range(a, b + 1)
-        for xi in xs:
-            x[i] = xi
-            y = piv * xi + c
-            yield from rec(i - 1, (d[i] * rest + y * y) // piv, size + abs(xi))
-        x[i] = 0
-
-    yield from rec(n - 1, 0, 0)
+        if i:
+            centers[i], rests[i], sizes[i], iters[i] = c, rest, size, iter(xs)
+        else:
+            fixed = tuple(x[1:])
+            for x0 in xs:
+                y = piv * x0 + c
+                q = (rest + y * y) // piv
+                if q:
+                    yield (x0, *fixed), q
+            i = 1
+        # the next x_i of the lowest open level that has one
+        while i < n:
+            for xi in iters[i]:
+                break
+            else:
+                x[i] = 0
+                i += 1
+                continue
+            break
+        else:
+            return
+        x[i] = xi
+        piv = d[i + 1]
+        y = piv * xi + centers[i]
+        rest = (d[i] * rests[i] + y * y) // piv
+        size = sizes[i] + abs(xi)
+        i -= 1
+        c = sum(map(mul, u[i], x))
 
 
 def coordinate_bounds(lat, max_norm):
@@ -194,13 +221,17 @@ def definite_isometric(l1, l2):
 
     Searches images of the basis of l1 among the vectors of l2 of matching
     norm, longest basis vectors first, with forward checking as in
-    Plesken-Souvignier (1997): each pool vector carries its Gram image G2 v,
-    and choosing an image filters the candidate list of every later basis
-    vector down to the vectors with the inner product G1 requires, so an
-    empty list backtracks at once.  Lists keep pool order, so the first
-    witness is the one a plain depth-first search finds.  A complete failed
-    search proves non-isometry.  The returned matrix W has columns = images
-    and satisfies W^T G2 W = G1.
+    Plesken-Souvignier (1997): choosing an image v filters the candidate
+    list of every later basis vector down to the vectors with the inner
+    product G1 requires, so an empty list backtracks at once.  The pools
+    hold vectors only; G2 v is computed once, when v is chosen.  Later basis
+    vectors often hold one and the same list (at the top, every basis vector
+    of a norm holds its pool): each distinct list is split once per chosen
+    image into buckets by inner product, and every later basis vector that
+    holds it takes the bucket for its Gram entry.  Buckets keep pool order,
+    so the first witness is the one a plain depth-first search finds.  A
+    complete failed search proves non-isometry.  The returned matrix W has
+    columns = images and satisfies W^T G2 W = G1.
     """
     if l1.rank != l2.rank:
         return None
@@ -220,10 +251,9 @@ def definite_isometric(l1, l2):
     g2 = pos2.gram
     pools = {}
     for nv in set(basis_norms):
-        vecs = vectors_of_norm(pos2, nv)
-        if len(vecs) != count_vectors(pos1, nv):
+        pools[nv] = vectors_of_norm(pos2, nv)
+        if len(pools[nv]) != count_vectors(pos1, nv):
             return None
-        pools[nv] = [(v, g2.apply(v)) for v in vecs]
     chosen = [None] * n
 
     def rec(k, lists):
@@ -233,12 +263,18 @@ def definite_isometric(l1, l2):
             return True
         i = order[k]
         later = order[k + 1:]
-        for cand, gc in lists[0]:
+        for cand in lists[0]:
+            gc = g2.apply(cand)
+            split = {}  # id of a later list -> its buckets by inner product
             filtered = []
             for j, lst in zip(later, lists[1:]):
-                want = g1[i, j]
-                keep = [(w, gw) for w, gw in lst if sum(map(mul, w, gc)) == want]
-                if not keep:
+                buckets = split.get(id(lst))
+                if buckets is None:
+                    buckets = split[id(lst)] = {}
+                    for w in lst:
+                        buckets.setdefault(sum(map(mul, w, gc)), []).append(w)
+                keep = buckets.get(g1[i, j])
+                if keep is None:
                     break
                 filtered.append(keep)
             else:

@@ -6,9 +6,11 @@ overlattice, the Smith and symmetric elimination kernels before their early
 exits, the general Bareiss determinant, and the whole p-part matrix with
 the local obstruction read from its determinant, which the library no
 longer carries, kept as references for its integer, Jordan, closed-form and
-kernel paths; the saturation of a sublattice and the radical of a finite
-form, references for `saturation_index` and for degenerate forms; and an
-injective glue built from the library's one onto glue search."""
+kernel paths; the recursive Fincke-Pohst walker, the reference for the
+order of the library's stream; the saturation of a sublattice and the
+radical of a finite form, references for `saturation_index` and for
+degenerate forms; and an injective glue built from the library's one onto
+glue search."""
 
 import itertools
 import math
@@ -313,6 +315,57 @@ def box_vectors(gram, norm):
 
 def box_count(gram, norm):
     return len(box_vectors(gram, norm))
+
+
+def enumerate_upto_oracle(pos, bound, l1_window=None):
+    """`shortvec._enumerate_upto` as it walked the Fincke-Pohst tree before
+    it kept per-level state in one frame: one recursive generator per
+    coordinate, every vector handed up through one `yield from` per level.
+    Reads the same elimination and `coordinate_bounds`, so it is the oracle
+    for the order of the stream and its L1 cuts, not for its contents (the
+    box oracles above check those)."""
+    from latticeforge.shortvec import coordinate_bounds
+
+    n = pos.rank
+    if n == 0 or bound <= 0:
+        return
+    elim = pos.elimination()
+    d = (1,) + elim.minors
+    u = elim.rows
+    x = [0] * n
+    if l1_window is not None:
+        lo, hi = l1_window
+        tail = [0]
+        for b in coordinate_bounds(pos, bound):
+            tail.append(tail[-1] + b)
+
+    def rec(i, rest, size):
+        if i < 0:
+            if rest:
+                yield tuple(x), rest
+            return
+        ui = u[i]
+        c = sum(map(mul, ui, x))
+        piv = d[i + 1]
+        r = isqrt(d[i] * (piv * bound - rest))
+        a, b = -((r + c) // piv), (r - c) // piv
+        if l1_window is None:
+            xs = range(a, b + 1)
+        else:
+            room = hi - size
+            a, b = max(a, -room), min(b, room)
+            need = lo - size - tail[i] + 1
+            if need > 0:
+                xs = (*range(a, min(b, -need) + 1), *range(max(a, need), b + 1))
+            else:
+                xs = range(a, b + 1)
+        for xi in xs:
+            x[i] = xi
+            y = piv * xi + c
+            yield from rec(i - 1, (d[i] * rest + y * y) // piv, size + abs(xi))
+        x[i] = 0
+
+    yield from rec(n - 1, 0, 0)
 
 
 def root_report_oracle(lat, pairing=None):

@@ -69,6 +69,16 @@ def test_info_zero_power_exit_2(capsys):
         assert "zero power" in err and "Traceback" not in err
 
 
+def test_info_unexpandable_power_exit_2(capsys):
+    # 2^62 copies fail to allocate at once and 2^64 overflows the list size;
+    # neither may reach the user as a traceback
+    for expr in ("A1^4611686018427387904", "A1^18446744073709551616"):
+        code, out, err = run(capsys, "info", expr)
+        assert code == 2 and out == ""
+        assert "too large to expand" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
 def test_a0_exit_2(capsys):
     for argv in (["info", "A0"], ["enum", "A0", "--norm", "2"], ["k3", "A0"],
                  ["labeling", "A0", "--dmax", "5"], ["info", "A2 + A0"]):

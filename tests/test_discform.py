@@ -357,9 +357,9 @@ def test_subquotient_form():
     f, _ = discriminant_form(lat)
     out = subquotient_form(f, [(1, 1)])
     assert out.is_trivial()
-    # quotient by nothing returns the same class
-    same = subquotient_form(f, [])
-    assert forms_isomorphic(same, f)
+    # quotient by nothing is the form itself, not a re-presentation of it
+    assert subquotient_form(f, []) is f
+    assert subquotient_form(f, ()) is f
 
 
 def _fraction_presentation(form, gen_rows, rel_rows):

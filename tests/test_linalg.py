@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bareiss_det, smith_normal_form_oracle, symmetric_elimination_oracle
+from conftest import (
+    bareiss_det,
+    enumerate_upto_oracle,
+    smith_normal_form_oracle,
+    symmetric_elimination_oracle,
+)
 
-from latticeforge import catalog, linalg, verify
+from latticeforge import catalog, linalg, shortvec, verify
 from latticeforge.errors import DegenerateForm, DimensionMismatch
 from latticeforge.lattice import Lattice, from_expression, make_named
 from latticeforge.linalg import (
@@ -297,8 +302,9 @@ def _same_as_oracle(kernel, oracle, m):
 
 
 def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
-    seen = {"snf": set(), "elim": set()}
+    seen = {"snf": set(), "elim": set(), "walk": set()}
     real_snf, real_elim = linalg.smith_normal_form, linalg.symmetric_elimination
+    real_walk = shortvec._enumerate_upto
 
     def snf(m):
         seen["snf"].add(m)
@@ -308,9 +314,14 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
         seen["elim"].add(g)
         return real_elim(g)
 
+    def walk(pos, bound, l1_window=None):
+        seen["walk"].add((pos.gram, bound, l1_window))
+        return real_walk(pos, bound, l1_window)
+
     from_expression.cache_clear()
     monkeypatch.setattr(linalg, "smith_normal_form", snf)
     monkeypatch.setattr(linalg, "symmetric_elimination", elim)
+    monkeypatch.setattr(shortvec, "_enumerate_upto", walk)
     try:
         assert all(report.ok for report in verify.verify_all())
     finally:
@@ -321,6 +332,14 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
         assert smith_normal_form(m) == smith_normal_form_oracle(m)
     for g in seen["elim"]:
         _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
+    # every Fincke-Pohst walk, windowed or not, gives the recursive walker's
+    # stream: the same vectors with the same norms in the same order
+    assert any(w is None for _g, _b, w in seen["walk"])
+    assert any(w is not None for _g, _b, w in seen["walk"])
+    for gram, bound, window in seen["walk"]:
+        pos = Lattice(gram)
+        assert list(shortvec._enumerate_upto(pos, bound, window)) \
+            == list(enumerate_upto_oracle(pos, bound, window))
 
 
 def test_smith_normal_form_matches_oracle_on_the_lambda_p_grams():

@@ -13,6 +13,7 @@ from conftest import (
     box_minimum,
     box_vectors,
     cubic_roots_oracle,
+    enumerate_upto_oracle,
     root_report_oracle,
     saturate,
 )
@@ -23,6 +24,7 @@ from latticeforge.errors import IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix, hermite_normal_form
 from latticeforge.shortvec import (
+    _enumerate_upto,
     _flip_to_positive,
     coordinate_bounds,
     count_vectors,
@@ -270,6 +272,29 @@ def test_definite_isometric_matches_reference_on_cubic_rows(label):
         assert w == _reference_isometric(a, b)
 
 
+def test_definite_isometric_matches_reference_on_phi32():
+    # rank 12, all twelve basis vectors of norm 4 in both lattices; the
+    # other direction (eta-perp, basis norms 24, 8, 6, ...) is too slow for
+    # the reference search
+    inv, perp = _eta_perp_pair("phi32")
+    w = definite_isometric(inv, perp)
+    assert w is not None and w.T @ perp.gram @ w == inv.gram
+    assert w == _reference_isometric(inv, perp)
+
+
+def test_definite_isometric_maps_only_chosen_candidates(monkeypatch):
+    # G2 v is computed when v is tried as an image, not for every pool
+    # vector up front
+    inv, perp = _eta_perp_pair("phi32")
+    pool = vectors_of_norm(perp, 4)
+    assert len(pool) == 756
+    calls = []
+    real = Matrix.apply
+    monkeypatch.setattr(Matrix, "apply", lambda m, v: calls.append(v) or real(m, v))
+    assert definite_isometric(inv, perp) is not None
+    assert 0 < len(calls) < len(pool)
+
+
 def test_definite_isometric_none_matches_reference():
     # the two binary forms of determinant 23 (minima 2 and 4)
     exa, exb = make_named("ExA"), make_named("ExB")
@@ -459,3 +484,39 @@ def test_root_report_matches_oracle_on_random_lattices(case):
     # signs with generator sums
     lat, _pos = case
     assert root_report(lat) == root_report_oracle(lat)
+
+
+# ---------------------------------------------------------------------------
+# the one-frame walker against the recursive one on random definite sums
+
+_WALK_TERMS = ("A1", "[1]", "[3]", "[5]", "A2", "A3", "D4", "A1(3)", "A2(2)", "E6*(3)",
+               "ExA", "[2] + [4]")
+
+
+@st.composite
+def _definite_sums(draw):
+    """A positive definite model of a random definite sum of rank <= 7:
+    rank-one terms, twisted terms and terms scaled by 1-3, all of one sign,
+    negated back when the sum is negative definite."""
+    sign = draw(st.sampled_from((1, -1)))
+    terms, rank = [], 0
+    for expr in draw(st.lists(st.sampled_from(_WALK_TERMS), min_size=1, max_size=3)):
+        lat = from_expression(expr)
+        if rank + lat.rank <= 7:
+            terms.append(rescale(lat, sign * draw(st.sampled_from((1, 1, 2, 3)))))
+            rank += lat.rank
+    lat = direct_sum(terms) if terms[1:] else terms[0]
+    return _flip_to_positive(lat)[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_definite_sums(), st.integers(0, 8), st.data())
+def test_walker_matches_recursive_oracle(pos, bound, data):
+    window = None
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, 8))
+        window = (lo, data.draw(st.integers(lo, 12)))
+    got = list(_enumerate_upto(pos, bound, window))
+    assert got == list(enumerate_upto_oracle(pos, bound, window))
+    if window is None:
+        assert sorted(got) == sorted(box_ball(pos.gram, bound))
