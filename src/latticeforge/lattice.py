@@ -45,12 +45,16 @@ class Lattice:
             raise BadInput("Gram matrix entries must be integers")
         if not gram.is_symmetric():
             raise DegenerateForm("Gram matrix not symmetric")
+        self._set(gram, label)
+
+    def _set(self, gram, label, summands=None):
+        """Bind a checked Gram matrix and clear the caches."""
         self.gram = gram
         self.label = label
         self._elim = None
         self._det = None
         self._snf = None
-        self._summands = None
+        self._summands = summands
         self._negation = None
 
     @property
@@ -200,13 +204,15 @@ def _invariant_factors(orders):
 
 def direct_sum(lats):
     """Orthogonal direct sum; Gram is block diagonal.  The summands are kept
-    for the determinant, signature and discriminant group."""
+    for the determinant, signature and discriminant group.  Each summand's
+    Gram already passed the integer and symmetry checks of `Lattice`, so the
+    block-diagonal Gram is bound without checking it again."""
     lats = list(lats)
     if not lats:
         raise BadParams("direct sum of an empty list")
     label = " + ".join(l.label or "?" for l in lats) if len(lats) > 1 else lats[0].label
-    out = Lattice(linalg.block_diag([l.gram for l in lats]), label)
-    out._summands = tuple(lats)
+    out = Lattice.__new__(Lattice)
+    out._set(linalg.block_diag([l.gram for l in lats]), label, tuple(lats))
     return out
 
 

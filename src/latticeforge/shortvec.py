@@ -6,6 +6,10 @@ bounds come from integer square roots and the norm of each vector from the
 running remainder, never from floating point or rational arithmetic.  The
 tree is walked in one generator frame that keeps each level's state in
 lists, so a vector is handed out by one `yield`, not one per coordinate.
+Q(-x) = Q(x) and every bound of the walk is symmetric, so only the half of
+the tree whose last nonzero coordinate is positive is walked, and each x is
+handed out together with -x: the stream is x, -x, x', -x', ... in the order
+of the full tree's walk restricted to that half.
 Negative definite inputs are globally negated before enumeration, once per
 lattice: the negation is kept with the lattice's caches.
 
@@ -42,7 +46,8 @@ def _flip_to_positive(lat):
 
 def _enumerate_upto(pos, bound, l1_window=None):
     """Yield (x, Q(x)) for every nonzero integer vector x with Q(x) <= bound
-    on a positive definite lattice; both x and -x are produced.
+    on a positive definite lattice, as pairs: each x whose last nonzero
+    coordinate is positive, right after it -x.
 
     With D_0 = 1, D_k the leading minors and y_i = U_i . x the echelon forms
     of the elimination, N_i = D_i * sum_{k>=i} y_k^2 / (D_k D_{k+1}) is an
@@ -54,12 +59,16 @@ def _enumerate_upto(pos, bound, l1_window=None):
     keeps the center c_i = U_i . x over the fixed coordinates x_{i+1} ..
     x_{n-1}, the remainder N_{i+1}, the L1 size of those coordinates and the
     iterator over x_i.  Level 0 is a plain loop that reads Q(x) off its
-    center and remainder.
+    center and remainder.  While every fixed coordinate is zero (L1 size 0,
+    center 0, so the range of x_i is symmetric) level i walks x_i >= 0 only;
+    level 0 yields x and then -x, whose tail it builds once per opening.
+    The mirror subtree of -x, which the walk skips, has the same shape.
 
     With l1_window = (lo, hi) only the x with lo < |x|_1 <= hi are produced:
     a branch is cut once its fixed coordinates exceed hi, or once they cannot
     exceed lo even with every open coordinate at its `coordinate_bounds`
-    value (exact at the last level, where no coordinate is open).
+    value (exact at the last level, where no coordinate is open).  |x|_1 is
+    symmetric, so the cuts keep or drop x and -x together.
     """
     n = pos.rank
     if n == 0 or bound <= 0:
@@ -84,6 +93,8 @@ def _enumerate_upto(pos, bound, l1_window=None):
         piv = d[i + 1]
         r = isqrt(d[i] * (piv * bound - rest))
         a, b = -((r + c) // piv), (r - c) // piv
+        if not size:  # x_{i+1} .. x_{n-1} all zero: walk the half x_i >= 0
+            a = 0
         if l1_window is None:
             xs = range(a, b + 1)
         else:
@@ -98,11 +109,16 @@ def _enumerate_upto(pos, bound, l1_window=None):
             centers[i], rests[i], sizes[i], iters[i] = c, rest, size, iter(xs)
         else:
             fixed = tuple(x[1:])
+            # tuple() of a list allocates at the final size; of an iterator it
+            # resizes a smaller tuple, and each one freed here would pile up
+            # in the interpreter's free list for this size
+            mirror = tuple([-xi for xi in fixed])
             for x0 in xs:
                 y = piv * x0 + c
                 q = (rest + y * y) // piv
                 if q:
                     yield (x0, *fixed), q
+                    yield (-x0, *mirror), q
             i = 1
         # the next x_i of the lowest open level that has one
         while i < n:
@@ -141,7 +157,9 @@ def coordinate_bounds(lat, max_norm):
 
 def short_vectors(lat, max_norm, rank_cap=RANK_CAP):
     """Stream (v, |Q(v)|) over every nonzero vector v of |Q(v)| <= max_norm
-    in a definite lattice, in Fincke-Pohst order; both v and -v are produced.
+    in a definite lattice, in pairs: the v whose last nonzero coordinate is
+    positive, in the Fincke-Pohst order of that half tree, each followed at
+    once by (-v, |Q(v)|).
 
     Norms are read on the positive definite model: a negative definite
     lattice is negated first, so `max_norm` is never negative.  The guards
@@ -160,11 +178,29 @@ def short_vectors(lat, max_norm, rank_cap=RANK_CAP):
 def _shell(lat, norm, dots, div, rank_cap):
     """The vectors of |norm| == norm that pair with each (w, value) of `dots`
     to that value on the original Gram matrix and, when `div` is set, have
-    divisibility `div`."""
-    for v, nv in short_vectors(lat, norm, rank_cap):
-        if nv == norm and all(lat.inner(v, w) == val for w, val in dots) \
-                and (div is None or lat.divisibility(v) == div):
-            yield v
+    divisibility `div`.
+
+    The stream is read a pair (v, -v) at a time: one norm test, one inner
+    product per constraint (v is kept when it equals the value, -v when it
+    equals minus the value) and one divisibility per pair."""
+    if div is not None and div < 1:
+        raise BadParams("divisibility %d is not positive; no vector has it" % div)
+    pairs = iter(short_vectors(lat, norm, rank_cap))
+    for (v, nv), (mv, _) in zip(pairs, pairs):
+        if nv != norm:
+            continue
+        keep = keep_mv = True
+        for w, val in dots:
+            p = lat.inner(v, w)
+            keep, keep_mv = keep and p == val, keep_mv and p == -val
+            if not (keep or keep_mv):
+                break
+        else:
+            if div is None or lat.divisibility(v) == div:
+                if keep:
+                    yield v
+                if keep_mv:
+                    yield mv
 
 
 def vectors_of_norm(lat, norm, dots=(), div=None, rank_cap=RANK_CAP):
@@ -202,12 +238,12 @@ def root_report(lat, rank_cap=RANK_CAP):
 
     Short root: |v^2| = 2 with divisibility 1; long root: |v^2| = 6 with
     divisibility 3.  The divisibility gcd(G v) is read in the lattice itself,
-    only on norms 2 and 6, and once per pair +-v, on the v > 0."""
+    only on norms 2 and 6, and once per pair (v, -v) of the stream."""
     rows = lat.gram.rows
-    zero = (0,) * lat.rank
     short = long_ = 0
-    for v, nv in short_vectors(lat, 6, rank_cap):
-        if (nv == 2 or nv == 6) and v > zero:
+    pairs = iter(short_vectors(lat, 6, rank_cap))
+    for (v, nv), _mirror in zip(pairs, pairs):
+        if nv == 2 or nv == 6:
             div = gcd(*[sum(map(mul, r, v)) for r in rows])
             if nv == 2:
                 short += div == 1

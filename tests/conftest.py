@@ -6,8 +6,9 @@ overlattice, the Smith and symmetric elimination kernels before their early
 exits, the general Bareiss determinant, and the whole p-part matrix with
 the local obstruction read from its determinant, which the library no
 longer carries, kept as references for its integer, Jordan, closed-form and
-kernel paths; the recursive Fincke-Pohst walker, the reference for the
-order of the library's stream; the saturation of a sublattice and the
+kernel paths; the recursive Fincke-Pohst walker over the whole tree and
+the paired stream derived from it, the references for the order of the
+library's half-tree stream; the saturation of a sublattice and the
 radical of a finite form, references for `saturation_index` and for
 degenerate forms; and an injective glue built from the library's one onto
 glue search."""
@@ -366,6 +367,14 @@ def enumerate_upto_oracle(pos, bound, l1_window=None):
         x[i] = 0
 
     yield from rec(n - 1, 0, 0)
+
+
+def paired_stream_oracle(pos, bound, l1_window=None):
+    """The stream `shortvec._enumerate_upto` hands out, derived from the
+    whole-tree walk of `enumerate_upto_oracle`: its x whose last nonzero
+    coordinate is positive, in its order, each followed by -x."""
+    return [p for x, q in enumerate_upto_oracle(pos, bound, l1_window)
+            if [c for c in x if c][-1] > 0 for p in ((x, q), (tuple(-c for c in x), q))]
 
 
 def root_report_oracle(lat, pairing=None):

@@ -103,6 +103,15 @@ def test_enum_negative_norm_exit_2(capsys):
     assert code == 0 and out.strip() == "6"
 
 
+@pytest.mark.parametrize("div", ["0", "-3"])
+@pytest.mark.parametrize("listed", [[], ["--list"]])
+def test_enum_divisibility_below_one_exit_2(capsys, div, listed):
+    # a divisibility is positive, so the query can never be met
+    code, out, err = run(capsys, "enum", "A2", "--norm", "2", "--div", div, *listed)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and "not positive" in err
+
+
 def test_enum_list(capsys):
     code, out, _ = run(capsys, "--format", "json", "enum", "A2", "--norm", "2", "--list")
     data = json.loads(out)

@@ -14,6 +14,7 @@ from latticeforge.discform import (
     forms_isomorphic,
 )
 from latticeforge.errors import (
+    BadInput,
     BadParams,
     DegenerateForm,
     TooLarge,
@@ -150,6 +151,27 @@ def test_direct_sum():
     assert og.rank == 24 and og.det == -3 and og.signature == (3, 21)
     lam = from_expression("U^5 + E8(-1)^2")
     assert lam.rank == 26 and lam.det == -1
+
+
+def test_direct_sum_equals_the_checked_block_diagonal_lattice():
+    # a sum binds its block-diagonal Gram without checking it again; every
+    # summand was checked when it was built
+    terms = [make_named("U"), from_expression("A2(-1)"), Lattice([[3]]),
+             rescale(make_named("D", 4), 2)]
+    lat = direct_sum(terms)
+    assert lat == Lattice(linalg.block_diag([t.gram for t in terms]))
+    assert lat.label == "U + A2(-1) + ? + D4(2)" and lat._summands == tuple(terms)
+    assert all(type(x) is int for r in lat.gram.rows for x in r) and lat.gram.is_symmetric()
+    nested = direct_sum([lat, make_named("A", 1)])
+    assert nested == Lattice(linalg.block_diag([lat.gram, make_named("A", 1).gram]))
+    assert nested._summands == (lat, make_named("A", 1))
+
+
+def test_direct_sum_rejects_bad_input_at_the_summand():
+    with pytest.raises(BadInput, match="integers"):
+        direct_sum([make_named("A", 2), Lattice([[1.5]])])
+    with pytest.raises(DegenerateForm, match="not symmetric"):
+        direct_sum([Lattice([[2, 1], [0, 2]]), make_named("U")])
 
 
 # a direct sum reads det and signature from its summands; the whole Gram's

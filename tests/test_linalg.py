@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bareiss_det,
-    enumerate_upto_oracle,
+    paired_stream_oracle,
     smith_normal_form_oracle,
     symmetric_elimination_oracle,
 )
@@ -333,13 +333,14 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
     for g in seen["elim"]:
         _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
     # every Fincke-Pohst walk, windowed or not, gives the recursive walker's
-    # stream: the same vectors with the same norms in the same order
+    # stream cut to the half tree, each x followed by -x: the same vectors
+    # with the same norms in the same order
     assert any(w is None for _g, _b, w in seen["walk"])
     assert any(w is not None for _g, _b, w in seen["walk"])
     for gram, bound, window in seen["walk"]:
         pos = Lattice(gram)
         assert list(shortvec._enumerate_upto(pos, bound, window)) \
-            == list(enumerate_upto_oracle(pos, bound, window))
+            == paired_stream_oracle(pos, bound, window)
 
 
 def test_smith_normal_form_matches_oracle_on_the_lambda_p_grams():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     bareiss_det,
     box_ball,
@@ -14,13 +15,14 @@ from conftest import (
     box_vectors,
     cubic_roots_oracle,
     enumerate_upto_oracle,
+    paired_stream_oracle,
     root_report_oracle,
     saturate,
 )
 
-from latticeforge import catalog, glue, linalg, verify
+from latticeforge import catalog, glue, linalg, shortvec, verify
 from latticeforge.catalog import FG_PHI35
-from latticeforge.errors import IndefiniteLattice, RankTooLarge
+from latticeforge.errors import BadParams, IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix, hermite_normal_form
 from latticeforge.shortvec import (
@@ -322,6 +324,15 @@ def test_dot_and_div_filters():
     assert count_vectors(A2, 6, div=1) == 0
 
 
+@pytest.mark.parametrize("div", [0, -3])
+def test_divisibility_below_one_rejected(div):
+    # a divisibility is positive, so the query can never be met
+    with pytest.raises(BadParams, match="not positive"):
+        count_vectors(A2, 6, div=div)
+    with pytest.raises(BadParams, match="not positive"):
+        vectors_of_norm(A2, 6, div=div)
+
+
 # ---------------------------------------------------------------------------
 # every query against the box oracle on random definite lattices
 
@@ -487,36 +498,132 @@ def test_root_report_matches_oracle_on_random_lattices(case):
 
 
 # ---------------------------------------------------------------------------
-# the one-frame walker against the recursive one on random definite sums
+# the one-frame half-tree walker against the recursive whole-tree one on
+# random definite sums
 
 _WALK_TERMS = ("A1", "[1]", "[3]", "[5]", "A2", "A3", "D4", "A1(3)", "A2(2)", "E6*(3)",
                "ExA", "[2] + [4]")
 
 
 @st.composite
-def _definite_sums(draw):
-    """A positive definite model of a random definite sum of rank <= 7:
-    rank-one terms, twisted terms and terms scaled by 1-3, all of one sign,
-    negated back when the sum is negative definite."""
+def _definite_sums(draw, max_rank=7):
+    """A random definite sum of rank <= max_rank: rank-one terms, twisted
+    terms and terms scaled by 1-3, all of one sign."""
     sign = draw(st.sampled_from((1, -1)))
     terms, rank = [], 0
     for expr in draw(st.lists(st.sampled_from(_WALK_TERMS), min_size=1, max_size=3)):
         lat = from_expression(expr)
-        if rank + lat.rank <= 7:
+        if rank + lat.rank <= max_rank:
             terms.append(rescale(lat, sign * draw(st.sampled_from((1, 1, 2, 3)))))
             rank += lat.rank
-    lat = direct_sum(terms) if terms[1:] else terms[0]
-    return _flip_to_positive(lat)[0]
+    assume(terms)
+    return direct_sum(terms) if terms[1:] else terms[0]
 
 
 @settings(max_examples=120, deadline=None)
 @given(_definite_sums(), st.integers(0, 8), st.data())
-def test_walker_matches_recursive_oracle(pos, bound, data):
+def test_walker_matches_recursive_oracle(lat, bound, data):
+    # the walker hands out exactly the whole-tree stream of the recursive
+    # walker cut to the x whose last nonzero coordinate is positive, each
+    # followed at once by -x, in the same order with the same L1 cuts
+    pos = _flip_to_positive(lat)[0]
     window = None
     if data.draw(st.booleans()):
         lo = data.draw(st.integers(0, 8))
         window = (lo, data.draw(st.integers(lo, 12)))
     got = list(_enumerate_upto(pos, bound, window))
-    assert got == list(enumerate_upto_oracle(pos, bound, window))
+    assert got == paired_stream_oracle(pos, bound, window)
     if window is None:
         assert sorted(got) == sorted(box_ball(pos.gram, bound))
+
+
+def test_half_walk_opens_half_the_levels_on_every_verify_all_walk(monkeypatch):
+    # both walkers make one isqrt call per level they open (a windowed walk
+    # makes `rank` more in `coordinate_bounds`, left out of the count).  The
+    # skipped half of the tree mirrors the walked one, so the whole-tree
+    # count F and the half-tree count H satisfy 2H - F = the levels the
+    # all-zero chain opens, which lies in [0, rank]
+    walks = set()
+    real_walk = shortvec._enumerate_upto
+
+    def record(pos, bound, l1_window=None):
+        walks.add((pos.gram, bound, l1_window))
+        return real_walk(pos, bound, l1_window)
+
+    from_expression.cache_clear()
+    monkeypatch.setattr(shortvec, "_enumerate_upto", record)
+    try:
+        assert all(report.ok for report in verify.verify_all())
+    finally:
+        from_expression.cache_clear()
+    monkeypatch.undo()
+    assert any(w is None for _g, _b, w in walks) and any(w is not None for _g, _b, w in walks)
+
+    calls = [0]
+
+    def counting_isqrt(a):
+        calls[0] += 1
+        return isqrt(a)
+
+    def opened(walker, pos, bound, window):
+        calls[0] = 0
+        for _ in walker(pos, bound, window):
+            pass
+        return calls[0] - (pos.rank if window is not None else 0)
+
+    monkeypatch.setattr(shortvec, "isqrt", counting_isqrt)
+    monkeypatch.setattr(conftest, "isqrt", counting_isqrt)
+    for gram, bound, window in walks:
+        pos = Lattice(gram)
+        half = opened(_enumerate_upto, pos, bound, window)
+        whole = opened(enumerate_upto_oracle, pos, bound, window)
+        assert 0 <= 2 * half - whole <= pos.rank, (gram, bound, window, half, whole)
+
+
+def _shell_oracle(lat, pos, norm, dots, div):
+    """The vectors `vectors_of_norm` returns, read off the box oracle."""
+    return [x for x in box_vectors(pos.gram, norm)
+            if all(lat.inner(x, w) == val for w, val in dots)
+            and (div is None or gcd(*lat.gram.apply(x)) == div)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_definite_sums(max_rank=5), st.data())
+def test_shell_reads_pairs_like_the_box_oracle(lat, data):
+    # `_shell` decides v and -v from one inner product per constraint and
+    # one divisibility per pair; values 0 keep both, a value and its
+    # negation keep one each
+    pos = _flip_to_positive(lat)[0]
+    assume(prod(2 * b + 1 for b in box_bounds(pos.gram, _BOX_NORM)) <= 20000)
+    norm = data.draw(st.integers(1, _BOX_NORM))
+    shell = box_vectors(pos.gram, norm)
+    dots = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        w = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=lat.rank,
+                                     max_size=lat.rank)))
+        values = sorted({lat.inner(x, w) for x in shell} | {0, -1})
+        dots.append((w, data.draw(st.one_of(st.sampled_from(values), st.integers(-3, 3)))))
+    divs = sorted({gcd(*lat.gram.apply(x)) for x in shell} | {1, 2, 3})
+    div = data.draw(st.sampled_from([None, *divs]))
+    want = _shell_oracle(lat, pos, norm, dots, div)
+    assert vectors_of_norm(lat, norm, dots, div) == want
+    assert count_vectors(lat, norm, dots, div) == len(want)
+
+
+@pytest.mark.parametrize("expr, norm, dots, div, count", [
+    ("A2", 2, [((1, 2), 0)], None, 2),            # value 0: v and -v both kept
+    ("A2", 2, [((1, 0), -1)], None, 2),           # negative value
+    ("A2", 2, [((1, 0), 1), ((0, 1), 1)], None, 1),
+    ("A2", 6, [((1, 0), 3)], 3, 2),
+    ("A2 + A1", 2, [((1, 2, 0), 0)], None, 4),
+    ("A2 + A1", 2, [((1, 2, 0), 0)], 1, 2),
+    ("A2 + A1", 2, [((1, 2, 0), 0)], 2, 2),
+    ("A2(-1)", 2, [((1, 0), 1)], None, 2),        # dots on the original Gram
+])
+def test_shell_pair_examples(expr, norm, dots, div, count):
+    lat = from_expression(expr)
+    pos = _flip_to_positive(lat)[0]
+    want = _shell_oracle(lat, pos, norm, dots, div)
+    assert len(want) == count
+    assert vectors_of_norm(lat, norm, dots, div) == want
+    assert count_vectors(lat, norm, dots, div) == count
