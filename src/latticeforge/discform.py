@@ -211,11 +211,12 @@ def element_lift(lifts, x):
     return tuple(out)
 
 
-def class_of(lat, lifts, form, vec):
+def class_of(lat, form, vec):
     """Class of the dual vector vec / form.den (vec an integer vector, like
-    the rows of `lifts`) in the discriminant group: with u G v = d, the
-    coordinates w = v^-1 vec / den of a dual vector have d_i w_i integral,
-    and d_i w_i mod d_i is its coefficient on generator i."""
+    the lifts of `discriminant_form`) in the discriminant group: with
+    u G v = d, the coordinates w = v^-1 vec / den of a dual vector have
+    d_i w_i integral, and d_i w_i mod d_i is its coefficient on generator
+    i."""
     if form.is_trivial():
         return ()
     snf = lat.snf()
@@ -451,15 +452,18 @@ def local_obstruction(form, sig):
     """The least prime at which no even lattice of signature sig = (s+, s-)
     with discriminant form `form` exists, or None (Nikulin 1979, Thm 1.10.1;
     the signature congruence and l(A) <= s+ + s- are the caller's).  Only p
-    with l(A_p) = s+ + s- count.  With u the product of the determinants of
-    the `_jordan` blocks of A_p and m = |A| / |A_p|, odd p needs
-    ((-1)^(s-) m u / p) = 1, and p = 2 needs m u = +-1 mod 8 unless A_2 has
-    a Z/2 summand with b(x, x) = 1/2, a 1 x 1 block of order 2."""
+    with l(A_p) = s+ + s- count: l(A) = s+ + s- and p divides the least
+    invariant factor, read from the invariant factors, not the generators,
+    so every presentation of a form gets one answer.  With u the product of
+    the determinants of the `_jordan` blocks of A_p and m = |A| / |A_p|, odd
+    p needs ((-1)^(s-) m u / p) = 1, and p = 2 needs m u = +-1 mod 8 unless
+    A_2 has a Z/2 summand with b(x, x) = 1/2, a 1 x 1 block of order 2."""
     if form.Q is None:
         raise OddLatticeQuadratic("only even lattices have a quadratic form")
-    if not form.orders or form.ngens != sig[0] + sig[1]:
+    factors = _invariant_factors(form.orders)
+    if not factors or len(factors) != sig[0] + sig[1]:
         return None
-    for p in sorted(_factorization(math.gcd(*form.orders))):
+    for p in sorted(_factorization(factors[0])):
         blocks = _jordan(form, p)
         unit = form.group_order // math.prod(n ** len(u) for n, u in blocks)
         for n, u in blocks:

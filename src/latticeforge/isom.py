@@ -118,7 +118,7 @@ def discriminant_action(f):
     images = []
     for row in lifts.rows:
         img = f.matrix.apply(row)
-        images.append(discform.class_of(f.lattice, lifts, form, img))
+        images.append(discform.class_of(f.lattice, form, img))
     images = Matrix(images)
     k = form.ngens
     if all(form.reduce(images.row(i)) == tuple(1 if j == i else 0 for j in range(k)) for i in range(k)):

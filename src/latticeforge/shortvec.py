@@ -14,12 +14,11 @@ Negative definite inputs are globally negated before enumeration, once per
 lattice: the negation is kept with the lattice's caches.
 
 Every vector query reads one stream, `short_vectors`, which owns the sign
-flip and the norm and rank guards; the U(3) search alone reads its own
-L1-windowed pass, `vectors_by_l1`.  `definite_isometric` searches basis
+flip and the norm and rank guards.  `definite_isometric` searches basis
 images with Plesken-Souvignier forward checking over pools of vectors.
 """
 
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import BadParams, IndefiniteLattice, RankTooLarge
@@ -44,7 +43,7 @@ def _flip_to_positive(lat):
     raise IndefiniteLattice("lattice of signature %s is indefinite" % ((p, m),))
 
 
-def _enumerate_upto(pos, bound, l1_window=None):
+def _enumerate_upto(pos, bound):
     """Yield (x, Q(x)) for every nonzero integer vector x with Q(x) <= bound
     on a positive definite lattice, as pairs: each x whose last nonzero
     coordinate is positive, right after it -x.
@@ -57,18 +56,13 @@ def _enumerate_upto(pos, bound, l1_window=None):
 
     The tree is walked in this one frame, last coordinate first: level i
     keeps the center c_i = U_i . x over the fixed coordinates x_{i+1} ..
-    x_{n-1}, the remainder N_{i+1}, the L1 size of those coordinates and the
-    iterator over x_i.  Level 0 is a plain loop that reads Q(x) off its
-    center and remainder.  While every fixed coordinate is zero (L1 size 0,
-    center 0, so the range of x_i is symmetric) level i walks x_i >= 0 only;
-    level 0 yields x and then -x, whose tail it builds once per opening.
-    The mirror subtree of -x, which the walk skips, has the same shape.
-
-    With l1_window = (lo, hi) only the x with lo < |x|_1 <= hi are produced:
-    a branch is cut once its fixed coordinates exceed hi, or once they cannot
-    exceed lo even with every open coordinate at its `coordinate_bounds`
-    value (exact at the last level, where no coordinate is open).  |x|_1 is
-    symmetric, so the cuts keep or drop x and -x together.
+    x_{n-1}, the remainder N_{i+1} and the iterator over x_i.  Level 0 is a
+    plain loop that reads Q(x) off its center and remainder.  N_{i+1} is a
+    positive definite form in the fixed coordinates, so it is 0 exactly
+    while they are all zero; then the center is 0 and the range of x_i
+    symmetric, and level i walks x_i >= 0 only.  Level 0 yields x and then
+    -x, whose tail it builds once per opening.  The mirror subtree of -x,
+    which the walk skips, has the same shape.
     """
     n = pos.rank
     if n == 0 or bound <= 0:
@@ -76,37 +70,19 @@ def _enumerate_upto(pos, bound, l1_window=None):
     elim = pos.elimination()
     d = (1,) + elim.minors
     u = elim.rows
-    if l1_window is not None:
-        lo, hi = l1_window
-        # tail[i]: the largest |x_0| + ... + |x_{i-1}|
-        tail = [0]
-        for b in coordinate_bounds(pos, bound):
-            tail.append(tail[-1] + b)
 
     x = [0] * n
-    # per open level i >= 1: c_i, N_{i+1}, the L1 size of x_{i+1} ..
-    # x_{n-1}, and the iterator over x_i; x_0 .. x_i are zero when level i
-    # is opened
-    centers, rests, sizes, iters = [0] * n, [0] * n, [0] * n, [None] * n
-    i, c, rest, size = n - 1, 0, 0, 0  # the level to open and its state
+    # per open level i >= 1: c_i, N_{i+1} and the iterator over x_i;
+    # x_0 .. x_i are zero when level i is opened
+    centers, rests, iters = [0] * n, [0] * n, [None] * n
+    i, c, rest = n - 1, 0, 0  # the level to open and its state
     while True:
         piv = d[i + 1]
         r = isqrt(d[i] * (piv * bound - rest))
-        a, b = -((r + c) // piv), (r - c) // piv
-        if not size:  # x_{i+1} .. x_{n-1} all zero: walk the half x_i >= 0
-            a = 0
-        if l1_window is None:
-            xs = range(a, b + 1)
-        else:
-            room = hi - size
-            a, b = max(a, -room), min(b, room)
-            need = lo - size - tail[i] + 1  # the least |x_i| that can exceed lo
-            if need > 0:
-                xs = (*range(a, min(b, -need) + 1), *range(max(a, need), b + 1))
-            else:
-                xs = range(a, b + 1)
+        # rest = 0: x_{i+1} .. x_{n-1} all zero, walk the half x_i >= 0
+        xs = range(-((r + c) // piv) if rest else 0, (r - c) // piv + 1)
         if i:
-            centers[i], rests[i], sizes[i], iters[i] = c, rest, size, iter(xs)
+            centers[i], rests[i], iters[i] = c, rest, iter(xs)
         else:
             fixed = tuple(x[1:])
             # tuple() of a list allocates at the final size; of an iterator it
@@ -135,24 +111,8 @@ def _enumerate_upto(pos, bound, l1_window=None):
         piv = d[i + 1]
         y = piv * xi + centers[i]
         rest = (d[i] * rests[i] + y * y) // piv
-        size = sizes[i] + abs(xi)
         i -= 1
         c = sum(map(mul, u[i], x))
-
-
-def coordinate_bounds(lat, max_norm):
-    """Largest |x_i| over the vectors of |norm| <= max_norm of a definite
-    lattice: x_i^2 <= max_norm (G^-1)_ii (Cauchy-Schwarz in the dual).  The
-    orthogonal basis b_k of the elimination, of norms D_k D_{k+1}, gives
-    (G^-1)_ii = sum_k b_k[i]^2 / (D_k D_{k+1}), read over one common
-    denominator."""
-    elim = _flip_to_positive(lat)[0].elimination()
-    d = (1,) + elim.minors
-    norms = [a * b for a, b in zip(d, d[1:])]
-    den = lcm(*norms)
-    weights = [den // m for m in norms]
-    return tuple(isqrt(max_norm * sum(w * b[i] ** 2 for w, b in zip(weights, elim.basis)) // den)
-                 for i in range(len(norms)))
 
 
 def short_vectors(lat, max_norm, rank_cap=RANK_CAP):
@@ -213,19 +173,6 @@ def count_vectors(lat, norm, dots=(), div=None, rank_cap=RANK_CAP):
     """Number of the vectors of |norm| == norm meeting the `dots` and `div`
     constraints of `_shell`, counted as they stream."""
     return sum(1 for _v in _shell(lat, norm, dots, div, rank_cap))
-
-
-def vectors_by_l1(lat, max_norm, l1_lo, l1_hi):
-    """Nonzero vectors of |norm| <= max_norm with l1_lo < |x|_1 <= l1_hi,
-    bucketed by (|x|_1, norm), each bucket sorted; one Fincke-Pohst pass
-    with the L1 cuts of `_enumerate_upto`."""
-    pos, _sign = _flip_to_positive(lat)
-    buckets = {}
-    for v, nv in _enumerate_upto(pos, max_norm, (l1_lo, l1_hi)):
-        buckets.setdefault((sum(map(abs, v)), nv), []).append(v)
-    for vecs in buckets.values():
-        vecs.sort()
-    return buckets
 
 
 def has_square_one(lat):

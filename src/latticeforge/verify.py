@@ -1,6 +1,7 @@
 """Row-by-row verification of the embedded classification tables, plus the
 labeling search and the associated-K3 decision procedure."""
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -8,7 +9,7 @@ from operator import mul
 
 from . import catalog, discform, glue, shortvec
 from .errors import InfeasibleSignature
-from .lattice import Lattice, from_expression, make_named, rescale
+from .lattice import Lattice, _invariant_factors, from_expression, make_named, rescale
 from .linalg import Matrix
 
 
@@ -314,108 +315,67 @@ def verify_k3_table(rows=None):
 # induced actions on the rank-24 lattice
 
 
-def _u3_candidates(block, rest, sign, coeff_bound, max_def_norm):
-    """Isotropic vectors (alpha, beta) + w, nonzero, with |alpha|, |beta| <=
-    coeff_bound and w in the definite part `rest` of |norm| <= max_def_norm,
-    in shells of increasing L1 size s = |alpha| + |beta| + |w|_1.
-
-    Within a shell the order is the (alpha, beta) loop order, then w in
-    lexicographic order.  The w are enumerated lazily by L1 size, each pass
-    reaching twice as far as the last, and never beyond the largest L1 size
-    a vector of norm <= max_def_norm can have (the sum of the coordinate
-    bounds), so the shells up to that size are the whole candidate set.
-    """
-    heads = []
-    for alpha in range(-coeff_bound, coeff_bound + 1):
-        for beta in range(-coeff_bound, coeff_bound + 1):
-            m = block[0, 0] * alpha * alpha + 2 * block[0, 1] * alpha * beta \
-                + block[1, 1] * beta * beta
-            # need w with w^2 = -m in the definite part; its norms have sign `sign`
-            key = -m * sign
-            if 0 <= key <= max_def_norm and (alpha or beta):
-                heads.append((alpha, beta, key))
-    zero = (0,) * rest.rank
-    w_max = sum(shortvec.coordinate_bounds(rest, max_def_norm))
-    by_size = {(0, 0): [zero]}  # (|w|_1, norm) -> sorted w
-    reach = 0  # by_size holds every w with |w|_1 <= reach
-    for s in range(2 * coeff_bound + w_max + 1):
-        if reach < min(s, w_max):
-            top = min(max(s, 2 * reach), w_max)
-            by_size.update(shortvec.vectors_by_l1(rest, max_def_norm, reach, top))
-            reach = top
-        for alpha, beta, key in heads:
-            for w in by_size.get((s - abs(alpha) - abs(beta), key), ()):
-                yield (alpha, beta) + w
+def _u3_glue_maps(fu, fl):
+    """Every (generators of H, their images) for a subgroup H of
+    disc U(3) = (Z/3)^2 and an isometric embedding of H into the form fl:
+    the trivial H, the four lines, then the whole group.  H is a 3-group,
+    so q on the generators and their sum decides isometry, as
+    q(x + y) - q(x) - q(y) = 2 b(x, y)."""
+    # the 3-torsion of Z/o is 0, o/3 and 2o/3
+    torsion = [(y, fl.q_of(y)) for y in itertools.product(
+        *[range(0, o, o // 3) if o % 3 == 0 else (0,) for o in fl.orders]) if any(y)]
+    for gens in ((), ((1, 0),), ((0, 1),), ((1, 1),), ((1, 2),), ((1, 0), (0, 1))):
+        pools = [[y for y, qy in torsion if qy == fu.q_of(h)] for h in gens]
+        for images in itertools.product(*pools):
+            if len(images) < 2 or fl.q_of(tuple(map(sum, zip(*images)))) == fu.q_of((1, 1)):
+                yield gens, images
 
 
-def _find_u3_sublattice(lat, max_def_norm=12, coeff_bound=4, pair_budget=400000):
-    """Primitive rank-2 sublattice with Gram [[0,3],[3,0]], or None.
+def _u3_embedding(lat):
+    """(passed, detail) of whether `lat` contains a primitive U(3).
 
-    Fast path: a direct-sum U(3) block.  Otherwise the first two coordinates
-    must span an indefinite block orthogonal to a definite rest, and the
-    search runs over the isotropic candidates (alpha, beta) + w with |alpha|,
-    |beta| <= coeff_bound and |w^2| <= max_def_norm, in increasing L1 size
-    (`_u3_candidates`).  The candidate stream is memoised and grown only as
-    far as the pair loops read it, so no ball is built before the first
-    witness.  Pairs (u, v) are tried in stream order, u skipped untested when
-    gcd(G u) does not divide 3; every v tried counts against `pair_budget`,
-    and None is returned once it is spent.
+    A direct-summand U(3) block is a witness.  Otherwise, on an even
+    lattice, Nikulin (1979, Prop. 1.15.1) reads the primitive U(3) of the
+    lattices in the genus of L: each comes with a subgroup H of disc U(3),
+    an isometric embedding gamma of H into A_L, and an even complement K of
+    signature sig(L) - (1, 1) whose form is (-q_U(3) + q_L) on
+    Gamma^perp / Gamma, Gamma the graph of gamma (`glue.complement_genus`).
+    K exists iff its signature is the Gauss-sum one mod 8, its length is at
+    most its rank and no local condition fails (Thm 1.10.1).  No (H, gamma)
+    with a complement proves that L has no primitive U(3).  One with a
+    complement puts a primitive U(3) in some lattice of the genus, which is
+    L when L is even, indefinite and of rank >= l(A_L) + 2, as then L is
+    alone in its genus (Cor. 1.13.3); otherwise, and on an odd L, the check
+    fails as undecided, not as a no.
     """
     g = lat.gram
     n = lat.rank
     for i in range(n):
-        if g[i, i]:
-            continue
         for j in range(i + 1, n):
-            if g[j, j] == 0 and g[i, j] == 3:
-                ei = tuple(1 if t == i else 0 for t in range(n))
-                ej = tuple(1 if t == j else 0 for t in range(n))
-                if all(g[i, t] == 0 for t in range(n) if t not in (i, j)) and \
-                        all(g[j, t] == 0 for t in range(n) if t not in (i, j)):
-                    return glue.Sublattice(lat, Matrix([ei, ej]))
-    if n < 4:
-        return None
-    # split: coordinates 0,1 indefinite, the rest definite
-    if any(g[i, j] != 0 for i in (0, 1) for j in range(2, n)):
-        return None
-    rest = Lattice(Matrix(tuple(tuple(g[i, j] for j in range(2, n)) for i in range(2, n))))
-    if rest.signature[0] != 0 and rest.signature[1] != 0:
-        return None
-    sign = -1 if rest.signature[0] == 0 else 1
-    block = Matrix([[g[0, 0], g[0, 1]], [g[0, 1], g[1, 1]]])
-    source = _u3_candidates(block, rest, sign, coeff_bound, max_def_norm)
-    cands = []
-
-    def stream():
-        i = 0
-        while True:
-            if i == len(cands):
-                nxt = next(source, None)
-                if nxt is None:
-                    return
-                cands.append(nxt)
-            yield cands[i]
-            i += 1
-
-    checked = 0
-    for u in stream():
-        gu = g.apply(u)
-        # (u, v) = 3 needs the divisibility gcd(G u) to divide 3
-        div = gcd(*gu)
-        if div == 0 or 3 % div:
-            continue
-        for v in stream():
-            checked += 1
-            if checked > pair_budget:
-                return None
-            # zip rather than map(mul, ...): the one zip call per pair is
-            # what tests/test_verify.py counts to check the pair budget
-            if sum(a * b for a, b in zip(v, gu)) != 3:
-                continue
-            sub = glue.Sublattice(lat, Matrix([u, v]))
-            if sub.gram() == Matrix([[0, 3], [3, 0]]) and glue.saturation_index(sub) == 1:
-                return sub
-    return None
+            if g[i, i] == g[j, j] == 0 and g[i, j] == 3 and \
+                    all(g[i, t] == g[j, t] == 0 for t in range(n) if t not in (i, j)):
+                return True, "direct summand on basis vectors %d, %d" % (i, j)
+    if not lat.is_even():
+        return False, "undecided: L is odd and has no direct-summand U(3)"
+    if lat.signature[0] < 1 or lat.signature[1] < 1:
+        return False, "no primitive U(3): signature %s has no room for (1, 1)" % (lat.signature,)
+    u3 = from_expression("U(3)")
+    fu, _ = discform.discriminant_form(u3)
+    fl = discform.form_class(lat)
+    for gens, images in _u3_glue_maps(fu, fl):
+        sig, form = glue.complement_genus(fl, lat.signature, u3, (Matrix(gens), Matrix(images)))
+        factors = _invariant_factors(form.orders)
+        if (discform.milgram_signature(form) - sig[0] + sig[1]) % 8 == 0 \
+                and len(factors) <= sig[0] + sig[1] and discform.local_obstruction(form, sig) is None:
+            break
+    else:
+        return False, "no primitive U(3): no glue subgroup of disc U(3) leaves an even complement"
+    found = "glue |H| = %d, complement of signature %s with invariant factors %s" \
+        % (3 ** len(gens), sig, list(factors))
+    least = len(lat.disc_group_orders()) + 2
+    if n < least:
+        return False, "undecided: %s in the genus, but rank %d < l(A_L) + 2 = %d" % (found, n, least)
+    return True, "%s; L is alone in its genus" % found
 
 
 def _genus_equal(l1, l2):
@@ -496,13 +456,7 @@ def _verify_induced_row(row):
         fg_neg = rescale(from_expression(cubic.coinv), -1)
         v.add("coinv_matches_cubic_coinv_negated", _genus_equal(co, fg_neg),
               "genus comparison with the negated order-3 coinvariant")
-    u3 = _find_u3_sublattice(inv)
-    detail = ""
-    if u3 is not None:
-        cl = glue.orthogonal_complement(u3).lattice()
-        minus2 = shortvec.count_vectors(cl, 2)
-        detail = "complement rank %d, %d vectors of square -2" % (cl.rank, minus2)
-    v.add("contains_primitive_u3", u3 is not None, detail)
+    v.add("contains_primitive_u3", *_u3_embedding(inv))
     if row.p == 3:
         cubic = catalog.cubic_row(row.label)
         neg = Lattice(-cubic.inv_gram)

@@ -8,8 +8,10 @@ the local obstruction read from its determinant, which the library no
 longer carries, kept as references for its integer, Jordan, closed-form and
 kernel paths; the recursive Fincke-Pohst walker over the whole tree and
 the paired stream derived from it, the references for the order of the
-library's half-tree stream; the saturation of a sublattice and the
-radical of a finite form, references for `saturation_index` and for
+library's half-tree stream; the budgeted U(3) witness search over the
+L1-windowed walk of that walker, with its coordinate bounds, a witness
+oracle for the U(3) embedding decision; the saturation of a sublattice and
+the radical of a finite form, references for `saturation_index` and for
 degenerate forms; and an injective glue built from the library's one onto
 glue search."""
 
@@ -32,9 +34,10 @@ from latticeforge.discform import (
     solve_congruences,
 )
 from latticeforge.errors import DegenerateForm, DimensionMismatch, OddLatticeQuadratic
-from latticeforge.glue import GlueData, Sublattice
-from latticeforge.lattice import _factorization
+from latticeforge.glue import GlueData, Sublattice, saturation_index
+from latticeforge.lattice import Lattice, _factorization, _invariant_factors
 from latticeforge.linalg import Matrix, SnfResult, SymmetricElimination, integer_kernel
+from latticeforge.shortvec import _flip_to_positive
 
 
 def fraction_inverse(m):
@@ -322,11 +325,13 @@ def enumerate_upto_oracle(pos, bound, l1_window=None):
     """`shortvec._enumerate_upto` as it walked the Fincke-Pohst tree before
     it kept per-level state in one frame: one recursive generator per
     coordinate, every vector handed up through one `yield from` per level.
-    Reads the same elimination and `coordinate_bounds`, so it is the oracle
-    for the order of the stream and its L1 cuts, not for its contents (the
-    box oracles above check those)."""
-    from latticeforge.shortvec import coordinate_bounds
+    Reads the same elimination, so it is the oracle for the order of the
+    stream, not for its contents (the box oracles above check those).
 
+    With l1_window = (lo, hi) only the x with lo < |x|_1 <= hi are produced:
+    a branch is cut once its fixed coordinates exceed hi, or once they cannot
+    exceed lo even with every open coordinate at its `coordinate_bounds`
+    value (exact at the last level, where no coordinate is open)."""
     n = pos.rank
     if n == 0 or bound <= 0:
         return
@@ -369,12 +374,138 @@ def enumerate_upto_oracle(pos, bound, l1_window=None):
     yield from rec(n - 1, 0, 0)
 
 
-def paired_stream_oracle(pos, bound, l1_window=None):
+def paired_stream_oracle(pos, bound):
     """The stream `shortvec._enumerate_upto` hands out, derived from the
     whole-tree walk of `enumerate_upto_oracle`: its x whose last nonzero
     coordinate is positive, in its order, each followed by -x."""
-    return [p for x, q in enumerate_upto_oracle(pos, bound, l1_window)
+    return [p for x, q in enumerate_upto_oracle(pos, bound)
             if [c for c in x if c][-1] > 0 for p in ((x, q), (tuple(-c for c in x), q))]
+
+
+def coordinate_bounds(lat, max_norm):
+    """Largest |x_i| over the vectors of |norm| <= max_norm of a definite
+    lattice: x_i^2 <= max_norm (G^-1)_ii (Cauchy-Schwarz in the dual).  The
+    orthogonal basis b_k of the elimination, of norms D_k D_{k+1}, gives
+    (G^-1)_ii = sum_k b_k[i]^2 / (D_k D_{k+1}), read over one common
+    denominator.  Calls no `zip`, which `find_u3_sublattice_oracle` keeps
+    for its pair loop."""
+    elim = _flip_to_positive(lat)[0].elimination()
+    d = (1,) + elim.minors
+    n = len(elim.minors)
+    norms = [d[k] * d[k + 1] for k in range(n)]
+    den = math.lcm(*norms)
+    return tuple(isqrt(max_norm * sum(den // norms[k] * elim.basis[k][i] ** 2 for k in range(n))
+                       // den) for i in range(n))
+
+
+def u3_candidates_oracle(block, rest, sign, coeff_bound, max_def_norm):
+    """Isotropic vectors (alpha, beta) + w, nonzero, with |alpha|, |beta| <=
+    coeff_bound and w in the definite part `rest` of |norm| <= max_def_norm,
+    in shells of increasing L1 size s = |alpha| + |beta| + |w|_1.
+
+    Within a shell the order is the (alpha, beta) loop order, then w in
+    lexicographic order.  The w are enumerated lazily by L1 size from the
+    windowed walk of `enumerate_upto_oracle`, each pass reaching twice as
+    far as the last, and never beyond the largest L1 size a vector of norm
+    <= max_def_norm can have (the sum of the coordinate bounds), so the
+    shells up to that size are the whole candidate set.
+    """
+    heads = []
+    for alpha in range(-coeff_bound, coeff_bound + 1):
+        for beta in range(-coeff_bound, coeff_bound + 1):
+            m = block[0, 0] * alpha * alpha + 2 * block[0, 1] * alpha * beta \
+                + block[1, 1] * beta * beta
+            # need w with w^2 = -m in the definite part; its norms have sign `sign`
+            key = -m * sign
+            if 0 <= key <= max_def_norm and (alpha or beta):
+                heads.append((alpha, beta, key))
+    pos = _flip_to_positive(rest)[0]
+    zero = (0,) * rest.rank
+    w_max = sum(coordinate_bounds(rest, max_def_norm))
+    by_size = {(0, 0): [zero]}  # (|w|_1, norm) -> sorted w
+    reach = 0  # by_size holds every w with |w|_1 <= reach
+    for s in range(2 * coeff_bound + w_max + 1):
+        if reach < min(s, w_max):
+            top = min(max(s, 2 * reach), w_max)
+            fresh = {}
+            for w, nw in enumerate_upto_oracle(pos, max_def_norm, (reach, top)):
+                fresh.setdefault((sum(map(abs, w)), nw), []).append(w)
+            for key, ws in fresh.items():
+                by_size[key] = sorted(ws)
+            reach = top
+        for alpha, beta, key in heads:
+            for w in by_size.get((s - abs(alpha) - abs(beta), key), ()):
+                yield (alpha, beta) + w
+
+
+def find_u3_sublattice_oracle(lat, max_def_norm=12, coeff_bound=4, pair_budget=400000):
+    """A primitive rank-2 sublattice with Gram [[0, 3], [3, 0]], or None: the
+    budgeted witness search that `verify` ran before it decided the column
+    by Nikulin's embedding theorem.  A witness it returns is a proof; None
+    proves nothing.
+
+    Fast path: a direct-sum U(3) block.  Otherwise the first two coordinates
+    must span an indefinite block orthogonal to a definite rest, and the
+    search runs over the isotropic candidates (alpha, beta) + w with |alpha|,
+    |beta| <= coeff_bound and |w^2| <= max_def_norm, in increasing L1 size
+    (`u3_candidates_oracle`).  The candidate stream is memoised and grown
+    only as far as the pair loops read it.  Pairs (u, v) are tried in stream
+    order, u skipped untested when gcd(G u) does not divide 3; every v tried
+    counts against `pair_budget`, and None is returned once it is spent.
+    """
+    g = lat.gram
+    n = lat.rank
+    for i in range(n):
+        if g[i, i]:
+            continue
+        for j in range(i + 1, n):
+            if g[j, j] == 0 and g[i, j] == 3 and \
+                    all(g[i, t] == g[j, t] == 0 for t in range(n) if t not in (i, j)):
+                rows = [tuple(int(t == k) for t in range(n)) for k in (i, j)]
+                return Sublattice(lat, Matrix(rows))
+    if n < 4:
+        return None
+    # split: coordinates 0,1 indefinite, the rest definite
+    if any(g[i, j] != 0 for i in (0, 1) for j in range(2, n)):
+        return None
+    rest = Lattice(Matrix(tuple(tuple(g[i, j] for j in range(2, n)) for i in range(2, n))))
+    if rest.signature[0] != 0 and rest.signature[1] != 0:
+        return None
+    sign = -1 if rest.signature[0] == 0 else 1
+    block = Matrix([[g[0, 0], g[0, 1]], [g[0, 1], g[1, 1]]])
+    source = u3_candidates_oracle(block, rest, sign, coeff_bound, max_def_norm)
+    cands = []
+
+    def stream():
+        i = 0
+        while True:
+            if i == len(cands):
+                nxt = next(source, None)
+                if nxt is None:
+                    return
+                cands.append(nxt)
+            yield cands[i]
+            i += 1
+
+    checked = 0
+    for u in stream():
+        gu = g.apply(u)
+        # (u, v) = 3 needs the divisibility gcd(G u) to divide 3
+        div = math.gcd(*gu)
+        if div == 0 or 3 % div:
+            continue
+        for v in stream():
+            checked += 1
+            if checked > pair_budget:
+                return None
+            # the one zip call per pair is what tests count to check the
+            # pair budget
+            if sum(a * b for a, b in zip(v, gu)) != 3:
+                continue
+            sub = Sublattice(lat, Matrix([u, v]))
+            if sub.gram() == Matrix([[0, 3], [3, 0]]) and saturation_index(sub) == 1:
+                return sub
+    return None
 
 
 def root_report_oracle(lat, pairing=None):
@@ -481,9 +612,10 @@ def local_obstruction_oracle(form, sig):
     b(x, x) = 1/2."""
     if form.Q is None:
         raise OddLatticeQuadratic("only even lattices have a quadratic form")
-    if not form.orders or form.ngens != sig[0] + sig[1]:
+    factors = _invariant_factors(form.orders)
+    if not factors or len(factors) != sig[0] + sig[1]:
         return None
-    for p in sorted(_factorization(math.gcd(*form.orders))):
+    for p in sorted(_factorization(factors[0])):
         mat, orders = _p_part(form, p)
         unit = form.group_order // math.prod(orders) * bareiss_det(mat)
         if p == 2:

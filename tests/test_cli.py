@@ -726,7 +726,7 @@ def test_lattice_expression_fuzz(expr, command):
 
 _OUTPUT_SHA256 = {
     ("--format", "json", "verify", "all"):
-        "34d24004df60e3052986a71825b7e2e6dfee4f603445bd384548817c34289765",
+        "f4e11f2ce83d6568944f8623d6c490de788cc331e860262cd48cf6eeeaa59750",
     ("export-fixtures",):
         "25083e97e553b123afaa151580f05e41c7132ac6cd77c0c53f0c998c0c5bd087",
 }

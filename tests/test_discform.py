@@ -484,6 +484,24 @@ def test_local_obstruction_ignores_the_basis(data):
         assert local_obstruction(f, (sp, n - sp)) == local_obstruction(g, (sp, n - sp))
 
 
+@pytest.mark.parametrize("expr", ["A2 + U(2)", "A2 + [4]", "U(3) + [2] + [-6]",
+                                  "A2(-1) + U(2) + [6]", "E6 + D4(-1) + [2]", "U(3) + A2(-2)"])
+def test_local_obstruction_reads_every_presentation_alike(expr):
+    # a sum's form comes with one block per summand (Z/3 + Z/2 + Z/2 for
+    # A2 + U(2)), its whole Gram's in invariant factors (Z/2 + Z/6); every
+    # signature up to two past the length is asked
+    lat = from_expression(expr)
+    block, whole = form_class(lat), discriminant_form(Lattice(lat.gram))[0]
+    assert block.orders != whole.orders
+    length = whole.ngens
+    for rank in range(length + 3):
+        for sp in range(rank + 1):
+            sig = (sp, rank - sp)
+            got = local_obstruction(block, sig)
+            assert got == local_obstruction(whole, sig) == local_obstruction_oracle(block, sig), sig
+    assert local_obstruction(form_class(from_expression("A2 + U(2)")), (2, 0)) == 2
+
+
 def _binary_even_lattices(n):
     """Even lattices of rank 1 and 2 with |det| = n, at least one in each
     isometry class: [+-n] and the reduced Grams [[a, b], [b, c]], which have

@@ -249,7 +249,7 @@ def test_direct_sum_discriminant_matches_the_whole_smith_form(summands):
             for row in leaf_lifts.rows:
                 vec = [0] * lat.rank
                 vec[offset:offset + leaf.rank] = [got.den // f.den * x for x in row]
-                images.append(class_of(whole, lifts, want, vec))
+                images.append(class_of(whole, want, vec))
         offset += leaf.rank
     assert got.den == want.den and len(images) == got.ngens
     assert [[want._b(x, y) for y in images] for x in images] == [list(r) for r in got.B]

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # caller-less names kept for an open ROADMAP item that will call them; a name
 # leaves this table once that item lands
 RESERVED = {
-    "milgram_signature": "ROADMAP item 1: the signature congruence of the derived genera",
     "nonsymplectic_feasible": "ROADMAP item 7: verify lsv calls it per row",
 }
 

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     bareiss_det,
+    find_u3_sublattice_oracle,
     paired_stream_oracle,
     smith_normal_form_oracle,
     symmetric_elimination_oracle,
 )
 
-from latticeforge import catalog, linalg, shortvec, verify
+from latticeforge import catalog, glue, linalg, shortvec, verify
 from latticeforge.errors import DegenerateForm, DimensionMismatch
 from latticeforge.lattice import Lattice, from_expression, make_named
 from latticeforge.linalg import (
@@ -314,9 +315,9 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
         seen["elim"].add(g)
         return real_elim(g)
 
-    def walk(pos, bound, l1_window=None):
-        seen["walk"].add((pos.gram, bound, l1_window))
-        return real_walk(pos, bound, l1_window)
+    def walk(pos, bound):
+        seen["walk"].add((pos.gram, bound))
+        return real_walk(pos, bound)
 
     from_expression.cache_clear()
     monkeypatch.setattr(linalg, "smith_normal_form", snf)
@@ -324,6 +325,11 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
     monkeypatch.setattr(shortvec, "_enumerate_upto", walk)
     try:
         assert all(report.ok for report in verify.verify_all())
+        # more real inputs: a U(3) witness in each induced invariant
+        # lattice, and the norm-2 vectors of its complement
+        for row in catalog.INDUCED_ROWS:
+            sub = find_u3_sublattice_oracle(from_expression(row.inv))
+            shortvec.count_vectors(glue.orthogonal_complement(sub).lattice(), 2)
     finally:
         from_expression.cache_clear()
     monkeypatch.undo()
@@ -332,15 +338,13 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
         assert smith_normal_form(m) == smith_normal_form_oracle(m)
     for g in seen["elim"]:
         _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
-    # every Fincke-Pohst walk, windowed or not, gives the recursive walker's
-    # stream cut to the half tree, each x followed by -x: the same vectors
-    # with the same norms in the same order
-    assert any(w is None for _g, _b, w in seen["walk"])
-    assert any(w is not None for _g, _b, w in seen["walk"])
-    for gram, bound, window in seen["walk"]:
+    # every Fincke-Pohst walk gives the recursive walker's stream cut to the
+    # half tree, each x followed by -x: the same vectors with the same norms
+    # in the same order
+    assert seen["walk"]
+    for gram, bound in seen["walk"]:
         pos = Lattice(gram)
-        assert list(shortvec._enumerate_upto(pos, bound, window)) \
-            == paired_stream_oracle(pos, bound, window)
+        assert list(shortvec._enumerate_upto(pos, bound)) == paired_stream_oracle(pos, bound)
 
 
 def test_smith_normal_form_matches_oracle_on_the_lambda_p_grams():

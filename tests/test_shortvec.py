@@ -13,6 +13,7 @@ from conftest import (
     box_bounds,
     box_minimum,
     box_vectors,
+    coordinate_bounds,
     cubic_roots_oracle,
     enumerate_upto_oracle,
     paired_stream_oracle,
@@ -28,13 +29,11 @@ from latticeforge.linalg import Matrix, hermite_normal_form
 from latticeforge.shortvec import (
     _enumerate_upto,
     _flip_to_positive,
-    coordinate_bounds,
     count_vectors,
     definite_isometric,
     has_square_one,
     root_report,
     short_vectors,
-    vectors_by_l1,
     vectors_of_norm,
 )
 
@@ -150,13 +149,10 @@ def test_negative_definite_queries_negate_once(monkeypatch):
     try:
         lat = from_expression("E8(-1) + A2(-1)")
         counts = [count_vectors(lat, 2) for _ in range(2)]
-        windows = [vectors_by_l1(lat, 2, lo, hi) for lo, hi in ((0, 1), (1, 2), (0, 2))]
-        bounds = coordinate_bounds(lat, 2)
+        shell = vectors_of_norm(lat, 2)
     finally:
         from_expression.cache_clear()
-    assert counts == [240 + 6] * 2
-    assert {**windows[0], **windows[1]} == windows[2]
-    assert len(bounds) == 10
+    assert counts == [240 + 6] * 2 == [len(shell)] * 2
     assert len([g for g in seen if g in (lat.gram, -lat.gram)]) == 1
 
 
@@ -521,34 +517,29 @@ def _definite_sums(draw, max_rank=7):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_definite_sums(), st.integers(0, 8), st.data())
-def test_walker_matches_recursive_oracle(lat, bound, data):
+@given(_definite_sums(), st.integers(0, 8))
+def test_walker_matches_recursive_oracle(lat, bound):
     # the walker hands out exactly the whole-tree stream of the recursive
     # walker cut to the x whose last nonzero coordinate is positive, each
-    # followed at once by -x, in the same order with the same L1 cuts
+    # followed at once by -x, in the same order
     pos = _flip_to_positive(lat)[0]
-    window = None
-    if data.draw(st.booleans()):
-        lo = data.draw(st.integers(0, 8))
-        window = (lo, data.draw(st.integers(lo, 12)))
-    got = list(_enumerate_upto(pos, bound, window))
-    assert got == paired_stream_oracle(pos, bound, window)
-    if window is None:
+    got = list(_enumerate_upto(pos, bound))
+    assert got == paired_stream_oracle(pos, bound)
+    if prod(2 * b + 1 for b in box_bounds(pos.gram, bound)) <= 20000:
         assert sorted(got) == sorted(box_ball(pos.gram, bound))
 
 
 def test_half_walk_opens_half_the_levels_on_every_verify_all_walk(monkeypatch):
-    # both walkers make one isqrt call per level they open (a windowed walk
-    # makes `rank` more in `coordinate_bounds`, left out of the count).  The
-    # skipped half of the tree mirrors the walked one, so the whole-tree
-    # count F and the half-tree count H satisfy 2H - F = the levels the
-    # all-zero chain opens, which lies in [0, rank]
+    # both walkers make one isqrt call per level they open.  The skipped
+    # half of the tree mirrors the walked one, so the whole-tree count F and
+    # the half-tree count H satisfy 2H - F = the levels the all-zero chain
+    # opens, which lies in [0, rank]
     walks = set()
     real_walk = shortvec._enumerate_upto
 
-    def record(pos, bound, l1_window=None):
-        walks.add((pos.gram, bound, l1_window))
-        return real_walk(pos, bound, l1_window)
+    def record(pos, bound):
+        walks.add((pos.gram, bound))
+        return real_walk(pos, bound)
 
     from_expression.cache_clear()
     monkeypatch.setattr(shortvec, "_enumerate_upto", record)
@@ -557,7 +548,7 @@ def test_half_walk_opens_half_the_levels_on_every_verify_all_walk(monkeypatch):
     finally:
         from_expression.cache_clear()
     monkeypatch.undo()
-    assert any(w is None for _g, _b, w in walks) and any(w is not None for _g, _b, w in walks)
+    assert walks
 
     calls = [0]
 
@@ -565,19 +556,19 @@ def test_half_walk_opens_half_the_levels_on_every_verify_all_walk(monkeypatch):
         calls[0] += 1
         return isqrt(a)
 
-    def opened(walker, pos, bound, window):
+    def opened(walker, pos, bound):
         calls[0] = 0
-        for _ in walker(pos, bound, window):
+        for _ in walker(pos, bound):
             pass
-        return calls[0] - (pos.rank if window is not None else 0)
+        return calls[0]
 
     monkeypatch.setattr(shortvec, "isqrt", counting_isqrt)
     monkeypatch.setattr(conftest, "isqrt", counting_isqrt)
-    for gram, bound, window in walks:
+    for gram, bound in walks:
         pos = Lattice(gram)
-        half = opened(_enumerate_upto, pos, bound, window)
-        whole = opened(enumerate_upto_oracle, pos, bound, window)
-        assert 0 <= 2 * half - whole <= pos.rank, (gram, bound, window, half, whole)
+        half = opened(_enumerate_upto, pos, bound)
+        whole = opened(enumerate_upto_oracle, pos, bound)
+        assert 0 <= 2 * half - whole <= pos.rank, (gram, bound, half, whole)
 
 
 def _shell_oracle(lat, pos, norm, dots, div):

@@ -8,7 +8,18 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
-from conftest import bareiss_det, box_ball, fraction_inverse, injective_anti_glue
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import conftest
+from conftest import (
+    bareiss_det,
+    box_ball,
+    find_u3_sublattice_oracle,
+    fraction_inverse,
+    injective_anti_glue,
+    u3_candidates_oracle,
+)
 
 from latticeforge import catalog, discform, glue, linalg, shortvec, verify
 from latticeforge.errors import TooLarge
@@ -88,17 +99,16 @@ def test_find_u3_sublattice_skips_candidates_of_wrong_divisibility():
     # the first isotropic candidate (-1, -1, 0, ...) has divisibility 2, so
     # it pairs to 3 with nothing; skipping it untested leaves the budget for
     # the candidates that can
-    from latticeforge.glue import saturation_index
-
     lat = from_expression("[2] + [-2] + E6(-1) + D4(-1)")
-    sub = verify._find_u3_sublattice(lat, pair_budget=1000)
+    sub = find_u3_sublattice_oracle(lat, pair_budget=1000)
     assert sub is not None
     assert sub.gram() == Matrix([[0, 3], [3, 0]])
-    assert saturation_index(sub) == 1
+    assert glue.saturation_index(sub) == 1
 
 
 # ---------------------------------------------------------------------------
-# the U(3) search against the ball-and-sort search it replaced
+# the U(3) witness oracle against the ball-and-sort search it replaced: the
+# decision tests below read witnesses from it
 
 
 def _norm_buckets(lat, max_norm):
@@ -164,7 +174,7 @@ def _stream(lat, max_def_norm=12, coeff_bound=4):
     rest = Lattice(Matrix(tuple(tuple(g[i, j] for j in range(2, n)) for i in range(2, n))))
     sign = -1 if rest.signature[0] == 0 else 1
     block = Matrix([[g[0, 0], g[0, 1]], [g[0, 1], g[1, 1]]])
-    return verify._u3_candidates(block, rest, sign, coeff_bound, max_def_norm)
+    return u3_candidates_oracle(block, rest, sign, coeff_bound, max_def_norm)
 
 
 PHI23 = "[2] + [-2] + E6(-1) + D4(-1)"
@@ -202,7 +212,7 @@ def test_find_u3_sublattice_same_witness_on_induced_rows(label, phi23_oracle):
     else:
         cands = phi23_oracle[1] if expr == PHI23 else _ball_and_sort_candidates(lat)
         want, _ = _ball_and_sort_search(lat, cands)
-    got = verify._find_u3_sublattice(lat)
+    got = find_u3_sublattice_oracle(lat)
     assert want is not None and got.basis.rows == want
 
 
@@ -210,7 +220,7 @@ def test_find_u3_sublattice_same_witness_on_induced_rows(label, phi23_oracle):
 def test_find_u3_sublattice_budget_on_phi23(budget, phi23_oracle):
     lat, cands = phi23_oracle
     want, _ = _ball_and_sort_search(lat, cands, pair_budget=budget)
-    got = verify._find_u3_sublattice(lat, pair_budget=budget)
+    got = find_u3_sublattice_oracle(lat, pair_budget=budget)
     assert (got.basis.rows if got is not None else None) == want
 
 
@@ -220,12 +230,12 @@ def test_find_u3_sublattice_budget_boundary():
     lat = from_expression("[1] + [-1] + E6(-1)")
     want, checked = _ball_and_sort_search(lat, _ball_and_sort_candidates(lat))
     assert want is not None
-    assert verify._find_u3_sublattice(lat, pair_budget=checked - 1) is None
-    assert verify._find_u3_sublattice(lat, pair_budget=checked).basis.rows == want
+    assert find_u3_sublattice_oracle(lat, pair_budget=checked - 1) is None
+    assert find_u3_sublattice_oracle(lat, pair_budget=checked).basis.rows == want
 
 
 def test_find_u3_sublattice_no_witness_same_pair_count(monkeypatch):
-    # the pair loop calls zip once per pair checked and verify calls it
+    # the pair loop calls zip once per pair checked and the oracle calls it
     # nowhere else on this path, so a counting zip counts the pairs
     lat = from_expression("[1] + [-1] + D4(-1)")
     want, checked = _ball_and_sort_search(lat, _ball_and_sort_candidates(lat))
@@ -236,8 +246,8 @@ def test_find_u3_sublattice_no_witness_same_pair_count(monkeypatch):
         calls.append(None)
         return zip(*args)
 
-    monkeypatch.setattr(verify, "zip", counting_zip, raising=False)
-    assert verify._find_u3_sublattice(lat) is None
+    monkeypatch.setattr(conftest, "zip", counting_zip, raising=False)
+    assert find_u3_sublattice_oracle(lat) is None
     assert len(calls) == checked
 
 
@@ -246,8 +256,59 @@ def test_find_u3_sublattice_builds_no_ball(monkeypatch):
         raise AssertionError("short_vectors called")
 
     monkeypatch.setattr(shortvec, "short_vectors", no_ball)
-    sub = verify._find_u3_sublattice(from_expression(PHI23))
+    sub = find_u3_sublattice_oracle(from_expression(PHI23))
     assert sub is not None and sub.gram() == Matrix([[0, 3], [3, 0]])
+
+
+# ---------------------------------------------------------------------------
+# the primitive U(3) decision
+
+
+@pytest.mark.parametrize("row", catalog.INDUCED_ROWS, ids=lambda r: r.label)
+def test_u3_embedding_agrees_with_the_witness_oracle_on_induced_rows(row):
+    # phi21 and phi23 pass through the genus, alone in it; the other four
+    # rows through a direct-summand block
+    lat = from_expression(row.inv)
+    passed, detail = verify._u3_embedding(lat)
+    assert find_u3_sublattice_oracle(lat) is not None and passed
+    assert detail.startswith("direct summand") == row.inv.startswith("U(3)")
+
+
+@pytest.mark.parametrize("gram,passed,start", [
+    (make_named("U").gram, False, "no primitive U(3)"),
+    (rescale(make_named("U"), 9).gram, False, "no primitive U(3)"),
+    (from_expression("U + A2").gram, True, "glue |H| = 3"),
+    # U(3) in a basis with no summand block: the genus holds a primitive
+    # U(3), but the rank is below l(A_L) + 2
+    (Matrix([[0, 3], [3, 6]]), False, "undecided"),
+    (Matrix([[1, 0], [0, -1]]), False, "undecided"),
+    (make_named("A", 2).gram, False, "no primitive U(3)"),
+])
+def test_u3_embedding_examples(gram, passed, start):
+    got, detail = verify._u3_embedding(Lattice(gram))
+    assert got is passed and detail.startswith(start), detail
+
+
+@st.composite
+def _split_even_lattices(draw):
+    """B + M: B a rank-2 even indefinite block, M a negative definite even
+    sum of rank <= 4."""
+    a, c = draw(st.sampled_from((0, 2, -2, 4, -4, 6))), draw(st.sampled_from((0, 2, -2, 6)))
+    b = draw(st.integers(1, 6))
+    assume(a * c - b * b < 0)
+    terms = draw(st.lists(st.sampled_from(("A2(-1)", "A1(-1)", "[-6]", "A1(-3)", "D4(-1)",
+                                           "A3(-1)", "[-4]")), min_size=1, max_size=3))
+    rest = [from_expression(t) for t in terms]
+    assume(sum(t.rank for t in rest) <= 4)
+    return Lattice(linalg.block_diag([Matrix([[a, b], [b, c]])] + [t.gram for t in rest]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_even_lattices())
+def test_u3_embedding_never_denies_a_witness(lat):
+    passed, detail = verify._u3_embedding(lat)
+    if find_u3_sublattice_oracle(lat, max_def_norm=8, coeff_bound=3, pair_budget=4000):
+        assert passed or detail.startswith("undecided"), detail
 
 
 def test_k3_table_matches():
