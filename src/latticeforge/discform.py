@@ -36,9 +36,13 @@ DESK_GROUP_BOUND = 30000  # largest group we are willing to enumerate
 
 class FiniteQuadraticForm:
     """Finite abelian group with a Q/Z bilinear form and, when available, a
-    Q/2Z quadratic form refining it; Q is None for a bilinear-only form."""
+    Q/2Z quadratic form refining it; Q is None for a bilinear-only form.
 
-    __slots__ = ("orders", "den", "B", "Q")
+    `_local` maps a prime p to the `_local_class` of the p-part, each
+    computed once per form object, when it is first read; the dict is
+    allocated on first use."""
+
+    __slots__ = ("orders", "den", "B", "Q", "_local")
 
     def __init__(self, orders, B, Q=None):
         """The form whose table at den = lcm(orders) is B and Q; entries
@@ -47,6 +51,7 @@ class FiniteQuadraticForm:
         self.den = den = math.lcm(*orders)
         self.B = tuple(tuple(x % den for x in row) for row in B)
         self.Q = None if Q is None else tuple(x % (2 * den) for x in Q)
+        self._local = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -148,8 +153,17 @@ def discriminant_form(lat):
     form.den, is a dual vector in the lattice basis representing generator i
     of the dual quotient.  Quadratic values are attached when the lattice is
     even.  A degenerate lattice, whose Smith form has a zero divisor, raises
-    DegenerateForm: its dual quotient is infinite.
+    DegenerateForm: its dual quotient is infinite.  The pair is computed
+    once per lattice object and kept on it, so every caller shares it.
     """
+    if lat._disc is None:
+        lat._disc = _discriminant_form(lat)
+    return lat._disc
+
+
+def _discriminant_form(lat):
+    """The (form, lifts) of `discriminant_form`, from the Smith form of the
+    Gram matrix."""
     if lat.rank == 0:
         return TRIVIAL_FORM, Matrix(())
     snf = lat.snf()
@@ -182,9 +196,17 @@ def discriminant_form(lat):
 
 def form_class(lat):
     """A form isomorphic to the discriminant form of `lat`, in no fixed
-    presentation and without lifts.  A direct sum gives the orthogonal sum
-    of its summands' forms, so no Smith form of its whole Gram matrix is
-    needed; any other lattice gives `discriminant_form(lat)[0]`."""
+    presentation and without lifts, computed once per lattice object.  A
+    direct sum gives the orthogonal sum of its summands' forms, so no Smith
+    form of its whole Gram matrix is needed; any other lattice gives
+    `discriminant_form(lat)[0]`."""
+    if lat._class is None:
+        lat._class = _form_class(lat)
+    return lat._class
+
+
+def _form_class(lat):
+    """The form of `form_class`, from the summands' forms."""
     if lat._summands is None:
         return discriminant_form(lat)[0]
     out = TRIVIAL_FORM
@@ -570,19 +592,28 @@ def _local_class(form, p):
     Odd p: per scale n, the dimension and the Legendre class of the
     determinant of the Jordan component (SPLAG ch. 15 §7).  A 2-elementary
     2-part: whether q (b, on a bilinear-only form) is non-integral on some
-    element, and the Gauss-sum signature (Nikulin 1979, Thm 3.6.2).
+    element, and the Gauss-sum signature (Nikulin 1979, Thm 3.6.2).  Each
+    class is computed once per form object and kept in `form._local`.
     """
+    if form._local is None:
+        form._local = {}
+    elif p in form._local:
+        return form._local[p]
     blocks = _jordan(form, p)
     if p != 2:
         scales = {}
         for n, ((u,),) in blocks:
             dim, det = scales.get(n, (0, 1))
             scales[n] = (dim + 1, det * u % p)
-        return sorted((n, dim, pow(det, (p - 1) // 2, p)) for n, (dim, det) in scales.items())
-    if any(n != 2 for n, _ in blocks):
-        return None
-    signature = None if form.Q is None else sum(_block_signature(2, n, u) for n, u in blocks) % 8
-    return any(len(u) == 1 for _, u in blocks), signature
+        out = sorted((n, dim, pow(det, (p - 1) // 2, p)) for n, (dim, det) in scales.items())
+    elif any(n != 2 for n, _ in blocks):
+        out = None
+    else:
+        signature = None if form.Q is None else \
+            sum(_block_signature(2, n, u) for n, u in blocks) % 8
+        out = any(len(u) == 1 for _, u in blocks), signature
+    form._local[p] = out
+    return out
 
 
 def forms_isomorphic(f, g):

@@ -33,10 +33,18 @@ class Lattice:
     determinant and signature from theirs (Sylvester's law of inertia) until
     an elimination of its whole Gram matrix is cached, and its discriminant
     group until a Smith form of its whole Gram matrix is cached.
-    `_negation`, the lattice of Gram matrix -G, is built once by the vector
-    enumeration of a negative definite lattice and kept with the caches."""
 
-    __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands", "_negation")
+    Every invariant is computed once, when it is first read, and kept in a
+    slot: the elimination `_elim`, `_det`, the Smith form `_snf`, `_sig`,
+    `_even`, the invariant factors `_orders`, the (form, lifts) of
+    `discform.discriminant_form` in `_disc` and the form of
+    `discform.form_class` in `_class`.  A computation that raises caches
+    nothing.  `_negation`, the lattice of Gram matrix -G, is built once by
+    the vector enumeration of a negative definite lattice and kept with the
+    caches."""
+
+    __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands", "_negation",
+                 "_sig", "_even", "_orders", "_disc", "_class")
 
     def __init__(self, gram, label=None):
         if not isinstance(gram, Matrix):
@@ -56,6 +64,11 @@ class Lattice:
         self._snf = None
         self._summands = summands
         self._negation = None
+        self._sig = None
+        self._even = None
+        self._orders = None
+        self._disc = None
+        self._class = None
 
     @property
     def rank(self):
@@ -82,11 +95,14 @@ class Lattice:
 
     @property
     def signature(self):
-        # a degenerate sum has a degenerate summand, whose elimination raises
-        if self._summands is not None and self._elim is None:
-            sigs = [s.signature for s in self._summands]
-            return (sum(p for p, _ in sigs), sum(m for _, m in sigs))
-        return self.elimination().signature
+        if self._sig is None:
+            # a degenerate sum has a degenerate summand, whose elimination raises
+            if self._summands is not None and self._elim is None:
+                sigs = [s.signature for s in self._summands]
+                self._sig = (sum(p for p, _ in sigs), sum(m for _, m in sigs))
+            else:
+                self._sig = self.elimination().signature
+        return self._sig
 
     def snf(self):
         if self._snf is None:
@@ -94,7 +110,9 @@ class Lattice:
         return self._snf
 
     def is_even(self):
-        return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
+        if self._even is None:
+            self._even = all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
+        return self._even
 
     def is_positive_definite(self):
         return self.signature[1] == 0
@@ -103,9 +121,13 @@ class Lattice:
         """Invariant factors (> 1) of the discriminant group, the torsion of
         Z^n / G Z^n; a block-diagonal G has the summands' torsion groups as
         summands."""
-        if self._summands is not None and self._snf is None:
-            return _invariant_factors([d for s in self._summands for d in s.disc_group_orders()])
-        return tuple(d for d in self.snf().divisors if d not in (0, 1))
+        if self._orders is None:
+            if self._summands is not None and self._snf is None:
+                self._orders = _invariant_factors(
+                    [d for s in self._summands for d in s.disc_group_orders()])
+            else:
+                self._orders = tuple(d for d in self.snf().divisors if d not in (0, 1))
+        return self._orders
 
     def inner(self, v, w):
         if len(v) != self.rank or len(w) != self.rank:
@@ -453,8 +475,9 @@ _TERM_RE = re.compile(
 
 
 # bounded: a long session parses ever new expressions, and each cached
-# lattice keeps its Smith form and elimination (verify all leaves 140
-# entries: its 114 expressions and the further terms they are built from)
+# lattice keeps every invariant it has computed, its discriminant forms
+# included (verify all leaves 140 entries: its 114 expressions and the
+# further terms they are built from)
 @lru_cache(maxsize=256)
 def from_expression(expr):
     """Parse a lattice expression like 'U + U(3) + A2(-1)^5 + [2]'.

@@ -353,18 +353,38 @@ def symmetric_elimination(g):
     k for the first j with a nonzero off-diagonal entry, which makes the
     pivot twice that entry.  Every division is exact: after step k each
     entry is a (k+1)-minor of [G' | P].
+
+    A step whose multiplier on a row is zero would only rescale that row by
+    the ratio of consecutive minors, so a row records the minor it is
+    current for and is brought up to date, x -> x D_k / D_seen (exact), only
+    when its multiplier is nonzero, when it becomes the pivot row, or when it
+    takes part in a zero-pivot swap or add.  A banded Gram then costs O(n^2)
+    rather than O(n^3) big-integer work.
     """
     if not g.is_symmetric():
         raise DegenerateForm("matrix not symmetric")
     n = g.nrows
     a = [list(r) for r in g.rows]
     b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    seen = [1] * n  # the leading minor each row of a and b is current for
     minors = []
     prev = 1
+
+    def catch_up(i):
+        s = seen[i]
+        if s != prev:
+            a[i] = [x * prev // s for x in a[i]]
+            b[i] = [x * prev // s for x in b[i]]
+            seen[i] = prev
+
     for k in range(n):
+        catch_up(k)
         if a[k][k] == 0:
+            # a stale row differs from its current one by a nonzero factor,
+            # so its zero entries are read as they are
             j = next((j for j in range(k + 1, n) if a[j][j]), None)
             if j is not None:
+                catch_up(j)
                 a[k], a[j] = a[j], a[k]
                 b[k], b[j] = b[j], b[k]
                 for row in a:
@@ -373,6 +393,7 @@ def symmetric_elimination(g):
                 j = next((j for j in range(k + 1, n) if a[k][j]), None)
                 if j is None:
                     raise DegenerateForm("degenerate form")
+                catch_up(j)
                 a[k] = [x + y for x, y in zip(a[k], a[j])]
                 b[k] = [x + y for x, y in zip(b[k], b[j])]
                 for row in a:
@@ -381,14 +402,12 @@ def symmetric_elimination(g):
         minors.append(piv)
         ak, bk = a[k], b[k]
         for i in range(k + 1, n):
-            f = a[i][k]
-            if f:
+            if a[i][k]:
+                catch_up(i)
+                f = a[i][k]
                 a[i] = [(x * piv - f * y) // prev for x, y in zip(a[i], ak)]
                 b[i] = [(x * piv - f * y) // prev for x, y in zip(b[i], bk)]
-            elif piv != prev:
-                # a zero multiplier only rescales the row by piv / prev
-                a[i] = [x * piv // prev for x in a[i]]
-                b[i] = [x * piv // prev for x in b[i]]
+                seen[i] = piv
         prev = piv
     return SymmetricElimination(tuple(minors), tuple(tuple(r) for r in a),
                                 tuple(tuple(r) for r in b))

@@ -156,6 +156,48 @@ def test_glue_without_anti_isometric_bilinear_forms_exits_at_once():
     assert "no full glue map between the discriminant forms" in proc.stderr
 
 
+# a profile hook in a fresh interpreter records every call of an invariant
+# kernel: the import and the registry must call none, and the probe after
+# them shows the hook sees such calls
+_SETUP_PROBE = r"""
+import json, sys
+
+KERNELS = {"smith_normal_form", "hermite_normal_form", "symmetric_elimination",
+           "discriminant_form", "_discriminant_form", "_jordan"}
+ran = []
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name in KERNELS and "latticeforge" in code.co_filename:
+        ran.append(code.co_name)
+
+sys.setprofile(profile)
+import latticeforge.cli
+from latticeforge import catalog, discform
+
+catalog.fixture_lattices()
+setup = sorted(set(ran))
+form = discform.discriminant_form(catalog.fixture_lattices()["FG_phi37"])[0]
+discform.forms_isomorphic(form, form.neg())
+sys.setprofile(None)
+print(json.dumps({"setup": setup, "probe": sorted(set(ran))}))
+"""
+
+
+def test_import_and_registry_run_no_invariant_kernel():
+    # set-up time is the import and `catalog.fixture_lattices()`; every
+    # invariant is computed when first read, never at set-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _SETUP_PROBE], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["setup"] == []
+    assert {"smith_normal_form", "discriminant_form", "_discriminant_form",
+            "_jordan"} <= set(seen["probe"])
+
+
 def test_isom_files(capsys, tmp_path):
     rot = tmp_path / "rot3_A2.json"
     rot.write_text(json.dumps({"lattice": "A2", "matrix": [[0, -1], [1, -1]]}))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeforge import catalog, linalg, verify
+from latticeforge import catalog, discform, linalg, verify
 from latticeforge.discform import (
+    FiniteQuadraticForm,
     _local_class,
     class_of,
     discriminant_form,
@@ -26,6 +27,7 @@ from latticeforge.lattice import (
     NAMED,
     Lattice,
     _factorization,
+    _invariant_factors,
     _is_prime,
     direct_sum,
     from_expression,
@@ -334,6 +336,155 @@ def test_relabel_keeps_the_caches(monkeypatch):
     assert copy.label == "copy" and lat.label == "U + U(3) + A2^2"
     assert copy.snf() is snf and copy.elimination() is elim and copy.det == det
     assert copy == lat
+
+
+# every invariant is cached on the lattice when first read, and a form's
+# local classes on the form; each cached value must be the one a fresh
+# lattice on the same Gram computes, which has no summands and no caches
+
+_READERS = {
+    "det": lambda lat: lat.det,
+    "signature": lambda lat: lat.signature,
+    "is_even": lambda lat: lat.is_even(),
+    "disc_group_orders": lambda lat: lat.disc_group_orders(),
+    "elimination": lambda lat: lat.elimination(),
+    "snf": lambda lat: lat.snf(),
+    "discriminant_form": discriminant_form,
+    "form_class": form_class,
+}
+# the cache each reader fills; a reader that raises must leave it empty
+_SLOTS = {"det": "_det", "signature": "_sig", "is_even": "_even",
+          "disc_group_orders": "_orders", "elimination": "_elim", "snf": "_snf",
+          "discriminant_form": "_disc", "form_class": "_class"}
+_CACHES = ("_elim", "_det", "_snf", "_negation", "_sig", "_even", "_orders", "_disc", "_class")
+
+
+def _read(name, lat):
+    try:
+        return _READERS[name](lat)
+    except DegenerateForm as exc:
+        return exc
+
+
+def _same_local_classes(form):
+    """Each local class is cached on the form, read twice as one object, and
+    equals the class of an uncached copy of the form."""
+    copy = FiniteQuadraticForm(form.orders, form.B, form.Q)
+    for p in _factorization(form.den):
+        got = _local_class(form, p)
+        assert _local_class(form, p) is got and got == _local_class(copy, p)
+        assert p in form._local
+
+
+def _check_caches(lat, order):
+    got = {name: _read(name, lat) for name in order}
+    fresh = Lattice(lat.gram)
+    for name in order:
+        value = got[name]
+        if isinstance(value, DegenerateForm):
+            assert isinstance(_read(name, fresh), DegenerateForm), name
+            assert getattr(lat, _SLOTS[name]) is None, name
+            continue
+        assert _read(name, lat) is value, name
+        if name == "form_class":
+            want = discriminant_form(fresh)[0]
+            assert _invariant_factors(value.orders) == _invariant_factors(want.orders)
+            assert (value.Q is None) == (want.Q is None)
+            # a 2-part that is neither odd nor 2-elementary goes to the
+            # backtracking search, which can run for minutes (ROADMAP item 2)
+            if value.den % 2 or _local_class(value, 2) is not None:
+                assert forms_isomorphic(value, want)
+            _same_local_classes(value)
+        elif name == "discriminant_form":
+            (form, lifts), (want, want_lifts) = value, discriminant_form(fresh)
+            assert (form.orders, form.B, form.Q, lifts) == \
+                (want.orders, want.B, want.Q, want_lifts)
+            _same_local_classes(form)
+        else:
+            assert value == _read(name, fresh), name
+    copy = lat.relabel("copy")
+    assert all(getattr(copy, slot) is getattr(lat, slot) for slot in _CACHES)
+    for name in order:
+        if not isinstance(got[name], DegenerateForm):
+            assert _read(name, copy) is got[name], name
+
+
+def test_every_lattice_verify_all_parses_caches_what_a_fresh_lattice_computes(monkeypatch):
+    parsed = []
+    for name in ("from_expression", "make_named"):
+        real = getattr(verify, name)
+
+        def recording(*args, real=real):
+            parsed.append(real(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(verify, name, recording)
+    from_expression.cache_clear()
+    try:
+        assert all(report.ok for report in verify.verify_all())
+    finally:
+        from_expression.cache_clear()
+    monkeypatch.undo()
+    lats = list({id(lat): lat for lat in parsed}.values())
+    assert len(lats) > 100
+    rng = random.Random(25)
+    for lat in lats:
+        _check_caches(lat, rng.sample(sorted(_READERS), len(_READERS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_sum_terms(), min_size=1, max_size=5),
+       st.permutations(sorted(_READERS)))
+def test_a_direct_sum_caches_what_a_fresh_lattice_computes(summands, order):
+    lat = direct_sum(summands)
+    assert all(getattr(lat, slot) is None for slot in _CACHES)
+    _check_caches(lat, order)
+
+
+def test_set_starts_with_every_cache_empty():
+    lat = from_expression("U + A2 + [2]")
+    for name in _READERS:
+        _read(name, lat)
+    assert all(getattr(lat, slot) is not None for slot in _CACHES if slot != "_negation")
+    for fresh in (Lattice(lat.gram), direct_sum([lat, lat]), rescale(lat, 2)):
+        assert all(getattr(fresh, slot) is None for slot in _CACHES)
+    assert FiniteQuadraticForm((3,), [[1]], [2])._local is None
+
+
+def test_a_raising_computation_caches_nothing():
+    lat = direct_sum([make_named("A", 2), Lattice([[0]])])
+    for name in ("signature", "discriminant_form", "form_class", "elimination"):
+        with pytest.raises(DegenerateForm):
+            _READERS[name](lat)
+        assert getattr(lat, _SLOTS[name]) is None
+    form = FiniteQuadraticForm((3, 3), [[1, 0], [0, 0]], [2, 0])  # degenerate
+    with pytest.raises(DegenerateForm):
+        _local_class(form, 3)
+    assert 3 not in form._local
+
+
+def test_a_verify_pass_computes_each_form_and_local_class_once(monkeypatch):
+    # verify lambda_p and verify candidates read the same lattices; each
+    # form is built once per lattice object and split once per prime
+    calls = {"_discriminant_form": [], "_form_class": [], "_jordan": []}
+    for name, seen in calls.items():
+        real = getattr(discform, name)
+
+        def counting(*args, real=real, seen=seen):
+            seen.append(args)  # holds the objects, so no id is reused
+            return real(*args)
+
+        monkeypatch.setattr(discform, name, counting)
+    from_expression.cache_clear()
+    try:
+        assert verify.verify_lambda_p().ok
+        assert verify.derive_og10_order3_candidates()[0].ok
+    finally:
+        from_expression.cache_clear()
+    monkeypatch.undo()
+    for name, seen in calls.items():
+        keys = [tuple(map(id, args[:1])) + args[1:] for args in seen]
+        assert seen and len(set(keys)) == len(keys), name
 
 
 def test_expression_terms_are_built_once():

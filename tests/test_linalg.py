@@ -414,6 +414,78 @@ def test_symmetric_elimination_matches_oracle(g):
     _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
 
 
+@st.composite
+def _banded_blocks(draw):
+    """A block diagonal of banded symmetric blocks (bandwidth 1 to 3, a
+    mostly nonzero diagonal, so most multipliers of a step are zero and rows
+    fall many minors behind) and hyperbolic blocks [[0, a], [a, 0]], in the
+    order drawn."""
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(("banded", "banded", "hyperbolic")),
+                              min_size=1, max_size=4)):
+        if kind == "banded":
+            n, w = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                g[i][i] = draw(st.sampled_from((2, 2, 4, -2, 3, 0)))
+                for j in range(i + 1, min(n, i + w + 1)):
+                    g[i][j] = g[j][i] = draw(_SMALL)
+            blocks.append(Matrix(g))
+        else:
+            a = draw(st.sampled_from((1, -1, 2, 3)))
+            blocks.append(Matrix([[0, a], [a, 0]]))
+    return block_diag(blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_banded_blocks())
+def test_symmetric_elimination_matches_oracle_on_banded_grams(g):
+    _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
+
+
+class _Counted(int):
+    """An int that counts the multiplications it takes part in; every sum,
+    difference, product and floor quotient is again a _Counted."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        return _Counted(int(self) // int(other))
+
+    def __rfloordiv__(self, other):
+        return _Counted(int(other) // int(self))
+
+    def __add__(self, other):
+        return _Counted(int(self) + int(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Counted(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _Counted(int(other) - int(self))
+
+
+@pytest.mark.parametrize("expr, width", [("A60", 1), ("D60", 2), ("E8^4 + U^10", 5)])
+def test_symmetric_elimination_does_quadratic_work_on_banded_grams(expr, width):
+    # a row of bandwidth w takes at most w Bareiss updates (4n products each)
+    # and one catch-up (2n); rescaling every zero-multiplier row at every step
+    # would take about n^3 products
+    gram = from_expression(expr).gram
+    n = gram.nrows
+    _Counted.products = 0
+    got = symmetric_elimination(Matrix([[_Counted(x) for x in r] for r in gram.rows]))
+    assert _Counted.products <= (4 * width + 2) * n * n
+    assert got == symmetric_elimination_oracle(gram)
+
+
 @pytest.mark.parametrize("rows", [
     [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # zero multipliers, piv == prev
     [[2, 0, 0], [0, 3, 0], [0, 0, 5]],  # zero multipliers, piv != prev
