@@ -9,11 +9,12 @@ B reduced mod den and Q mod 2 den, so a presentation has exactly one table.
 The constructor takes the integer table; only `q` and `q_of` return
 Fractions.  Lifts of group elements to the dual lattice are integer vectors
 over the same den.  Local invariants are read one prime at a time from one
-Jordan splitting of the p-part: it gives the mod-8 Gauss-sum signature (by
-the oddity formula), Nikulin's local existence conditions (from the
-determinants of its blocks), and decides isomorphism of odd p-parts and
-2-elementary 2-parts, while other 2-parts and degenerate ones are compared
-by backtracking search; no floats.
+Jordan splitting of the p-part, kept on the form: it gives the mod-8
+Gauss-sum signature (by the oddity formula), Nikulin's local existence
+conditions (from the determinants of its blocks), which with the length
+make his existence test (`genus_obstruction`), and decides isomorphism of
+odd p-parts and 2-elementary 2-parts, while other 2-parts and degenerate
+ones are compared by backtracking search; no floats.
 """
 
 import itertools
@@ -38,9 +39,9 @@ class FiniteQuadraticForm:
     """Finite abelian group with a Q/Z bilinear form and, when available, a
     Q/2Z quadratic form refining it; Q is None for a bilinear-only form.
 
-    `_local` maps a prime p to the `_local_class` of the p-part, each
-    computed once per form object, when it is first read; the dict is
-    allocated on first use."""
+    `_local` maps a prime p to the `_jordan` blocks of the p-part and its
+    `_local_class`, both computed once per form object, when either is first
+    read; the dict is allocated on first use."""
 
     __slots__ = ("orders", "den", "B", "Q", "_local")
 
@@ -364,7 +365,7 @@ def milgram_signature(form):
     if form.Q is None:
         raise OddLatticeQuadratic("no quadratic refinement on this form")
     return sum(_block_signature(p, n, u) for p in _factorization(form.den)
-               for n, u in _jordan(form, p)) % 8
+               for n, u in _split(form, p)[0]) % 8
 
 
 def _block_signature(p, n, u):
@@ -470,10 +471,34 @@ def _match_maps(src, dst, sign, q_mod=2):
     return Matrix(tuple(chosen)) if rec(0) else None
 
 
+def genus_obstruction(sig, form):
+    """None when an even lattice of signature sig = (s+, s-) has the
+    discriminant form `form` (Nikulin 1979, Thm 1.10.1); otherwise the
+    condition that fails: "signature" when the Gauss-sum signature is not
+    s+ - s- mod 8, "length" when the invariant factors outnumber s+ + s-, or
+    the prime that `local_obstruction` returns."""
+    if (milgram_signature(form) - sig[0] + sig[1]) % 8:
+        return "signature"
+    return length_or_local_obstruction(sig, form)
+
+
+def length_or_local_obstruction(sig, form):
+    """`genus_obstruction` past the signature congruence, for a caller that
+    has the congruence already: "length", the prime of `local_obstruction`,
+    or None.  Unlike the congruence, which factors all of form.den, it
+    factors only the least invariant factor, and only when the length is
+    s+ + s-."""
+    if len(_invariant_factors(form.orders)) > sig[0] + sig[1]:
+        return "length"
+    return local_obstruction(form, sig)
+
+
 def local_obstruction(form, sig):
     """The least prime at which no even lattice of signature sig = (s+, s-)
     with discriminant form `form` exists, or None (Nikulin 1979, Thm 1.10.1;
-    the signature congruence and l(A) <= s+ + s- are the caller's).  Only p
+    the signature congruence and l(A) <= s+ + s- are checked by
+    `genus_obstruction` and `length_or_local_obstruction`, which call this
+    last).  Only p
     with l(A_p) = s+ + s- count: l(A) = s+ + s- and p divides the least
     invariant factor, read from the invariant factors, not the generators,
     so every presentation of a form gets one answer.  With u the product of
@@ -486,7 +511,7 @@ def local_obstruction(form, sig):
     if not factors or len(factors) != sig[0] + sig[1]:
         return None
     for p in sorted(_factorization(factors[0])):
-        blocks = _jordan(form, p)
+        blocks = _split(form, p)[0]
         unit = form.group_order // math.prod(n ** len(u) for n, u in blocks)
         for n, u in blocks:
             unit *= u[0][0] if len(u) == 1 else u[0][0] * u[1][1] - u[0][1] ** 2
@@ -592,9 +617,15 @@ def _local_class(form, p):
     Odd p: per scale n, the dimension and the Legendre class of the
     determinant of the Jordan component (SPLAG ch. 15 §7).  A 2-elementary
     2-part: whether q (b, on a bilinear-only form) is non-integral on some
-    element, and the Gauss-sum signature (Nikulin 1979, Thm 3.6.2).  Each
-    class is computed once per form object and kept in `form._local`.
+    element, and the Gauss-sum signature (Nikulin 1979, Thm 3.6.2).
     """
+    return _split(form, p)[1]
+
+
+def _split(form, p):
+    """(the `_jordan` blocks of the p-part, its `_local_class`), computed
+    once per form object and kept in `form._local`; a degenerate p-part
+    raises DegenerateForm and leaves nothing there."""
     if form._local is None:
         form._local = {}
     elif p in form._local:
@@ -612,8 +643,8 @@ def _local_class(form, p):
         signature = None if form.Q is None else \
             sum(_block_signature(2, n, u) for n, u in blocks) % 8
         out = any(len(u) == 1 for _, u in blocks), signature
-    form._local[p] = out
-    return out
+    form._local[p] = blocks, out
+    return blocks, out
 
 
 def forms_isomorphic(f, g):

@@ -1,4 +1,5 @@
-"""Overlattices, primitive embeddings, orthogonal complements, saturation.
+"""Overlattices, primitive embeddings and their glues, orthogonal
+complements, saturation.
 
 Sublattices carry their ambient lattice and a basis given as integer rows of
 coordinates.  Overlattices are built by Hermite reduction of integer
@@ -6,12 +7,15 @@ generators stacked over one common denominator, so bases are canonical and
 stable.
 """
 
+import copy
+import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
 
 from . import discform, linalg
 from .errors import (
+    BadParams,
     DegenerateComplement,
     DimensionMismatch,
     InfeasibleSignature,
@@ -239,6 +243,42 @@ def complement_genus(host_form, host_sig, sub, glue):
             raise NotIsotropic("glue map must preserve quadratic values")
         graph.append(tuple(x) + tuple(y))
     return sig, discform.subquotient_form(big, graph)
+
+
+def embedding_glues(fs, fh):
+    """Every (generators of H, their images) for a subgroup H of the form
+    fs = Z/3 or (Z/3)^2 and an isometric embedding of H into the form fh,
+    the glues of Nikulin (1979, Prop. 1.15.1): the trivial H, the lines,
+    then the whole group.  As H is a 3-group, q on the generators and their
+    sum decides isometry, and nonzero images make the map injective.  When
+    the 3-part of fh is 3-elementary, O(q_fh) is transitive on the
+    embeddings of each H (Witt's extension theorem over F_3), so only the
+    first is given; otherwise every one is.  The 3-torsion of fh is read
+    lazily, as far as the glues asked for need it."""
+    if fs.orders not in ((3,), (3, 3)):
+        raise BadParams("embedding_glues needs Z/3 or (Z/3)^2, not %r" % (fs,))
+    # y in the 3-torsion of fh (0, o/3 and 2o/3 in each Z/o) has q(y) = q(h)
+    # iff 3 fh._q(y) = fh.den fs._q(h), fs being over den 3; `read` computes
+    # each 3 fh._q(y) once, when the first of its copies reaches y
+    torsion = itertools.product(*[range(0, o, o // 3) if o % 3 == 0 else (0,) for o in fh.orders])
+    next(torsion)  # zero
+    read, = itertools.tee(((y, 3 * fh._q(y)) for y in torsion), 1)
+
+    def images(h):
+        qh = fh.den * fs._q(h)
+        return (y for y, qy in copy.copy(read) if qy == qh)
+
+    lines = [(1,)] if fs.ngens == 1 else [(1, 0), (0, 1), (1, 1), (1, 2)]
+    glues = [((), [()])] + [((h,), ((y,) for y in images(h))) for h in lines]
+    if fs.ngens == 2:
+        q_sum = fh.den * fs._q((1, 1))
+        glues.append((((1, 0), (0, 1)), (
+            (y1, y2) for y1 in images((1, 0)) for y2 in images((0, 1))
+            if 3 * fh._q(tuple(map(sum, zip(y1, y2)))) == q_sum)))
+    every = any(o % 9 == 0 for o in fh.orders)
+    for gens, found in glues:
+        for ims in itertools.islice(found, None if every else 1):
+            yield gens, ims
 
 
 def glue_group(ambient, s1, s2, p=None):

@@ -1,5 +1,5 @@
 """Lattice isometries: invariant/coinvariant splitting, discriminant action,
-spinor norm, prime-order feasibility, and the canonical rank-26 extension."""
+spinor norm, and the canonical rank-26 extension."""
 
 import functools
 from dataclasses import dataclass
@@ -227,63 +227,3 @@ def extend_to_lambda(f):
         raise NontrivialDiscAction("extension is not integral; unexpected glue mismatch")
     return Isometry(ext.lattice, Matrix(tuple(tuple(x // ext.den for x in r) for r in scaled.rows)))
 
-
-def nonsymplectic_feasible(pair, p):
-    """Necessary conditions for a prime-order pair to come from a
-    non-symplectic automorphism action on a hyperbolic-type ambient lattice.
-
-    Returns (ok, report): report is a list of (condition, passed, detail).
-    """
-    report = []
-    inv = pair.invariant
-    coinv = pair.coinvariant
-    ambient = pair.ambient
-    rk_c = coinv.rank
-    rk_i = inv.rank
-
-    def check(name, passed, detail=""):
-        report.append((name, bool(passed), detail))
-
-    check("p_le_23", 2 <= p <= 23, "p=%d" % p)
-    sig_c = coinv.lattice().signature if rk_c else (0, 0)
-    sig_i = inv.lattice().signature if rk_i else (0, 0)
-    check("coinvariant_signature", rk_c >= 2 and sig_c == (2, rk_c - 2), "%s" % (sig_c,))
-    check("invariant_signature", rk_i >= 1 and sig_i == (1, rk_i - 1), "%s" % (sig_i,))
-    check("rank_divisibility", rk_c % (p - 1) == 0 if p > 1 else False,
-          "rk=%d, p-1=%d" % (rk_c, p - 1))
-    co_orders = coinv.lattice().disc_group_orders() if rk_c else ()
-    in_orders = inv.lattice().disc_group_orders() if rk_i else ()
-    check("coinvariant_p_elementary", all(d == p for d in co_orders), "%s" % (co_orders,))
-    amb_orders = ambient.disc_group_orders()
-
-    def split_p(orders):
-        """Split invariant factors into p-power parts and the rest."""
-        p_part, rest = [], []
-        for d in orders:
-            v = 1
-            while d % p == 0:
-                d //= p
-                v *= p
-            if v > 1:
-                p_part.append(v)
-            if d > 1:
-                rest.append(d)
-        return sorted(p_part), sorted(rest)
-
-    in_p, in_rest = split_p(in_orders)
-    amb_p, amb_rest = split_p(amb_orders)
-    check("invariant_p_elementary", all(v == p for v in in_p), "%s" % (in_orders,))
-    check("invariant_offp_part_from_ambient",
-          not in_rest or in_rest == amb_rest,
-          "%s vs ambient %s" % (in_rest, amb_rest))
-    m, rem = divmod(rk_c, p - 1)
-    a = pair.glue_a
-    check("glue_bound", rem == 0 and a <= m, "a=%d, m=%s" % (a, m if rem == 0 else "n/a"))
-    lp_c = len(co_orders)
-    lp_i = len(in_p)
-    if abs(ambient.det) % p:
-        check("glue_lengths_match", lp_c == lp_i, "l_p=%d vs %d" % (lp_c, lp_i))
-    else:
-        check("glue_lengths_match", abs(lp_c - lp_i) <= 1, "l_p=%d vs %d" % (lp_c, lp_i))
-    ok = all(passed for _, passed, _ in report)
-    return ok, report

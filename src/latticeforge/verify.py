@@ -1,9 +1,7 @@
 """Row-by-row verification of the embedded classification tables, plus the
 labeling search and the associated-K3 decision procedure."""
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -272,9 +270,12 @@ def k3_association_verdict(trans):
 
     Returns (verdict, reason).  By Nikulin (1979, Thm 1.12.2 with 1.10.1) it
     does iff T is even, the complement signature (3 - t-, 19 - t+) is
-    nonnegative, the length of disc T is at most 22 - rank and the local
-    conditions hold (`discform.local_obstruction`).  The signature congruence
-    holds by itself: Milgram gives sign q_T = t+ - t- = s+ - s- (mod 8).
+    nonnegative and an even lattice of that signature carries q_T.  Of the
+    conditions of 1.10.1 the signature congruence holds by itself (Milgram
+    gives sign q_T = t+ - t- = s+ - s- mod 8), so only the length of disc T,
+    at most 22 - rank, and the local conditions are checked
+    (`discform.length_or_local_obstruction`); a T of short length is decided
+    without factoring its determinant.
     """
     rank = trans.rank
     if rank > 22:
@@ -288,14 +289,12 @@ def k3_association_verdict(trans):
     if sig[0] < 0 or sig[1] < 0:
         return False, "signature %s does not fit" % ((t_minus, t_plus),)
     ft, _ = discform.discriminant_form(trans)
-    comp_rank = 22 - rank
-    length = len(ft.orders)
-    if length > comp_rank:
-        return False, "complement length %d exceeds rank %d" % (length, comp_rank)
-    p = discform.local_obstruction(ft, sig)
-    if p is not None:
-        return False, "no even complement of signature %s: the %d-adic condition fails" % (sig, p)
-    return True, "an even complement of signature %s exists" % (sig,)
+    bad = discform.length_or_local_obstruction(sig, ft)
+    if bad is None:
+        return True, "an even complement of signature %s exists" % (sig,)
+    if bad == "length":
+        return False, "complement length %d exceeds rank %d" % (len(ft.orders), 22 - rank)
+    return False, "no even complement of signature %s: the %d-adic condition fails" % (sig, bad)
 
 
 def verify_k3_table(rows=None):
@@ -315,22 +314,6 @@ def verify_k3_table(rows=None):
 # induced actions on the rank-24 lattice
 
 
-def _u3_glue_maps(fu, fl):
-    """Every (generators of H, their images) for a subgroup H of
-    disc U(3) = (Z/3)^2 and an isometric embedding of H into the form fl:
-    the trivial H, the four lines, then the whole group.  H is a 3-group,
-    so q on the generators and their sum decides isometry, as
-    q(x + y) - q(x) - q(y) = 2 b(x, y)."""
-    # the 3-torsion of Z/o is 0, o/3 and 2o/3
-    torsion = [(y, fl.q_of(y)) for y in itertools.product(
-        *[range(0, o, o // 3) if o % 3 == 0 else (0,) for o in fl.orders]) if any(y)]
-    for gens in ((), ((1, 0),), ((0, 1),), ((1, 1),), ((1, 2),), ((1, 0), (0, 1))):
-        pools = [[y for y, qy in torsion if qy == fu.q_of(h)] for h in gens]
-        for images in itertools.product(*pools):
-            if len(images) < 2 or fl.q_of(tuple(map(sum, zip(*images)))) == fu.q_of((1, 1)):
-                yield gens, images
-
-
 def _u3_embedding(lat):
     """(passed, detail) of whether `lat` contains a primitive U(3).
 
@@ -339,14 +322,14 @@ def _u3_embedding(lat):
     lattices in the genus of L: each comes with a subgroup H of disc U(3),
     an isometric embedding gamma of H into A_L, and an even complement K of
     signature sig(L) - (1, 1) whose form is (-q_U(3) + q_L) on
-    Gamma^perp / Gamma, Gamma the graph of gamma (`glue.complement_genus`).
-    K exists iff its signature is the Gauss-sum one mod 8, its length is at
-    most its rank and no local condition fails (Thm 1.10.1).  No (H, gamma)
-    with a complement proves that L has no primitive U(3).  One with a
-    complement puts a primitive U(3) in some lattice of the genus, which is
-    L when L is even, indefinite and of rank >= l(A_L) + 2, as then L is
-    alone in its genus (Cor. 1.13.3); otherwise, and on an odd L, the check
-    fails as undecided, not as a no.
+    Gamma^perp / Gamma, Gamma the graph of gamma (`glue.embedding_glues`,
+    `glue.complement_genus`).  Thm 1.10.1 decides whether K exists
+    (`discform.genus_obstruction`).  No (H, gamma) with a complement proves
+    that L has no primitive U(3).  One with a complement puts a primitive
+    U(3) in some lattice of the genus, which is L when L is even, indefinite
+    and of rank >= l(A_L) + 2, as then L is alone in its genus
+    (Cor. 1.13.3); otherwise, and on an odd L, the check fails as
+    undecided, not as a no.
     """
     g = lat.gram
     n = lat.rank
@@ -362,14 +345,13 @@ def _u3_embedding(lat):
     u3 = from_expression("U(3)")
     fu, _ = discform.discriminant_form(u3)
     fl = discform.form_class(lat)
-    for gens, images in _u3_glue_maps(fu, fl):
+    for gens, images in glue.embedding_glues(fu, fl):
         sig, form = glue.complement_genus(fl, lat.signature, u3, (Matrix(gens), Matrix(images)))
-        factors = _invariant_factors(form.orders)
-        if (discform.milgram_signature(form) - sig[0] + sig[1]) % 8 == 0 \
-                and len(factors) <= sig[0] + sig[1] and discform.local_obstruction(form, sig) is None:
+        if discform.genus_obstruction(sig, form) is None:
             break
     else:
         return False, "no primitive U(3): no glue subgroup of disc U(3) leaves an even complement"
+    factors = _invariant_factors(form.orders)
     found = "glue |H| = %d, complement of signature %s with invariant factors %s" \
         % (3 ** len(gens), sig, list(factors))
     least = len(lat.disc_group_orders()) + 2
@@ -392,9 +374,9 @@ def _u3_gluings_to(target, other):
     The glued lattice has signature (1, 1) + sig(other), the parity of
     `other`, and discriminant form H^perp / H on disc U(3) + disc other for
     the graph H (Nikulin 1979, Prop. 1.4.1), so no overlattice is built.
-    Every caller passes an `other` with a 3-elementary discriminant form.  By
-    Witt's theorem over F_3 the y with q(y) = -q(h) form one orbit, so the
-    first one per value q(h) decides (as in `a2_complement_candidates`).
+    The graphs of order 3 are those of the line glues of
+    `glue.embedding_glues` into -q_other, which keeps one per line when
+    that form is 3-elementary.
     """
     sig = (other.signature[0] + 1, other.signature[1] + 1)
     if target.rank != other.rank + 2 or target.signature != sig \
@@ -403,19 +385,14 @@ def _u3_gluings_to(target, other):
     fu = discform.form_class(from_expression("U(3)"))
     fo = discform.form_class(other)
     ft = discform.form_class(target)
-    graphs = [()]
-    first_h = {}  # q(h) -> the first h of order 3 with that value
-    for h in fu.elements():
-        if fu.element_order(h) == 3:
-            first_h.setdefault(fu.q_of(h), h)
-    for qh, h in first_h.items():
-        for y in fo.elements():
-            if fo.element_order(y) == 3 and (qh + fo.q_of(y)) % 2 == 0:
-                graphs.append((h + y,))
-                break
     big = fu.direct_sum(fo)
-    return any(discform.forms_isomorphic(discform.subquotient_form(big, graph), ft)
-               for graph in graphs)
+    for gens, images in glue.embedding_glues(fu, fo.neg()):
+        if len(gens) == 2:  # the whole group: graphs of order 9 from here on
+            return False
+        graph = [h + y for h, y in zip(gens, images)]
+        if discform.forms_isomorphic(discform.subquotient_form(big, graph), ft):
+            return True
+    return False
 
 
 def canonical_u3_certificate():
@@ -482,29 +459,26 @@ def verify_lsv_table(rows=None):
 
 
 def a2_complement_candidates(host):
-    """Genus candidates (sig, form) for the complement of a primitive A2
-    inside `host`, over every glue choice.
-
-    The glue subgroup is trivial or all of Z/3; in the latter case any two
-    image choices are equivalent under the orthogonal group of the host form
-    (Witt extension for quadratic spaces over F_3), so one representative
-    image suffices.
+    """Genus candidates (kind, sig, form) for the complement of a primitive
+    A2 inside `host`, one per glue of `glue.embedding_glues`: the glue
+    subgroup is trivial or all of Z/3, with one image per subgroup when the
+    3-part of the host form is 3-elementary (Witt's extension theorem over
+    F_3) and otherwise every image whose complement form is not isomorphic
+    to that of an earlier one.
     """
     a2 = from_expression("A2")
+    fa, _ = discform.discriminant_form(a2)
     fh = discform.form_class(host)
     out = []
-    try:
-        sig, form = glue.complement_genus(fh, host.signature, a2, (Matrix(()), Matrix(())))
-        out.append(("trivial", sig, form))
-    except InfeasibleSignature:
-        return []
-    want = Fraction(2, 3)
-    for y in fh.elements():
-        if fh.element_order(y) == 3 and fh.q_of(y) == want:
+    for gens, images in glue.embedding_glues(fa, fh):
+        try:
             sig, form = glue.complement_genus(fh, host.signature, a2,
-                                              (Matrix([(1,)]), Matrix([y])))
-            out.append(("Z/3", sig, form))
-            break
+                                              (Matrix(gens), Matrix(images)))
+        except InfeasibleSignature:
+            return []
+        if gens and any(k == "Z/3" and discform.forms_isomorphic(f, form) for k, _, f in out):
+            continue
+        out.append(("Z/3" if gens else "trivial", sig, form))
     return out
 
 

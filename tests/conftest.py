@@ -12,8 +12,10 @@ library's half-tree stream; the budgeted U(3) witness search over the
 L1-windowed walk of that walker, with its coordinate bounds, a witness
 oracle for the U(3) embedding decision; the saturation of a sublattice and
 the radical of a finite form, references for `saturation_index` and for
-degenerate forms; and an injective glue built from the library's one onto
-glue search."""
+degenerate forms; an injective glue built from the library's one onto
+glue search; and the three glue loops `verify` ran before
+`glue.embedding_glues` (every U(3) glue, the A2 images in element order, the
+first U(3) graph per quadratic value), references for that enumerator."""
 
 import itertools
 import math
@@ -754,6 +756,51 @@ def is_nondegenerate(form):
     """True when b(x, -) vanishes only for x = 0 on a finite form."""
     radical = solve_congruences(form.B, [form.den] * form.ngens, form.orders)
     return not any(any(form.reduce(x)) for x in radical.rows)
+
+
+def u3_glue_maps_oracle(fu, fl):
+    """Every (generators of H, their images) for a subgroup H of
+    disc U(3) = (Z/3)^2 and an isometric embedding of H into the form fl:
+    the trivial H, the four lines, then the whole group, with no orbit
+    reduction.  H is a 3-group, so q on the generators and their sum decides
+    isometry, as q(x + y) - q(x) - q(y) = 2 b(x, y).  `verify` enumerated
+    the U(3) glues so before `glue.embedding_glues`."""
+    # the 3-torsion of Z/o is 0, o/3 and 2o/3
+    torsion = [(y, fl.q_of(y)) for y in itertools.product(
+        *[range(0, o, o // 3) if o % 3 == 0 else (0,) for o in fl.orders]) if any(y)]
+    for gens in ((), ((1, 0),), ((0, 1),), ((1, 1),), ((1, 2),), ((1, 0), (0, 1))):
+        pools = [[y for y, qy in torsion if qy == fu.q_of(h)] for h in gens]
+        for images in itertools.product(*pools):
+            if len(images) < 2 or fl.q_of(tuple(map(sum, zip(*images)))) == fu.q_of((1, 1)):
+                yield gens, images
+
+
+def a2_glue_images_oracle(fh):
+    """Every y of order 3 with q(y) = 2/3 in the form fh, in the order of
+    `fh.elements()`: the images of the Z/3 glues of A2, whose form is Z/3
+    with q = 2/3.  `verify.a2_complement_candidates` took the first one
+    before `glue.embedding_glues`."""
+    return [y for y in fh.elements()
+            if fh.element_order(y) == 3 and fh.q_of(y) == Fraction(2, 3)]
+
+
+def u3_first_graphs_oracle(fu, fo):
+    """The order-3 graphs (h + y,) in disc U(3) + fo that
+    `verify._u3_gluings_to` tried before `glue.embedding_glues`: the first
+    h of order 3 per value q(h), each with the first y of order 3 in fo with
+    q(h) + q(y) = 0 mod 2.  One graph per value suffices when fo is
+    3-elementary (Witt's extension theorem over F_3)."""
+    graphs = []
+    first_h = {}  # q(h) -> the first h of order 3 with that value
+    for h in fu.elements():
+        if fu.element_order(h) == 3:
+            first_h.setdefault(fu.q_of(h), h)
+    for qh, h in first_h.items():
+        for y in fo.elements():
+            if fo.element_order(y) == 3 and (qh + fo.q_of(y)) % 2 == 0:
+                graphs.append((h + y,))
+                break
+    return graphs
 
 
 def injective_anti_glue(left, right):

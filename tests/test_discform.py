@@ -30,6 +30,8 @@ from latticeforge.discform import (
     element_lift,
     form_class,
     forms_isomorphic,
+    genus_obstruction,
+    length_or_local_obstruction,
     local_obstruction,
     milgram_signature,
     orthogonal_subgroup,
@@ -457,6 +459,8 @@ def test_milgram_matches_signature_on_random_lattices(lat):
 def test_local_obstruction_admits_every_lattice(lat):
     f, _ = discriminant_form(lat)
     assert f.ngens <= lat.rank and local_obstruction(f, lat.signature) is None
+    assert genus_obstruction(lat.signature, f) is None
+    assert length_or_local_obstruction(lat.signature, f) is None
 
 
 def _unimodular(draw, k):
@@ -536,15 +540,17 @@ def _random_even_lattice(rng, max_rank=3, max_det=250):
 
 
 def test_local_obstruction_matches_binary_forms():
-    # every signature of rank 1 or 2 that passes Milgram, for random forms
-    # and their negations: length bound plus local conditions must agree
-    # with a search over all even lattices of that rank and determinant
+    # every signature of rank 1 or 2, for random forms and their negations:
+    # the whole existence test (Milgram, length bound and local conditions)
+    # must agree with a search over all even lattices of that rank and
+    # determinant
     rng = random.Random(1)
     lats = [_random_even_lattice(rng) for _ in range(400)]
     lats += [from_expression(e) for e in ("U(2) + A2", "U(2) + A2(-1)", "D4 + [6]",
                                           "U(2) + [-6]", "A2(2)", "[6] + [6]", "A2(3)")]
     known = {}
     seen = set()
+    reasons = set()
     cases = 0
     for lat in lats:
         f, _ = discriminant_form(lat)
@@ -554,19 +560,23 @@ def test_local_obstruction_matches_binary_forms():
             if n not in known:
                 known[n] = [(l.signature, discriminant_form(l)[0]) for l in _binary_even_lattices(n)]
             for sig in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-                if (sig[0] - sig[1] - sign) % 8:
-                    continue
                 rank = sig[0] + sig[1]
-                bad = local_obstruction(form, sig) if form.ngens <= rank else 0
+                why = genus_obstruction(sig, form)
+                if why != "signature":
+                    # past the congruence, the test that skips it agrees
+                    assert length_or_local_obstruction(sig, form) == why
                 want = any(s == sig and forms_isomorphic(g, form) for s, g in known[n])
-                assert (bad is None) == want, (lat.gram, form, sig)
+                assert (why is None) == want, (lat.gram, form, sig)
+                reasons.add(why if why in (None, "signature", "length") else "prime")
                 cases += 1
-                if form.ngens == rank:
+                if form.ngens == rank and (sig[0] - sig[1] - sign) % 8 == 0:
+                    bad = local_obstruction(form, sig)
+                    assert why == bad
                     for p in _prime_divisors(math.gcd(*form.orders)):
                         blocks = _jordan(form, p)
                         theta = p == 2 and any(n == 2 and len(u) == 1 for n, u in blocks)
                         seen.add((p == 2, {n for n, _ in blocks} == {p}, theta, bad != p))
-    assert cases >= 700
+    assert cases >= 1400 and reasons == {None, "signature", "length", "prime"}
     # odd and 2-adic conditions, elementary or not, each met and failed;
     # q_theta(2) summands, elementary or not, never obstruct
     assert seen == {(two, elem, theta, ok) for two in (False, True) for elem in (False, True)

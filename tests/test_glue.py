@@ -4,11 +4,14 @@ from math import isqrt, lcm
 
 import pytest
 from conftest import (
+    a2_glue_images_oracle,
     bareiss_det,
     fraction_inverse,
     fraction_to_int,
     injective_anti_glue,
     saturate,
+    u3_first_graphs_oracle,
+    u3_glue_maps_oracle,
 )
 
 from latticeforge import catalog, glue, isom, linalg
@@ -16,10 +19,13 @@ from latticeforge import catalog, glue, isom, linalg
 from latticeforge.discform import (
     discriminant_form,
     element_lift,
+    form_class,
     forms_isomorphic,
     milgram_signature,
+    subquotient_form,
 )
 from latticeforge.errors import (
+    BadParams,
     DegenerateComplement,
     DimensionMismatch,
     NotComplementary,
@@ -30,6 +36,7 @@ from latticeforge.glue import (
     GlueData,
     Sublattice,
     complement_genus,
+    embedding_glues,
     full_glue,
     glue_group,
     orthogonal_complement,
@@ -212,6 +219,123 @@ def test_glue_group_f_decomposition():
     assert abs(f_lat.det) == 3
     orders, a = glue_group(f_lat, Sublattice(f_lat, lrows), Sublattice(f_lat, rrows), p=3)
     assert a == 5
+
+
+def test_primitive_extension_glues_the_phi21_involution_pair():
+    # the induced involution pair of row phi21 glued along the 2-parts of
+    # its discriminants gives a lattice of the rank-24 hyperbolic-type
+    # genus, in which the two parts meet with a 2-elementary glue group
+    from latticeforge.discform import _match_maps, _presentation
+
+    row = next(r for r in catalog.INDUCED_ROWS if r.label == "phi21")
+    inv = from_expression(row.inv)        # U + E6(-2)
+    coinv = from_expression(row.coinv)    # U^2 + D4(-1)^3
+    fi, _ = discriminant_form(inv)
+    fc, _ = discriminant_form(coinv)
+    two_part = [x for x in fi.elements() if any(x) and fi.element_order(x) == 2]
+    # the subgroup they generate, presented as a standalone form
+    rel = Matrix.diagonal(fi.orders).rows
+    sub, lifts = _presentation(fi, [fi.reduce(x) for x in two_part] + list(rel), rel)
+    assert sub.orders == (2,) * 6
+    images = _match_maps(sub, fc, -1)
+    assert images is not None
+    ext, inv_rows, coinv_rows = primitive_extension(GlueData(inv, coinv, lifts, images))
+    amb = ext.lattice
+    assert amb.rank == 24 and abs(amb.det) == 3 and amb.signature == (3, 21)
+    assert glue_group(amb, Sublattice(amb, inv_rows), Sublattice(amb, coinv_rows), p=2) \
+        == ((2,) * 6, 6)
+
+
+# ---------------------------------------------------------------------------
+# the glue enumerator against the loops it replaced
+
+# hosts whose 3-part is not 3-elementary, where Witt's theorem does not
+# reduce the embeddings of a subgroup to one
+MIXED_HOSTS = ("U^2 + A2(-3) + A2(-1)", "U(3) + U(9) + A2(-1)", "U^2 + E6(-3)")
+FU = discriminant_form(rescale(U, 3))[0]
+FA = discriminant_form(A2)[0]
+
+
+def _gluing_others():
+    """The forms q_M of the lattices M that `verify all` glues to U(3)."""
+    others = [Lattice(-catalog.cubic_row(r.label).inv_gram)
+              for r in catalog.INDUCED_ROWS if r.p == 3]
+    return [form_class(o) for o in others + [from_expression("U^2 + E8(-1)^2 + A2(-1)")]]
+
+
+def _verify_glue_hosts():
+    """(source form, host form) of every `embedding_glues` call of
+    `verify all`: disc A2 into the order-3 rank-26 invariants, disc U(3)
+    into the induced invariants and into the -q_M of its gluing check."""
+    cases = [(FA, form_class(from_expression(r.inv))) for r in catalog.RANK26_PAIRS if r.p == 3]
+    cases += [(FU, form_class(from_expression(r.inv))) for r in catalog.INDUCED_ROWS]
+    return cases + [(FU, fo.neg()) for fo in _gluing_others()]
+
+
+def _oracle_glues(fs, fh):
+    if fs is FU:
+        return u3_glue_maps_oracle(FU, fh)
+    return [((), ())] + [(((1,),), (y,)) for y in a2_glue_images_oracle(fh)]
+
+
+def _by_subgroup(glues, cap=None):
+    """{generators of H: its images}, at most `cap` per H; the whole group
+    comes last, so the stream stops once it has `cap`."""
+    out = {}
+    for gens, images in glues:
+        found = out.setdefault(gens, [])
+        if cap is None or len(found) < cap:
+            found.append(images)
+        elif len(gens) == 2:
+            break
+    return out
+
+
+def _complement(fs, fh, gens, images):
+    """The form on Gamma^perp / Gamma in -fs + fh, Gamma the graph of the
+    glue, as `complement_genus` builds it."""
+    graph = [tuple(h) + tuple(y) for h, y in zip(gens, images)]
+    return subquotient_form(fs.neg().direct_sum(fh), graph)
+
+
+def test_embedding_glues_match_the_full_enumeration():
+    cases = [(fs, fh, False) for fs, fh in _verify_glue_hosts()]
+    cases += [(fs, form_class(from_expression(e)), True) for e in MIXED_HOSTS for fs in (FA, FU)]
+    for fs, fh, mixed in cases:
+        assert any(o % 9 == 0 for o in fh.orders) == mixed
+        got = _by_subgroup(embedding_glues(fs, fh))
+        want = _by_subgroup(_oracle_glues(fs, fh), None if mixed else 8)
+        assert list(got) == list(want), (fs, fh)
+        if mixed:
+            # every embedding, in the order of the enumeration, and more
+            # than one for each nontrivial subgroup
+            assert got == want and all(len(ims) > 1 for gens, ims in got.items() if gens)
+            continue
+        for gens, ims in got.items():
+            # the first embedding, and one complement class for all of them
+            assert ims == want[gens][:1]
+            form = _complement(fs, fh, gens, ims[0])
+            assert all(forms_isomorphic(_complement(fs, fh, gens, other), form)
+                       for other in want[gens][1:]), (fh, gens)
+
+
+def test_embedding_glues_reach_the_first_graph_per_quadratic_value():
+    # the line glues into -q_other give the same gluing classes as the
+    # first graph per value q(h) that the gluing check tried before
+    for fo in _gluing_others():
+        big = FU.direct_sum(fo)
+        lines = [subquotient_form(big, [h + y for h, y in zip(gens, ims)])
+                 for gens, ims in embedding_glues(FU, fo.neg()) if len(gens) == 1]
+        firsts = [subquotient_form(big, graph) for graph in u3_first_graphs_oracle(FU, fo)]
+        assert all(any(forms_isomorphic(f, g) for g in firsts) for f in lines)
+        assert all(any(forms_isomorphic(f, g) for g in lines) for f in firsts)
+
+
+def test_embedding_glues_needs_a_small_3_elementary_source():
+    host = form_class(from_expression("U(3)"))
+    for bad in ("U(9)", "A2 + A2 + A2", "U(2)"):
+        with pytest.raises(BadParams):
+            next(embedding_glues(discriminant_form(from_expression(bad))[0], host))
 
 
 def test_glue_group_not_complementary():

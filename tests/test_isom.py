@@ -14,7 +14,6 @@ from latticeforge.isom import (
     extend_to_lambda,
     invariant_coinvariant,
     isometry_order,
-    nonsymplectic_feasible,
     spinor_norm,
 )
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
@@ -297,58 +296,6 @@ def test_prime_order_glue_bound_on_generated_isometries():
         m = rk // (p - 1)
         assert all(d == p for d in pair.glue_orders)
         assert pair.glue_a <= m
-
-
-def test_nonsymplectic_feasible_involution_pair():
-    # assemble the induced involution pair inside a lattice of the rank-24
-    # hyperbolic-type genus by gluing along the 2-parts of the discriminants,
-    # then check the feasibility report accepts it
-    from latticeforge.catalog import INDUCED_ROWS
-    from latticeforge.discform import _match_maps, _presentation, discriminant_form
-    from latticeforge.glue import GlueData, Sublattice, glue_group, primitive_extension
-    from latticeforge.isom import InvariantPair
-
-    row = next(r for r in INDUCED_ROWS if r.label == "phi21")
-    inv = from_expression(row.inv)        # U + E6(-2)
-    coinv = from_expression(row.coinv)    # U^2 + D4(-1)^3
-    fi, _ = discriminant_form(inv)
-    fc, _ = discriminant_form(coinv)
-    two_part = [x for x in fi.elements() if any(x) and fi.element_order(x) == 2]
-    # the subgroup they generate, presented as a standalone form
-    rel = Matrix.diagonal(fi.orders).rows
-    sub, lifts = _presentation(fi, [fi.reduce(x) for x in two_part] + list(rel), rel)
-    assert sub.orders == (2,) * 6
-    images = _match_maps(sub, fc, -1)
-    assert images is not None
-    ext, inv_rows, coinv_rows = primitive_extension(
-        GlueData(inv, coinv, lifts, images))
-    amb = ext.lattice
-    assert amb.rank == 24 and abs(amb.det) == 3 and amb.signature == (3, 21)
-    s_inv = Sublattice(amb, inv_rows)
-    s_coinv = Sublattice(amb, coinv_rows)
-    orders, a = glue_group(amb, s_inv, s_coinv)
-    pair = InvariantPair(s_inv, s_coinv, orders, a)
-    ok, report = nonsymplectic_feasible(pair, 2)
-    assert ok, report
-
-
-def test_nonsymplectic_feasible_p_too_big():
-    og = make_named("OG10")
-    pair = invariant_coinvariant(Isometry(og, Matrix.identity(og.rank)))
-    ok, report = nonsymplectic_feasible(pair, 29)
-    assert not ok
-    assert any(name == "p_le_23" and not passed for name, passed, _ in report)
-
-
-def test_nonsymplectic_feasible_positive_definite_coinvariant():
-    og = make_named("OG10")
-    rot_tail = block_diag([Matrix.identity(22), ROT3])
-    f = Isometry(og, rot_tail)
-    pair = invariant_coinvariant(f)
-    assert pair.coinvariant.lattice().signature == (0, 2)
-    ok, report = nonsymplectic_feasible(pair, 3)
-    assert not ok
-    assert any(name == "coinvariant_signature" and not passed for name, passed, _ in report)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The package keeps only what a verdict, a CLI command or the benchmark runs.
+"""The package keeps only what a verdict, a CLI command or the benchmark runs,
+and writes each decision procedure once.
 
 Every public function and method defined in `src/latticeforge` or in the
 benchmark's own modules must be named somewhere outside its own definition
@@ -6,7 +7,9 @@ in those same files, so a function that only tests call has no place in the
 package.  Tests, `perfbench/test_*.py` included, do not count as callers.
 The check reads names, not calls: a caller-less method that shares its name
 with a called one, such as a second `to_json` beside `VerdictReport.to_json`,
-passes unseen.
+passes unseen.  The parts of Nikulin's genus-existence test are named only
+in `discform`, so every other module asks `discform.genus_obstruction` or,
+with the signature congruence given, `discform.length_or_local_obstruction`.
 """
 
 import ast
@@ -18,9 +21,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # caller-less names kept for an open ROADMAP item that will call them; a name
 # leaves this table once that item lands
-RESERVED = {
-    "nonsymplectic_feasible": "ROADMAP item 7: verify lsv calls it per row",
-}
+RESERVED = {}
+
+# the readers of one condition of Nikulin (1979, Thm 1.10.1) each, which
+# only `discform` puts together
+GENUS_PARTS = {"local_obstruction", "milgram_signature"}
 
 
 def _program_files():
@@ -28,6 +33,13 @@ def _program_files():
     files += sorted(p for p in (ROOT / "perfbench").glob("*.py")
                     if not p.name.startswith("test_"))
     return files
+
+
+def _names(src):
+    """(name, line) of every NAME token of a source text."""
+    return [(tok.string, tok.start[0])
+            for tok in tokenize.generate_tokens(io.StringIO(src).readline)
+            if tok.type == tokenize.NAME]
 
 
 def _uncalled():
@@ -40,9 +52,8 @@ def _uncalled():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and not node.name.startswith("_"):
                 defs.append((path, node.lineno, node.end_lineno, node.name))
-        for tok in tokenize.generate_tokens(io.StringIO(src).readline):
-            if tok.type == tokenize.NAME:
-                uses.setdefault(tok.string, []).append((path, tok.start[0]))
+        for name, line in _names(src):
+            uses.setdefault(name, []).append((path, line))
     return [(path.relative_to(ROOT).as_posix(), first, name)
             for path, first, last, name in defs
             if all(where == path and first <= line <= last
@@ -52,3 +63,11 @@ def _uncalled():
 def test_every_public_function_has_a_caller():
     uncalled = _uncalled()
     assert {name for _, _, name in uncalled} == set(RESERVED), uncalled
+
+
+def test_only_discform_names_the_parts_of_the_genus_test():
+    named = [(path.name, line, name)
+             for path in sorted((ROOT / "src" / "latticeforge").glob("*.py"))
+             if path.name != "discform.py"
+             for name, line in _names(path.read_text()) if name in GENUS_PARTS]
+    assert named == []

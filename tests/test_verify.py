@@ -19,6 +19,7 @@ from conftest import (
     fraction_inverse,
     injective_anti_glue,
     u3_candidates_oracle,
+    u3_first_graphs_oracle,
 )
 
 from latticeforge import catalog, discform, glue, linalg, shortvec, verify
@@ -375,14 +376,17 @@ def test_k3_verdict_local_condition_fails(expr, p):
 
 def test_k3_verdict_factors_only_where_needed():
     big = (2 ** 31 - 1) * (2 ** 61 - 1)  # no prime factor below 2^16
-    # length 1 below the complement rank 19: no prime is examined
+    # length 1 below the complement rank 19: no prime is examined, so even
+    # a determinant beyond rho's budget is decided
     assert verify.k3_association_verdict(from_expression("U + [%d]" % (2 * big)))[0]
+    huge = (2 ** 61 - 1) * (2 ** 89 - 1)
+    assert verify.k3_association_verdict(from_expression("U + [%d]" % (2 * huge))) == \
+        (True, "an even complement of signature (2, 17) exists")
     # a rank-1 complement needs the primes of 2 big, which rho finds
     assert _factorization(2 * big) == {2: 1, 2 ** 31 - 1: 1, 2 ** 61 - 1: 1}
     assert verify.k3_association_verdict(from_expression("U^2 + E8^2 + [%d]" % (2 * big))) == \
         (True, "an even complement of signature (1, 0) exists")
     # two primes near 2^61 and 2^89 are beyond rho's step budget
-    huge = (2 ** 61 - 1) * (2 ** 89 - 1)
     with pytest.raises(TooLarge):
         verify.k3_association_verdict(from_expression("U^2 + E8^2 + [%d]" % (2 * huge)))
 
@@ -619,6 +623,16 @@ def test_candidates_signature_obstruction():
     assert verify.a2_complement_candidates(make_named("U")) == []
 
 
+@pytest.mark.parametrize("expr", ["U^2 + A2(-3) + A2(-1)", "U(3) + U(9) + A2(-1)",
+                                  "U^2 + E6(-3)"])
+def test_candidates_merge_isomorphic_complements_on_mixed_hosts(expr):
+    # the 3-part of these hosts is not 3-elementary, so the glue enumerator
+    # gives every image of Z/3 (12, 54 and 270 of them), and all of them
+    # leave isomorphic complement forms: one Z/3 candidate each
+    cands = verify.a2_complement_candidates(from_expression(expr))
+    assert [kind for kind, _, _ in cands] == ["trivial", "Z/3"]
+
+
 def test_induced_pair_reassembles_rank24_genus():
     # invariant + coinvariant of the phi37 induced action glue back to a
     # lattice in the rank-24 hyperbolic-type genus, with glue length 7
@@ -660,18 +674,11 @@ def _overlattice_u3_gluings_to(target, other):
         return False
     fu, _ = discform.discriminant_form(u3)
     fo, _ = discform.discriminant_form(other)
-    first_h = {}
-    for h in fu.elements():
-        if fu.element_order(h) == 3:
-            first_h.setdefault(fu.q_of(h), h)
-    for qh, h in first_h.items():
-        for y in fo.elements():
-            if fo.element_order(y) == 3 and (qh + fo.q_of(y)) % 2 == 0:
-                ext, _, _ = glue.primitive_extension(
-                    glue.GlueData(u3, other, Matrix([h]), Matrix([y])))
-                if verify._genus_equal(ext.lattice, target):
-                    return True
-                break
+    for (hy,) in u3_first_graphs_oracle(fu, fo):
+        ext, _, _ = glue.primitive_extension(
+            glue.GlueData(u3, other, Matrix([hy[:2]]), Matrix([hy[2:]])))
+        if verify._genus_equal(ext.lattice, target):
+            return True
     return False
 
 
