@@ -35,6 +35,15 @@ def resolve_lattice(ref):
     return from_expression(ref)
 
 
+# bounded like the expression parser's cache, which holds the sums themselves
+@functools.lru_cache(maxsize=256)
+def _smith_form(gram):
+    """The discriminant form on the Smith generators of `gram`, that of a
+    lattice with no summands; kept without the Smith form, so a repeated
+    `info` on a sum reuses it."""
+    return discform.discriminant_form(Lattice(gram))[0]
+
+
 def load_isometry(path):
     with open(path) as fh:
         data = json.load(fh)
@@ -63,8 +72,8 @@ def _print(data, fmt, text_fn):
 
 def cmd_info(args):
     lat = resolve_lattice(args.lattice)
-    # the Smith form that `disc_q` is printed on also gives the group
-    form, _ = discform.discriminant_form(lat)
+    # disc_q has one value per invariant factor, so not a sum's summand form
+    form = discform.discriminant_form(lat)[0] if lat._summands is None else _smith_form(lat.gram)
     inv = invariants(lat)
     data = {
         "name": lat.label or args.lattice,

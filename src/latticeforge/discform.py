@@ -153,9 +153,12 @@ def discriminant_form(lat):
     Returns (form, lifts) where row i of the integer matrix `lifts`, over
     form.den, is a dual vector in the lattice basis representing generator i
     of the dual quotient.  Quadratic values are attached when the lattice is
-    even.  A degenerate lattice, whose Smith form has a zero divisor, raises
-    DegenerateForm: its dual quotient is infinite.  The pair is computed
-    once per lattice object and kept on it, so every caller shares it.
+    even.  A direct sum gives the orthogonal sum of its summands' pairs (the
+    dual of L1 + L2 is L1* + L2*), so no Smith form of its whole Gram matrix
+    runs; any other lattice gives the pair read off the Smith form of its
+    Gram matrix.  A degenerate lattice raises DegenerateForm: its dual
+    quotient is infinite.  The pair is computed once per lattice object and
+    kept on it, so every caller shares it.
     """
     if lat._disc is None:
         lat._disc = _discriminant_form(lat)
@@ -163,8 +166,9 @@ def discriminant_form(lat):
 
 
 def _discriminant_form(lat):
-    """The (form, lifts) of `discriminant_form`, from the Smith form of the
-    Gram matrix."""
+    """The (form, lifts) of `discriminant_form`."""
+    if lat._summands is not None:
+        return _sum_form(lat)
     if lat.rank == 0:
         return TRIVIAL_FORM, Matrix(())
     snf = lat.snf()
@@ -195,31 +199,30 @@ def _discriminant_form(lat):
     return FiniteQuadraticForm(orders, B, Q if lat.is_even() else None), lifts
 
 
-def form_class(lat):
-    """A form isomorphic to the discriminant form of `lat`, in no fixed
-    presentation and without lifts, computed once per lattice object.  A
-    direct sum gives the orthogonal sum of its summands' forms, so no Smith
-    form of its whole Gram matrix is needed; any other lattice gives
-    `discriminant_form(lat)[0]`."""
-    if lat._class is None:
-        lat._class = _form_class(lat)
-    return lat._class
-
-
-def _form_class(lat):
-    """The form of `form_class`, from the summands' forms."""
-    if lat._summands is None:
-        return discriminant_form(lat)[0]
-    out = TRIVIAL_FORM
+def _sum_form(lat):
+    """The (form, lifts) of a direct sum: the orthogonal sum of the
+    summands' forms, each summand's lifts scaled to the sum's den and
+    padded with zeros to its block of coordinates.  A unimodular summand
+    has the trivial form and is skipped."""
+    form, parts, offset = TRIVIAL_FORM, [], 0
     for s in lat._summands:
-        if abs(s.det) != 1:  # a unimodular summand has the trivial form
-            f = form_class(s)
-            out = f if out.is_trivial() else out.direct_sum(f)
+        if abs(s.det) != 1:
+            f, lifts = discriminant_form(s)
+            form = f if form.is_trivial() else form.direct_sum(f)
+            parts.append((offset, f.den, lifts))
+        offset += s.rank
+    if form.is_trivial():
+        return TRIVIAL_FORM, Matrix(())
     # an odd unimodular summand leaves no trace in the forms but makes the
     # sum odd, and an odd lattice carries no quadratic form
-    if out.Q is not None and not out.is_trivial() and not lat.is_even():
-        out = out.bilinear()
-    return out
+    if form.Q is not None and not lat.is_even():
+        form = form.bilinear()
+    rows = []
+    for start, den, lifts in parts:
+        scale = form.den // den
+        head, tail = (0,) * start, (0,) * (lat.rank - start - lifts.ncols)
+        rows += [head + tuple(scale * x for x in row) + tail for row in lifts.rows]
+    return form, Matrix(rows)
 
 
 def element_lift(lifts, x):
@@ -236,15 +239,27 @@ def element_lift(lifts, x):
 
 def class_of(lat, form, vec):
     """Class of the dual vector vec / form.den (vec an integer vector, like
-    the lifts of `discriminant_form`) in the discriminant group: with
+    the lifts of `discriminant_form`) in `form` = `discriminant_form(lat)[0]`;
+    a vector outside the dual lattice raises DegenerateForm.  A direct sum
+    reads each summand's block over that summand's den.  Otherwise, with
     u G v = d, the coordinates w = v^-1 vec / den of a dual vector have
     d_i w_i integral, and d_i w_i mod d_i is its coefficient on generator
     i."""
     if form.is_trivial():
         return ()
-    snf = lat.snf()
     den = form.den
     coeffs = []
+    if lat._summands is not None:
+        start = 0
+        for s in lat._summands:
+            block, start = vec[start:start + s.rank], start + s.rank
+            f = TRIVIAL_FORM if abs(s.det) == 1 else discriminant_form(s)[0]
+            step = den // f.den
+            if any(x % step for x in block):
+                raise DegenerateForm("vector is not in the dual lattice")
+            coeffs += class_of(s, f, [x // step for x in block])
+        return tuple(coeffs)
+    snf = lat.snf()
     for d, w in zip(snf.divisors, snf.v_inv.apply(vec)):
         c, rem = divmod(w * d, den)
         if rem:

@@ -30,21 +30,19 @@ class Lattice:
     """Free Z-module of finite rank with a symmetric integer bilinear form.
 
     A lattice built by `direct_sum` keeps its summands and reads its
-    determinant and signature from theirs (Sylvester's law of inertia) until
-    an elimination of its whole Gram matrix is cached, and its discriminant
-    group until a Smith form of its whole Gram matrix is cached.
+    determinant, signature (Sylvester's law of inertia), discriminant group
+    and discriminant form from theirs.
 
     Every invariant is computed once, when it is first read, and kept in a
     slot: the elimination `_elim`, `_det`, the Smith form `_snf`, `_sig`,
-    `_even`, the invariant factors `_orders`, the (form, lifts) of
-    `discform.discriminant_form` in `_disc` and the form of
-    `discform.form_class` in `_class`.  A computation that raises caches
-    nothing.  `_negation`, the lattice of Gram matrix -G, is built once by
-    the vector enumeration of a negative definite lattice and kept with the
-    caches."""
+    `_even`, the invariant factors `_orders` and the (form, lifts) of
+    `discform.discriminant_form` in `_disc`.  A computation that raises
+    caches nothing.  `_negation`, the lattice of Gram matrix -G, is built
+    once by the vector enumeration of a negative definite lattice and kept
+    with the caches."""
 
     __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands", "_negation",
-                 "_sig", "_even", "_orders", "_disc", "_class")
+                 "_sig", "_even", "_orders", "_disc")
 
     def __init__(self, gram, label=None):
         if not isinstance(gram, Matrix):
@@ -68,7 +66,6 @@ class Lattice:
         self._even = None
         self._orders = None
         self._disc = None
-        self._class = None
 
     @property
     def rank(self):
@@ -84,7 +81,7 @@ class Lattice:
     @property
     def det(self):
         if self._det is None:
-            if self._summands is not None and self._elim is None:
+            if self._summands is not None:
                 self._det = prod(s.det for s in self._summands)
             else:
                 try:
@@ -97,7 +94,7 @@ class Lattice:
     def signature(self):
         if self._sig is None:
             # a degenerate sum has a degenerate summand, whose elimination raises
-            if self._summands is not None and self._elim is None:
+            if self._summands is not None:
                 sigs = [s.signature for s in self._summands]
                 self._sig = (sum(p for p, _ in sigs), sum(m for _, m in sigs))
             else:
@@ -122,7 +119,7 @@ class Lattice:
         Z^n / G Z^n; a block-diagonal G has the summands' torsion groups as
         summands."""
         if self._orders is None:
-            if self._summands is not None and self._snf is None:
+            if self._summands is not None:
                 self._orders = _invariant_factors(
                     [d for s in self._summands for d in s.disc_group_orders()])
             else:
@@ -226,9 +223,10 @@ def _invariant_factors(orders):
 
 def direct_sum(lats):
     """Orthogonal direct sum; Gram is block diagonal.  The summands are kept
-    for the determinant, signature and discriminant group.  Each summand's
-    Gram already passed the integer and symmetry checks of `Lattice`, so the
-    block-diagonal Gram is bound without checking it again."""
+    for the determinant, signature, discriminant group and form.  Each
+    summand's Gram already passed the integer and symmetry checks of
+    `Lattice`, so the block-diagonal Gram is bound without checking it
+    again."""
     lats = list(lats)
     if not lats:
         raise BadParams("direct sum of an empty list")

@@ -101,8 +101,9 @@ def _verify_rank26_row(row):
     v.add("inv_p_elementary", all(d == p for d in oi) and len(oi) == row.a,
           "(Z/%d)^%d vs a=%d" % (p, len(oi), row.a))
     v.add("glue_bound", row.a <= co.rank // (p - 1), "a=%d, m=%d" % (row.a, co.rank // (p - 1)))
-    v.add("disc_anti_isometry",
-          discform.forms_isomorphic(discform.form_class(inv), discform.form_class(co).neg()),
+    fi, _ = discform.discriminant_form(inv)
+    fc, _ = discform.discriminant_form(co)
+    v.add("disc_anti_isometry", discform.forms_isomorphic(fi, fc.neg()),
           "disc(inv) vs -disc(coinv)")
     return v
 
@@ -293,7 +294,8 @@ def k3_association_verdict(trans):
     if bad is None:
         return True, "an even complement of signature %s exists" % (sig,)
     if bad == "length":
-        return False, "complement length %d exceeds rank %d" % (len(ft.orders), 22 - rank)
+        length = len(trans.disc_group_orders())
+        return False, "complement length %d exceeds rank %d" % (length, 22 - rank)
     return False, "no even complement of signature %s: the %d-adic condition fails" % (sig, bad)
 
 
@@ -344,7 +346,7 @@ def _u3_embedding(lat):
         return False, "no primitive U(3): signature %s has no room for (1, 1)" % (lat.signature,)
     u3 = from_expression("U(3)")
     fu, _ = discform.discriminant_form(u3)
-    fl = discform.form_class(lat)
+    fl, _ = discform.discriminant_form(lat)
     for gens, images in glue.embedding_glues(fu, fl):
         sig, form = glue.complement_genus(fl, lat.signature, u3, (Matrix(gens), Matrix(images)))
         if discform.genus_obstruction(sig, form) is None:
@@ -364,7 +366,8 @@ def _genus_equal(l1, l2):
     if l1.rank != l2.rank or l1.signature != l2.signature or l1.is_even() != l2.is_even() \
             or l1.disc_group_orders() != l2.disc_group_orders():
         return False
-    return discform.forms_isomorphic(discform.form_class(l1), discform.form_class(l2))
+    return discform.forms_isomorphic(discform.discriminant_form(l1)[0],
+                                     discform.discriminant_form(l2)[0])
 
 
 def _u3_gluings_to(target, other):
@@ -382,9 +385,9 @@ def _u3_gluings_to(target, other):
     if target.rank != other.rank + 2 or target.signature != sig \
             or target.is_even() != other.is_even():
         return False
-    fu = discform.form_class(from_expression("U(3)"))
-    fo = discform.form_class(other)
-    ft = discform.form_class(target)
+    fu, _ = discform.discriminant_form(from_expression("U(3)"))
+    fo, _ = discform.discriminant_form(other)
+    ft, _ = discform.discriminant_form(target)
     big = fu.direct_sum(fo)
     for gens, images in glue.embedding_glues(fu, fo.neg()):
         if len(gens) == 2:  # the whole group: graphs of order 9 from here on
@@ -468,7 +471,7 @@ def a2_complement_candidates(host):
     """
     a2 = from_expression("A2")
     fa, _ = discform.discriminant_form(a2)
-    fh = discform.form_class(host)
+    fh, _ = discform.discriminant_form(host)
     out = []
     for gens, images in glue.embedding_glues(fa, fh):
         try:
@@ -513,7 +516,7 @@ def derive_og10_order3_candidates():
                   "rank-26 rows with the induced coinvariant genus: %s (need exactly one)"
                   % (", ".join(labels) or "none"))
         else:
-            ft = discform.form_class(target)
+            ft, _ = discform.discriminant_form(target)
             hit = any(sig == target.signature and discform.forms_isomorphic(form, ft)
                       for _kind, sig, form in candidates[labels[0]])
             v.add("induced_inv_among_candidates", hit, "row %s of the rank-26 table" % labels[0])

@@ -56,6 +56,34 @@ def test_info_delta_of_a_large_two_elementary_group(capsys):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("expr,grams", [("A7", 1), ("A2 + D5", 3)])
+def test_info_runs_one_smith_form_per_gram(capsys, monkeypatch, expr, grams):
+    # disc_q reads the Smith generators: a lattice that is no sum shares its
+    # own Smith form with disc_group; a sum adds one of its whole Gram to
+    # those of its summands; asked again, `info` runs none
+    from latticeforge import linalg
+    from latticeforge.lattice import from_expression
+
+    seen = []
+    real = linalg.smith_normal_form
+
+    def counting(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    from_expression.cache_clear()
+    cli._smith_form.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, _ = run(capsys, "--format", "json", "info", expr)
+            assert code == 0 and json.loads(out)["disc_q"]
+    finally:
+        from_expression.cache_clear()
+        cli._smith_form.cache_clear()
+    assert len(seen) == len(set(seen)) == grams
+
+
 def test_info_unknown_exit_2(capsys):
     code, _, err = run(capsys, "info", "Quux99")
     assert code == 2

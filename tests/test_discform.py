@@ -25,10 +25,10 @@ from latticeforge.discform import (
     _local_class,
     _match_maps,
     _presentation,
+    class_of,
     delta_invariant,
     discriminant_form,
     element_lift,
-    form_class,
     forms_isomorphic,
     genus_obstruction,
     length_or_local_obstruction,
@@ -38,7 +38,14 @@ from latticeforge.discform import (
     subquotient_form,
 )
 from latticeforge.errors import DegenerateForm, NotTwoElementary, OddLatticeQuadratic
-from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
+from latticeforge.lattice import (
+    Lattice,
+    _invariant_factors,
+    direct_sum,
+    from_expression,
+    make_named,
+    rescale,
+)
 from latticeforge.linalg import Matrix, hermite_normal_form, smith_normal_form
 
 A2 = make_named("A", 2)
@@ -184,22 +191,40 @@ def test_forms_isomorphic_across_presentations():
     # same elementary divisors, so the forms are compared prime by prime
     lat = from_expression("A1 + A2")
     whole, _ = discriminant_form(Lattice(lat.gram))
-    split = form_class(lat)
+    split, _ = discriminant_form(lat)
     assert whole.orders == (6,) and whole.q == (Fraction(7, 6),)
     assert split.orders == (2, 3) and split.q == (Fraction(1, 2), Fraction(2, 3))
     assert forms_isomorphic(whole, split) and forms_isomorphic(split, whole)
     assert not forms_isomorphic(whole, split.neg())
     # Z/2 + Z/2 is not Z/4, whatever the forms
-    assert not forms_isomorphic(form_class(from_expression("[2] + [2]")),
+    assert not forms_isomorphic(discriminant_form(from_expression("[2] + [2]"))[0],
                                 discriminant_form(from_expression("[4]"))[0])
 
 
-def test_form_class_of_an_odd_sum_is_bilinear_only():
+def test_discriminant_form_of_an_odd_sum_is_bilinear_only():
     # [1] adds nothing to the group but makes the sum odd
-    f = form_class(from_expression("A2 + [1]"))
+    f, lifts = discriminant_form(from_expression("A2 + [1]"))
     assert f.orders == (3,) and f.Q is None
+    assert lifts == Matrix([(1, 2, 0)])  # A2's lift, padded past [1]
     assert forms_isomorphic(f, discriminant_form(Lattice(from_expression("A2 + [1]").gram))[0])
-    assert form_class(from_expression("U + [1]")) is TRIVIAL_FORM
+    assert discriminant_form(from_expression("U + [1]")) == (TRIVIAL_FORM, Matrix(()))
+
+
+def test_class_of_a_sum_reads_each_summand_block():
+    # A2 + U + [2]: Z/3 + Z/2 over den 6; U is unimodular
+    lat = from_expression("A2 + U + [2]")
+    whole = Lattice(lat.gram)
+    form, lifts = discriminant_form(lat)
+    assert form.orders == (3, 2)
+    assert lifts == Matrix([(2, 4, 0, 0, 0), (0, 0, 0, 0, 3)])
+    assert class_of(lat, form, (4, 2, 6, -12, 9)) == (2, 1)
+    # a block outside its summand's dual: U's not divisible by den, [2]'s
+    # not by den / 2, and A2's (1, 0) / 3
+    for bad in ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (2, 0, 0, 0, 0)):
+        with pytest.raises(DegenerateForm, match="not in the dual lattice"):
+            class_of(lat, form, bad)
+        with pytest.raises(DegenerateForm, match="not in the dual lattice"):
+            class_of(whole, discriminant_form(whole)[0], bad)
 
 
 def test_forms_isomorphic_pairs_of_opposite_blocks():
@@ -495,7 +520,7 @@ def test_local_obstruction_reads_every_presentation_alike(expr):
     # A2 + U(2)), its whole Gram's in invariant factors (Z/2 + Z/6); every
     # signature up to two past the length is asked
     lat = from_expression(expr)
-    block, whole = form_class(lat), discriminant_form(Lattice(lat.gram))[0]
+    block, whole = discriminant_form(lat)[0], discriminant_form(Lattice(lat.gram))[0]
     assert block.orders != whole.orders
     length = whole.ngens
     for rank in range(length + 3):
@@ -503,7 +528,7 @@ def test_local_obstruction_reads_every_presentation_alike(expr):
             sig = (sp, rank - sp)
             got = local_obstruction(block, sig)
             assert got == local_obstruction(whole, sig) == local_obstruction_oracle(block, sig), sig
-    assert local_obstruction(form_class(from_expression("A2 + U(2)")), (2, 0)) == 2
+    assert local_obstruction(discriminant_form(from_expression("A2 + U(2)"))[0], (2, 0)) == 2
 
 
 def _binary_even_lattices(n):
@@ -569,10 +594,11 @@ def test_local_obstruction_matches_binary_forms():
                 assert (why is None) == want, (lat.gram, form, sig)
                 reasons.add(why if why in (None, "signature", "length") else "prime")
                 cases += 1
-                if form.ngens == rank and (sig[0] - sig[1] - sign) % 8 == 0:
+                factors = _invariant_factors(form.orders)
+                if len(factors) == rank and (sig[0] - sig[1] - sign) % 8 == 0:
                     bad = local_obstruction(form, sig)
                     assert why == bad
-                    for p in _prime_divisors(math.gcd(*form.orders)):
+                    for p in _prime_divisors(factors[0]):
                         blocks = _jordan(form, p)
                         theta = p == 2 and any(n == 2 and len(u) == 1 for n, u in blocks)
                         seen.add((p == 2, {n for n, _ in blocks} == {p}, theta, bad != p))

@@ -19,7 +19,6 @@ from latticeforge import catalog, glue, isom, linalg
 from latticeforge.discform import (
     discriminant_form,
     element_lift,
-    form_class,
     forms_isomorphic,
     milgram_signature,
     subquotient_form,
@@ -260,15 +259,17 @@ def _gluing_others():
     """The forms q_M of the lattices M that `verify all` glues to U(3)."""
     others = [Lattice(-catalog.cubic_row(r.label).inv_gram)
               for r in catalog.INDUCED_ROWS if r.p == 3]
-    return [form_class(o) for o in others + [from_expression("U^2 + E8(-1)^2 + A2(-1)")]]
+    return [discriminant_form(o)[0]
+            for o in others + [from_expression("U^2 + E8(-1)^2 + A2(-1)")]]
 
 
 def _verify_glue_hosts():
     """(source form, host form) of every `embedding_glues` call of
     `verify all`: disc A2 into the order-3 rank-26 invariants, disc U(3)
     into the induced invariants and into the -q_M of its gluing check."""
-    cases = [(FA, form_class(from_expression(r.inv))) for r in catalog.RANK26_PAIRS if r.p == 3]
-    cases += [(FU, form_class(from_expression(r.inv))) for r in catalog.INDUCED_ROWS]
+    cases = [(FA, discriminant_form(from_expression(r.inv))[0])
+             for r in catalog.RANK26_PAIRS if r.p == 3]
+    cases += [(FU, discriminant_form(from_expression(r.inv))[0]) for r in catalog.INDUCED_ROWS]
     return cases + [(FU, fo.neg()) for fo in _gluing_others()]
 
 
@@ -300,7 +301,8 @@ def _complement(fs, fh, gens, images):
 
 def test_embedding_glues_match_the_full_enumeration():
     cases = [(fs, fh, False) for fs, fh in _verify_glue_hosts()]
-    cases += [(fs, form_class(from_expression(e)), True) for e in MIXED_HOSTS for fs in (FA, FU)]
+    cases += [(fs, discriminant_form(from_expression(e))[0], True)
+              for e in MIXED_HOSTS for fs in (FA, FU)]
     for fs, fh, mixed in cases:
         assert any(o % 9 == 0 for o in fh.orders) == mixed
         got = _by_subgroup(embedding_glues(fs, fh))
@@ -332,7 +334,7 @@ def test_embedding_glues_reach_the_first_graph_per_quadratic_value():
 
 
 def test_embedding_glues_needs_a_small_3_elementary_source():
-    host = form_class(from_expression("U(3)"))
+    host, _ = discriminant_form(from_expression("U(3)"))
     for bad in ("U(9)", "A2 + A2 + A2", "U(2)"):
         with pytest.raises(BadParams):
             next(embedding_glues(discriminant_form(from_expression(bad))[0], host))

@@ -350,10 +350,20 @@ def _block_isometries():
 
 
 def test_discriminant_action_matches_fractions():
+    # the Fraction oracle reads the Smith presentation, so it runs on a
+    # lattice on the same Gram with no summands; on a sum, the summands'
+    # presentation gives the same kind, with images that keep b and q
     for f, kind in _block_isometries():
-        got_kind, images = discriminant_action(f)
-        assert images == _fraction_discriminant_action(f), f.lattice.gram
+        whole = Isometry(Lattice(f.lattice.gram), f.matrix)
+        got_kind, images = discriminant_action(whole)
+        assert images == _fraction_discriminant_action(whole), f.lattice.gram
         assert got_kind == kind, f.lattice.gram
+        got_kind, images = discriminant_action(f)
+        form, _ = discriminant_form(f.lattice)
+        assert got_kind == kind, f.lattice.gram
+        assert [[form._b(x, y) for y in images.rows] for x in images.rows] == \
+            [list(r) for r in form.B]
+        assert form.Q is None or [form._q(x) for x in images.rows] == list(form.Q)
 
 
 def _fraction_spinor_norm(f):

@@ -11,7 +11,6 @@ from latticeforge.discform import (
     _local_class,
     class_of,
     discriminant_form,
-    form_class,
     forms_isomorphic,
 )
 from latticeforge.errors import (
@@ -235,24 +234,27 @@ def test_direct_sum_discriminant_matches_the_whole_smith_form(summands):
     assert lat.disc_group_orders() == whole.disc_group_orders()
     if lat.det == 0:
         with pytest.raises(DegenerateForm, match="degenerate form"):
-            form_class(lat)
+            discriminant_form(lat)
         return
-    got, (want, lifts) = form_class(lat), discriminant_form(whole)
+    (got, got_lifts), (want, lifts) = discriminant_form(lat), discriminant_form(whole)
     assert (got.Q is None) == (want.Q is None)
     assert got.is_trivial() or (got.Q is None) == (not lat.is_even())
     # a witness: each generator of `got` is the class of a dual vector of a
     # summand, which `class_of` places in `want`; the map keeps b and q, so
     # it is injective (b is nondegenerate), and both groups have order |det|
     assert got.group_order == want.group_order == abs(lat.det)
-    images, offset = [], 0
+    images, padded, offset = [], [], 0
     for leaf in _leaves(lat):
         if abs(leaf.det) != 1:
             f, leaf_lifts = discriminant_form(leaf)
             for row in leaf_lifts.rows:
                 vec = [0] * lat.rank
                 vec[offset:offset + leaf.rank] = [got.den // f.den * x for x in row]
+                padded.append(tuple(vec))
                 images.append(class_of(whole, want, vec))
         offset += leaf.rank
+    # the lifts of the sum are the leaves' lifts, scaled and padded
+    assert got_lifts == Matrix(padded)
     assert got.den == want.den and len(images) == got.ngens
     assert [[want._b(x, y) for y in images] for x in images] == [list(r) for r in got.B]
     if got.Q is not None:
@@ -350,13 +352,12 @@ _READERS = {
     "elimination": lambda lat: lat.elimination(),
     "snf": lambda lat: lat.snf(),
     "discriminant_form": discriminant_form,
-    "form_class": form_class,
 }
 # the cache each reader fills; a reader that raises must leave it empty
 _SLOTS = {"det": "_det", "signature": "_sig", "is_even": "_even",
           "disc_group_orders": "_orders", "elimination": "_elim", "snf": "_snf",
-          "discriminant_form": "_disc", "form_class": "_class"}
-_CACHES = ("_elim", "_det", "_snf", "_negation", "_sig", "_even", "_orders", "_disc", "_class")
+          "discriminant_form": "_disc"}
+_CACHES = ("_elim", "_det", "_snf", "_negation", "_sig", "_even", "_orders", "_disc")
 
 
 def _read(name, lat):
@@ -386,15 +387,27 @@ def _check_caches(lat, order):
             assert getattr(lat, _SLOTS[name]) is None, name
             continue
         assert _read(name, lat) is value, name
-        if name == "form_class":
-            want = discriminant_form(fresh)[0]
-            assert _invariant_factors(value.orders) == _invariant_factors(want.orders)
-            assert (value.Q is None) == (want.Q is None)
+        if name == "discriminant_form" and lat._summands is not None:
+            # a sum presents its form on its summands' generators: the same
+            # group and parity as the Smith form of its whole Gram; each
+            # lift is the class of its own generator, and its class in the
+            # whole Gram's form keeps b and q (a witness of isomorphism)
+            (form, lifts), want = value, discriminant_form(fresh)[0]
+            assert _invariant_factors(form.orders) == want.orders
+            assert (form.Q is None) == (want.Q is None)
+            k = form.ngens
+            for i, row in enumerate(lifts.rows):
+                assert class_of(lat, form, row) == tuple(int(j == i) for j in range(k))
+            images = [class_of(fresh, want, row) for row in lifts.rows]
+            assert form.den == want.den
+            assert [[want._b(x, y) for y in images] for x in images] == [list(r) for r in form.B]
+            if form.Q is not None:
+                assert [want._q(x) for x in images] == list(form.Q)
             # a 2-part that is neither odd nor 2-elementary goes to the
             # backtracking search, which can run for minutes (ROADMAP item 2)
-            if value.den % 2 or _local_class(value, 2) is not None:
-                assert forms_isomorphic(value, want)
-            _same_local_classes(value)
+            if form.den % 2 or _local_class(form, 2) is not None:
+                assert forms_isomorphic(form, want)
+            _same_local_classes(form)
         elif name == "discriminant_form":
             (form, lifts), (want, want_lifts) = value, discriminant_form(fresh)
             assert (form.orders, form.B, form.Q, lifts) == \
@@ -453,7 +466,7 @@ def test_set_starts_with_every_cache_empty():
 
 def test_a_raising_computation_caches_nothing():
     lat = direct_sum([make_named("A", 2), Lattice([[0]])])
-    for name in ("signature", "discriminant_form", "form_class", "elimination"):
+    for name in ("signature", "discriminant_form", "elimination"):
         with pytest.raises(DegenerateForm):
             _READERS[name](lat)
         assert getattr(lat, _SLOTS[name]) is None
@@ -466,7 +479,7 @@ def test_a_raising_computation_caches_nothing():
 def test_a_verify_pass_computes_each_form_and_local_class_once(monkeypatch):
     # verify lambda_p and verify candidates read the same lattices; each
     # form is built once per lattice object and split once per prime
-    calls = {"_discriminant_form": [], "_form_class": [], "_jordan": []}
+    calls = {"_discriminant_form": [], "_jordan": []}
     for name, seen in calls.items():
         real = getattr(discform, name)
 

@@ -374,6 +374,15 @@ def test_k3_verdict_local_condition_fails(expr, p):
     assert not got and "%d-adic" % p in reason
 
 
+def test_k3_verdict_reads_the_length_from_the_invariant_factors():
+    # A1^6 + A2^6 presents its form on 12 generators, one per summand, but
+    # its group (Z/2)^6 + (Z/3)^6 = (Z/6)^6 has length 6
+    trans = from_expression("A1^6 + A2^6")
+    assert discform.discriminant_form(trans)[0].ngens == 12
+    assert verify.k3_association_verdict(trans) == \
+        (False, "complement length 6 exceeds rank 4")
+
+
 def test_k3_verdict_factors_only_where_needed():
     big = (2 ** 31 - 1) * (2 ** 61 - 1)  # no prime factor below 2^16
     # length 1 below the complement rank 19: no prime is examined, so even
