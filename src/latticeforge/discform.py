@@ -6,9 +6,9 @@ given orders, with den = lcm(orders):
     b(e_i, e_j) = B[i][j] / den mod 1,   q(e_i) = Q[i] / den mod 2,
 
 B reduced mod den and Q mod 2 den, so a presentation has exactly one table.
-The constructor takes the integer table; only `q` and `q_of` return
-Fractions.  Lifts of group elements to the dual lattice are integer vectors
-over the same den.  Local invariants are read one prime at a time from one
+The constructor takes the integer table; only `q` returns Fractions.
+Lifts of group elements to the dual lattice are integer vectors over the
+same den.  Local invariants are read one prime at a time from one
 Jordan splitting of the p-part, kept on the form: it gives the mod-8
 Gauss-sum signature (by the oddity formula), Nikulin's local existence
 conditions (from the determinants of its blocks), which with the length
@@ -107,9 +107,6 @@ class FiniteQuadraticForm:
                     if x[j]:
                         acc += 2 * xi * x[j] * row[j]
         return acc % (2 * self.den)
-
-    def q_of(self, x):
-        return Fraction(self._q(x), self.den)
 
     def neg(self):
         return FiniteQuadraticForm(

@@ -61,10 +61,6 @@ class NotIsotropicGraph(NotIsotropic):
     pass
 
 
-class InfeasibleSignature(LatticeForgeError):
-    pass
-
-
 class NotComplementary(LatticeForgeError):
     pass
 

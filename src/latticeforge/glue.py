@@ -18,7 +18,6 @@ from .errors import (
     BadParams,
     DegenerateComplement,
     DimensionMismatch,
-    InfeasibleSignature,
     NotComplementary,
     NotIsotropic,
     NotIsotropicGraph,
@@ -221,30 +220,6 @@ def full_glue(left, right):
     return GlueData(left, right, Matrix.identity(fl.ngens), images)
 
 
-def complement_genus(host_form, host_sig, sub, glue):
-    """Signature and discriminant form of the orthogonal complement of a
-    primitive embedding of `sub` into a host with discriminant form
-    `host_form` and signature `host_sig`.
-
-    `glue` is (subgroup_rows, image_rows): a subgroup of disc(sub) mapped
-    q-preservingly into the host form.
-    """
-    sig = (host_sig[0] - sub.signature[0], host_sig[1] - sub.signature[1])
-    if sig[0] < 0 or sig[1] < 0:
-        raise InfeasibleSignature("complement signature would be negative")
-    fs, _ = discform.discriminant_form(sub)
-    big = fs.neg().direct_sum(host_form)
-    sub_rows, img_rows = glue
-    graph = []
-    for xr, yr in zip(sub_rows.rows, img_rows.rows):
-        x = fs.reduce(xr)
-        y = host_form.reduce(yr)
-        if host_form.q_of(y) != fs.q_of(x):
-            raise NotIsotropic("glue map must preserve quadratic values")
-        graph.append(tuple(x) + tuple(y))
-    return sig, discform.subquotient_form(big, graph)
-
-
 def embedding_glues(fs, fh):
     """Every (generators of H, their images) for a subgroup H of the form
     fs = Z/3 or (Z/3)^2 and an isometric embedding of H into the form fh,
@@ -281,7 +256,18 @@ def embedding_glues(fs, fh):
             yield gens, ims
 
 
-def glue_group(ambient, s1, s2, p=None):
+def complement_forms(fs, fh):
+    """(generators of H, complement form) for every glue of
+    `embedding_glues(fs, fh)`: the form on Gamma^perp / Gamma in -fs + fh,
+    Gamma the graph of the glue, which is the discriminant form of the
+    orthogonal complement of a primitive embedding of a lattice with form fs
+    into one with form fh (Nikulin 1979, Prop. 1.15.1)."""
+    big = fs.neg().direct_sum(fh)
+    for gens, images in embedding_glues(fs, fh):
+        yield gens, discform.subquotient_form(big, [x + y for x, y in zip(gens, images)])
+
+
+def glue_group(ambient, s1, s2):
     """Quotient of the ambient lattice by the direct sum of two orthogonal
     primitive sublattices; returns (orders, a)."""
     if s1.rank + s2.rank != ambient.rank:
@@ -297,7 +283,4 @@ def glue_group(ambient, s1, s2, p=None):
         stacked = s1.basis if s1.rank else s2.basis
     snf = linalg.smith_normal_form(stacked)
     orders = tuple(d for d in snf.divisors if d not in (0, 1))
-    a = len(orders)
-    if p is not None and any(d != p for d in orders):
-        raise NotComplementary("glue group is not p-elementary for p=%d" % p)
-    return orders, a
+    return orders, len(orders)

@@ -345,16 +345,13 @@ def _rho_divisor(n):
 # named lattices
 
 
-def _path_gram(n, forks=()):
-    """Positive definite Gram of a simply-laced diagram: a path on n nodes
-    plus extra edges given as (i, j) pairs."""
+def _path_gram(n):
+    """Positive definite Gram of the path on n nodes."""
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         g[i][i] = 2
     for i in range(n - 1):
         g[i][i + 1] = g[i + 1][i] = -1
-    for i, j in forks:
-        g[i][j] = g[j][i] = -1
     return Matrix(g)
 
 

@@ -6,7 +6,6 @@ from math import gcd
 from operator import mul
 
 from . import catalog, discform, glue, shortvec
-from .errors import InfeasibleSignature
 from .lattice import Lattice, _invariant_factors, from_expression, make_named, rescale
 from .linalg import Matrix
 
@@ -324,14 +323,13 @@ def _u3_embedding(lat):
     lattices in the genus of L: each comes with a subgroup H of disc U(3),
     an isometric embedding gamma of H into A_L, and an even complement K of
     signature sig(L) - (1, 1) whose form is (-q_U(3) + q_L) on
-    Gamma^perp / Gamma, Gamma the graph of gamma (`glue.embedding_glues`,
-    `glue.complement_genus`).  Thm 1.10.1 decides whether K exists
-    (`discform.genus_obstruction`).  No (H, gamma) with a complement proves
-    that L has no primitive U(3).  One with a complement puts a primitive
-    U(3) in some lattice of the genus, which is L when L is even, indefinite
-    and of rank >= l(A_L) + 2, as then L is alone in its genus
-    (Cor. 1.13.3); otherwise, and on an odd L, the check fails as
-    undecided, not as a no.
+    Gamma^perp / Gamma, Gamma the graph of gamma (`glue.complement_forms`).
+    Thm 1.10.1 decides whether K exists (`discform.genus_obstruction`).
+    No (H, gamma) with a complement proves that L has no primitive U(3).
+    One with a complement puts a primitive U(3) in some lattice of the
+    genus, which is L when L is even, indefinite and of rank >= l(A_L) + 2,
+    as then L is alone in its genus (Cor. 1.13.3); otherwise, and on an odd
+    L, the check fails as undecided, not as a no.
     """
     g = lat.gram
     n = lat.rank
@@ -344,11 +342,10 @@ def _u3_embedding(lat):
         return False, "undecided: L is odd and has no direct-summand U(3)"
     if lat.signature[0] < 1 or lat.signature[1] < 1:
         return False, "no primitive U(3): signature %s has no room for (1, 1)" % (lat.signature,)
-    u3 = from_expression("U(3)")
-    fu, _ = discform.discriminant_form(u3)
+    sig = (lat.signature[0] - 1, lat.signature[1] - 1)
+    fu, _ = discform.discriminant_form(from_expression("U(3)"))
     fl, _ = discform.discriminant_form(lat)
-    for gens, images in glue.embedding_glues(fu, fl):
-        sig, form = glue.complement_genus(fl, lat.signature, u3, (Matrix(gens), Matrix(images)))
+    for gens, form in glue.complement_forms(fu, fl):
         if discform.genus_obstruction(sig, form) is None:
             break
     else:
@@ -377,9 +374,10 @@ def _u3_gluings_to(target, other):
     The glued lattice has signature (1, 1) + sig(other), the parity of
     `other`, and discriminant form H^perp / H on disc U(3) + disc other for
     the graph H (Nikulin 1979, Prop. 1.4.1), so no overlattice is built.
-    The graphs of order 3 are those of the line glues of
-    `glue.embedding_glues` into -q_other, which keeps one per line when
-    that form is 3-elementary.
+    The graphs of order 3 are those of the line glues of disc U(3) into
+    -q_other, one per line when that form is 3-elementary.  Their
+    complement forms (`glue.complement_forms`) are read on the same graphs
+    in -(q_U(3) + q_other), so, negated, they are the forms H^perp / H.
     """
     sig = (other.signature[0] + 1, other.signature[1] + 1)
     if target.rank != other.rank + 2 or target.signature != sig \
@@ -388,12 +386,10 @@ def _u3_gluings_to(target, other):
     fu, _ = discform.discriminant_form(from_expression("U(3)"))
     fo, _ = discform.discriminant_form(other)
     ft, _ = discform.discriminant_form(target)
-    big = fu.direct_sum(fo)
-    for gens, images in glue.embedding_glues(fu, fo.neg()):
+    for gens, form in glue.complement_forms(fu, fo.neg()):
         if len(gens) == 2:  # the whole group: graphs of order 9 from here on
             return False
-        graph = [h + y for h, y in zip(gens, images)]
-        if discform.forms_isomorphic(discform.subquotient_form(big, graph), ft):
+        if discform.forms_isomorphic(form.neg(), ft):
             return True
     return False
 
@@ -431,14 +427,13 @@ def _verify_induced_row(row):
           "%s" % (inv.signature,))
     v.add("coinv_signature_pattern", co.signature == (2, co.rank - 2), "%s" % (co.signature,))
 
-    if row.p == 3:
-        cubic = catalog.cubic_row(row.label)
+    cubic = catalog.cubic_row(row.label) if row.p == 3 else None
+    if cubic:
         fg_neg = rescale(from_expression(cubic.coinv), -1)
         v.add("coinv_matches_cubic_coinv_negated", _genus_equal(co, fg_neg),
               "genus comparison with the negated order-3 coinvariant")
     v.add("contains_primitive_u3", *_u3_embedding(inv))
-    if row.p == 3:
-        cubic = catalog.cubic_row(row.label)
+    if cubic:
         neg = Lattice(-cubic.inv_gram)
         v.add("inv_is_u3_glued_with_cubic_inv", _u3_gluings_to(inv, neg),
               "U(3) + negated primitive algebraic lattice reassembles the invariant genus")
@@ -463,22 +458,20 @@ def verify_lsv_table(rows=None):
 
 def a2_complement_candidates(host):
     """Genus candidates (kind, sig, form) for the complement of a primitive
-    A2 inside `host`, one per glue of `glue.embedding_glues`: the glue
+    A2 inside `host`, one per glue of `glue.complement_forms`: the glue
     subgroup is trivial or all of Z/3, with one image per subgroup when the
     3-part of the host form is 3-elementary (Witt's extension theorem over
     F_3) and otherwise every image whose complement form is not isomorphic
     to that of an earlier one.
     """
     a2 = from_expression("A2")
+    sig = (host.signature[0] - a2.signature[0], host.signature[1] - a2.signature[1])
+    if sig[0] < 0 or sig[1] < 0:
+        return []
     fa, _ = discform.discriminant_form(a2)
     fh, _ = discform.discriminant_form(host)
     out = []
-    for gens, images in glue.embedding_glues(fa, fh):
-        try:
-            sig, form = glue.complement_genus(fh, host.signature, a2,
-                                              (Matrix(gens), Matrix(images)))
-        except InfeasibleSignature:
-            return []
+    for gens, form in glue.complement_forms(fa, fh):
         if gens and any(k == "Z/3" and discform.forms_isomorphic(f, form) for k, _, f in out):
             continue
         out.append(("Z/3" if gens else "trivial", sig, form))

@@ -13,9 +13,12 @@ L1-windowed walk of that walker, with its coordinate bounds, a witness
 oracle for the U(3) embedding decision; the saturation of a sublattice and
 the radical of a finite form, references for `saturation_index` and for
 degenerate forms; an injective glue built from the library's one onto
-glue search; and the three glue loops `verify` ran before
+glue search; the three glue loops `verify` ran before
 `glue.embedding_glues` (every U(3) glue, the A2 images in element order, the
-first U(3) graph per quadratic value), references for that enumerator."""
+first U(3) graph per quadratic value), references for that enumerator; the
+U(3) gluing forms read on disc U(3) + disc M, the reference for the negated
+complement forms `verify` reads them from; and the quadratic value of an
+element as a Fraction mod 2, which the library no longer gives."""
 
 import itertools
 import math
@@ -34,9 +37,10 @@ from latticeforge.discform import (
     discriminant_form,
     orthogonal_subgroup,
     solve_congruences,
+    subquotient_form,
 )
 from latticeforge.errors import DegenerateForm, DimensionMismatch, OddLatticeQuadratic
-from latticeforge.glue import GlueData, Sublattice, saturation_index
+from latticeforge.glue import GlueData, Sublattice, embedding_glues, saturation_index
 from latticeforge.lattice import Lattice, _factorization, _invariant_factors
 from latticeforge.linalg import Matrix, SnfResult, SymmetricElimination, integer_kernel
 from latticeforge.shortvec import _flip_to_positive
@@ -758,6 +762,11 @@ def is_nondegenerate(form):
     return not any(any(form.reduce(x)) for x in radical.rows)
 
 
+def q_of(form, x):
+    """q(x) of a finite quadratic form as a Fraction mod 2."""
+    return Fraction(form._q(x), form.den)
+
+
 def u3_glue_maps_oracle(fu, fl):
     """Every (generators of H, their images) for a subgroup H of
     disc U(3) = (Z/3)^2 and an isometric embedding of H into the form fl:
@@ -766,12 +775,12 @@ def u3_glue_maps_oracle(fu, fl):
     isometry, as q(x + y) - q(x) - q(y) = 2 b(x, y).  `verify` enumerated
     the U(3) glues so before `glue.embedding_glues`."""
     # the 3-torsion of Z/o is 0, o/3 and 2o/3
-    torsion = [(y, fl.q_of(y)) for y in itertools.product(
+    torsion = [(y, q_of(fl, y)) for y in itertools.product(
         *[range(0, o, o // 3) if o % 3 == 0 else (0,) for o in fl.orders]) if any(y)]
     for gens in ((), ((1, 0),), ((0, 1),), ((1, 1),), ((1, 2),), ((1, 0), (0, 1))):
-        pools = [[y for y, qy in torsion if qy == fu.q_of(h)] for h in gens]
+        pools = [[y for y, qy in torsion if qy == q_of(fu, h)] for h in gens]
         for images in itertools.product(*pools):
-            if len(images) < 2 or fl.q_of(tuple(map(sum, zip(*images)))) == fu.q_of((1, 1)):
+            if len(images) < 2 or q_of(fl, tuple(map(sum, zip(*images)))) == q_of(fu, (1, 1)):
                 yield gens, images
 
 
@@ -781,7 +790,7 @@ def a2_glue_images_oracle(fh):
     with q = 2/3.  `verify.a2_complement_candidates` took the first one
     before `glue.embedding_glues`."""
     return [y for y in fh.elements()
-            if fh.element_order(y) == 3 and fh.q_of(y) == Fraction(2, 3)]
+            if fh.element_order(y) == 3 and q_of(fh, y) == Fraction(2, 3)]
 
 
 def u3_first_graphs_oracle(fu, fo):
@@ -794,13 +803,23 @@ def u3_first_graphs_oracle(fu, fo):
     first_h = {}  # q(h) -> the first h of order 3 with that value
     for h in fu.elements():
         if fu.element_order(h) == 3:
-            first_h.setdefault(fu.q_of(h), h)
+            first_h.setdefault(q_of(fu, h), h)
     for qh, h in first_h.items():
         for y in fo.elements():
-            if fo.element_order(y) == 3 and (qh + fo.q_of(y)) % 2 == 0:
+            if fo.element_order(y) == 3 and (qh + q_of(fo, y)) % 2 == 0:
                 graphs.append((h + y,))
                 break
     return graphs
+
+
+def u3_glued_forms_oracle(fu, fo):
+    """(generators of H, H^perp / H in fu + fo) for the graph H of every
+    glue of disc U(3) into -fo: the discriminant forms of U(3) glued with a
+    lattice of form fo (Nikulin 1979, Prop. 1.4.1), as
+    `verify._u3_gluings_to` read them before `glue.complement_forms`."""
+    big = fu.direct_sum(fo)
+    return [(gens, subquotient_form(big, [h + y for h, y in zip(gens, images)]))
+            for gens, images in embedding_glues(fu, fo.neg())]
 
 
 def injective_anti_glue(left, right):
@@ -817,7 +836,7 @@ def injective_anti_glue(left, right):
     rel = Matrix.diagonal(fr.orders).rows
     seen = set()
     for y in fr.elements():
-        qy = fr.q_of(y)
+        qy = q_of(fr, y)
         if qy == 0 or qy in seen:
             continue
         seen.add(qy)

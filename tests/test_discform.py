@@ -13,6 +13,7 @@ from conftest import (
     jordan_full_min_oracle,
     jordan_rebuild_oracle,
     local_obstruction_oracle,
+    q_of,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -77,11 +78,11 @@ def test_disc_odd_lattice_has_no_q():
     f, _ = discriminant_form(make_named("[]", 3))
     assert f.q is None
     with pytest.raises(OddLatticeQuadratic):
-        f.q_of((1,))
+        f._q((1,))
 
 
 def _assert_form_matches_lifts(form, lat, lifts, sign=1):
-    """b(x, y) mod 1 and q_of(x) mod 2 on every element equal sign times
+    """b(x, y) mod 1 and q(x) mod 2 on every element equal sign times
     the lifts (integer vectors over form.den) paired through the Gram
     matrix; odd lattices have no q."""
     den2 = form.den ** 2
@@ -90,10 +91,10 @@ def _assert_form_matches_lifts(form, lat, lifts, sign=1):
     for x, vx in vecs.items():
         if lat.is_even():
             want = sign * Fraction(sum(a * b for a, b in zip(vx, gvecs[x])), den2) % 2
-            assert form.q_of(x) == want, x
+            assert q_of(form, x) == want, x
         else:
             with pytest.raises(OddLatticeQuadratic):
-                form.q_of(x)
+                form._q(x)
         for y, gy in gvecs.items():
             want = sign * Fraction(sum(a * b for a, b in zip(vx, gy)), den2) % 1
             assert Fraction(form._b(x, y), form.den) == want, (x, y)

@@ -9,6 +9,7 @@ from conftest import (
     fraction_inverse,
     fraction_to_int,
     injective_anti_glue,
+    q_of,
     saturate,
     u3_first_graphs_oracle,
     u3_glue_maps_oracle,
@@ -34,7 +35,7 @@ from latticeforge.errors import (
 from latticeforge.glue import (
     GlueData,
     Sublattice,
-    complement_genus,
+    complement_forms,
     embedding_glues,
     full_glue,
     glue_group,
@@ -155,37 +156,35 @@ def test_trivial_glue_direct_sum():
     assert ext.lattice.gram == block_diag([U.gram, U.gram])
 
 
-def test_complement_genus_unimodular_host():
+def test_complement_forms_unimodular_host():
+    # A2 in a unimodular host of signature (5, 21): only the trivial glue,
+    # and the complement has the form of the rank-24 genus of signature
+    # (3, 21)
     from latticeforge.discform import TRIVIAL_FORM
 
-    sig, form = complement_genus(TRIVIAL_FORM, (5, 21), A2, (Matrix(()), Matrix(())))
-    assert sig == (3, 21)
+    (gens, form), = complement_forms(FA, TRIVIAL_FORM)
+    assert gens == ()
     og_form, _ = discriminant_form(make_named("OG10"))
     assert forms_isomorphic(form, og_form)
+    assert milgram_signature(form) == (3 - 21) % 8
 
 
-def test_complement_genus_zero_sub():
-    from latticeforge.discform import TRIVIAL_FORM
-
-    zero = Lattice(Matrix(()))
-    host_form, _ = discriminant_form(make_named("OG10"))
-    sig, form = complement_genus(host_form, (3, 21), zero, (Matrix(()), Matrix(())))
-    assert sig == (3, 21)
-    assert forms_isomorphic(form, host_form)
-
-
-def test_complement_genus_signature_and_milgram():
-    # complement of A2 in hosts of the rank-26 table rows: signature adds up
-    # and the output form satisfies the Gauss-sum congruence
+def test_complement_forms_satisfy_milgram():
+    # complements of A2 in hosts of the rank-26 table rows, one per glue:
+    # each form satisfies the Gauss-sum congruence of the signature
+    # sig(host) - sig(A2)
     from latticeforge.catalog import RANK26_PAIRS
 
     for row in RANK26_PAIRS[:6]:
         host = from_expression(row.inv)
         hf, _ = discriminant_form(host)
-        sig, form = complement_genus(hf, host.signature, A2, (Matrix(()), Matrix(())))
-        assert (sig[0] + A2.signature[0], sig[1] + A2.signature[1]) == host.signature
-        if not form.is_trivial():
-            assert milgram_signature(form) == (sig[0] - sig[1]) % 8
+        sig = (host.signature[0] - A2.signature[0], host.signature[1] - A2.signature[1])
+        assert min(sig) >= 0
+        forms = list(complement_forms(FA, hf))
+        assert forms[0][0] == ()
+        for gens, form in forms:
+            if not form.is_trivial():
+                assert milgram_signature(form) == (sig[0] - sig[1]) % 8, (row.inv, gens)
 
 
 def test_glue_group():
@@ -198,7 +197,7 @@ def test_glue_group():
     _, _, ext = isom._canonical_extension()
     lam = ext.lattice
     og_rows, a2_rows = Matrix(ext.old_in_new.rows[:24]), Matrix(ext.old_in_new.rows[24:])
-    orders, a = glue_group(lam, Sublattice(lam, og_rows), Sublattice(lam, a2_rows), p=3)
+    orders, a = glue_group(lam, Sublattice(lam, og_rows), Sublattice(lam, a2_rows))
     assert orders == (3,) and a == 1
 
 
@@ -216,8 +215,8 @@ def test_glue_group_f_decomposition():
     f_lat = ext.lattice
     assert f_lat.signature == (20, 2)
     assert abs(f_lat.det) == 3
-    orders, a = glue_group(f_lat, Sublattice(f_lat, lrows), Sublattice(f_lat, rrows), p=3)
-    assert a == 5
+    orders, a = glue_group(f_lat, Sublattice(f_lat, lrows), Sublattice(f_lat, rrows))
+    assert orders == (3,) * a and a == 5
 
 
 def test_primitive_extension_glues_the_phi21_involution_pair():
@@ -241,7 +240,7 @@ def test_primitive_extension_glues_the_phi21_involution_pair():
     ext, inv_rows, coinv_rows = primitive_extension(GlueData(inv, coinv, lifts, images))
     amb = ext.lattice
     assert amb.rank == 24 and abs(amb.det) == 3 and amb.signature == (3, 21)
-    assert glue_group(amb, Sublattice(amb, inv_rows), Sublattice(amb, coinv_rows), p=2) \
+    assert glue_group(amb, Sublattice(amb, inv_rows), Sublattice(amb, coinv_rows)) \
         == ((2,) * 6, 6)
 
 
@@ -294,7 +293,7 @@ def _by_subgroup(glues, cap=None):
 
 def _complement(fs, fh, gens, images):
     """The form on Gamma^perp / Gamma in -fs + fh, Gamma the graph of the
-    glue, as `complement_genus` builds it."""
+    glue, as `complement_forms` builds it."""
     graph = [tuple(h) + tuple(y) for h, y in zip(gens, images)]
     return subquotient_form(fs.neg().direct_sum(fh), graph)
 
@@ -319,6 +318,23 @@ def test_embedding_glues_match_the_full_enumeration():
             form = _complement(fs, fh, gens, ims[0])
             assert all(forms_isomorphic(_complement(fs, fh, gens, other), form)
                        for other in want[gens][1:]), (fh, gens)
+
+
+def test_embedding_glues_preserve_quadratic_values():
+    # q_fs(h) = q_fh(gamma h) on each generator of H and on their sum, so
+    # every glue is an isometric embedding of H
+    cases = _verify_glue_hosts()
+    cases += [(fs, discriminant_form(from_expression(e))[0]) for e in MIXED_HOSTS for fs in (FA, FU)]
+    seen = 0
+    for fs, fh in cases:
+        for gens, images in embedding_glues(fs, fh):
+            pairs = list(zip(gens, images))
+            if len(pairs) == 2:
+                pairs.append(tuple(tuple(map(sum, zip(*v))) for v in (gens, images)))
+            for h, y in pairs:
+                assert q_of(fs, fs.reduce(h)) == q_of(fh, fh.reduce(y)), (fh, gens, images)
+                seen += 1
+    assert seen > 0
 
 
 def test_embedding_glues_reach_the_first_graph_per_quadratic_value():

@@ -10,6 +10,8 @@ with a called one, such as a second `to_json` beside `VerdictReport.to_json`,
 passes unseen.  The parts of Nikulin's genus-existence test are named only
 in `discform`, so every other module asks `discform.genus_obstruction` or,
 with the signature congruence given, `discform.length_or_local_obstruction`.
+The parts of his complement step are named only in `discform` and `glue`,
+so every other module reads complement forms from `glue.complement_forms`.
 """
 
 import ast
@@ -26,6 +28,10 @@ RESERVED = {}
 # the readers of one condition of Nikulin (1979, Thm 1.10.1) each, which
 # only `discform` puts together
 GENUS_PARTS = {"local_obstruction", "milgram_signature"}
+
+# the glue enumerator and the subquotient of Nikulin (1979, Prop. 1.15.1),
+# which only `glue.complement_forms` puts together
+COMPLEMENT_PARTS = {"embedding_glues", "subquotient_form"}
 
 
 def _program_files():
@@ -65,9 +71,18 @@ def test_every_public_function_has_a_caller():
     assert {name for _, _, name in uncalled} == set(RESERVED), uncalled
 
 
+def _named_outside(parts, owners):
+    """(file, line, name) of every name in `parts` in a package module not
+    in `owners`."""
+    return [(path.name, line, name)
+            for path in sorted((ROOT / "src" / "latticeforge").glob("*.py"))
+            if path.name not in owners
+            for name, line in _names(path.read_text()) if name in parts]
+
+
 def test_only_discform_names_the_parts_of_the_genus_test():
-    named = [(path.name, line, name)
-             for path in sorted((ROOT / "src" / "latticeforge").glob("*.py"))
-             if path.name != "discform.py"
-             for name, line in _names(path.read_text()) if name in GENUS_PARTS]
-    assert named == []
+    assert _named_outside(GENUS_PARTS, {"discform.py"}) == []
+
+
+def test_only_discform_and_glue_name_the_parts_of_the_complement_step():
+    assert _named_outside(COMPLEMENT_PARTS, {"discform.py", "glue.py"}) == []

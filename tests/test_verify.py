@@ -20,6 +20,7 @@ from conftest import (
     injective_anti_glue,
     u3_candidates_oracle,
     u3_first_graphs_oracle,
+    u3_glued_forms_oracle,
 )
 
 from latticeforge import catalog, discform, glue, linalg, shortvec, verify
@@ -660,8 +661,8 @@ def test_induced_pair_reassembles_rank24_genus():
     f1, _ = discriminant_form(amb)
     f2, _ = discriminant_form(og)
     assert forms_isomorphic(f1, f2)
-    orders, a = glue_group(amb, Sublattice(amb, invrows), Sublattice(amb, corows), p=3)
-    assert a == 7
+    orders, a = glue_group(amb, Sublattice(amb, invrows), Sublattice(amb, corows))
+    assert orders == (3,) * a and a == 7
     assert a <= coinv.rank // 2  # prime-order glue bound at p = 3
 
 
@@ -714,6 +715,18 @@ def test_u3_gluings_on_forms_match_explicit_overlattices():
     # the certificate and the four diagonal pairs glue; some mismatches do not
     assert got[0] and all(got[1 + 5 * i] for i in range(4))
     assert not all(got) and any(got[17:])
+
+
+def test_u3_gluing_forms_are_negated_complement_forms():
+    # the negated complement of U(3) in -q_other has, table for table, the
+    # form of U(3) glued with other, read on disc U(3) + disc other
+    fu, _ = discform.discriminant_form(rescale(make_named("U"), 3))
+    for _, other in _u3_pairs():
+        fo, _ = discform.discriminant_form(other)
+        got = [(gens, form.neg()) for gens, form in glue.complement_forms(fu, fo.neg())]
+        want = u3_glued_forms_oracle(fu, fo)
+        assert [gens for gens, _ in got] == [gens for gens, _ in want]
+        assert [(f.orders, f.B, f.Q) for _, f in got] == [(f.orders, f.B, f.Q) for _, f in want]
 
 
 # ---------------------------------------------------------------------------
