@@ -35,15 +35,6 @@ def resolve_lattice(ref):
     return from_expression(ref)
 
 
-# bounded like the expression parser's cache, which holds the sums themselves
-@functools.lru_cache(maxsize=256)
-def _smith_form(gram):
-    """The discriminant form on the Smith generators of `gram`, that of a
-    lattice with no summands; kept without the Smith form, so a repeated
-    `info` on a sum reuses it."""
-    return discform.discriminant_form(Lattice(gram))[0]
-
-
 def load_isometry(path):
     with open(path) as fh:
         data = json.load(fh)
@@ -73,7 +64,7 @@ def _print(data, fmt, text_fn):
 def cmd_info(args):
     lat = resolve_lattice(args.lattice)
     # disc_q has one value per invariant factor, so not a sum's summand form
-    form = discform.discriminant_form(lat)[0] if lat._summands is None else _smith_form(lat.gram)
+    form = discform.smith_form(lat)
     inv = invariants(lat)
     data = {
         "name": lat.label or args.lattice,
@@ -182,7 +173,7 @@ def cmd_isom(args):
         pair = isom.invariant_coinvariant(f)
         sl = pair.invariant if sub == "invariant" else pair.coinvariant
         data = {"rank": sl.rank, "basis": [list(r) for r in sl.basis.rows],
-                "gram": [list(r) for r in sl.gram().rows], "glue_a": pair.glue_a}
+                "gram": [list(r) for r in sl.gram().rows], "glue_a": len(pair.glue_orders)}
         _print(data, args.format, lambda: json.dumps(data))
     else:  # extend-lambda; argparse rejects any other action
         ext = isom.extend_to_lambda(f)

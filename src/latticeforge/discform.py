@@ -7,9 +7,9 @@ given orders, with den = lcm(orders):
 
 B reduced mod den and Q mod 2 den, so a presentation has exactly one table.
 The constructor takes the integer table; only `q` returns Fractions.
-Lifts of group elements to the dual lattice are integer vectors over the
-same den.  Local invariants are read one prime at a time from one
-Jordan splitting of the p-part, kept on the form: it gives the mod-8
+Lifts of group elements to the dual lattice (`element_lift`) are integer
+vectors over the same den.  Local invariants are read one prime at a time
+from one Jordan splitting of the p-part, kept on the form: it gives the mod-8
 Gauss-sum signature (by the oddity formula), Nikulin's local existence
 conditions (from the determinants of its blocks), which with the length
 make his existence test (`genus_obstruction`), and decides isomorphism of
@@ -147,15 +147,14 @@ TRIVIAL_FORM = FiniteQuadraticForm((), (), ())
 def discriminant_form(lat):
     """Discriminant group of a lattice with its torsion forms.
 
-    Returns (form, lifts) where row i of the integer matrix `lifts`, over
-    form.den, is a dual vector in the lattice basis representing generator i
-    of the dual quotient.  Quadratic values are attached when the lattice is
-    even.  A direct sum gives the orthogonal sum of its summands' pairs (the
-    dual of L1 + L2 is L1* + L2*), so no Smith form of its whole Gram matrix
-    runs; any other lattice gives the pair read off the Smith form of its
-    Gram matrix.  A degenerate lattice raises DegenerateForm: its dual
-    quotient is infinite.  The pair is computed once per lattice object and
-    kept on it, so every caller shares it.
+    Quadratic values are attached when the lattice is even.  A direct sum
+    gives the orthogonal sum of its summands' forms (the dual of L1 + L2 is
+    L1* + L2*), so no Smith form of its whole Gram matrix runs; any other
+    lattice gives the form on its Smith generators, `smith_form(lat)`.  A
+    degenerate lattice raises DegenerateForm: its dual quotient is
+    infinite.  The form is computed once per lattice object and kept on it,
+    so every caller shares it; `element_lift` and `class_of` map its group
+    to the dual lattice and back.
     """
     if lat._disc is None:
         lat._disc = _discriminant_form(lat)
@@ -163,27 +162,53 @@ def discriminant_form(lat):
 
 
 def _discriminant_form(lat):
-    """The (form, lifts) of `discriminant_form`."""
-    if lat._summands is not None:
-        return _sum_form(lat)
-    if lat.rank == 0:
-        return TRIVIAL_FORM, Matrix(())
-    snf = lat.snf()
-    divisors = snf.divisors
+    """The form of `discriminant_form`, computed."""
+    if lat._summands is None:
+        return _smith_form(lat)
+    # the orthogonal sum of the summands' forms; a unimodular summand has
+    # the trivial form and is skipped
+    form = TRIVIAL_FORM
+    for s in lat._summands:
+        if abs(s.det) != 1:
+            f = discriminant_form(s)
+            form = f if form.is_trivial() else form.direct_sum(f)
+    # an odd unimodular summand leaves no trace in the forms but makes the
+    # sum odd, and an odd lattice carries no quadratic form
+    if not form.is_trivial() and form.Q is not None and not lat.is_even():
+        form = form.bilinear()
+    return form
+
+
+def _smith_generators(lat):
+    """(index, order) of each Smith column of the Gram matrix of `lat` whose
+    divisor is neither 0 nor 1: column i of v over d_i is a generator of the
+    dual quotient.  A zero divisor raises DegenerateForm."""
+    divisors = lat.snf().divisors
     if 0 in divisors:
         raise DegenerateForm("degenerate form")
-    orders = []
-    cols = []
-    for i, d in enumerate(divisors):
-        if d not in (0, 1):
-            orders.append(d)
-            cols.append(snf.v.col(i))
-    if not orders:
-        return TRIVIAL_FORM, Matrix(())
+    return [(i, d) for i, d in enumerate(divisors) if d != 1]
+
+
+def smith_form(lat):
+    """The discriminant form on the Smith generators of the Gram matrix of
+    `lat` itself, a direct sum's included: one generator per invariant
+    factor.  A trivial group gives TRIVIAL_FORM, with its empty q, on an odd
+    lattice too.  A lattice that is no sum has it as its discriminant form,
+    kept on it; a sum's is read off its cached `lat.snf()` on each call."""
+    return discriminant_form(lat) if lat._summands is None else _smith_form(lat)
+
+
+def _smith_form(lat):
+    """The form of `smith_form`, computed from `lat.snf()`."""
+    gens = _smith_generators(lat)
+    if not gens:
+        return TRIVIAL_FORM
+    v = lat.snf().v
+    orders = [d for _, d in gens]
+    cols = [v.col(i) for i, _ in gens]
     den = math.lcm(*orders)
     # generator i is c_i / d_i with c_i = cols[i]; c_i.G.c_j / (d_i d_j) has
     # denominator dividing d_i, so scaling by den = lcm(orders) is exact
-    lifts = Matrix(tuple(tuple(den // d * c for c in col) for col, d in zip(cols, orders)))
     k = len(orders)
     B = [[0] * k for _ in range(k)]
     Q = [0] * k
@@ -193,55 +218,45 @@ def _discriminant_form(lat):
             dot = sum(map(mul, cols[j], gc))
             B[i][j] = B[j][i] = dot * den // (orders[i] * orders[j])
         Q[i] = B[i][i]
-    return FiniteQuadraticForm(orders, B, Q if lat.is_even() else None), lifts
+    return FiniteQuadraticForm(orders, B, Q if lat.is_even() else None)
 
 
-def _sum_form(lat):
-    """The (form, lifts) of a direct sum: the orthogonal sum of the
-    summands' forms, each summand's lifts scaled to the sum's den and
-    padded with zeros to its block of coordinates.  A unimodular summand
-    has the trivial form and is skipped."""
-    form, parts, offset = TRIVIAL_FORM, [], 0
-    for s in lat._summands:
-        if abs(s.det) != 1:
-            f, lifts = discriminant_form(s)
-            form = f if form.is_trivial() else form.direct_sum(f)
-            parts.append((offset, f.den, lifts))
-        offset += s.rank
-    if form.is_trivial():
-        return TRIVIAL_FORM, Matrix(())
-    # an odd unimodular summand leaves no trace in the forms but makes the
-    # sum odd, and an odd lattice carries no quadratic form
-    if form.Q is not None and not lat.is_even():
-        form = form.bilinear()
-    rows = []
-    for start, den, lifts in parts:
-        scale = form.den // den
-        head, tail = (0,) * start, (0,) * (lat.rank - start - lifts.ncols)
-        rows += [head + tuple(scale * x for x in row) + tail for row in lifts.rows]
-    return form, Matrix(rows)
-
-
-def element_lift(lifts, x):
-    """Integer lattice-coordinate vector that, over the den of the form,
-    represents group element x."""
-    n = lifts.ncols
-    out = [0] * n
-    for coeff, row in zip(x, lifts.rows):
-        if coeff:
-            for j in range(n):
-                out[j] += coeff * row[j]
+def element_lift(lat, x):
+    """An integer lattice-coordinate vector v with v / den in the dual
+    lattice of class x, den that of `discriminant_form(lat)`; `class_of`
+    is its inverse.  A direct sum lifts each summand's block of x, scaled to
+    its den, onto that summand's coordinates, with zeros on a unimodular
+    summand; any other lattice sums the Smith columns, each read once."""
+    den = discriminant_form(lat).den
+    out = [0] * lat.rank
+    if lat._summands is not None:
+        start = at = 0
+        for s in lat._summands:
+            if abs(s.det) != 1:
+                f = discriminant_form(s)
+                step = den // f.den
+                block = element_lift(s, x[at:at + f.ngens])
+                out[start:start + s.rank] = [step * c for c in block]
+                at += f.ngens
+            start += s.rank
+        return tuple(out)
+    v = lat.snf().v
+    for c, (i, d) in zip(x, _smith_generators(lat)):
+        if c:
+            c *= den // d
+            out = [o + c * r[i] for o, r in zip(out, v.rows)]
     return tuple(out)
 
 
-def class_of(lat, form, vec):
-    """Class of the dual vector vec / form.den (vec an integer vector, like
-    the lifts of `discriminant_form`) in `form` = `discriminant_form(lat)[0]`;
-    a vector outside the dual lattice raises DegenerateForm.  A direct sum
-    reads each summand's block over that summand's den.  Otherwise, with
-    u G v = d, the coordinates w = v^-1 vec / den of a dual vector have
-    d_i w_i integral, and d_i w_i mod d_i is its coefficient on generator
-    i."""
+def class_of(lat, vec):
+    """Class in `discriminant_form(lat)` of the dual vector vec / den, vec
+    an integer vector over the den of that form, like those of
+    `element_lift`; a vector outside the dual lattice raises DegenerateForm.
+    A direct sum reads each summand's block over that summand's den.
+    Otherwise, with u G v = d, the coordinates w = v^-1 vec / den of a dual
+    vector have d_i w_i integral, and d_i w_i mod d_i is its coefficient on
+    generator i."""
+    form = discriminant_form(lat)
     if form.is_trivial():
         return ()
     den = form.den
@@ -250,11 +265,12 @@ def class_of(lat, form, vec):
         start = 0
         for s in lat._summands:
             block, start = vec[start:start + s.rank], start + s.rank
-            f = TRIVIAL_FORM if abs(s.det) == 1 else discriminant_form(s)[0]
-            step = den // f.den
+            unimodular = abs(s.det) == 1
+            step = den if unimodular else den // discriminant_form(s).den
             if any(x % step for x in block):
                 raise DegenerateForm("vector is not in the dual lattice")
-            coeffs += class_of(s, f, [x // step for x in block])
+            if not unimodular:
+                coeffs += class_of(s, [x // step for x in block])
         return tuple(coeffs)
     snf = lat.snf()
     for d, w in zip(snf.divisors, snf.v_inv.apply(vec)):

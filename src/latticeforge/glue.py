@@ -10,7 +10,7 @@ stable.
 import copy
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from . import discform, linalg
@@ -22,7 +22,7 @@ from .errors import (
     NotIsotropic,
     NotIsotropicGraph,
 )
-from .lattice import Lattice
+from .lattice import Lattice, direct_sum
 from .linalg import Matrix
 
 
@@ -173,25 +173,17 @@ def primitive_extension(g, require_even=None, label=None):
     factors into the extension.  Raises NotIsotropicGraph when the glue
     violates integrality.
     """
-    left, right = g.left, g.right
-    fl, ll = discform.discriminant_form(left)
-    fr, lr = discform.discriminant_form(right)
-    amb = Lattice(linalg.block_diag([left.gram, right.gram]))
-    nl = left.rank
-    # both lifts over one denominator
-    den = lcm(fl.den, fr.den)
-    sl, sr = den // fl.den, den // fr.den
-    rows = []
-    for xrow, yrow in zip(g.subgroup.rows, g.images.rows):
-        vx = discform.element_lift(ll, fl.reduce(xrow))
-        vy = discform.element_lift(lr, fr.reduce(yrow))
-        rows.append(tuple(sl * x for x in vx) + tuple(sr * y for y in vy))
+    # the form of left + right is that of left beside that of right
+    amb = direct_sum([g.left, g.right])
+    form = discform.discriminant_form(amb)
+    rows = [discform.element_lift(amb, form.reduce(x + y))
+            for x, y in zip(g.subgroup.rows, g.images.rows)]
     try:
-        ext = overlattice(amb, rows, den, require_even=require_even, label=label)
+        ext = overlattice(amb, rows, form.den, require_even=require_even, label=label)
     except NotIsotropic as e:
         raise NotIsotropicGraph(str(e)) from e
-    left_rows = Matrix(ext.old_in_new.rows[:nl])
-    right_rows = Matrix(ext.old_in_new.rows[nl:])
+    left_rows = Matrix(ext.old_in_new.rows[:g.left.rank])
+    right_rows = Matrix(ext.old_in_new.rows[g.left.rank:])
     return ext, left_rows, right_rows
 
 
@@ -206,8 +198,8 @@ def full_glue(left, right):
     q(img) + q(x) integral.  This is the standard glue for complements
     inside a unimodular lattice.  Both searches need b anti-preserved, so
     forms whose b parts are not anti-isometric return None unsearched."""
-    fl, _ = discform.discriminant_form(left)
-    fr, _ = discform.discriminant_form(right)
+    fl = discform.discriminant_form(left)
+    fr = discform.discriminant_form(right)
     if not discform.forms_isomorphic(fl.bilinear(), fr.bilinear().neg()):
         return None
     images = None
@@ -269,7 +261,7 @@ def complement_forms(fs, fh):
 
 def glue_group(ambient, s1, s2):
     """Quotient of the ambient lattice by the direct sum of two orthogonal
-    primitive sublattices; returns (orders, a)."""
+    primitive sublattices, as its invariant factors."""
     if s1.rank + s2.rank != ambient.rank:
         raise NotComplementary("ranks do not sum to the ambient rank")
     for v in s1.basis.rows:
@@ -282,5 +274,4 @@ def glue_group(ambient, s1, s2):
     else:
         stacked = s1.basis if s1.rank else s2.basis
     snf = linalg.smith_normal_form(stacked)
-    orders = tuple(d for d in snf.divisors if d not in (0, 1))
-    return orders, len(orders)
+    return tuple(d for d in snf.divisors if d not in (0, 1))

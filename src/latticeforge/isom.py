@@ -75,7 +75,6 @@ class InvariantPair:
     invariant: glue.Sublattice
     coinvariant: glue.Sublattice
     glue_orders: tuple
-    glue_a: int
 
     @property
     def ambient(self):
@@ -102,8 +101,7 @@ def invariant_coinvariant(f):
     if inv.rank and inv.lattice().det == 0:
         raise DegenerateForm("the fixed lattice of the isometry is degenerate")
     coinv = glue.orthogonal_complement(inv)
-    orders, a = glue.glue_group(f.lattice, inv, coinv)
-    return InvariantPair(inv, coinv, orders, a)
+    return InvariantPair(inv, coinv, glue.glue_group(f.lattice, inv, coinv))
 
 
 def discriminant_action(f):
@@ -112,19 +110,17 @@ def discriminant_action(f):
     Returns (kind, images) with kind one of 'id', '-id', 'other'; images is
     the matrix of generator images in generator coordinates.
     """
-    form, lifts = discform.discriminant_form(f.lattice)
+    lat = f.lattice
+    form = discform.discriminant_form(lat)
     if form.is_trivial():
         return "id", Matrix(())
-    images = []
-    for row in lifts.rows:
-        img = f.matrix.apply(row)
-        images.append(discform.class_of(f.lattice, form, img))
-    images = Matrix(images)
-    k = form.ngens
-    if all(form.reduce(images.row(i)) == tuple(1 if j == i else 0 for j in range(k)) for i in range(k)):
+    # class_of gives reduced coordinates, so the rows compare as they are
+    units = Matrix.identity(form.ngens).rows
+    images = Matrix([discform.class_of(lat, f.apply(discform.element_lift(lat, e)))
+                     for e in units])
+    if images.rows == units:
         return "id", images
-    if all(form.reduce(images.row(i)) == form.reduce(tuple(-1 if j == i else 0 for j in range(k)))
-           for i in range(k)):
+    if images.rows == tuple(form.reduce([-c for c in e]) for e in units):
         return "-id", images
     return "other", images
 

@@ -31,11 +31,12 @@ class Lattice:
 
     A lattice built by `direct_sum` keeps its summands and reads its
     determinant, signature (Sylvester's law of inertia), discriminant group
-    and discriminant form from theirs.
+    and discriminant form from theirs; only `discform.smith_form` asks for
+    the Smith form of its whole Gram matrix.
 
     Every invariant is computed once, when it is first read, and kept in a
     slot: the elimination `_elim`, `_det`, the Smith form `_snf`, `_sig`,
-    `_even`, the invariant factors `_orders` and the (form, lifts) of
+    `_even`, the invariant factors `_orders` and the form of
     `discform.discriminant_form` in `_disc`.  A computation that raises
     caches nothing.  `_negation`, the lattice of Gram matrix -G, is built
     once by the vector enumeration of a negative definite lattice and kept
@@ -162,7 +163,10 @@ class Lattice:
     def from_json(cls, data):
         if not isinstance(data, dict) or "gram" not in data:
             raise BadInput('lattice JSON needs a "gram" entry')
-        return cls(matrix_from_json(data["gram"], "Gram matrix"), data.get("name"))
+        name = data.get("name")
+        if name is not None and not isinstance(name, str):
+            raise BadInput('lattice JSON "name" must be a string, not %s' % json.dumps(name))
+        return cls(matrix_from_json(data["gram"], "Gram matrix"), name)
 
 
 def matrix_from_json(data, what):
@@ -246,7 +250,7 @@ def invariants(lat):
     if lat.is_even() and (not orders or p_elem and p_elem[0] == 2):
         from .discform import delta_invariant, discriminant_form
 
-        delta = delta_invariant(discriminant_form(lat)[0])
+        delta = delta_invariant(discriminant_form(lat))
     return LatticeInvariants(
         rank=lat.rank,
         signature=lat.signature,

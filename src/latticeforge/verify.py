@@ -100,8 +100,8 @@ def _verify_rank26_row(row):
     v.add("inv_p_elementary", all(d == p for d in oi) and len(oi) == row.a,
           "(Z/%d)^%d vs a=%d" % (p, len(oi), row.a))
     v.add("glue_bound", row.a <= co.rank // (p - 1), "a=%d, m=%d" % (row.a, co.rank // (p - 1)))
-    fi, _ = discform.discriminant_form(inv)
-    fc, _ = discform.discriminant_form(co)
+    fi = discform.discriminant_form(inv)
+    fc = discform.discriminant_form(co)
     v.add("disc_anti_isometry", discform.forms_isomorphic(fi, fc.neg()),
           "disc(inv) vs -disc(coinv)")
     return v
@@ -129,8 +129,8 @@ def _middle_cohomology_checks(v, alg, trans, perp):
     lattice has signature 0 mod 8.  eta-perp in H4 has disc Z/3: there a
     norm-2 v has divisibility 1, and a norm-6 v divisibility 3 iff v = 3w -+
     eta with w in A, w^2 = 1, (w, eta) = +-1 (Hassett's K_6 and K_2)."""
-    fa, _ = discform.discriminant_form(alg)
-    ft, _ = discform.discriminant_form(trans)
+    fa = discform.discriminant_form(alg)
+    ft = discform.discriminant_form(trans)
     if not discform.forms_isomorphic(fa.bilinear(), ft.bilinear().neg()):
         v.add("middle_cohomology_glue", False, "no glue map found")
         return False
@@ -288,7 +288,7 @@ def k3_association_verdict(trans):
     sig = (3 - t_minus, 19 - t_plus)
     if sig[0] < 0 or sig[1] < 0:
         return False, "signature %s does not fit" % ((t_minus, t_plus),)
-    ft, _ = discform.discriminant_form(trans)
+    ft = discform.discriminant_form(trans)
     bad = discform.length_or_local_obstruction(sig, ft)
     if bad is None:
         return True, "an even complement of signature %s exists" % (sig,)
@@ -343,8 +343,8 @@ def _u3_embedding(lat):
     if lat.signature[0] < 1 or lat.signature[1] < 1:
         return False, "no primitive U(3): signature %s has no room for (1, 1)" % (lat.signature,)
     sig = (lat.signature[0] - 1, lat.signature[1] - 1)
-    fu, _ = discform.discriminant_form(from_expression("U(3)"))
-    fl, _ = discform.discriminant_form(lat)
+    fu = discform.discriminant_form(from_expression("U(3)"))
+    fl = discform.discriminant_form(lat)
     for gens, form in glue.complement_forms(fu, fl):
         if discform.genus_obstruction(sig, form) is None:
             break
@@ -363,8 +363,8 @@ def _genus_equal(l1, l2):
     if l1.rank != l2.rank or l1.signature != l2.signature or l1.is_even() != l2.is_even() \
             or l1.disc_group_orders() != l2.disc_group_orders():
         return False
-    return discform.forms_isomorphic(discform.discriminant_form(l1)[0],
-                                     discform.discriminant_form(l2)[0])
+    return discform.forms_isomorphic(discform.discriminant_form(l1),
+                                     discform.discriminant_form(l2))
 
 
 def _u3_gluings_to(target, other):
@@ -383,9 +383,9 @@ def _u3_gluings_to(target, other):
     if target.rank != other.rank + 2 or target.signature != sig \
             or target.is_even() != other.is_even():
         return False
-    fu, _ = discform.discriminant_form(from_expression("U(3)"))
-    fo, _ = discform.discriminant_form(other)
-    ft, _ = discform.discriminant_form(target)
+    fu = discform.discriminant_form(from_expression("U(3)"))
+    fo = discform.discriminant_form(other)
+    ft = discform.discriminant_form(target)
     for gens, form in glue.complement_forms(fu, fo.neg()):
         if len(gens) == 2:  # the whole group: graphs of order 9 from here on
             return False
@@ -468,8 +468,8 @@ def a2_complement_candidates(host):
     sig = (host.signature[0] - a2.signature[0], host.signature[1] - a2.signature[1])
     if sig[0] < 0 or sig[1] < 0:
         return []
-    fa, _ = discform.discriminant_form(a2)
-    fh, _ = discform.discriminant_form(host)
+    fa = discform.discriminant_form(a2)
+    fh = discform.discriminant_form(host)
     out = []
     for gens, form in glue.complement_forms(fa, fh):
         if gens and any(k == "Z/3" and discform.forms_isomorphic(f, form) for k, _, f in out):
@@ -509,7 +509,7 @@ def derive_og10_order3_candidates():
                   "rank-26 rows with the induced coinvariant genus: %s (need exactly one)"
                   % (", ".join(labels) or "none"))
         else:
-            ft, _ = discform.discriminant_form(target)
+            ft = discform.discriminant_form(target)
             hit = any(sig == target.signature and discform.forms_isomorphic(form, ft)
                       for _kind, sig, form in candidates[labels[0]])
             v.add("induced_inv_among_candidates", hit, "row %s of the rank-26 table" % labels[0])

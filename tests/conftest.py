@@ -831,8 +831,8 @@ def injective_anti_glue(left, right):
     every choice when disc(right) is p-elementary with p odd (Witt's
     extension theorem over F_p).
     """
-    fl, _ = discriminant_form(left)
-    fr, _ = discriminant_form(right)
+    fl = discriminant_form(left)
+    fr = discriminant_form(right)
     rel = Matrix.diagonal(fr.orders).rows
     seen = set()
     for y in fr.elements():

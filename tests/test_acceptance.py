@@ -5,8 +5,10 @@ budgets are asserted with wall-clock checks.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import bareiss_det, box_count, box_minimum
 
@@ -38,7 +40,7 @@ def _timed(budget):
 def test_criterion_01_discriminant_of_rank24_lattice():
     done = _timed(1.0)
     og = make_named("OG10")
-    form, _ = discriminant_form(og)
+    form = discriminant_form(og)
     assert form.orders == (3,)
     assert form.q == (Fraction(4, 3),)
     t = done("criterion 1")
@@ -51,8 +53,8 @@ def test_criterion_02_genus_vs_isometry_example():
     ua = direct_sum([make_named("U"), exa])
     ub = direct_sum([make_named("U"), exb])
     assert ua.signature == ub.signature
-    fa, _ = discriminant_form(ua)
-    fb, _ = discriminant_form(ub)
+    fa = discriminant_form(ua)
+    fb = discriminant_form(ub)
     assert forms_isomorphic(fa, fb)
     assert box_minimum(exa, 5) == 2 and min(nv for _v, nv in short_vectors(exa, 4)) == 2
     assert box_minimum(exb, 5) == 4 and min(nv for _v, nv in short_vectors(exb, 4)) == 4
@@ -178,15 +180,15 @@ def test_criterion_10_property_suites():
                  "h5", "h13", "E6*(3)", "L17", "N69", "N15", "ExA", "ExB",
                  "OG10", "Lambda", "F", "K3", "U(3)"):
         lat = from_expression(expr)
-        f, _ = discriminant_form(lat)
+        f = discriminant_form(lat)
         sp, sm = lat.signature
         assert milgram_signature(f) == (sp - sm) % 8, expr
     # overlattice determinant identity, the index read from the Hermite form
     from latticeforge.lattice import rescale
 
     pair = direct_sum([make_named("A", 2), rescale(make_named("A", 2), -1)])
-    fp, lifts = discriminant_form(pair)
-    ext = overlattice(pair, [element_lift(lifts, (1, 1))], fp.den)
+    fp = discriminant_form(pair)
+    ext = overlattice(pair, [element_lift(pair, (1, 1))], fp.den)
     idx = ext.index
     assert abs(ext.lattice.det) * idx * idx == abs(pair.det)
     # prime-order glue bound on generated isometries: delegated module test
@@ -201,3 +203,12 @@ def test_criterion_10_property_suites():
     t = done("criterion 10")
     print("criterion 10: PASS - round trips, Gauss-sum congruences, overlattice "
           "determinants, glue bounds, enumeration oracle (%.1fs)" % t)
+
+
+def test_readme_library_example_runs():
+    # the README's only Python block, run as a reader would paste it
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert "discriminant_form" in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -73,15 +73,26 @@ def test_info_runs_one_smith_form_per_gram(capsys, monkeypatch, expr, grams):
 
     monkeypatch.setattr(linalg, "smith_normal_form", counting)
     from_expression.cache_clear()
-    cli._smith_form.cache_clear()
     try:
         for _ in range(2):
             code, out, _ = run(capsys, "--format", "json", "info", expr)
             assert code == 0 and json.loads(out)["disc_q"]
     finally:
         from_expression.cache_clear()
-        cli._smith_form.cache_clear()
     assert len(seen) == len(set(seen)) == grams
+
+
+@pytest.mark.parametrize("expr,parity,disc_q", [
+    ("[1]", "odd", []), ("[-1]^2", "odd", []), ("[-1] + U", "odd", []),
+    ("E8", "even", []), ("U", "even", []),
+    ("[3]", "odd", None), ("[1] + A2", "odd", None),
+])
+def test_info_disc_q_of_trivial_and_odd_groups(capsys, expr, parity, disc_q):
+    # a trivial group prints its empty q on an odd lattice too; an odd
+    # lattice with a nontrivial group has no q and prints null
+    code, out, _ = run(capsys, "--format", "json", "info", expr)
+    data = json.loads(out)
+    assert code == 0 and (data["parity"], data["disc_q"]) == (parity, disc_q)
 
 
 def test_info_unknown_exit_2(capsys):
@@ -205,7 +216,7 @@ from latticeforge import catalog, discform
 
 catalog.fixture_lattices()
 setup = sorted(set(ran))
-form = discform.discriminant_form(catalog.fixture_lattices()["FG_phi37"])[0]
+form = discform.discriminant_form(catalog.fixture_lattices()["FG_phi37"])
 discform.forms_isomorphic(form, form.neg())
 sys.setprofile(None)
 print(json.dumps({"setup": setup, "probe": sorted(set(ran))}))
@@ -387,6 +398,21 @@ def test_info_malformed_gram_exit_2(capsys, tmp_path, gram):
     path.write_text(json.dumps({"gram": gram}))
     code, out, err = run(capsys, "info", str(path))
     assert code == 2 and out == "" and "Gram matrix" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [{"a": 1}, 5, ["A2"], True],
+                         ids=["object", "number", "list", "bool"])
+def test_lattice_file_with_a_non_string_name_exit_2(capsys, tmp_path, name):
+    # the name becomes the label that `info` prints and a direct sum joins
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"gram": [[2]], "name": name}))
+    iso = tmp_path / "iso.json"
+    iso.write_text(json.dumps({"lattice": {"gram": [[2]], "name": name}, "matrix": [[1]]}))
+    for argv in (["--format", "csv", "info", str(path)], ["glue", str(path), "A2", "--trivial"],
+                 ["isom", "order", str(iso)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert '"name" must be a string' in err and "Traceback" not in err, argv
 
 
 @pytest.mark.parametrize("data", [

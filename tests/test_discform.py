@@ -53,40 +53,41 @@ A2 = make_named("A", 2)
 
 
 def test_disc_a2():
-    f, lifts = discriminant_form(A2)
+    f = discriminant_form(A2)
     assert f.orders == (3,)
     assert f.q == (Fraction(2, 3),)
 
 
 def test_disc_unimodular_trivial():
-    f, _ = discriminant_form(make_named("U"))
+    f = discriminant_form(make_named("U"))
     assert f.is_trivial()
-    f, _ = discriminant_form(make_named("E", 8))
+    f = discriminant_form(make_named("E", 8))
     assert f.is_trivial()
 
 
 def test_disc_og10():
-    f, lifts = discriminant_form(make_named("OG10"))
+    og = make_named("OG10")
+    f = discriminant_form(og)
     assert f.orders == (3,)
     assert f.q == (Fraction(4, 3),)
     # the generator lift lands in the A2(-1) tail
-    lift = element_lift(lifts, (1,))
+    lift = element_lift(og, (1,))
     assert all(x == 0 for x in lift[:22])
 
 
 def test_disc_odd_lattice_has_no_q():
-    f, _ = discriminant_form(make_named("[]", 3))
+    f = discriminant_form(make_named("[]", 3))
     assert f.q is None
     with pytest.raises(OddLatticeQuadratic):
         f._q((1,))
 
 
-def _assert_form_matches_lifts(form, lat, lifts, sign=1):
+def _assert_form_matches_lifts(form, lat, lift, sign=1):
     """b(x, y) mod 1 and q(x) mod 2 on every element equal sign times
-    the lifts (integer vectors over form.den) paired through the Gram
-    matrix; odd lattices have no q."""
+    the lifts lift(x) (integer vectors over form.den) paired through the
+    Gram matrix; odd lattices have no q."""
     den2 = form.den ** 2
-    vecs = {x: element_lift(lifts, x) for x in form.elements()}
+    vecs = {x: lift(x) for x in form.elements()}
     gvecs = {x: lat.gram.apply(v) for x, v in vecs.items()}
     for x, vx in vecs.items():
         if lat.is_even():
@@ -106,17 +107,27 @@ def test_q_values_brute_force_oracle(expr):
     # every value of disc(lat), of its negative and of its direct sum with
     # disc([8]) against the lifts pushed through the Gram matrix
     lat = from_expression(expr)
-    f, lifts = discriminant_form(lat)
-    _assert_form_matches_lifts(f, lat, lifts)
-    _assert_form_matches_lifts(f.neg(), lat, lifts, sign=-1)
+    f = discriminant_form(lat)
+
+    def lift(x):
+        return element_lift(lat, x)
+
+    _assert_form_matches_lifts(f, lat, lift)
+    _assert_form_matches_lifts(f.neg(), lat, lift, sign=-1)
     eight = make_named("[]", 8)
-    g, glifts = discriminant_form(eight)
+    g = discriminant_form(eight)
     fg = f.direct_sum(g)
-    # both sets of lifts rewritten over the denominator of the sum
-    sf, sg = fg.den // f.den, fg.den // g.den
-    both = Matrix([tuple(sf * x for x in r) + (0,) for r in lifts.rows]
-                  + [(0,) * lat.rank + tuple(sg * x for x in r) for r in glifts.rows])
-    _assert_form_matches_lifts(fg, direct_sum([lat, eight]), both)
+    total = direct_sum([lat, eight])
+
+    def both(x):
+        """Both lifts rewritten over the denominator of the sum."""
+        k = f.ngens
+        return tuple(fg.den // f.den * c for c in lift(x[:k])) \
+            + tuple(fg.den // g.den * c for c in element_lift(eight, x[k:]))
+
+    _assert_form_matches_lifts(fg, total, both)
+    # which is what `element_lift` gives on the sum
+    assert all(element_lift(total, x) == both(x) for x in fg.elements())
 
 
 def test_degenerate_form():
@@ -126,17 +137,17 @@ def test_degenerate_form():
     assert f._b((1, 2), (1, 0)) == f._b((1, 2), (0, 1)) == 0
     with pytest.raises(DegenerateForm):
         milgram_signature(f)
-    assert is_nondegenerate(discriminant_form(A2)[0])
+    assert is_nondegenerate(discriminant_form(A2))
 
 
 def test_delta():
-    f, _ = discriminant_form(make_named("D", 4))
+    f = discriminant_form(make_named("D", 4))
     assert delta_invariant(f) == 0
-    f2, _ = discriminant_form(make_named("[]", 2))
+    f2 = discriminant_form(make_named("[]", 2))
     assert delta_invariant(f2) == 1
     assert delta_invariant(TRIVIAL_FORM) == 0
     with pytest.raises(NotTwoElementary):
-        delta_invariant(discriminant_form(A2)[0])
+        delta_invariant(discriminant_form(A2))
 
 
 MILGRAM_CASES = [
@@ -148,7 +159,7 @@ MILGRAM_CASES = [
 
 @pytest.mark.parametrize("expr,want", MILGRAM_CASES)
 def test_milgram_examples(expr, want):
-    f, _ = discriminant_form(from_expression(expr))
+    f = discriminant_form(from_expression(expr))
     assert milgram_signature(f) == want
 
 
@@ -164,7 +175,7 @@ EVEN_NAMED = [
 def test_milgram_matches_signature(expr):
     lat = from_expression(expr)
     assert lat.is_even()
-    f, _ = discriminant_form(lat)
+    f = discriminant_form(lat)
     sp, sm = lat.signature
     assert milgram_signature(f) == cyclotomic_milgram(f) == (sp - sm) % 8
 
@@ -172,16 +183,16 @@ def test_milgram_matches_signature(expr):
 @pytest.mark.parametrize("expr", EVEN_NAMED)
 def test_disc_order_equals_determinant(expr):
     lat = from_expression(expr)
-    f, _ = discriminant_form(lat)
+    f = discriminant_form(lat)
     assert f.group_order == abs(lat.det)
 
 
 def test_forms_isomorphic_examples():
-    fa, _ = discriminant_form(make_named("ExA"))
-    fb, _ = discriminant_form(make_named("ExB"))
+    fa = discriminant_form(make_named("ExA"))
+    fb = discriminant_form(make_named("ExB"))
     assert forms_isomorphic(fa, fb)
-    f1, _ = discriminant_form(A2)
-    f2, _ = discriminant_form(rescale(A2, -1))
+    f1 = discriminant_form(A2)
+    f2 = discriminant_form(rescale(A2, -1))
     assert not forms_isomorphic(f1, f2)
     assert forms_isomorphic(TRIVIAL_FORM, TRIVIAL_FORM)
 
@@ -191,47 +202,49 @@ def test_forms_isomorphic_across_presentations():
     # the summands it is Z/2 + Z/3 with q = 1/2, 2/3.  The groups have the
     # same elementary divisors, so the forms are compared prime by prime
     lat = from_expression("A1 + A2")
-    whole, _ = discriminant_form(Lattice(lat.gram))
-    split, _ = discriminant_form(lat)
+    whole = discriminant_form(Lattice(lat.gram))
+    split = discriminant_form(lat)
     assert whole.orders == (6,) and whole.q == (Fraction(7, 6),)
     assert split.orders == (2, 3) and split.q == (Fraction(1, 2), Fraction(2, 3))
     assert forms_isomorphic(whole, split) and forms_isomorphic(split, whole)
     assert not forms_isomorphic(whole, split.neg())
     # Z/2 + Z/2 is not Z/4, whatever the forms
-    assert not forms_isomorphic(discriminant_form(from_expression("[2] + [2]"))[0],
-                                discriminant_form(from_expression("[4]"))[0])
+    assert not forms_isomorphic(discriminant_form(from_expression("[2] + [2]")),
+                                discriminant_form(from_expression("[4]")))
 
 
 def test_discriminant_form_of_an_odd_sum_is_bilinear_only():
     # [1] adds nothing to the group but makes the sum odd
-    f, lifts = discriminant_form(from_expression("A2 + [1]"))
+    lat = from_expression("A2 + [1]")
+    f = discriminant_form(lat)
     assert f.orders == (3,) and f.Q is None
-    assert lifts == Matrix([(1, 2, 0)])  # A2's lift, padded past [1]
-    assert forms_isomorphic(f, discriminant_form(Lattice(from_expression("A2 + [1]").gram))[0])
-    assert discriminant_form(from_expression("U + [1]")) == (TRIVIAL_FORM, Matrix(()))
+    assert element_lift(lat, (1,)) == (1, 2, 0)  # A2's lift, padded past [1]
+    assert forms_isomorphic(f, discriminant_form(Lattice(lat.gram)))
+    assert discriminant_form(from_expression("U + [1]")) is TRIVIAL_FORM
 
 
 def test_class_of_a_sum_reads_each_summand_block():
     # A2 + U + [2]: Z/3 + Z/2 over den 6; U is unimodular
     lat = from_expression("A2 + U + [2]")
     whole = Lattice(lat.gram)
-    form, lifts = discriminant_form(lat)
+    form = discriminant_form(lat)
     assert form.orders == (3, 2)
-    assert lifts == Matrix([(2, 4, 0, 0, 0), (0, 0, 0, 0, 3)])
-    assert class_of(lat, form, (4, 2, 6, -12, 9)) == (2, 1)
+    assert [element_lift(lat, e) for e in ((1, 0), (0, 1))] == \
+        [(2, 4, 0, 0, 0), (0, 0, 0, 0, 3)]
+    assert class_of(lat, (4, 2, 6, -12, 9)) == (2, 1)
     # a block outside its summand's dual: U's not divisible by den, [2]'s
     # not by den / 2, and A2's (1, 0) / 3
     for bad in ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (2, 0, 0, 0, 0)):
         with pytest.raises(DegenerateForm, match="not in the dual lattice"):
-            class_of(lat, form, bad)
+            class_of(lat, bad)
         with pytest.raises(DegenerateForm, match="not in the dual lattice"):
-            class_of(whole, discriminant_form(whole)[0], bad)
+            class_of(whole, bad)
 
 
 def test_forms_isomorphic_pairs_of_opposite_blocks():
     # over F_3, two copies of one sign class match two of the other
-    f1, _ = discriminant_form(direct_sum([A2, A2]))
-    f2, _ = discriminant_form(direct_sum([rescale(A2, -1), rescale(A2, -1)]))
+    f1 = discriminant_form(direct_sum([A2, A2]))
+    f2 = discriminant_form(direct_sum([rescale(A2, -1), rescale(A2, -1)]))
     assert forms_isomorphic(f1, f2)
 
 
@@ -239,7 +252,7 @@ POOL = ["A2", "A2(-1)", "[2]", "[-2]", "U(3)", "A4", "D4", "[6]", "ExA", "E6(-1)
 
 
 def test_forms_isomorphic_equivalence_relation():
-    forms = [discriminant_form(from_expression(e))[0] for e in POOL]
+    forms = [discriminant_form(from_expression(e)) for e in POOL]
     n = len(forms)
     rel = [[forms_isomorphic(forms[i], forms[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -279,7 +292,7 @@ def test_odd_elementary_closed_form_matches_backtracking_on_catalog():
     forms = {}
     for row in catalog.RANK26_PAIRS:
         for expr in (row.coinv, row.inv):
-            f, _ = discriminant_form(from_expression(expr))
+            f = discriminant_form(from_expression(expr))
             if f.orders and f.orders[0] % 2 and len(set(f.orders)) == 1 \
                     and f.group_order <= 729:
                 for h in (f, f.neg()):
@@ -353,8 +366,8 @@ def test_composite_odd_orders_are_not_decided_in_closed_form(n):
 def test_forms_isomorphic_decides_beyond_desk_bound():
     # (Z/3)^10 has 59049 elements, above DESK_GROUP_BOUND; the two forms
     # differ in the Legendre class of their determinant
-    f, _ = discriminant_form(from_expression("A2^10"))
-    g, _ = discriminant_form(from_expression("A2^9 + A2(-1)"))
+    f = discriminant_form(from_expression("A2^10"))
+    g = discriminant_form(from_expression("A2^9 + A2(-1)"))
     assert f.group_order == g.group_order == 3 ** 10
     assert forms_isomorphic(f, f) and forms_isomorphic(g, g)
     assert not forms_isomorphic(f, g) and not forms_isomorphic(g, f)
@@ -362,27 +375,27 @@ def test_forms_isomorphic_decides_beyond_desk_bound():
     # (Z/2)^20: 2-elementary forms are fixed by delta and the signature, so
     # <1/2>^20 matches <1/2>^12 + <-1/2>^8 (both 4 mod 8) but not
     # <1/2>^19 + <-1/2> (2 mod 8) or the delta-0 form of U(2)^10
-    two = [discriminant_form(from_expression(e))[0]
+    two = [discriminant_form(from_expression(e))
            for e in ("[2]^20", "[2]^12 + [-2]^8", "[2]^19 + [-2]", "U(2)^10")]
     assert [milgram_signature(h) for h in two] == [4, 4, 2, 0]
     assert [forms_isomorphic(two[0], h) for h in two] == [True, True, False, False]
 
 
 def test_anti_isometries_exist_for_complements():
-    f1, _ = discriminant_form(A2)
-    f2, _ = discriminant_form(rescale(A2, -1))
+    f1 = discriminant_form(A2)
+    f2 = discriminant_form(rescale(A2, -1))
     assert _match_maps(f1, f2, -1) is not None
 
 
 def test_odd_glue_maps():
-    f1, _ = discriminant_form(make_named("[]", 3))
-    f2, _ = discriminant_form(make_named("F"))
+    f1 = discriminant_form(make_named("[]", 3))
+    f2 = discriminant_form(make_named("F"))
     assert _match_maps(f1, f2, -1, q_mod=1) is not None
 
 
 def test_subquotient_form():
     lat = direct_sum([A2, rescale(A2, -1)])
-    f, _ = discriminant_form(lat)
+    f = discriminant_form(lat)
     out = subquotient_form(f, [(1, 1)])
     assert out.is_trivial()
     # quotient by nothing is the form itself, not a re-presentation of it
@@ -412,7 +425,7 @@ def _catalog_forms(max_order=729):
     lats += [from_expression(e) for e in ("OG10", "F", "E6*(3)", "L17", "N69", "[3] + D4(-1)")]
     forms = {}
     for lat in lats:
-        f, _ = discriminant_form(lat)
+        f = discriminant_form(lat)
         if not f.is_trivial() and f.group_order <= max_order:
             forms.setdefault((f.orders, f.B, f.Q), f)
     return list(forms.values())
@@ -477,13 +490,13 @@ def _even_lattices(draw, max_rank=4):
 def test_milgram_matches_signature_on_random_lattices(lat):
     assume(abs(lat.det) <= 2000)
     sp, sm = lat.signature
-    assert milgram_signature(discriminant_form(lat)[0]) == (sp - sm) % 8
+    assert milgram_signature(discriminant_form(lat)) == (sp - sm) % 8
 
 
 @settings(max_examples=150, deadline=None)
 @given(_even_lattices())
 def test_local_obstruction_admits_every_lattice(lat):
-    f, _ = discriminant_form(lat)
+    f = discriminant_form(lat)
     assert f.ngens <= lat.rank and local_obstruction(f, lat.signature) is None
     assert genus_obstruction(lat.signature, f) is None
     assert length_or_local_obstruction(lat.signature, f) is None
@@ -507,8 +520,8 @@ def test_local_obstruction_ignores_the_basis(data):
     lat = data.draw(_even_lattices())
     u = _unimodular(data.draw, lat.rank)
     moved = Lattice(u @ lat.gram @ u.T)
-    f, _ = discriminant_form(lat)
-    g, _ = discriminant_form(moved)
+    f = discriminant_form(lat)
+    g = discriminant_form(moved)
     n = f.ngens
     for sp in range(n + 1):
         assert local_obstruction(f, (sp, n - sp)) == local_obstruction(g, (sp, n - sp))
@@ -521,7 +534,7 @@ def test_local_obstruction_reads_every_presentation_alike(expr):
     # A2 + U(2)), its whole Gram's in invariant factors (Z/2 + Z/6); every
     # signature up to two past the length is asked
     lat = from_expression(expr)
-    block, whole = discriminant_form(lat)[0], discriminant_form(Lattice(lat.gram))[0]
+    block, whole = discriminant_form(lat), discriminant_form(Lattice(lat.gram))
     assert block.orders != whole.orders
     length = whole.ngens
     for rank in range(length + 3):
@@ -529,7 +542,7 @@ def test_local_obstruction_reads_every_presentation_alike(expr):
             sig = (sp, rank - sp)
             got = local_obstruction(block, sig)
             assert got == local_obstruction(whole, sig) == local_obstruction_oracle(block, sig), sig
-    assert local_obstruction(discriminant_form(from_expression("A2 + U(2)"))[0], (2, 0)) == 2
+    assert local_obstruction(discriminant_form(from_expression("A2 + U(2)")), (2, 0)) == 2
 
 
 def _binary_even_lattices(n):
@@ -579,12 +592,12 @@ def test_local_obstruction_matches_binary_forms():
     reasons = set()
     cases = 0
     for lat in lats:
-        f, _ = discriminant_form(lat)
+        f = discriminant_form(lat)
         sp, sm = lat.signature
         for form, sign in ((f, sp - sm), (f.neg(), sm - sp)):
             n = form.group_order
             if n not in known:
-                known[n] = [(l.signature, discriminant_form(l)[0]) for l in _binary_even_lattices(n)]
+                known[n] = [(l.signature, discriminant_form(l)) for l in _binary_even_lattices(n)]
             for sig in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
                 rank = sig[0] + sig[1]
                 why = genus_obstruction(sig, form)
@@ -616,7 +629,7 @@ def _prime_divisors(n):
 
 
 def test_local_obstruction_needs_a_quadratic_form():
-    f, _ = discriminant_form(from_expression("[3]"))
+    f = discriminant_form(from_expression("[3]"))
     with pytest.raises(OddLatticeQuadratic):
         local_obstruction(f, (1, 0))
 
@@ -721,7 +734,7 @@ def test_milgram_matches_cyclotomic_oracle():
     cases = 0
     while cases < 150:
         lat = rescale(_random_even_lattice(rng), rng.choice([1, 2, 3, 4]))
-        f, _ = discriminant_form(lat)
+        f = discriminant_form(lat)
         if f.group_order > 1000:
             continue
         sp, sm = lat.signature
@@ -735,10 +748,10 @@ def test_jordan_determinant_matches_local_obstruction():
     # is asked; the local conditions are read where the rank is the form's
     # length, and those cases are counted
     rng = random.Random(37)
-    forms = _catalog_forms() + [discriminant_form(rescale(_random_even_lattice(rng), k))[0]
+    forms = _catalog_forms() + [discriminant_form(rescale(_random_even_lattice(rng), k))
                                 for k in (1, 2, 4, 8, 3, 9) for _ in range(100)]
     # a 2-adic V summand dropped from the rank: 2-obstructed without theta
-    forms += [discriminant_form(from_expression(e))[0] for e in ("A2 + [4]", "A2 + U(2)")]
+    forms += [discriminant_form(from_expression(e)) for e in ("A2 + [4]", "A2 + U(2)")]
     cases = 0
     seen = set()
     for f in forms:
@@ -766,7 +779,7 @@ def test_jordan_pivot_matches_full_minimum():
     # table is the oracle, on the lambda_p forms and on random tables
     # (degenerate and bilinear-only ones too) and their moved copies
     rng = random.Random(43)
-    forms = [discriminant_form(from_expression(expr))[0]
+    forms = [discriminant_form(from_expression(expr))
              for row in catalog.RANK26_PAIRS for expr in (row.coinv, row.inv)]
     tables = [_random_form(rng, orders, quadratic) for orders in RANDOM_ORDERS + [(3, 3, 9)]
               for quadratic in (True, False) for _ in range(6)]
@@ -836,7 +849,7 @@ def test_jordan_matches_the_rebuild_oracle_on_every_verify_all_input(monkeypatch
 def test_delta_closed_form_matches_enumeration():
     rng = random.Random(41)
     forms = [f for f in _catalog_forms() if set(f.orders) == {2}]
-    forms += [discriminant_form(from_expression(e))[0]
+    forms += [discriminant_form(from_expression(e))
               for e in ("[2]", "E7", "D4", "U(2)", "[2] + [-2]", "D4 + E7(-1)", "D6 + [2]")]
     forms += [_random_form(rng, (2,) * k) for k in range(1, 7) for _ in range(8)]
     for f in forms + [f.neg() for f in forms]:

@@ -65,7 +65,7 @@ def test_invariant_coinvariant_examples():
     pair = invariant_coinvariant(Isometry(U, -Matrix.identity(U.rank)))
     assert pair.invariant.rank == 0
     assert pair.coinvariant.rank == 2
-    assert pair.glue_a == 0
+    assert pair.glue_orders == ()
 
     pair = invariant_coinvariant(Isometry(A2, ROT3))
     assert pair.invariant.rank == 0
@@ -79,7 +79,7 @@ def test_invariant_coinvariant_examples():
     pair = invariant_coinvariant(f)
     assert pair.invariant.rank == 2
     assert pair.coinvariant.lattice().gram == A2.gram
-    assert pair.glue_a == 0
+    assert pair.glue_orders == ()
 
 
 def test_discriminant_action():
@@ -186,8 +186,8 @@ def test_extend_restricts_to_input():
     # its coinvariant matches the one downstairs (an A2(-1))
     pair = invariant_coinvariant(ext)
     assert pair.coinvariant.rank == 2
-    f2, _ = discriminant_form(pair.coinvariant.lattice())
-    f3, _ = discriminant_form(rescale(A2, -1))
+    f2 = discriminant_form(pair.coinvariant.lattice())
+    f3 = discriminant_form(rescale(A2, -1))
     assert pair.coinvariant.lattice().signature == (0, 2)
     assert forms_isomorphic(f2, f3)
 
@@ -295,7 +295,7 @@ def test_prime_order_glue_bound_on_generated_isometries():
         assert rk % (p - 1) == 0
         m = rk // (p - 1)
         assert all(d == p for d in pair.glue_orders)
-        assert pair.glue_a <= m
+        assert len(pair.glue_orders) <= m
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def test_discriminant_action_matches_fractions():
         assert images == _fraction_discriminant_action(whole), f.lattice.gram
         assert got_kind == kind, f.lattice.gram
         got_kind, images = discriminant_action(f)
-        form, _ = discriminant_form(f.lattice)
+        form = discriminant_form(f.lattice)
         assert got_kind == kind, f.lattice.gram
         assert [[form._b(x, y) for y in images.rows] for x in images.rows] == \
             [list(r) for r in form.B]

@@ -11,6 +11,7 @@ from latticeforge.discform import (
     _local_class,
     class_of,
     discriminant_form,
+    element_lift,
     forms_isomorphic,
 )
 from latticeforge.errors import (
@@ -236,7 +237,7 @@ def test_direct_sum_discriminant_matches_the_whole_smith_form(summands):
         with pytest.raises(DegenerateForm, match="degenerate form"):
             discriminant_form(lat)
         return
-    (got, got_lifts), (want, lifts) = discriminant_form(lat), discriminant_form(whole)
+    got, want = discriminant_form(lat), discriminant_form(whole)
     assert (got.Q is None) == (want.Q is None)
     assert got.is_trivial() or (got.Q is None) == (not lat.is_even())
     # a witness: each generator of `got` is the class of a dual vector of a
@@ -246,15 +247,16 @@ def test_direct_sum_discriminant_matches_the_whole_smith_form(summands):
     images, padded, offset = [], [], 0
     for leaf in _leaves(lat):
         if abs(leaf.det) != 1:
-            f, leaf_lifts = discriminant_form(leaf)
-            for row in leaf_lifts.rows:
+            f = discriminant_form(leaf)
+            for e in Matrix.identity(f.ngens).rows:
                 vec = [0] * lat.rank
-                vec[offset:offset + leaf.rank] = [got.den // f.den * x for x in row]
+                vec[offset:offset + leaf.rank] = [got.den // f.den * x
+                                                  for x in element_lift(leaf, e)]
                 padded.append(tuple(vec))
-                images.append(class_of(whole, want, vec))
+                images.append(class_of(whole, vec))
         offset += leaf.rank
     # the lifts of the sum are the leaves' lifts, scaled and padded
-    assert got_lifts == Matrix(padded)
+    assert [element_lift(lat, e) for e in Matrix.identity(got.ngens).rows] == padded
     assert got.den == want.den and len(images) == got.ngens
     assert [[want._b(x, y) for y in images] for x in images] == [list(r) for r in got.B]
     if got.Q is not None:
@@ -266,6 +268,23 @@ def test_direct_sum_discriminant_matches_the_whole_smith_form(summands):
     # above covers the rest
     if got.den % 2 or _local_class(got, 2) is not None:
         assert forms_isomorphic(got, want) and forms_isomorphic(want, got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_sum_terms(), min_size=1, max_size=5))
+def test_class_of_inverts_element_lift(summands):
+    # on a sum, unimodular and odd unimodular summands included, and on a
+    # lattice on the same Gram with no summands; every element of a group of
+    # order <= 729, else each generator, and each negated, so unreduced
+    lat = direct_sum(summands)
+    if lat.det == 0:
+        return
+    for each in (lat, Lattice(lat.gram)):
+        form = discriminant_form(each)
+        xs = form.elements() if form.group_order <= 729 else Matrix.identity(form.ngens).rows
+        for x in xs:
+            for y in (x, tuple(-c for c in x)):
+                assert class_of(each, element_lift(each, y)) == form.reduce(y), (each, y)
 
 
 def test_disc_group_orders_merge_the_summands():
@@ -392,13 +411,13 @@ def _check_caches(lat, order):
             # group and parity as the Smith form of its whole Gram; each
             # lift is the class of its own generator, and its class in the
             # whole Gram's form keeps b and q (a witness of isomorphism)
-            (form, lifts), want = value, discriminant_form(fresh)[0]
+            form, want = value, discriminant_form(fresh)
             assert _invariant_factors(form.orders) == want.orders
             assert (form.Q is None) == (want.Q is None)
-            k = form.ngens
-            for i, row in enumerate(lifts.rows):
-                assert class_of(lat, form, row) == tuple(int(j == i) for j in range(k))
-            images = [class_of(fresh, want, row) for row in lifts.rows]
+            units = Matrix.identity(form.ngens).rows
+            lifts = [element_lift(lat, e) for e in units]
+            assert [class_of(lat, row) for row in lifts] == list(units)
+            images = [class_of(fresh, row) for row in lifts]
             assert form.den == want.den
             assert [[want._b(x, y) for y in images] for x in images] == [list(r) for r in form.B]
             if form.Q is not None:
@@ -409,9 +428,10 @@ def _check_caches(lat, order):
                 assert forms_isomorphic(form, want)
             _same_local_classes(form)
         elif name == "discriminant_form":
-            (form, lifts), (want, want_lifts) = value, discriminant_form(fresh)
-            assert (form.orders, form.B, form.Q, lifts) == \
-                (want.orders, want.B, want.Q, want_lifts)
+            form, want = value, discriminant_form(fresh)
+            assert (form.orders, form.B, form.Q) == (want.orders, want.B, want.Q)
+            assert all(element_lift(lat, e) == element_lift(fresh, e)
+                       for e in Matrix.identity(form.ngens).rows)
             _same_local_classes(form)
         else:
             assert value == _read(name, fresh), name

@@ -12,6 +12,8 @@ in `discform`, so every other module asks `discform.genus_obstruction` or,
 with the signature congruence given, `discform.length_or_local_obstruction`.
 The parts of his complement step are named only in `discform` and `glue`,
 so every other module reads complement forms from `glue.complement_forms`.
+A direct sum's summands are read only in `lattice` and `discform`, so every
+other module asks those two for a sum's invariants and forms.
 """
 
 import ast
@@ -86,3 +88,7 @@ def test_only_discform_names_the_parts_of_the_genus_test():
 
 def test_only_discform_and_glue_name_the_parts_of_the_complement_step():
     assert _named_outside(COMPLEMENT_PARTS, {"discform.py", "glue.py"}) == []
+
+
+def test_only_lattice_and_discform_read_the_summands_of_a_sum():
+    assert _named_outside({"_summands"}, {"lattice.py", "discform.py"}) == []
