@@ -191,11 +191,62 @@ AY_PHI32 = Matrix([
 ])
 
 
+# isometries of the inv Grams onto eta-perp in the algebraic lattices; row
+# i is the image of inv's basis vector i in alg coordinates (CubicRow)
+
+PERP_PHI35 = (
+    (0, -1, 0, -1, 0, 0, -1),
+    (0, -1, 0, -1, 1, 0, 0),
+    (0, -1, 1, 0, 0, 0, 0),
+    (0, -1, 0, 0, 0, 0, 0),
+    (0, 0, -1, 0, 1, 1, 0),
+    (0, 1, 0, 0, 0, -1, 0),
+)
+
+PERP_PHI37 = (
+    (-3, 2, 1, 1, 1, 1, 1, 1, 1),
+    (-3, 1, 1, 1, 1, 1, 1, 1, 2),
+    (-2, 1, 0, 1, 1, 1, 1, 1, 0),
+    (-1, 1, 1, 0, 0, 0, 0, 1, 0),
+    (-2, 1, 1, 1, 1, 1, 1, 0, 0),
+    (0, 1, 0, -1, 0, 0, 0, 0, 0),
+    (1, -1, 0, 0, -1, 0, 0, 0, -1),
+    (-2, 1, 1, 1, 1, 0, 1, 1, 0),
+)
+
+PERP_PHI32 = (
+    (-2, -1, -2, -1, -1, 2, -2, -1, 1, 0, 1, 0, 1),
+    (-1, 0, -2, -1, -1, 0, -1, 0, 0, 0, 0, 0, 0),
+    (1, -1, 2, 0, 2, 0, 0, 0, 0, 1, -1, -1, 0),
+    (1, 0, 0, 1, 0, -1, 2, -1, 0, 1, 0, -1, 1),
+    (0, 1, -1, 0, -2, -1, 1, 0, 0, -1, 0, 1, 0),
+    (-1, 0, 0, -1, 0, 2, -2, 0, 1, 0, 0, 0, 0),
+    (1, 0, 0, 1, 0, -1, 1, -1, 0, 0, 1, -1, 0),
+    (0, 0, -1, 0, 0, 0, 0, -1, 0, 1, 0, -1, 1),
+    (1, 1, 2, 1, 1, -1, 1, 1, -1, 0, -1, 1, -1),
+    (1, 1, 0, 0, 0, -1, 1, 0, 0, 0, -1, 0, 0),
+    (1, 1, 1, 0, 0, -1, 0, 1, 0, -1, -1, 0, -1),
+    (-1, -1, -1, -1, 0, 2, -2, -1, 1, 0, 1, -1, 0),
+)
+
+
 @dataclass(frozen=True)
 class CubicRow:
     """One automorphism family of a cubic fourfold: the invariant/coinvariant
     pair on primitive cohomology and the algebraic/transcendental pair on
-    full middle cohomology."""
+    full middle cohomology.
+
+    `perp_witness` proves that inv is the primitive algebraic lattice
+    eta-perp in alg: its rows are the images of inv's basis, as vectors in
+    alg coordinates, under an isometry onto eta-perp, so they do not depend
+    on the basis `integer_kernel` picks for eta-perp.  `verify` checks them
+    with inner products and one determinant comparison, and searches
+    nothing.  To
+    regenerate one, take W = shortvec.definite_isometric(inv, perp) with
+    sub = glue.orthogonal_complement(glue.span(alg, [eta])) and perp =
+    sub.lattice(); the rows are those of W^T @ sub.basis.
+    `export-fixtures` does not export the witness.
+    """
 
     label: str
     rank_inv: int
@@ -209,19 +260,22 @@ class CubicRow:
     has_assoc_k3: bool
     rational: bool | None  # None where the source leaves the question open
     labeling_witness: tuple = ()  # coefficients of w with K_14 = <eta, w>
+    perp_witness: tuple = ()  # images of inv's basis in eta-perp, alg coordinates
 
 
 CUBIC_ROWS = (
     CubicRow("phi31", 0, "U^2 + E8^2 + A2", Matrix(()), (20, 2), 0,
              AY_PHI31, 1, 10, False, None),
     CubicRow("phi35", 6, "U + U(3) + E6 + A2^3", FG_PHI35, (14, 2), 5,
-             AY_PHI35, 6, 7, False, None),
+             AY_PHI35, 6, 7, False, None, perp_witness=PERP_PHI35),
     CubicRow("phi37", 8, "U + U(3) + A2^5", FG_PHI37, (12, 2), 8,
              AY_PHI37, 7, 6, True, True,
-             labeling_witness=(0, 1, 1, 0, 0, 0, 0, 0, 0)),
+             labeling_witness=(0, 1, 1, 0, 0, 0, 0, 0, 0),
+             perp_witness=PERP_PHI37),
     CubicRow("phi32", 12, "U + U(3) + A2^3", FG_PHI32, (8, 2), 6,
              AY_PHI32, 5, 4, True, True,
-             labeling_witness=(0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0)),
+             labeling_witness=(0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0),
+             perp_witness=PERP_PHI32),
 )
 
 

@@ -146,6 +146,32 @@ def _middle_cohomology_checks(v, alg, trans, perp):
     return True
 
 
+def _eta_perp_witness(alg, perp, inv, witness):
+    """(passed, detail) of whether the rows of `witness`, vectors in alg
+    coordinates, are the images of inv's basis under an isometry of inv onto
+    perp = eta-perp in alg.  They are iff there are rank inv = rank perp of
+    them, each lies in alg and is orthogonal to eta, their Gram matrix is
+    inv's, and det inv = det perp: they then span a full-rank sublattice of
+    the primitive eta-perp whose index squared is det inv / det perp = 1.  A
+    witness of the wrong shape fails; nothing here raises."""
+    if not len(witness) == inv.rank == perp.rank:
+        return False, "rank: %d images, inv rank %d, eta-perp rank %d" \
+            % (len(witness), inv.rank, perp.rank)
+    eta = _eta_vector(alg)
+    gw = []  # G w of each image w
+    for i, w in enumerate(witness):
+        if len(w) != alg.rank:
+            return False, "image %d has %d coordinates, alg has rank %d" % (i, len(w), alg.rank)
+        gw.append(alg.gram.apply(w))
+        if sum(map(mul, eta, gw[i])):
+            return False, "image %d is not orthogonal to eta" % i
+    if tuple(tuple(sum(map(mul, a, gb)) for gb in gw) for a in witness) != inv.gram.rows:
+        return False, "Gram matrix of the images is not inv's"
+    if inv.det != perp.det:
+        return False, "det inv %d vs det eta-perp %d" % (inv.det, perp.det)
+    return True, "explicit witness"
+
+
 def _verify_cubic_row(row):
     v = RowVerdict(row.label)
     inv = Lattice(row.inv_gram)
@@ -173,8 +199,7 @@ def _verify_cubic_row(row):
     # eta-perp inside the algebraic lattice is the primitive algebraic part
     perp = glue.orthogonal_complement(glue.span(alg, [eta])).lattice()
     if alg.rank >= 2:
-        witness = shortvec.definite_isometric(inv, perp)
-        v.add("eta_perp_isometric_inv", witness is not None, "explicit witness" if witness is not None else "no witness")
+        v.add("eta_perp_isometric_inv", *_eta_perp_witness(alg, perp, inv, row.perp_witness))
     else:
         v.add("eta_perp_isometric_inv", inv.rank == 0, "rank-0 case")
 

@@ -25,7 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # caller-less names kept for an open ROADMAP item that will call them; a name
 # leaves this table once that item lands
-RESERVED = {}
+RESERVED = {
+    "definite_isometric": "ROADMAP items 3 and 19 build on it; it regenerates "
+                          "the cubic rows' stored eta-perp witnesses",
+}
 
 # the readers of one condition of Nikulin (1979, Thm 1.10.1) each, which
 # only `discform` puts together

@@ -65,6 +65,9 @@ def test_cubic_root_counts_on_excluded_discriminants(alg_gram, coinv, short, lon
     assert checks["middle_cohomology_glue"].passed
     assert checks["no_short_roots"].detail == str(short)
     assert checks["no_long_roots"].detail == str(long_)
+    # phi35's eta-perp witness has rank 6, this eta-perp rank 1
+    assert not checks["eta_perp_isometric_inv"].passed
+    assert checks["eta_perp_isometric_inv"].detail.startswith("rank")
 
 
 def test_verify_cubic_builds_no_overlattice(monkeypatch):
@@ -75,6 +78,89 @@ def test_verify_cubic_builds_no_overlattice(monkeypatch):
     for name in ("full_glue", "primitive_extension", "overlattice"):
         monkeypatch.setattr(glue, name, refuse)
     assert verify.verify_cubic_tables().ok
+
+
+def test_verify_cubic_runs_no_isometry_search(monkeypatch):
+    # the eta-perp column checks the stored witness
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify cubic searched for an isometry")
+
+    monkeypatch.setattr(shortvec, "definite_isometric", refuse)
+    assert verify.verify_cubic_tables().ok
+
+
+def _eta_perp(row):
+    """(alg, eta-perp sublattice, inv) of a cubic row."""
+    alg = Lattice(row.alg_gram)
+    sub = glue.orthogonal_complement(glue.span(alg, [verify._eta_vector(alg)]))
+    return alg, sub, Lattice(row.inv_gram)
+
+
+@pytest.mark.parametrize("label", ["phi35", "phi37", "phi32"])
+def test_perp_witness_agrees_with_the_search(label):
+    # the search stays the oracle: its witness, mapped into alg coordinates,
+    # passes the same check as the stored one
+    row = catalog.cubic_row(label)
+    alg, sub, inv = _eta_perp(row)
+    perp = sub.lattice()
+    w = shortvec.definite_isometric(inv, perp)
+    assert w is not None
+    found = (w.T @ sub.basis).rows
+    assert verify._eta_perp_witness(alg, perp, inv, found) == (True, "explicit witness")
+    assert verify._eta_perp_witness(alg, perp, inv, row.perp_witness) == (True, "explicit witness")
+
+
+@pytest.mark.parametrize("label", ["phi35", "phi37", "phi32"])
+def test_perp_witness_single_entry_mutants_fail(label):
+    row = catalog.cubic_row(label)
+    alg, sub, inv = _eta_perp(row)
+    perp = sub.lattice()
+    stored = [list(w) for w in row.perp_witness]
+    tried = 0
+    for i, j in itertools.product(range(len(stored)), range(alg.rank)):
+        for delta in (-1, 1):
+            bad = [list(w) for w in stored]
+            bad[i][j] += delta
+            passed, _ = verify._eta_perp_witness(alg, perp, inv, tuple(map(tuple, bad)))
+            assert not passed, (i, j, delta)
+            tried += 1
+    assert tried == 2 * inv.rank * alg.rank
+
+
+def test_perp_witness_mutant_fails_the_row():
+    row = catalog.cubic_row("phi32")
+    bad = [list(w) for w in row.perp_witness]
+    bad[0][0] += 1
+    v = verify._verify_cubic_row(dataclasses.replace(row, perp_witness=tuple(map(tuple, bad))))
+    assert [c.name for c in v.checks if not c.passed] == ["eta_perp_isometric_inv"]
+
+
+def test_perp_witness_of_index_two_fails():
+    # (0, 2) is orthogonal to eta and has inv's Gram [8], but it spans
+    # index 2 in eta-perp = <(0, 1)> of det 2
+    alg = Lattice(Matrix([[3, 0], [0, 2]]))
+    perp = glue.orthogonal_complement(glue.span(alg, [(1, 0)])).lattice()
+    passed, detail = verify._eta_perp_witness(alg, perp, Lattice(Matrix([[8]])), ((0, 2),))
+    assert not passed
+    assert detail == "det inv 8 vs det eta-perp 2"
+
+
+@pytest.mark.parametrize("witness,inv,start", [
+    # orthogonal to eta with inv's Gram, but eta-perp has rank 2
+    (((0, 1, 0),), [[2]], "rank"),
+    # one image fewer than inv's rank
+    (((0, 1, 0),), [[2, 0], [0, 2]], "rank"),
+    # an image of the wrong length
+    (((0, 1), (0, 0, 1)), [[2, 0], [0, 2]], "image 0 has 2 coordinates"),
+    (((1, 0, 0), (0, 0, 1)), [[2, 0], [0, 2]], "image 0 is not orthogonal"),
+    (((0, 1, 0), (0, 1, 1)), [[2, 0], [0, 2]], "Gram"),
+], ids=["rank_of_perp", "rank_of_inv", "length", "orthogonality", "gram"])
+def test_perp_witness_of_the_wrong_shape_fails(witness, inv, start):
+    alg = Lattice(Matrix([[3, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    perp = glue.orthogonal_complement(glue.span(alg, [(1, 0, 0)])).lattice()
+    passed, detail = verify._eta_perp_witness(alg, perp, Lattice(Matrix(inv)), witness)
+    assert not passed
+    assert detail.startswith(start), detail
 
 
 def test_cubic_negative_control():
