@@ -270,8 +270,8 @@ def build_parser():
     p = sub.add_parser("enum", help="count or list vectors of a given norm")
     p.add_argument("lattice")
     p.add_argument("--norm", type=int, required=True,
-                   help="target norm, read on the positive definite model: a negative "
-                        "definite lattice is negated first, so the norm is never negative")
+                   help="target norm, read as |Q|: on a negative definite lattice the "
+                        "norm -N is asked for as N, so N is never negative")
     p.add_argument("--dot", action="append",
                    help="constraint like eta=1 or 1,0,0=2; repeatable")
     p.add_argument("--div", type=int, help="keep only vectors of this divisibility")

@@ -326,8 +326,7 @@ def _presentation(form, gen_rows, rel_rows):
     `rel_rows`, in invariant-factor presentation.
 
     Both are integer rows in the generators of `form`; `gen_rows` contain
-    every order_i * e_i and their span contains that of `rel_rows`.  Returns
-    (form, lifts) with the new generators as rows in the old ones.
+    every order_i * e_i and their span contains that of `rel_rows`.
     """
     h, _ = linalg.hermite_normal_form(Matrix(gen_rows))
     p = Matrix(tuple(r for r in h.rows if any(r)))
@@ -343,13 +342,13 @@ def _presentation(form, gen_rows, rel_rows):
             orders.append(d)
             lifts.append(p.T.apply(snf.v_inv.row(j)))
     if not orders:
-        return TRIVIAL_FORM, Matrix(())
+        return TRIVIAL_FORM
     # the values on the new generators have denominators dividing the new
     # orders, so moving from form.den to their lcm is an exact division
     step = form.den // math.lcm(*orders)
     B = [[form._b(x, y) // step for y in lifts] for x in lifts]
     Q = None if form.Q is None else [form._q(x) // step for x in lifts]
-    return FiniteQuadraticForm(orders, B, Q), Matrix(lifts)
+    return FiniteQuadraticForm(orders, B, Q)
 
 
 def subquotient_form(form, isotropic_gens):
@@ -365,7 +364,7 @@ def subquotient_form(form, isotropic_gens):
         return form
     perp = orthogonal_subgroup(form, [form.reduce(h) for h in isotropic_gens])
     rel = [tuple(h) for h in isotropic_gens] + list(Matrix.diagonal(form.orders).rows)
-    return _presentation(form, perp.rows, rel)[0]
+    return _presentation(form, perp.rows, rel)
 
 
 # ---------------------------------------------------------------------------

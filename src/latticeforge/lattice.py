@@ -38,12 +38,10 @@ class Lattice:
     slot: the elimination `_elim`, `_det`, the Smith form `_snf`, `_sig`,
     `_even`, the invariant factors `_orders` and the form of
     `discform.discriminant_form` in `_disc`.  A computation that raises
-    caches nothing.  `_negation`, the lattice of Gram matrix -G, is built
-    once by the vector enumeration of a negative definite lattice and kept
-    with the caches."""
+    caches nothing."""
 
-    __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands", "_negation",
-                 "_sig", "_even", "_orders", "_disc")
+    __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands", "_sig", "_even",
+                 "_orders", "_disc")
 
     def __init__(self, gram, label=None):
         if not isinstance(gram, Matrix):
@@ -62,7 +60,6 @@ class Lattice:
         self._det = None
         self._snf = None
         self._summands = summands
-        self._negation = None
         self._sig = None
         self._even = None
         self._orders = None

@@ -10,11 +10,13 @@ Q(-x) = Q(x) and every bound of the walk is symmetric, so only the half of
 the tree whose last nonzero coordinate is positive is walked, and each x is
 handed out together with -x: the stream is x, -x, x', -x', ... in the order
 of the full tree's walk restricted to that half.
-Negative definite inputs are globally negated before enumeration, once per
-lattice: the negation is kept with the lattice's caches.
+A negative definite lattice is walked on its own elimination: the
+elimination of -G is that of G with minor D_k and echelon row U_{k-1}
+negated at odd k, so norms are read as |Q| and no lattice of Gram matrix
+-G is built.
 
 Every vector query reads one stream, `short_vectors`, which owns the sign
-flip and the norm and rank guards.  `definite_isometric` searches basis
+and the norm and rank guards.  `definite_isometric` searches basis
 images with Plesken-Souvignier forward checking over pools of vectors.
 """
 
@@ -22,31 +24,30 @@ from math import gcd, isqrt
 from operator import mul
 
 from .errors import BadParams, IndefiniteLattice, RankTooLarge
-from .lattice import Lattice
 from .linalg import Matrix
 
 RANK_CAP = 16
 ISOM_RANK_CAP = 14
 
 
-def _flip_to_positive(lat):
-    """(positive definite lattice, sign) for a definite input."""
-    if lat.rank == 0:
-        return lat, 1
+def _definite_sign(lat):
+    """1 for a positive definite lattice (or rank 0), -1 for a negative
+    definite one; IndefiniteLattice otherwise."""
     p, m = lat.signature
     if m == 0:
-        return lat, 1
+        return 1
     if p == 0:
-        if lat._negation is None:
-            lat._negation = Lattice(-lat.gram, lat.label)
-        return lat._negation, -1
+        return -1
     raise IndefiniteLattice("lattice of signature %s is indefinite" % ((p, m),))
 
 
-def _enumerate_upto(pos, bound):
-    """Yield (x, Q(x)) for every nonzero integer vector x with Q(x) <= bound
-    on a positive definite lattice, as pairs: each x whose last nonzero
+def _enumerate_upto(lat, bound):
+    """Yield (x, |Q(x)|) for every nonzero integer vector x with |Q(x)| <=
+    bound on a definite lattice, as pairs: each x whose last nonzero
     coordinate is positive, right after it -x.
+
+    A negative definite lattice is read on the elimination of -G: its minor
+    D_k and echelon row U_{k-1} are those of G, negated at odd k.
 
     With D_0 = 1, D_k the leading minors and y_i = U_i . x the echelon forms
     of the elimination, N_i = D_i * sum_{k>=i} y_k^2 / (D_k D_{k+1}) is an
@@ -64,12 +65,14 @@ def _enumerate_upto(pos, bound):
     -x, whose tail it builds once per opening.  The mirror subtree of -x,
     which the walk skips, has the same shape.
     """
-    n = pos.rank
+    n = lat.rank
     if n == 0 or bound <= 0:
         return
-    elim = pos.elimination()
-    d = (1,) + elim.minors
-    u = elim.rows
+    elim = lat.elimination()
+    d, u = (1, *elim.minors), elim.rows
+    if d[1] < 0:
+        d = [-dk if k % 2 else dk for k, dk in enumerate(d)]
+        u = [[-e for e in r] if k % 2 == 0 else r for k, r in enumerate(u)]
 
     x = [0] * n
     # per open level i >= 1: c_i, N_{i+1} and the iterator over x_i;
@@ -121,8 +124,8 @@ def short_vectors(lat, max_norm, rank_cap=RANK_CAP):
     positive, in the Fincke-Pohst order of that half tree, each followed at
     once by (-v, |Q(v)|).
 
-    Norms are read on the positive definite model: a negative definite
-    lattice is negated first, so `max_norm` is never negative.  The guards
+    Norms are read as |Q|, so `max_norm` is never negative; a negative
+    definite lattice is walked on its own elimination.  The guards
     act at the call, before the first vector: BadParams for a negative norm,
     RankTooLarge above `rank_cap`, IndefiniteLattice for an indefinite input.
     """
@@ -131,8 +134,8 @@ def short_vectors(lat, max_norm, rank_cap=RANK_CAP):
                         "definite model" % max_norm)
     if lat.rank > rank_cap:
         raise RankTooLarge("rank %d exceeds the enumeration cap %d" % (lat.rank, rank_cap))
-    pos, _sign = _flip_to_positive(lat)
-    return _enumerate_upto(pos, max_norm)
+    _definite_sign(lat)
+    return _enumerate_upto(lat, max_norm)
 
 
 def _shell(lat, norm, dots, div, rank_cap):
@@ -223,19 +226,18 @@ def definite_isometric(l1, l2):
     if l1.rank > ISOM_RANK_CAP:
         raise RankTooLarge("rank %d exceeds the isometry-search cap %d"
                            % (l1.rank, ISOM_RANK_CAP))
-    pos1, sign1 = _flip_to_positive(l1)
-    pos2, sign2 = _flip_to_positive(l2)
-    if sign1 != sign2 or l1.det != l2.det or l1.is_even() != l2.is_even():
+    sign = _definite_sign(l1)
+    if sign != _definite_sign(l2) or l1.det != l2.det or l1.is_even() != l2.is_even():
         return None
-    n = pos1.rank
-    basis_norms = [pos1.gram[i, i] for i in range(n)]
+    n = l1.rank
+    g1 = l1.gram
+    g2 = l2.gram
+    basis_norms = [sign * g1[i, i] for i in range(n)]
     order = sorted(range(n), key=lambda i: -basis_norms[i])
-    g1 = pos1.gram
-    g2 = pos2.gram
     pools = {}
     for nv in set(basis_norms):
-        pools[nv] = vectors_of_norm(pos2, nv)
-        if len(pools[nv]) != count_vectors(pos1, nv):
+        pools[nv] = vectors_of_norm(l2, nv)
+        if len(pools[nv]) != count_vectors(l1, nv):
             return None
     chosen = [None] * n
 

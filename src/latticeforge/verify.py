@@ -266,7 +266,7 @@ def labeling_search(alg, d_max, rank_cap=shortvec.RANK_CAP):
         if not any(tail):
             continue
         ev = sum(map(mul, row0, vec))
-        # the norm is read on the positive definite model
+        # short_vectors reads the norm as |Q|
         qv = norm if n > 0 else -norm
         sat = vec
         # closed-form saturation of <eta, vec>: eta is the first basis

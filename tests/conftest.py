@@ -7,15 +7,18 @@ exits, the general Bareiss determinant, and the whole p-part matrix with
 the local obstruction read from its determinant, which the library no
 longer carries, kept as references for its integer, Jordan, closed-form and
 kernel paths; the recursive Fincke-Pohst walker over the whole tree and
-the paired stream derived from it, the references for the order of the
-library's half-tree stream; the budgeted U(3) witness search over the
-L1-windowed walk of that walker, with its coordinate bounds, a witness
-oracle for the U(3) embedding decision; the saturation of a sublattice and
-the radical of a finite form, references for `saturation_index` and for
-degenerate forms; an injective glue built from the library's one onto
-glue search; the three glue loops `verify` ran before
-`glue.embedding_glues` (every U(3) glue, the A2 images in element order, the
-first U(3) graph per quadratic value), references for that enumerator; the
+the paired stream derived from it, read on the positive model of a
+definite lattice, the references for the order of the library's half-tree
+stream; the budgeted U(3) witness search over the L1-windowed walk of that
+walker, with its coordinate bounds, a witness oracle for the U(3)
+embedding decision; the saturation of a sublattice and the radical of a
+finite form, references for `saturation_index` and for degenerate forms;
+the subquotient presentation read through Fraction inverses, the reference
+for `_presentation` and the source of the lifts of its generators, which
+the library does not return; an injective glue built from the library's
+one onto glue search; the three glue loops `verify` ran before
+`glue.embedding_glues` (every U(3) glue, the A2 images in element order,
+the first U(3) graph per quadratic value), references for that enumerator; the
 U(3) gluing forms read on disc U(3) + disc M, the reference for the negated
 complement forms `verify` reads them from; and the quadratic value of an
 element as a Fraction mod 2, which the library no longer gives."""
@@ -31,9 +34,9 @@ from operator import mul
 import pytest
 
 from latticeforge.discform import (
+    FiniteQuadraticForm,
     _match_maps,
     _p_form,
-    _presentation,
     discriminant_form,
     orthogonal_subgroup,
     solve_congruences,
@@ -42,8 +45,14 @@ from latticeforge.discform import (
 from latticeforge.errors import DegenerateForm, DimensionMismatch, OddLatticeQuadratic
 from latticeforge.glue import GlueData, Sublattice, embedding_glues, saturation_index
 from latticeforge.lattice import Lattice, _factorization, _invariant_factors
-from latticeforge.linalg import Matrix, SnfResult, SymmetricElimination, integer_kernel
-from latticeforge.shortvec import _flip_to_positive
+from latticeforge.linalg import (
+    Matrix,
+    SnfResult,
+    SymmetricElimination,
+    hermite_normal_form,
+    integer_kernel,
+    smith_normal_form,
+)
 
 
 def fraction_inverse(m):
@@ -380,6 +389,12 @@ def enumerate_upto_oracle(pos, bound, l1_window=None):
     yield from rec(n - 1, 0, 0)
 
 
+def positive_model(lat):
+    """The lattice itself when it is positive definite, else the lattice of
+    Gram matrix -G: the input of the positive definite oracles."""
+    return lat if lat.signature[1] == 0 else Lattice(-lat.gram)
+
+
 def paired_stream_oracle(pos, bound):
     """The stream `shortvec._enumerate_upto` hands out, derived from the
     whole-tree walk of `enumerate_upto_oracle`: its x whose last nonzero
@@ -393,12 +408,13 @@ def coordinate_bounds(lat, max_norm):
     lattice: x_i^2 <= max_norm (G^-1)_ii (Cauchy-Schwarz in the dual).  The
     orthogonal basis b_k of the elimination, of norms D_k D_{k+1}, gives
     (G^-1)_ii = sum_k b_k[i]^2 / (D_k D_{k+1}), read over one common
-    denominator.  Calls no `zip`, which `find_u3_sublattice_oracle` keeps
-    for its pair loop."""
-    elim = _flip_to_positive(lat)[0].elimination()
+    denominator; on a negative definite lattice the elimination of G gives
+    those of -G up to sign, so the norms are read as |D_k D_{k+1}|.  Calls
+    no `zip`, which `find_u3_sublattice_oracle` keeps for its pair loop."""
+    elim = lat.elimination()
     d = (1,) + elim.minors
     n = len(elim.minors)
-    norms = [d[k] * d[k + 1] for k in range(n)]
+    norms = [abs(d[k] * d[k + 1]) for k in range(n)]
     den = math.lcm(*norms)
     return tuple(isqrt(max_norm * sum(den // norms[k] * elim.basis[k][i] ** 2 for k in range(n))
                        // den) for i in range(n))
@@ -425,7 +441,7 @@ def u3_candidates_oracle(block, rest, sign, coeff_bound, max_def_norm):
             key = -m * sign
             if 0 <= key <= max_def_norm and (alpha or beta):
                 heads.append((alpha, beta, key))
-    pos = _flip_to_positive(rest)[0]
+    pos = positive_model(rest)
     zero = (0,) * rest.rank
     w_max = sum(coordinate_bounds(rest, max_def_norm))
     by_size = {(0, 0): [zero]}  # (|w|_1, norm) -> sorted w
@@ -822,6 +838,35 @@ def u3_glued_forms_oracle(fu, fo):
             for gens, images in embedding_glues(fu, fo.neg())]
 
 
+def fraction_presentation(form, gen_rows, rel_rows):
+    """(form, lifts): the form `discform._presentation` induces on the span
+    of `gen_rows` modulo that of `rel_rows`, and its generators as rows in
+    those of `form`.  The relations are read in the HNF basis P through the
+    Gauss-Jordan inverse of P, the new generators come from the inverse of
+    the Smith transform, and their values are read as Fractions."""
+    h, _ = hermite_normal_form(Matrix(gen_rows))
+    p = Matrix(tuple(r for r in h.rows if any(r)))
+    c = fraction_to_int(Matrix(rel_rows) @ fraction_inverse(p))
+    snf = smith_normal_form(c)
+    vinv = fraction_to_int(fraction_inverse(snf.v))
+    pairs = [(d, (Matrix((vinv.row(j),)) @ p).row(0))
+             for j, d in enumerate(snf.divisors) if d not in (0, 1)]
+    orders = tuple(d for d, _ in pairs)
+    lifts = tuple(lift for _, lift in pairs)
+    den = math.lcm(*orders)
+
+    def integral(value):
+        value = Fraction(den * value, form.den)
+        assert value.denominator == 1, value
+        return value.numerator
+
+    B = [[integral(form._b(x, y)) for y in lifts] for x in lifts]
+    # a trivial quotient is TRIVIAL_FORM, whose empty table of q values
+    # stands even for a bilinear-only form
+    Q = None if form.Q is None and lifts else [integral(form._q(x)) for x in lifts]
+    return FiniteQuadraticForm(orders, B, Q), Matrix(lifts)
+
+
 def injective_anti_glue(left, right):
     """Glue data embedding disc(left) anti-isometrically into disc(right) as
     the subgroup y-perp of one element y, or None.
@@ -840,7 +885,7 @@ def injective_anti_glue(left, right):
         if qy == 0 or qy in seen:
             continue
         seen.add(qy)
-        sub, lifts = _presentation(fr, orthogonal_subgroup(fr, [y]).rows, rel)
+        sub, lifts = fraction_presentation(fr, orthogonal_subgroup(fr, [y]).rows, rel)
         images = _match_maps(fl, sub, -1)
         if images is not None:
             return GlueData(left, right, Matrix.identity(fl.ngens), images @ lifts)

@@ -7,6 +7,7 @@ from conftest import (
     a2_glue_images_oracle,
     bareiss_det,
     fraction_inverse,
+    fraction_presentation,
     fraction_to_int,
     injective_anti_glue,
     q_of,
@@ -220,7 +221,7 @@ def test_primitive_extension_glues_the_phi21_involution_pair():
     # the induced involution pair of row phi21 glued along the 2-parts of
     # its discriminants gives a lattice of the rank-24 hyperbolic-type
     # genus, in which the two parts meet with a 2-elementary glue group
-    from latticeforge.discform import _match_maps, _presentation
+    from latticeforge.discform import _match_maps
 
     row = next(r for r in catalog.INDUCED_ROWS if r.label == "phi21")
     inv = from_expression(row.inv)        # U + E6(-2)
@@ -230,7 +231,7 @@ def test_primitive_extension_glues_the_phi21_involution_pair():
     two_part = [x for x in fi.elements() if any(x) and fi.element_order(x) == 2]
     # the subgroup they generate, presented as a standalone form
     rel = Matrix.diagonal(fi.orders).rows
-    sub, lifts = _presentation(fi, [fi.reduce(x) for x in two_part] + list(rel), rel)
+    sub, lifts = fraction_presentation(fi, [fi.reduce(x) for x in two_part] + list(rel), rel)
     assert sub.orders == (2,) * 6
     images = _match_maps(sub, fc, -1)
     assert images is not None

@@ -376,7 +376,7 @@ _READERS = {
 _SLOTS = {"det": "_det", "signature": "_sig", "is_even": "_even",
           "disc_group_orders": "_orders", "elimination": "_elim", "snf": "_snf",
           "discriminant_form": "_disc"}
-_CACHES = ("_elim", "_det", "_snf", "_negation", "_sig", "_even", "_orders", "_disc")
+_CACHES = ("_elim", "_det", "_snf", "_sig", "_even", "_orders", "_disc")
 
 
 def _read(name, lat):
@@ -478,7 +478,7 @@ def test_set_starts_with_every_cache_empty():
     lat = from_expression("U + A2 + [2]")
     for name in _READERS:
         _read(name, lat)
-    assert all(getattr(lat, slot) is not None for slot in _CACHES if slot != "_negation")
+    assert all(getattr(lat, slot) is not None for slot in _CACHES)
     for fresh in (Lattice(lat.gram), direct_sum([lat, lat]), rescale(lat, 2)):
         assert all(getattr(fresh, slot) is None for slot in _CACHES)
     assert FiniteQuadraticForm((3,), [[1]], [2])._local is None

@@ -8,6 +8,7 @@ from conftest import (
     bareiss_det,
     find_u3_sublattice_oracle,
     paired_stream_oracle,
+    positive_model,
     smith_normal_form_oracle,
     symmetric_elimination_oracle,
 )
@@ -315,9 +316,9 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
         seen["elim"].add(g)
         return real_elim(g)
 
-    def walk(pos, bound):
-        seen["walk"].add((pos.gram, bound))
-        return real_walk(pos, bound)
+    def walk(lat, bound):
+        seen["walk"].add((lat.gram, bound))
+        return real_walk(lat, bound)
 
     from_expression.cache_clear()
     monkeypatch.setattr(linalg, "smith_normal_form", snf)
@@ -326,10 +327,18 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
     try:
         assert all(report.ok for report in verify.verify_all())
         # more real inputs: a U(3) witness in each induced invariant
-        # lattice, and the norm-2 vectors of its complement
+        # lattice, and the norm-2 vectors of its complement; the norm-2
+        # vectors of each cubic row's negated invariant and algebraic
+        # lattices and of eta-perp in the algebraic lattice and its negation
         for row in catalog.INDUCED_ROWS:
             sub = find_u3_sublattice_oracle(from_expression(row.inv))
             shortvec.count_vectors(glue.orthogonal_complement(sub).lattice(), 2)
+        for row in catalog.CUBIC_ROWS:
+            alg = Lattice(row.alg_gram)
+            eta = (1,) + (0,) * (alg.rank - 1)
+            perp = glue.orthogonal_complement(glue.span(alg, [eta])).lattice()
+            for gram in (row.inv_gram, row.alg_gram, perp.gram, -perp.gram):
+                shortvec.count_vectors(Lattice(-gram), 2)
     finally:
         from_expression.cache_clear()
     monkeypatch.undo()
@@ -338,13 +347,14 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
         assert smith_normal_form(m) == smith_normal_form_oracle(m)
     for g in seen["elim"]:
         _same_as_oracle(symmetric_elimination, symmetric_elimination_oracle, g)
-    # every Fincke-Pohst walk gives the recursive walker's stream cut to the
-    # half tree, each x followed by -x: the same vectors with the same norms
-    # in the same order
+    # every Fincke-Pohst walk, of either sign, gives the recursive walker's
+    # stream on the positive model cut to the half tree, each x followed by
+    # -x: the same vectors with the same norms in the same order
     assert seen["walk"]
     for gram, bound in seen["walk"]:
-        pos = Lattice(gram)
-        assert list(shortvec._enumerate_upto(pos, bound)) == paired_stream_oracle(pos, bound)
+        lat = Lattice(gram)
+        want = paired_stream_oracle(positive_model(lat), bound)
+        assert list(shortvec._enumerate_upto(lat, bound)) == want
 
 
 def test_smith_normal_form_matches_oracle_on_the_lambda_p_grams():

@@ -17,6 +17,7 @@ from conftest import (
     cubic_roots_oracle,
     enumerate_upto_oracle,
     paired_stream_oracle,
+    positive_model,
     root_report_oracle,
     saturate,
 )
@@ -28,7 +29,6 @@ from latticeforge.lattice import Lattice, direct_sum, from_expression, make_name
 from latticeforge.linalg import Matrix, hermite_normal_form
 from latticeforge.shortvec import (
     _enumerate_upto,
-    _flip_to_positive,
     count_vectors,
     definite_isometric,
     has_square_one,
@@ -139,21 +139,37 @@ def test_definite_isometric_negative_definite():
     assert w.T @ a.gram @ w == a.gram
 
 
-def test_negative_definite_queries_negate_once(monkeypatch):
-    # the negation of a negative definite lattice is kept with its caches,
-    # so repeated queries eliminate the negated Gram matrix once
+_NEGATIVE_QUERIES = {
+    "stream": lambda lat: list(short_vectors(lat, 4)),
+    "count": lambda lat: [count_vectors(lat, 2) for _ in range(2)],
+    "shell": lambda lat: vectors_of_norm(lat, 4, [((1,) + (0,) * (lat.rank - 1), 0)]),
+    "roots": root_report,
+    "labeling": lambda lat: verify.labeling_search(lat, 12),
+    "isometric": lambda lat: definite_isometric(lat, lat),
+}
+
+
+@pytest.mark.parametrize("expr", ["E8(-1) + A2(-1)", "[-3] + E6(-1)", "D4(-1)"])
+@pytest.mark.parametrize("query", sorted(_NEGATIVE_QUERIES))
+def test_negative_definite_queries_read_their_own_elimination(monkeypatch, expr, query):
+    # a negative definite lattice is walked on the elimination of G: each
+    # query eliminates G once, never -G, keeps no negated twin, and answers
+    # as on the explicit positive model Lattice(-G)
+    ask = _NEGATIVE_QUERIES[query]
     seen = []
     real = linalg.symmetric_elimination
     monkeypatch.setattr(linalg, "symmetric_elimination", lambda g: seen.append(g) or real(g))
     from_expression.cache_clear()
     try:
-        lat = from_expression("E8(-1) + A2(-1)")
-        counts = [count_vectors(lat, 2) for _ in range(2)]
-        shell = vectors_of_norm(lat, 2)
+        lat = from_expression(expr)
+        got = ask(lat)
     finally:
         from_expression.cache_clear()
-    assert counts == [240 + 6] * 2 == [len(shell)] * 2
-    assert len([g for g in seen if g in (lat.gram, -lat.gram)]) == 1
+    monkeypatch.undo()
+    assert lat.signature == (0, lat.rank)
+    assert [g for g in seen if g in (lat.gram, -lat.gram)] == [lat.gram]
+    assert not hasattr(lat, "_negation")
+    assert got == ask(Lattice(-lat.gram))
 
 
 def _adjugate_bounds(gram, max_norm):
@@ -181,8 +197,8 @@ def test_coordinate_bounds_match_adjugate_oracle(data, rank, k, sign, max_norm):
 
 
 def test_coordinate_bounds_read_the_cached_elimination(monkeypatch):
-    # once a lattice (or the negation a negative definite one keeps) is
-    # eliminated, the bounds need no further elimination
+    # once a lattice of either sign is eliminated, the bounds need no
+    # further elimination
     pos = Lattice(linalg.block_diag([make_named("E", 6).gram, make_named("D", 4).gram]))
     neg = rescale(pos, -1)
     pos.elimination()
@@ -202,9 +218,8 @@ def _reference_isometric(l1, l2):
     8; kept as the oracle for the order in which witnesses are found."""
     if l1.rank != l2.rank:
         return None
-    pos1, sign1 = _flip_to_positive(l1)
-    pos2, sign2 = _flip_to_positive(l2)
-    if sign1 != sign2 or l1.det != l2.det or l1.is_even() != l2.is_even():
+    pos1, pos2 = positive_model(l1), positive_model(l2)
+    if (pos1 is l1) != (pos2 is l2) or l1.det != l2.det or l1.is_even() != l2.is_even():
         return None
     n = pos1.rank
     basis_norms = [pos1.gram[i, i] for i in range(n)]
@@ -502,10 +517,10 @@ _WALK_TERMS = ("A1", "[1]", "[3]", "[5]", "A2", "A3", "D4", "A1(3)", "A2(2)", "E
 
 
 @st.composite
-def _definite_sums(draw, max_rank=7):
+def _definite_sums(draw, max_rank=7, signs=(1, -1)):
     """A random definite sum of rank <= max_rank: rank-one terms, twisted
-    terms and terms scaled by 1-3, all of one sign."""
-    sign = draw(st.sampled_from((1, -1)))
+    terms and terms scaled by 1-3, all of one sign, drawn from `signs`."""
+    sign = draw(st.sampled_from(signs))
     terms, rank = [], 0
     for expr in draw(st.lists(st.sampled_from(_WALK_TERMS), min_size=1, max_size=3)):
         lat = from_expression(expr)
@@ -520,13 +535,40 @@ def _definite_sums(draw, max_rank=7):
 @given(_definite_sums(), st.integers(0, 8))
 def test_walker_matches_recursive_oracle(lat, bound):
     # the walker hands out exactly the whole-tree stream of the recursive
-    # walker cut to the x whose last nonzero coordinate is positive, each
-    # followed at once by -x, in the same order
-    pos = _flip_to_positive(lat)[0]
-    got = list(_enumerate_upto(pos, bound))
+    # walker on the positive model cut to the x whose last nonzero
+    # coordinate is positive, each followed at once by -x, in the same order
+    pos = positive_model(lat)
+    got = list(_enumerate_upto(lat, bound))
     assert got == paired_stream_oracle(pos, bound)
     if prod(2 * b + 1 for b in box_bounds(pos.gram, bound)) <= 20000:
         assert sorted(got) == sorted(box_ball(pos.gram, bound))
+
+
+def _negated_at_even_index(elim):
+    """(minors, rows) of an elimination with entry k of each negated at
+    even k: the elimination of -G read off that of G."""
+    return (tuple(-d if k % 2 == 0 else d for k, d in enumerate(elim.minors)),
+            tuple(tuple(-e for e in r) if k % 2 == 0 else r for k, r in enumerate(elim.rows)))
+
+
+def _assert_negation_identity(neg):
+    want = linalg.symmetric_elimination(-neg)
+    assert _negated_at_even_index(linalg.symmetric_elimination(neg)) == (want.minors, want.rows)
+
+
+def test_negation_identity_on_negated_catalog_grams():
+    # the walker reads a negative definite G on G's own elimination: that of
+    # -G is G's with minor D_{k+1} and echelon row k negated at even k
+    for row in catalog.CUBIC_ROWS:
+        for gram in (row.inv_gram, row.alg_gram):
+            _assert_negation_identity(-gram)
+    _assert_negation_identity(from_expression("E8(-1) + A2(-1)").gram)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_definite_sums(signs=(-1,)))
+def test_negation_identity_on_negative_definite_sums(lat):
+    _assert_negation_identity(lat.gram)
 
 
 def test_half_walk_opens_half_the_levels_on_every_verify_all_walk(monkeypatch):
@@ -584,7 +626,7 @@ def test_shell_reads_pairs_like_the_box_oracle(lat, data):
     # `_shell` decides v and -v from one inner product per constraint and
     # one divisibility per pair; values 0 keep both, a value and its
     # negation keep one each
-    pos = _flip_to_positive(lat)[0]
+    pos = positive_model(lat)
     assume(prod(2 * b + 1 for b in box_bounds(pos.gram, _BOX_NORM)) <= 20000)
     norm = data.draw(st.integers(1, _BOX_NORM))
     shell = box_vectors(pos.gram, norm)
@@ -613,7 +655,7 @@ def test_shell_reads_pairs_like_the_box_oracle(lat, data):
 ])
 def test_shell_pair_examples(expr, norm, dots, div, count):
     lat = from_expression(expr)
-    pos = _flip_to_positive(lat)[0]
+    pos = positive_model(lat)
     want = _shell_oracle(lat, pos, norm, dots, div)
     assert len(want) == count
     assert vectors_of_norm(lat, norm, dots, div) == want
