@@ -143,18 +143,21 @@ def _shell(lat, norm, dots, div, rank_cap):
     to that value on the original Gram matrix and, when `div` is set, have
     divisibility `div`.
 
-    The stream is read a pair (v, -v) at a time: one norm test, one inner
-    product per constraint (v is kept when it equals the value, -v when it
-    equals minus the value) and one divisibility per pair."""
+    G w is computed once per constraint, before the first vector, so a
+    constraint of the wrong length raises DimensionMismatch even on an empty
+    shell.  The stream is read a pair (v, -v) at a time: one norm test, one
+    dot product v . G w per constraint (v is kept when it equals the value,
+    -v when it equals minus the value) and one divisibility per pair."""
     if div is not None and div < 1:
         raise BadParams("divisibility %d is not positive; no vector has it" % div)
+    dots = [(lat.gram.apply(w), val) for w, val in dots]
     pairs = iter(short_vectors(lat, norm, rank_cap))
     for (v, nv), (mv, _) in zip(pairs, pairs):
         if nv != norm:
             continue
         keep = keep_mv = True
-        for w, val in dots:
-            p = lat.inner(v, w)
+        for gw, val in dots:
+            p = sum(map(mul, v, gw))
             keep, keep_mv = keep and p == val, keep_mv and p == -val
             if not (keep or keep_mv):
                 break

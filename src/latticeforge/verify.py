@@ -2,11 +2,12 @@
 labeling search and the associated-K3 decision procedure."""
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 from operator import mul
 
 from . import catalog, discform, glue, shortvec
-from .lattice import Lattice, _invariant_factors, from_expression, make_named, rescale
+from .lattice import Lattice, _invariant_factors, from_expression, make_named
 from .linalg import Matrix
 
 
@@ -172,11 +173,20 @@ def _eta_perp_witness(alg, perp, inv, witness):
     return True, "explicit witness"
 
 
+@cache
+def _cubic_lattice(gram):
+    """The lattice of a cubic table Gram matrix, one object per Gram and
+    process: `verify cubic` and `verify lsv` read the same object, so its
+    Smith form, elimination and form are computed once, by whichever table
+    reads them first.  Nothing is built before a table asks."""
+    return Lattice(gram)
+
+
 def _verify_cubic_row(row):
     v = RowVerdict(row.label)
-    inv = Lattice(row.inv_gram)
+    inv = _cubic_lattice(row.inv_gram)
     co = from_expression(row.coinv)
-    alg = Lattice(row.alg_gram)
+    alg = _cubic_lattice(row.alg_gram)
 
     v.add("inv_positive_definite", inv.rank == 0 or inv.is_positive_definite(),
           "%s" % (inv.signature,))
@@ -384,34 +394,41 @@ def _u3_embedding(lat):
     return True, "%s; L is alone in its genus" % found
 
 
-def _genus_equal(l1, l2):
-    if l1.rank != l2.rank or l1.signature != l2.signature or l1.is_even() != l2.is_even() \
-            or l1.disc_group_orders() != l2.disc_group_orders():
+def _genus_equal(l1, l2, sign=1):
+    """Whether l1 is in the genus of l2(sign).  L(-1) is read off L itself:
+    its signature is L's reversed, its parity and discriminant group are
+    L's, and its discriminant form is -q_L (Nikulin 1979, Sec. 1), so no
+    negated copy of L is built."""
+    sig = l2.signature if sign == 1 else l2.signature[::-1]
+    if l1.rank != l2.rank or l1.signature != sig \
+            or l1.is_even() != l2.is_even() or l1.disc_group_orders() != l2.disc_group_orders():
         return False
+    f2 = discform.discriminant_form(l2)
     return discform.forms_isomorphic(discform.discriminant_form(l1),
-                                     discform.discriminant_form(l2))
+                                     f2 if sign == 1 else f2.neg())
 
 
-def _u3_gluings_to(target, other):
-    """Whether target's genus is that of U(3) glued with `other` along the
-    trivial subgroup or a graph of order 3.
+def _u3_gluings_to(target, other, sign=1):
+    """Whether target's genus is that of U(3) glued with M = other(sign)
+    along the trivial subgroup or a graph of order 3; other(-1) is read off
+    `other` as in `_genus_equal`.
 
-    The glued lattice has signature (1, 1) + sig(other), the parity of
-    `other`, and discriminant form H^perp / H on disc U(3) + disc other for
-    the graph H (Nikulin 1979, Prop. 1.4.1), so no overlattice is built.
-    The graphs of order 3 are those of the line glues of disc U(3) into
-    -q_other, one per line when that form is 3-elementary.  Their
-    complement forms (`glue.complement_forms`) are read on the same graphs
-    in -(q_U(3) + q_other), so, negated, they are the forms H^perp / H.
+    The glued lattice has signature (1, 1) + sig(M), the parity of M, and
+    discriminant form H^perp / H on disc U(3) + disc M for the graph H
+    (Nikulin 1979, Prop. 1.4.1), so no overlattice is built.  The graphs of
+    order 3 are those of the line glues of disc U(3) into -q_M, one per line
+    when that form is 3-elementary; -q_M is q_other itself when sign is -1.
+    Their complement forms (`glue.complement_forms`) are read on the same
+    graphs in -(q_U(3) + q_M), so, negated, they are the forms H^perp / H.
     """
-    sig = (other.signature[0] + 1, other.signature[1] + 1)
-    if target.rank != other.rank + 2 or target.signature != sig \
+    p, m = other.signature if sign == 1 else other.signature[::-1]
+    if target.rank != other.rank + 2 or target.signature != (p + 1, m + 1) \
             or target.is_even() != other.is_even():
         return False
     fu = discform.discriminant_form(from_expression("U(3)"))
     fo = discform.discriminant_form(other)
     ft = discform.discriminant_form(target)
-    for gens, form in glue.complement_forms(fu, fo.neg()):
+    for gens, form in glue.complement_forms(fu, fo.neg() if sign == 1 else fo):
         if len(gens) == 2:  # the whole group: graphs of order 9 from here on
             return False
         if discform.forms_isomorphic(form.neg(), ft):
@@ -420,11 +437,11 @@ def _u3_gluings_to(target, other):
 
 
 def canonical_u3_certificate():
-    """U(3) + (the negated primitive-cohomology genus) glued along Z/3 gives
-    the rank-24 hyperbolic-type genus; certifies that a U(3) with embedding
-    subgroup Z/3 exists there.  The determinants differ by a factor 9, so
-    any gluing `_u3_gluings_to` finds has index 3."""
-    return _u3_gluings_to(make_named("OG10"), from_expression("U^2 + E8(-1)^2 + A2(-1)"))
+    """U(3) + F(-1), F the primitive-cohomology genus, glued along Z/3
+    gives the rank-24 hyperbolic-type genus; certifies that a U(3) with
+    embedding subgroup Z/3 exists there.  The determinants differ by a
+    factor 9, so any gluing `_u3_gluings_to` finds has index 3."""
+    return _u3_gluings_to(make_named("OG10"), make_named("F"), -1)
 
 
 def _rank24_reading(row, inv):
@@ -454,13 +471,13 @@ def _verify_induced_row(row):
 
     cubic = catalog.cubic_row(row.label) if row.p == 3 else None
     if cubic:
-        fg_neg = rescale(from_expression(cubic.coinv), -1)
-        v.add("coinv_matches_cubic_coinv_negated", _genus_equal(co, fg_neg),
+        v.add("coinv_matches_cubic_coinv_negated",
+              _genus_equal(co, from_expression(cubic.coinv), -1),
               "genus comparison with the negated order-3 coinvariant")
     v.add("contains_primitive_u3", *_u3_embedding(inv))
     if cubic:
-        neg = Lattice(-cubic.inv_gram)
-        v.add("inv_is_u3_glued_with_cubic_inv", _u3_gluings_to(inv, neg),
+        v.add("inv_is_u3_glued_with_cubic_inv",
+              _u3_gluings_to(inv, _cubic_lattice(cubic.inv_gram), -1),
               "U(3) + negated primitive algebraic lattice reassembles the invariant genus")
     return v
 

@@ -82,6 +82,42 @@ def test_info_runs_one_smith_form_per_gram(capsys, monkeypatch, expr, grams):
     assert len(seen) == len(set(seen)) == grams
 
 
+def test_lsv_after_cubic_runs_no_kernel_on_a_negated_cubic_gram(capsys, monkeypatch):
+    # lsv reads each negated cubic genus off the cubic lattice, and shares
+    # the invariant lattice of each cubic row with `verify cubic`: after
+    # it, no Smith form or elimination runs on a negated cubic invariant or
+    # coinvariant Gram, nor again on an invariant Gram
+    from latticeforge import linalg, verify
+    from latticeforge.lattice import from_expression
+
+    seen = []
+    real_snf, real_elim = linalg.smith_normal_form, linalg.symmetric_elimination
+
+    def snf(m):
+        seen.append(m)
+        return real_snf(m)
+
+    def elim(g):
+        seen.append(g)
+        return real_elim(g)
+
+    from_expression.cache_clear()
+    verify._cubic_lattice.cache_clear()
+    try:
+        assert run(capsys, "verify", "cubic")[0] == 0
+        monkeypatch.setattr(linalg, "smith_normal_form", snf)
+        monkeypatch.setattr(linalg, "symmetric_elimination", elim)
+        assert run(capsys, "verify", "lsv")[0] == 0
+    finally:
+        monkeypatch.undo()
+        from_expression.cache_clear()
+        verify._cubic_lattice.cache_clear()
+    cubic = set()
+    for row in catalog.CUBIC_ROWS:
+        cubic |= {row.inv_gram, -row.inv_gram, -from_expression(row.coinv).gram}
+    assert seen and not cubic & set(seen)
+
+
 @pytest.mark.parametrize("expr,parity,disc_q", [
     ("[1]", "odd", []), ("[-1]^2", "odd", []), ("[-1] + U", "odd", []),
     ("E8", "even", []), ("U", "even", []),

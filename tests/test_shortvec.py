@@ -24,7 +24,7 @@ from conftest import (
 
 from latticeforge import catalog, glue, linalg, shortvec, verify
 from latticeforge.catalog import FG_PHI35
-from latticeforge.errors import BadParams, IndefiniteLattice, RankTooLarge
+from latticeforge.errors import BadParams, DimensionMismatch, IndefiniteLattice, RankTooLarge
 from latticeforge.lattice import Lattice, direct_sum, from_expression, make_named, rescale
 from latticeforge.linalg import Matrix, hermite_normal_form
 from latticeforge.shortvec import (
@@ -660,3 +660,14 @@ def test_shell_pair_examples(expr, norm, dots, div, count):
     assert len(want) == count
     assert vectors_of_norm(lat, norm, dots, div) == want
     assert count_vectors(lat, norm, dots, div) == count
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+def test_shell_rejects_a_constraint_of_the_wrong_length(norm):
+    # G w is read once per constraint before the walk, so the length check
+    # acts at the call, on the empty norm-1 shell of A2 too
+    for w in ((1,), (1, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            count_vectors(A2, norm, dots=[(w, 1)])
+        with pytest.raises(DimensionMismatch):
+            vectors_of_norm(A2, norm, dots=[((1, 0), 0), (w, 1)])

@@ -816,6 +816,101 @@ def test_u3_gluing_forms_are_negated_complement_forms():
 
 
 # ---------------------------------------------------------------------------
+# negated genera read off the lattice against the negated copies they replaced
+
+
+def _order3_readings():
+    """The rank-24 coinvariant reading and the invariant lattice of each
+    order-3 induced row."""
+    out = []
+    for row in catalog.INDUCED_ROWS:
+        if row.p == 3:
+            inv = from_expression(row.inv)
+            out.append((verify._rank24_reading(row, inv)[1], inv))
+    return out
+
+
+def test_negated_genus_matches_the_negated_copy_on_table_pairs():
+    # each reading against every cubic coinvariant (the lsv comparison) and
+    # every order-3 rank-26 coinvariant (the candidates crosscheck), negated
+    cubic = [from_expression(r.coinv) for r in catalog.CUBIC_ROWS]
+    rank26 = [from_expression(r.coinv) for r in catalog.RANK26_PAIRS if r.p == 3]
+    pairs = [(co, b) for co, _ in _order3_readings() for b in cubic + rank26]
+    got = [verify._genus_equal(a, b, -1) for a, b in pairs]
+    assert got == [verify._genus_equal(a, rescale(b, -1)) for a, b in pairs]
+    assert sum(got) >= 4
+
+
+def test_negated_u3_gluing_matches_the_negated_copy_on_table_pairs():
+    # every order-3 invariant against every cubic invariant lattice, and the
+    # certificate's F
+    others = [verify._cubic_lattice(r.inv_gram) for r in catalog.CUBIC_ROWS]
+    pairs = [(inv, o) for _, inv in _order3_readings() for o in others]
+    pairs.append((make_named("OG10"), make_named("F")))
+    got = [verify._u3_gluings_to(t, o, -1) for t, o in pairs]
+    assert got == [verify._u3_gluings_to(t, Lattice(-o.gram)) for t, o in pairs]
+    assert got[-1] and sum(got) >= 5
+    assert verify.canonical_u3_certificate()
+
+
+# (base, twist) terms: even and odd, definite and indefinite, unimodular and
+# with 2-, 3- and 5-parts
+_SIGN_TERMS = (("A1", 1), ("A2", 1), ("A2", -1), ("U", 1), ("U", 3), ("[3]", 1), ("[-1]", 1),
+               ("[2]", 1), ("[1]", 1), ("E6", -1), ("A1", -3), ("D4", 1), ("E6*", -3),
+               ("K5", 1), ("[6]", 1))
+
+
+def _expression(terms, sign=1):
+    return " + ".join("%s(%d)" % (base, sign * twist) for base, twist in terms)
+
+
+@st.composite
+def _sign_pairs(draw, block=False):
+    """(a, b): b a sum of one to three terms, a a reordering of b(-1) with,
+    half the time, one term swapped for another of the same rank; with
+    `block`, a rank-2 term comes first in a, mostly U(3)."""
+    terms = draw(st.lists(st.sampled_from(_SIGN_TERMS), min_size=1, max_size=3))
+    b = from_expression(_expression(terms))
+    a_terms = list(draw(st.permutations(terms)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(a_terms) - 1))
+        rank = from_expression(_expression(a_terms[i:i + 1])).rank
+        swaps = [t for t in _SIGN_TERMS if from_expression(_expression([t])).rank == rank]
+        a_terms[i] = draw(st.sampled_from(swaps))
+    expr = _expression(a_terms, -1)
+    if block:
+        expr = "%s + %s" % (draw(st.sampled_from(("U(3)", "U", "U(3)", "A2(-3)", "[3] + [-3]"))),
+                            expr)
+    return from_expression(expr), b
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not swallowed: both paths must agree
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sign_pairs())
+def test_negated_genus_matches_the_negated_copy(pair):
+    a, b = pair
+    assert _outcome(verify._genus_equal, a, b, -1) == \
+        _outcome(verify._genus_equal, a, rescale(b, -1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sign_pairs(block=True))
+def test_negated_u3_gluing_matches_the_negated_copy(pair):
+    # an odd `other` carries no quadratic form to glue along, and both
+    # paths raise OddLatticeQuadratic on it
+    target, other = pair
+    assert _outcome(verify._u3_gluings_to, target, other, -1) == \
+        _outcome(verify._u3_gluings_to, target, Lattice(-other.gram))
+
+
+# ---------------------------------------------------------------------------
 # verify all against the benchmark reference verdicts
 
 
