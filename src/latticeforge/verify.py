@@ -408,27 +408,28 @@ def _genus_equal(l1, l2, sign=1):
                                      f2 if sign == 1 else f2.neg())
 
 
-def _u3_gluings_to(target, other, sign=1):
-    """Whether target's genus is that of U(3) glued with M = other(sign)
-    along the trivial subgroup or a graph of order 3; other(-1) is read off
-    `other` as in `_genus_equal`.
+def _u3_gluings_to(target, other):
+    """Whether target's genus is that of U(3) glued with M = other(-1)
+    along the trivial subgroup or a graph of order 3.  M is read off
+    `other` as in `_genus_equal`: the signature reversed, the parity kept
+    and q_M = -q_other.
 
     The glued lattice has signature (1, 1) + sig(M), the parity of M, and
     discriminant form H^perp / H on disc U(3) + disc M for the graph H
     (Nikulin 1979, Prop. 1.4.1), so no overlattice is built.  The graphs of
-    order 3 are those of the line glues of disc U(3) into -q_M, one per line
-    when that form is 3-elementary; -q_M is q_other itself when sign is -1.
-    Their complement forms (`glue.complement_forms`) are read on the same
-    graphs in -(q_U(3) + q_M), so, negated, they are the forms H^perp / H.
+    order 3 are those of the line glues of disc U(3) into -q_M = q_other,
+    one per line when that form is 3-elementary.  Their complement forms
+    (`glue.complement_forms`) are read on the same graphs in
+    -(q_U(3) + q_M), so, negated, they are the forms H^perp / H.
     """
-    p, m = other.signature if sign == 1 else other.signature[::-1]
+    m, p = other.signature
     if target.rank != other.rank + 2 or target.signature != (p + 1, m + 1) \
             or target.is_even() != other.is_even():
         return False
     fu = discform.discriminant_form(from_expression("U(3)"))
     fo = discform.discriminant_form(other)
     ft = discform.discriminant_form(target)
-    for gens, form in glue.complement_forms(fu, fo.neg() if sign == 1 else fo):
+    for gens, form in glue.complement_forms(fu, fo):
         if len(gens) == 2:  # the whole group: graphs of order 9 from here on
             return False
         if discform.forms_isomorphic(form.neg(), ft):
@@ -441,7 +442,7 @@ def canonical_u3_certificate():
     gives the rank-24 hyperbolic-type genus; certifies that a U(3) with
     embedding subgroup Z/3 exists there.  The determinants differ by a
     factor 9, so any gluing `_u3_gluings_to` finds has index 3."""
-    return _u3_gluings_to(make_named("OG10"), make_named("F"), -1)
+    return _u3_gluings_to(make_named("OG10"), make_named("F"))
 
 
 def _rank24_reading(row, inv):
@@ -477,7 +478,7 @@ def _verify_induced_row(row):
     v.add("contains_primitive_u3", *_u3_embedding(inv))
     if cubic:
         v.add("inv_is_u3_glued_with_cubic_inv",
-              _u3_gluings_to(inv, _cubic_lattice(cubic.inv_gram), -1),
+              _u3_gluings_to(inv, _cubic_lattice(cubic.inv_gram)),
               "U(3) + negated primitive algebraic lattice reassembles the invariant genus")
     return v
 

@@ -780,37 +780,39 @@ def _overlattice_u3_gluings_to(target, other):
 
 def _u3_pairs():
     """(target, other) for the certificate, the four order-3 induced rows and
-    every mismatched pairing of their invariants with other rows' parts."""
+    every mismatched pairing of their invariants with other rows' parts;
+    `_u3_gluings_to` glues U(3) with other(-1)."""
     invs = {r.label: from_expression(r.inv) for r in catalog.INDUCED_ROWS if r.p == 3}
-    negs = {label: Lattice(-catalog.cubic_row(label).inv_gram) for label in invs}
-    pairs = [(make_named("OG10"), from_expression("U^2 + E8(-1)^2 + A2(-1)"))]
-    pairs += [(invs[a], negs[b]) for a in invs for b in invs]
+    cubic = {label: Lattice(catalog.cubic_row(label).inv_gram) for label in invs}
+    pairs = [(make_named("OG10"), make_named("F"))]
+    pairs += [(invs[a], cubic[b]) for a in invs for b in invs]
     # a direct sum, an index-3 glue onto U, a determinant ratio of 81 and a
     # rank mismatch
-    pairs += [(from_expression("U(3) + A2(-1)^2"), from_expression("A2(-1)^2")),
-              (from_expression("U + A2(-1)^2"), from_expression("A2(-1)^2")),
-              (from_expression("U(3) + E6(-1)"), from_expression("E6*(-3)")),
-              (from_expression("U(3) + A2(-1)"), from_expression("E6(-1)"))]
+    pairs += [(from_expression("U(3) + A2(-1)^2"), from_expression("A2^2")),
+              (from_expression("U + A2(-1)^2"), from_expression("A2^2")),
+              (from_expression("U(3) + E6(-1)"), from_expression("E6*(3)")),
+              (from_expression("U(3) + A2(-1)"), from_expression("E6"))]
     return pairs
 
 
 def test_u3_gluings_on_forms_match_explicit_overlattices():
+    # the reference glues U(3) with the negated copy of `other`
     pairs = _u3_pairs()
     got = [verify._u3_gluings_to(t, o) for t, o in pairs]
-    assert got == [_overlattice_u3_gluings_to(t, o) for t, o in pairs]
+    assert got == [_overlattice_u3_gluings_to(t, Lattice(-o.gram)) for t, o in pairs]
     # the certificate and the four diagonal pairs glue; some mismatches do not
     assert got[0] and all(got[1 + 5 * i] for i in range(4))
     assert not all(got) and any(got[17:])
 
 
 def test_u3_gluing_forms_are_negated_complement_forms():
-    # the negated complement of U(3) in -q_other has, table for table, the
-    # form of U(3) glued with other, read on disc U(3) + disc other
+    # the negated complement of U(3) in q_other has, table for table, the
+    # form of U(3) glued with M = other(-1), read on disc U(3) + disc M
     fu = discform.discriminant_form(rescale(make_named("U"), 3))
     for _, other in _u3_pairs():
-        fo = discform.discriminant_form(other)
-        got = [(gens, form.neg()) for gens, form in glue.complement_forms(fu, fo.neg())]
-        want = u3_glued_forms_oracle(fu, fo)
+        got = [(gens, form.neg())
+               for gens, form in glue.complement_forms(fu, discform.discriminant_form(other))]
+        want = u3_glued_forms_oracle(fu, discform.discriminant_form(Lattice(-other.gram)))
         assert [gens for gens, _ in got] == [gens for gens, _ in want]
         assert [(f.orders, f.B, f.Q) for _, f in got] == [(f.orders, f.B, f.Q) for _, f in want]
 
@@ -841,23 +843,11 @@ def test_negated_genus_matches_the_negated_copy_on_table_pairs():
     assert sum(got) >= 4
 
 
-def test_negated_u3_gluing_matches_the_negated_copy_on_table_pairs():
-    # every order-3 invariant against every cubic invariant lattice, and the
-    # certificate's F
-    others = [verify._cubic_lattice(r.inv_gram) for r in catalog.CUBIC_ROWS]
-    pairs = [(inv, o) for _, inv in _order3_readings() for o in others]
-    pairs.append((make_named("OG10"), make_named("F")))
-    got = [verify._u3_gluings_to(t, o, -1) for t, o in pairs]
-    assert got == [verify._u3_gluings_to(t, Lattice(-o.gram)) for t, o in pairs]
-    assert got[-1] and sum(got) >= 5
-    assert verify.canonical_u3_certificate()
-
-
 # (base, twist) terms: even and odd, definite and indefinite, unimodular and
 # with 2-, 3- and 5-parts
-_SIGN_TERMS = (("A1", 1), ("A2", 1), ("A2", -1), ("U", 1), ("U", 3), ("[3]", 1), ("[-1]", 1),
-               ("[2]", 1), ("[1]", 1), ("E6", -1), ("A1", -3), ("D4", 1), ("E6*", -3),
-               ("K5", 1), ("[6]", 1))
+_EVEN_TERMS = (("A1", 1), ("A2", 1), ("A2", -1), ("U", 1), ("U", 3), ("[2]", 1), ("E6", -1),
+               ("A1", -3), ("D4", 1), ("E6*", -3), ("[6]", 1))
+_SIGN_TERMS = _EVEN_TERMS + (("[3]", 1), ("[-1]", 1), ("[1]", 1), ("K5", 1))
 
 
 def _expression(terms, sign=1):
@@ -865,17 +855,17 @@ def _expression(terms, sign=1):
 
 
 @st.composite
-def _sign_pairs(draw, block=False):
-    """(a, b): b a sum of one to three terms, a a reordering of b(-1) with,
-    half the time, one term swapped for another of the same rank; with
-    `block`, a rank-2 term comes first in a, mostly U(3)."""
-    terms = draw(st.lists(st.sampled_from(_SIGN_TERMS), min_size=1, max_size=3))
+def _sign_pairs(draw, pool=_SIGN_TERMS, block=False):
+    """(a, b): b a sum of one to three terms of `pool`, a a reordering of
+    b(-1) with, half the time, one term swapped for another of the same
+    rank; with `block`, a rank-2 term comes first in a, mostly U(3)."""
+    terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
     b = from_expression(_expression(terms))
     a_terms = list(draw(st.permutations(terms)))
     if draw(st.booleans()):
         i = draw(st.integers(0, len(a_terms) - 1))
         rank = from_expression(_expression(a_terms[i:i + 1])).rank
-        swaps = [t for t in _SIGN_TERMS if from_expression(_expression([t])).rank == rank]
+        swaps = [t for t in pool if from_expression(_expression([t])).rank == rank]
         a_terms[i] = draw(st.sampled_from(swaps))
     expr = _expression(a_terms, -1)
     if block:
@@ -901,13 +891,12 @@ def test_negated_genus_matches_the_negated_copy(pair):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_sign_pairs(block=True))
-def test_negated_u3_gluing_matches_the_negated_copy(pair):
-    # an odd `other` carries no quadratic form to glue along, and both
-    # paths raise OddLatticeQuadratic on it
+@given(_sign_pairs(pool=_EVEN_TERMS, block=True))
+def test_u3_gluings_match_explicit_overlattices_on_sums(pair):
+    # `other` is even: an odd one carries no quadratic form to glue along
     target, other = pair
-    assert _outcome(verify._u3_gluings_to, target, other, -1) == \
-        _outcome(verify._u3_gluings_to, target, Lattice(-other.gram))
+    assert verify._u3_gluings_to(target, other) == \
+        _overlattice_u3_gluings_to(target, Lattice(-other.gram))
 
 
 # ---------------------------------------------------------------------------
