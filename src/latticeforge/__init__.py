@@ -7,13 +7,12 @@ splitting, spinor norm), definite-lattice vector enumeration, and a verifier
 for the classification tables shipped in latticeforge.catalog.
 """
 
-from .lattice import Lattice, direct_sum, from_expression, invariants, make_named, rescale
+from .lattice import Lattice, direct_sum, from_expression, make_named, rescale
 
 __all__ = [
     "Lattice",
     "direct_sum",
     "from_expression",
-    "invariants",
     "make_named",
     "rescale",
 ]

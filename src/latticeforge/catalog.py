@@ -8,6 +8,7 @@ column of every row.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import UnknownLabel
 from .lattice import Lattice, from_expression
@@ -27,7 +28,6 @@ class PairRow:
     p: int
     note: str = ""
     printed: tuple = ()  # (coinv, inv) as printed, when reconciled
-    alt_coinv: str = ""  # second reading of an ambiguous printed expression
 
 
 # Pairs in the rank-26 even unimodular lattice of signature (5, 21), prime
@@ -313,17 +313,30 @@ def cubic_row(label):
     raise UnknownLabel(label)
 
 
+@cache
+def cubic_lattice(gram):
+    """The lattice of a cubic table Gram matrix, one object per Gram and
+    process: the registry's FG_ and AY_ entries, `verify cubic` and `verify
+    lsv` read the same object, so its Smith form, elimination and form are
+    computed once, by whichever reads them first."""
+    return Lattice(gram)
+
+
+@cache
 def fixture_lattices():
-    """Stable name -> Lattice map for every table lattice (CLI registry)."""
+    """Stable name -> Lattice map for every table lattice (CLI registry),
+    built once per process.  Each name maps to the object that `verify`
+    reads: `cubic_lattice` for a Gram, `from_expression` for an expression.
+    No invariant is computed here."""
     out = {}
     for row in CUBIC_ROWS:
-        out["FG_%s" % row.label] = Lattice(row.inv_gram, "FG_%s" % row.label)
-        out["FGco_%s" % row.label] = from_expression(row.coinv).relabel("FGco_%s" % row.label)
-        out["AY_%s" % row.label] = Lattice(row.alg_gram, "AY_%s" % row.label)
-        out["TY_%s" % row.label] = from_expression(row.coinv).relabel("TY_%s" % row.label)
+        out["FG_%s" % row.label] = cubic_lattice(row.inv_gram)
+        out["FGco_%s" % row.label] = from_expression(row.coinv)
+        out["AY_%s" % row.label] = cubic_lattice(row.alg_gram)
+        out["TY_%s" % row.label] = from_expression(row.coinv)
     for row in INDUCED_ROWS:
-        out["LG_%s" % row.label] = from_expression(row.coinv).relabel("LG_%s" % row.label)
-        out["LGinv_%s" % row.label] = from_expression(row.inv).relabel("LGinv_%s" % row.label)
+        out["LG_%s" % row.label] = from_expression(row.coinv)
+        out["LGinv_%s" % row.label] = from_expression(row.inv)
     return out
 
 

@@ -11,28 +11,32 @@ import sys
 
 from . import catalog, discform, glue, isom, shortvec, verify
 from .errors import BadInput, LatticeForgeError
-from .lattice import NAMED, Lattice, from_expression, invariants, make_named, matrix_from_json
+from .lattice import NAMED, Lattice, _is_prime, from_expression, matrix_from_json
 
 
 @functools.cache
 def _registry():
     """Name -> Lattice for the fixed lattice names and every table lattice,
-    built once per process on first use.  Lattices are immutable, so the
-    queries of one process share them and their cached eliminations."""
-    reg = {name: make_named(name) for name in NAMED}
+    built once per process on first use.  Each name maps to the object
+    `from_expression` or `catalog.fixture_lattices` keeps, so the queries
+    and verdicts of one process share it and its cached invariants."""
+    reg = {name: from_expression(name) for name in NAMED}
     reg.update(catalog.fixture_lattices())
     return reg
 
 
 def resolve_lattice(ref):
-    """Builtin name, lattice expression, or path to a lattice JSON file."""
+    """(lattice, name) of a builtin name, a path to a lattice JSON file or a
+    lattice expression.  The name is the builtin name itself, the file's
+    "name" (its path when it has none) or the expression's stripped text."""
     reg = _registry()
     if ref in reg:
-        return reg[ref]
+        return reg[ref], ref
     if os.path.exists(ref):
         with open(ref) as fh:
-            return Lattice.from_json(json.load(fh))
-    return from_expression(ref)
+            data = json.load(fh)
+        return Lattice.from_json(data), data.get("name") or ref
+    return from_expression(ref), ref.strip()
 
 
 def load_isometry(path):
@@ -41,7 +45,7 @@ def load_isometry(path):
     if not isinstance(data, dict) or "lattice" not in data or "matrix" not in data:
         raise BadInput('isometry JSON needs "lattice" and "matrix" entries')
     latref = data["lattice"]
-    lat = resolve_lattice(latref) if isinstance(latref, str) else Lattice.from_json(latref)
+    lat = resolve_lattice(latref)[0] if isinstance(latref, str) else Lattice.from_json(latref)
     return isom.Isometry(lat, matrix_from_json(data["matrix"], "isometry matrix"))
 
 
@@ -62,35 +66,41 @@ def _print(data, fmt, text_fn):
 
 
 def cmd_info(args):
-    lat = resolve_lattice(args.lattice)
+    lat, name = resolve_lattice(args.lattice)
     # disc_q has one value per invariant factor, so not a sum's summand form
     form = discform.smith_form(lat)
-    inv = invariants(lat)
+    orders = lat.disc_group_orders()
+    p_elem = None  # (p, a) when the discriminant group is (Z/p)^a
+    if orders and all(d == orders[0] for d in orders) and _is_prime(orders[0]):
+        p_elem = (orders[0], len(orders))
+    delta = None  # only for even 2-elementary lattices
+    if lat.is_even() and (not orders or p_elem and p_elem[0] == 2):
+        delta = discform.delta_invariant(discform.discriminant_form(lat))
+    sig = lat.signature
     data = {
-        "name": lat.label or args.lattice,
+        "name": name,
         "gram": [list(r) for r in lat.gram.rows],
-        "rank": inv.rank,
-        "signature": list(inv.signature),
-        "determinant": inv.determinant,
-        "parity": "even" if inv.even else "odd",
-        "disc_group": ["Z/%d" % d for d in inv.disc_group_orders],
+        "rank": lat.rank,
+        "signature": list(sig),
+        "determinant": lat.det,
+        "parity": "even" if lat.is_even() else "odd",
+        "disc_group": ["Z/%d" % d for d in orders],
         "disc_q": [str(x) for x in form.q] if form.q is not None else None,
-        "p_elementary": list(inv.p_elementary) if inv.p_elementary else None,
-        "delta": inv.delta,
+        "p_elementary": list(p_elem) if p_elem else None,
+        "delta": delta,
     }
 
     def text():
         grp = " + ".join(data["disc_group"]) or "trivial"
         lines = ["%s: rank %d, sig (%d,%d), det %d, %s" % (
-            data["name"], data["rank"], inv.signature[0], inv.signature[1],
-            inv.determinant, data["parity"])]
+            name, lat.rank, sig[0], sig[1], lat.det, data["parity"])]
         lines.append("  disc group %s" % grp)
         if data["disc_q"]:
             lines.append("  q = (%s)" % ", ".join(data["disc_q"]))
-        if data["p_elementary"]:
-            lines.append("  p-elementary: p=%d, length %d" % inv.p_elementary)
-        if data["delta"] is not None:
-            lines.append("  delta = %d" % inv.delta)
+        if p_elem:
+            lines.append("  p-elementary: p=%d, length %d" % p_elem)
+        if delta is not None:
+            lines.append("  delta = %d" % delta)
         return "\n".join(lines)
 
     _print(data, args.format, text)
@@ -114,7 +124,7 @@ def _parse_dot(spec, lat):
 
 
 def cmd_enum(args):
-    lat = resolve_lattice(args.lattice)
+    lat = resolve_lattice(args.lattice)[0]
     dots = [_parse_dot(s, lat) for s in args.dot or ()]
     if args.list:
         vecs = shortvec.vectors_of_norm(lat, args.norm, dots, args.div, args.rank_cap)
@@ -129,7 +139,7 @@ def cmd_enum(args):
 
 
 def cmd_roots(args):
-    lat = resolve_lattice(args.lattice)
+    lat = resolve_lattice(args.lattice)[0]
     short, long_ = shortvec.root_report(lat, rank_cap=args.rank_cap)
     _print({"short_roots": short, "long_roots": long_}, args.format,
            lambda: "short %d, long %d" % (short, long_))
@@ -137,8 +147,8 @@ def cmd_roots(args):
 
 
 def cmd_glue(args):
-    left = resolve_lattice(args.left)
-    right = resolve_lattice(args.right)
+    left = resolve_lattice(args.left)[0]
+    right = resolve_lattice(args.right)[0]
     if args.trivial:
         g = glue.trivial_glue(left, right)
     else:
@@ -183,7 +193,7 @@ def cmd_isom(args):
 
 
 def cmd_labeling(args):
-    lat = resolve_lattice(args.lattice)
+    lat = resolve_lattice(args.lattice)[0]
     found = verify.labeling_search(lat, args.dmax, args.rank_cap)
     data = {"discriminants": [d for d, _ in found]}
     _print(data, args.format, lambda: "\n".join(
@@ -192,7 +202,7 @@ def cmd_labeling(args):
 
 
 def cmd_k3(args):
-    lat = resolve_lattice(args.lattice)
+    lat = resolve_lattice(args.lattice)[0]
     ok, reason = verify.k3_association_verdict(lat)
     _print({"associated_k3": ok, "reason": reason}, args.format,
            lambda: "%s (%s)" % ("yes" if ok else "no", reason))
@@ -218,7 +228,7 @@ def cmd_verify(args):
     elif args.table == "k3":
         reports = [verify.verify_k3_table()]
     else:
-        reports = [verify.derive_og10_order3_candidates()[0]]
+        reports = [verify.derive_og10_order3_candidates()]
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2))
     elif args.format == "csv":

@@ -419,15 +419,15 @@ def _block_signature(p, n, u):
 # isomorphism testing
 
 
-def _match_maps(src, dst, sign, q_mod=2):
+def _match_maps(src, dst, sign):
     """The first bijective morphism src -> dst matching the torsion forms,
     or None.
 
-    Images satisfy b(f x, f y) = sign * b(x, y) mod 1 and q(f x) = sign * q(x)
-    modulo `q_mod` (q_mod=2 is a strict (anti-)isometry; q_mod=1 only forces
-    q(f x) + q(x) or q(f x) - q(x) to be integral, which is the right notion
-    when gluing inside an odd overlattice).  Returns the image matrix (rows in
-    dst generator coordinates).
+    Images satisfy b(f x, f y) = sign * b(x, y) mod 1 and, when both forms
+    carry q, q(f x) = sign * q(x) mod 2.  On the b parts alone (`bilinear`)
+    this also forces q(f x) - sign * q(x) to be integral, as q(x) = b(x, x)
+    mod 1, which is the right notion when gluing inside an odd overlattice.
+    Returns the image matrix (rows in dst generator coordinates).
     """
     have_q = src.Q is not None and dst.Q is not None
     k = src.ngens
@@ -438,10 +438,10 @@ def _match_maps(src, dst, sign, q_mod=2):
     if src.group_order != dst.group_order:
         return None
     # both tables rescaled to one denominator: b-values are residues mod
-    # den and q-values residues mod q_mod * den
+    # den and q-values residues mod 2 * den
     den = math.lcm(src.den, dst.den)
     s_scale, d_scale = den // src.den, den // dst.den
-    q_den = q_mod * den
+    q_den = 2 * den
     kk = dst.ngens
     dst_b = [[d_scale * x for x in row] for row in dst.B]
 

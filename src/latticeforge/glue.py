@@ -47,8 +47,8 @@ class Sublattice:
         b = self.basis
         return (b @ self.ambient.gram @ b.T) if b.nrows else Matrix(())
 
-    def lattice(self, label=None):
-        return Lattice(self.gram(), label)
+    def lattice(self):
+        return Lattice(self.gram())
 
     def __repr__(self):
         return "Sublattice(rank %d of %r)" % (self.rank, self.ambient)
@@ -115,7 +115,7 @@ class Extension:
         return self.den ** n // prod(self.rows[i, i] for i in range(n))
 
 
-def overlattice(lat, rows, den, require_even=None, label=None):
+def overlattice(lat, rows, den, require_even=None):
     """Overlattice of `lat` generated by the dual vectors rows / den.
 
     `rows` are integer coordinate rows over the positive denominator `den`;
@@ -149,7 +149,7 @@ def overlattice(lat, rows, den, require_even=None, label=None):
     if require_even and any(gram[i, i] % 2 for i in range(n)):
         raise NotIsotropic("overlattice of an even lattice fails to be even")
     old_in_new = linalg.triangular_solve(h, Matrix.identity(n).scale(den))
-    return Extension(Lattice(gram, label), h, den, old_in_new)
+    return Extension(Lattice(gram), h, den, old_in_new)
 
 
 @dataclass
@@ -166,7 +166,7 @@ class GlueData:
     images: Matrix
 
 
-def primitive_extension(g, require_even=None, label=None):
+def primitive_extension(g, require_even=None):
     """Overlattice of left + right along the graph of the gluing map.
 
     Returns (extension, left_rows, right_rows); the row matrices embed the
@@ -179,7 +179,7 @@ def primitive_extension(g, require_even=None, label=None):
     rows = [discform.element_lift(amb, form.reduce(x + y))
             for x, y in zip(g.subgroup.rows, g.images.rows)]
     try:
-        ext = overlattice(amb, rows, form.den, require_even=require_even, label=label)
+        ext = overlattice(amb, rows, form.den, require_even=require_even)
     except NotIsotropic as e:
         raise NotIsotropicGraph(str(e)) from e
     left_rows = Matrix(ext.old_in_new.rows[:g.left.rank])
@@ -206,7 +206,7 @@ def full_glue(left, right):
     if fl.Q is not None and fr.Q is not None and left.is_even() and right.is_even():
         images = discform._match_maps(fl, fr, -1)
     if images is None:
-        images = discform._match_maps(fl, fr, -1, q_mod=1)
+        images = discform._match_maps(fl.bilinear(), fr.bilinear(), -1)
     if images is None:
         return None
     return GlueData(left, right, Matrix.identity(fl.ngens), images)

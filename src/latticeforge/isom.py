@@ -50,22 +50,22 @@ class Isometry:
         return "Isometry(%r)" % (self.lattice,)
 
 
-def isometry_order(f, cap=ORDER_CAP):
+def isometry_order(f):
     """Smallest k >= 1 with f^k = id, or None when f has infinite order.
 
     The order is infinite once some |tr f^k| exceeds the rank: an isometry of
     finite order has roots of unity for eigenvalues.  An order neither found
-    nor proved infinite within `cap` powers raises TooLarge."""
+    nor proved infinite within `ORDER_CAP` powers raises TooLarge."""
     n = f.lattice.rank
     ident = Matrix.identity(n)
     power = f.matrix
-    for k in range(1, cap + 1):
+    for k in range(1, ORDER_CAP + 1):
         if power == ident:
             return k
         if abs(sum(power[i, i] for i in range(n))) > n:
             return None
         power = power @ f.matrix
-    raise TooLarge("isometry order exceeds the cap %d" % cap)
+    raise TooLarge("isometry order exceeds the cap %d" % ORDER_CAP)
 
 
 @dataclass
@@ -188,7 +188,7 @@ def _canonical_extension():
     amb = direct_sum([og, a2])
     g1 = (0,) * 22 + (1, -1, 1, -1)
     g2 = (0,) * 22 + (1, 2, 1, 2)
-    ext = glue.overlattice(amb, [g1, g2], 3, require_even=True, label="Lambda")
+    ext = glue.overlattice(amb, [g1, g2], 3, require_even=True)
     return og, a2, ext
 
 

@@ -7,7 +7,6 @@ matrix.  Vectors are coordinate tuples in the fixed basis.
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from operator import mul
@@ -40,22 +39,21 @@ class Lattice:
     `discform.discriminant_form` in `_disc`.  A computation that raises
     caches nothing."""
 
-    __slots__ = ("gram", "label", "_elim", "_det", "_snf", "_summands", "_sig", "_even",
-                 "_orders", "_disc")
+    __slots__ = ("gram", "_elim", "_det", "_snf", "_summands", "_sig", "_even", "_orders",
+                 "_disc")
 
-    def __init__(self, gram, label=None):
+    def __init__(self, gram):
         if not isinstance(gram, Matrix):
             gram = Matrix(gram)
         if any(type(x) is not int for r in gram.rows for x in r):
             raise BadInput("Gram matrix entries must be integers")
         if not gram.is_symmetric():
             raise DegenerateForm("Gram matrix not symmetric")
-        self._set(gram, label)
+        self._set(gram)
 
-    def _set(self, gram, label, summands=None):
+    def _set(self, gram, summands=None):
         """Bind a checked Gram matrix and clear the caches."""
         self.gram = gram
-        self.label = label
         self._elim = None
         self._det = None
         self._snf = None
@@ -138,15 +136,6 @@ class Lattice:
             raise ZeroVector("divisibility of the zero vector")
         return gcd(*self.gram.apply(v))
 
-    def relabel(self, label):
-        """The same lattice under another label, with whatever invariants
-        are already computed."""
-        out = Lattice.__new__(Lattice)
-        for slot in Lattice.__slots__:
-            setattr(out, slot, getattr(self, slot))
-        out.label = label
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.gram == other.gram
 
@@ -154,7 +143,7 @@ class Lattice:
         return hash(self.gram)
 
     def __repr__(self):
-        return "Lattice(%s, rank=%d)" % (self.label or "?", self.rank)
+        return "Lattice(rank=%d)" % self.rank
 
     @classmethod
     def from_json(cls, data):
@@ -163,7 +152,7 @@ class Lattice:
         name = data.get("name")
         if name is not None and not isinstance(name, str):
             raise BadInput('lattice JSON "name" must be a string, not %s' % json.dumps(name))
-        return cls(matrix_from_json(data["gram"], "Gram matrix"), name)
+        return cls(matrix_from_json(data["gram"], "Gram matrix"))
 
 
 def matrix_from_json(data, what):
@@ -189,25 +178,11 @@ def matrix_from_json(data, what):
     return Matrix(rows)
 
 
-@dataclass(frozen=True)
-class LatticeInvariants:
-    rank: int
-    signature: tuple
-    determinant: int
-    even: bool
-    disc_group_orders: tuple
-    p_elementary: tuple | None  # (p, a) when the discriminant group is (Z/p)^a
-    delta: int | None  # only for even 2-elementary lattices
-
-
 def rescale(lat, k):
     """Same module with the bilinear form multiplied by k."""
     if k == 0:
         raise ZeroScale("rescale by zero")
-    name = None
-    if lat.label:
-        name = "%s(%d)" % (lat.label, k) if k != 1 else lat.label
-    return Lattice(lat.gram.scale(k), name)
+    return Lattice(lat.gram.scale(k))
 
 
 def _invariant_factors(orders):
@@ -231,32 +206,9 @@ def direct_sum(lats):
     lats = list(lats)
     if not lats:
         raise BadParams("direct sum of an empty list")
-    label = " + ".join(l.label or "?" for l in lats) if len(lats) > 1 else lats[0].label
     out = Lattice.__new__(Lattice)
-    out._set(linalg.block_diag([l.gram for l in lats]), label, tuple(lats))
+    out._set(linalg.block_diag([l.gram for l in lats]), tuple(lats))
     return out
-
-
-def invariants(lat):
-    """Rank, signature, determinant, parity, discriminant data."""
-    orders = lat.disc_group_orders()
-    p_elem = None
-    if orders and all(d == orders[0] for d in orders) and _is_prime(orders[0]):
-        p_elem = (orders[0], len(orders))
-    delta = None
-    if lat.is_even() and (not orders or p_elem and p_elem[0] == 2):
-        from .discform import delta_invariant, discriminant_form
-
-        delta = delta_invariant(discriminant_form(lat))
-    return LatticeInvariants(
-        rank=lat.rank,
-        signature=lat.signature,
-        determinant=lat.det,
-        even=lat.is_even(),
-        disc_group_orders=orders,
-        p_elementary=p_elem,
-        delta=delta,
-    )
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
@@ -431,32 +383,32 @@ def make_named(name, *params):
     key = _ALIASES.get(key, key)
     entry = NAMED.get(key)
     if isinstance(entry, Matrix):
-        return Lattice(entry, key)
+        return Lattice(entry)
     if entry is not None:
-        return from_expression(entry).relabel(key)
+        return from_expression(entry)
 
     if params:
         n = params[0]
         if key == "A":
-            return Lattice(_gram_A(n), "A%d" % n)
+            return Lattice(_gram_A(n))
         if key == "D":
-            return Lattice(_gram_D(n), "D%d" % n)
+            return Lattice(_gram_D(n))
         if key == "E":
-            return Lattice(_gram_E(n), "E%d" % n)
+            return Lattice(_gram_E(n))
         if key == "K":
             p = n
             if p < 3 or p % 2 == 0 or not _is_prime(p):
                 raise BadParams("K_p needs an odd prime, got %r" % (p,))
-            return Lattice(Matrix([[-(p + 1) // 2, 1], [1, -2]]), "K%d" % p)
+            return Lattice(Matrix([[-(p + 1) // 2, 1], [1, -2]]))
         if key in ("H", "h"):
             p = n
             if p < 3 or p % 2 == 0 or not _is_prime(p):
                 raise BadParams("h_p needs an odd prime, got %r" % (p,))
-            return Lattice(Matrix([[(p - 1) // 2, 1], [1, -2]]), "h%d" % p)
+            return Lattice(Matrix([[(p - 1) // 2, 1], [1, -2]]))
         if key == "[]":
             if n == 0:
                 raise BadParams("rank-one lattice [0] is degenerate")
-            return Lattice(Matrix([[n]]), "[%d]" % n)
+            return Lattice(Matrix([[n]]))
     raise UnknownName("unknown lattice name %r" % (name,))
 
 
@@ -481,7 +433,8 @@ def from_expression(expr):
     Terms are named lattices with an optional integer rescaling in
     parentheses and an optional repetition power.  A sum is built from the
     cached single-term lattices, so each distinct term is built, and its
-    invariants computed, once per process.
+    invariants computed, once per process.  The cached object itself is
+    returned, so every caller of one expression shares it.
     """
     parts = expr.replace("⊕", "+").split("+")
     if not parts or not expr.strip():
@@ -495,7 +448,7 @@ def from_expression(expr):
         if power is not None and int(power) == 0:
             raise BadParams("zero power in lattice term %r" % part.strip())
         if power is None and not parts[1:]:
-            return _term(base, twist).relabel(expr.strip())
+            return _term(base, twist)
         term = base if twist is None else "%s(%s)" % (base, twist)
         lat = from_expression(term)
         try:
@@ -503,8 +456,7 @@ def from_expression(expr):
         except (MemoryError, OverflowError):
             raise BadParams("power %s in lattice term %r is too large to expand"
                             % (power, part.strip())) from None
-    out = direct_sum(summands) if summands[1:] else summands[0]
-    return out.relabel(expr.strip())
+    return direct_sum(summands) if summands[1:] else summands[0]
 
 
 def _term(base, twist):
@@ -514,7 +466,7 @@ def _term(base, twist):
         if twist not in ("3", "-3"):
             raise UnknownName("E6* occurs only as E6*(3) or E6*(-3)")
         lat = make_named("E6*(3)")
-        return rescale(lat, -1).relabel("E6*(-3)") if twist == "-3" else lat
+        return rescale(lat, -1) if twist == "-3" else lat
     if base.startswith("["):
         lat = make_named("[]", int(base[1:-1]))
     elif base in NAMED:

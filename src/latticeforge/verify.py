@@ -2,12 +2,11 @@
 labeling search and the associated-K3 decision procedure."""
 
 from dataclasses import dataclass, field
-from functools import cache
 from math import gcd
 from operator import mul
 
 from . import catalog, discform, glue, shortvec
-from .lattice import Lattice, _invariant_factors, from_expression, make_named
+from .lattice import _invariant_factors, from_expression, make_named
 from .linalg import Matrix
 
 
@@ -108,10 +107,9 @@ def _verify_rank26_row(row):
     return v
 
 
-def verify_lambda_p(rows=None):
+def verify_lambda_p():
     """Check every pair row of the rank-26 table; all columns are recomputed."""
-    rows = catalog.RANK26_PAIRS if rows is None else rows
-    return VerdictReport("lambda_p", [_verify_rank26_row(r) for r in rows])
+    return VerdictReport("lambda_p", [_verify_rank26_row(r) for r in catalog.RANK26_PAIRS])
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +171,11 @@ def _eta_perp_witness(alg, perp, inv, witness):
     return True, "explicit witness"
 
 
-@cache
-def _cubic_lattice(gram):
-    """The lattice of a cubic table Gram matrix, one object per Gram and
-    process: `verify cubic` and `verify lsv` read the same object, so its
-    Smith form, elimination and form are computed once, by whichever table
-    reads them first.  Nothing is built before a table asks."""
-    return Lattice(gram)
-
-
 def _verify_cubic_row(row):
     v = RowVerdict(row.label)
-    inv = _cubic_lattice(row.inv_gram)
+    inv = catalog.cubic_lattice(row.inv_gram)
     co = from_expression(row.coinv)
-    alg = _cubic_lattice(row.alg_gram)
+    alg = catalog.cubic_lattice(row.alg_gram)
 
     v.add("inv_positive_definite", inv.rank == 0 or inv.is_positive_definite(),
           "%s" % (inv.signature,))
@@ -236,11 +225,8 @@ def _verify_cubic_row(row):
     return v
 
 
-def verify_cubic_tables(rows=None):
-    rows = catalog.CUBIC_ROWS if rows is None else rows
-    report = VerdictReport("cubic")
-    report.rows = [_verify_cubic_row(r) for r in rows]
-    return report
+def verify_cubic_tables():
+    return VerdictReport("cubic", [_verify_cubic_row(r) for r in catalog.CUBIC_ROWS])
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +319,9 @@ def k3_association_verdict(trans):
     return False, "no even complement of signature %s: the %d-adic condition fails" % (sig, bad)
 
 
-def verify_k3_table(rows=None):
-    rows = catalog.CUBIC_ROWS if rows is None else rows
+def verify_k3_table():
     report = VerdictReport("k3")
-    for row in rows:
+    for row in catalog.CUBIC_ROWS:
         v = RowVerdict(row.label)
         trans = from_expression(row.coinv)
         verdict, reason = k3_association_verdict(trans)
@@ -478,19 +463,18 @@ def _verify_induced_row(row):
     v.add("contains_primitive_u3", *_u3_embedding(inv))
     if cubic:
         v.add("inv_is_u3_glued_with_cubic_inv",
-              _u3_gluings_to(inv, _cubic_lattice(cubic.inv_gram)),
+              _u3_gluings_to(inv, catalog.cubic_lattice(cubic.inv_gram)),
               "U(3) + negated primitive algebraic lattice reassembles the invariant genus")
     return v
 
 
-def verify_lsv_table(rows=None):
-    rows = catalog.INDUCED_ROWS if rows is None else rows
+def verify_lsv_table():
     report = VerdictReport("lsv")
     glob = RowVerdict("global")
     glob.add("u3_embeds_with_glue_z3", canonical_u3_certificate(),
              "U(3) + F(-1) glues with index 3 to the rank-24 genus")
     report.rows.append(glob)
-    for row in rows:
+    for row in catalog.INDUCED_ROWS:
         report.rows.append(_verify_induced_row(row))
     return report
 
@@ -557,7 +541,7 @@ def derive_og10_order3_candidates():
                       for _kind, sig, form in candidates[labels[0]])
             v.add("induced_inv_among_candidates", hit, "row %s of the rank-26 table" % labels[0])
         report.rows.append(v)
-    return report, candidates
+    return report
 
 
 def verify_all():
@@ -566,6 +550,6 @@ def verify_all():
         verify_cubic_tables(),
         verify_lsv_table(),
         verify_k3_table(),
-        derive_og10_order3_candidates()[0],
+        derive_og10_order3_candidates(),
     ]
     return reports

@@ -563,7 +563,7 @@ def cubic_roots_oracle(alg, co):
     g = glue.full_glue(alg, co)
     if g is None:
         return False, "no glue map found", None, None
-    ext, alg_rows, _ = glue.primitive_extension(g, require_even=False, label="H4")
+    ext, alg_rows, _ = glue.primitive_extension(g, require_even=False)
     h4 = ext.lattice
     passed = h4.rank == 23 and abs(h4.det) == 1 and not h4.is_even() and h4.signature == (21, 2)
     detail = "rank %d det %d sig %s" % (h4.rank, h4.det, h4.signature)
@@ -897,3 +897,19 @@ def named():
     from latticeforge.lattice import make_named
 
     return make_named
+
+
+@pytest.fixture
+def fresh_lattices():
+    """Empty every lattice cache of the process before and after the test:
+    the expression cache, the cubic table lattices, the fixture map and the
+    CLI registry, which hold the objects of the first two."""
+    from latticeforge import catalog, cli
+    from latticeforge.lattice import from_expression
+
+    caches = (from_expression, catalog.cubic_lattice, catalog.fixture_lattices, cli._registry)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()

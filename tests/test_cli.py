@@ -48,6 +48,26 @@ def test_info_json_roundtrip(capsys, tmp_path):
     assert code == 0 and "det -1" in out2
 
 
+@pytest.mark.parametrize("ref,want", [
+    ("OG10", {"determinant": -3, "disc_group": ["Z/3"], "p_elementary": [3, 1],
+              "parity": "even", "delta": None}),
+    ("U", {"determinant": -1, "disc_group": [], "p_elementary": None, "parity": "even",
+           "delta": 0}),
+    ("H4cubic", {"determinant": 1, "disc_group": [], "p_elementary": None,
+                 "parity": "odd", "delta": None}),
+])
+def test_info_fields(capsys, ref, want):
+    code, out, _ = run(capsys, "--format", "json", "info", ref)
+    data = json.loads(out)
+    assert code == 0 and {k: data[k] for k in want} == want
+
+
+def test_info_of_a_large_prime_determinant(capsys):
+    # trial division up to sqrt(2^61 - 1) would take about 1.5e9 steps
+    code, out, _ = run(capsys, "--format", "json", "info", "[%d]" % (2 ** 61 - 1))
+    assert code == 0 and json.loads(out)["p_elementary"] == [2 ** 61 - 1, 1]
+
+
 def test_info_delta_of_a_large_two_elementary_group(capsys):
     # delta reads the 20 generators, not the 2^20 elements of the group
     start = time.perf_counter()
@@ -102,7 +122,7 @@ def test_lsv_after_cubic_runs_no_kernel_on_a_negated_cubic_gram(capsys, monkeypa
         return real_elim(g)
 
     from_expression.cache_clear()
-    verify._cubic_lattice.cache_clear()
+    catalog.cubic_lattice.cache_clear()
     try:
         assert run(capsys, "verify", "cubic")[0] == 0
         monkeypatch.setattr(linalg, "smith_normal_form", snf)
@@ -111,11 +131,40 @@ def test_lsv_after_cubic_runs_no_kernel_on_a_negated_cubic_gram(capsys, monkeypa
     finally:
         monkeypatch.undo()
         from_expression.cache_clear()
-        verify._cubic_lattice.cache_clear()
+        catalog.cubic_lattice.cache_clear()
     cubic = set()
     for row in catalog.CUBIC_ROWS:
         cubic |= {row.inv_gram, -row.inv_gram, -from_expression(row.coinv).gram}
     assert seen and not cubic & set(seen)
+
+
+def test_queries_and_verdicts_share_one_object_per_lattice(capsys, monkeypatch, fresh_lattices):
+    # a registry name, an expression and a table row read the same lattice
+    # object, so its form is computed once per process
+    from latticeforge import discform, shortvec
+    from latticeforge.lattice import NAMED, from_expression, make_named
+
+    ty = catalog.cubic_row("phi35").coinv
+    formed, algs = [], []
+    real_form, real_square_one = discform._discriminant_form, shortvec.has_square_one
+
+    def form(lat):
+        formed.append(lat.gram)
+        return real_form(lat)
+
+    def square_one(lat):
+        algs.append(lat)
+        return real_square_one(lat)
+
+    monkeypatch.setattr(discform, "_discriminant_form", form)
+    monkeypatch.setattr(shortvec, "has_square_one", square_one)
+    assert run(capsys, "k3", "TY_phi35")[0] == 0
+    assert run(capsys, "verify", "k3")[0] == 0
+    assert formed.count(from_expression(ty).gram) == 1
+    assert run(capsys, "verify", "cubic")[0] == 0
+    assert cli._registry()["AY_phi32"] is algs[-1]
+    assert cli._registry()["TY_phi35"] is from_expression(ty)
+    assert make_named("OG10") is from_expression(NAMED["OG10"])
 
 
 @pytest.mark.parametrize("expr,parity,disc_q", [
@@ -404,6 +453,29 @@ def test_glue_odd_case(capsys):
     code, out, _ = run(capsys, "glue", "[3]", "F")
     assert code == 0
     assert "rank 23" in out and "sig (21,2)" in out and "odd" in out
+
+
+def test_glue_falls_back_to_a_map_anti_preserving_b(capsys):
+    # q_A1 = 1/2 has no anti-isometry (-1/2 = 3/2 mod 2), but the map
+    # anti-preserving b with q(fx) + q(x) = 1 integral glues A1 + A1 to Z^2
+    code, out, _ = run(capsys, "glue", "A1", "A1")
+    assert code == 0
+    assert out.strip() == "rank 2, det 1, sig (2,0), odd, glue index 2"
+
+
+@pytest.mark.parametrize("ref,name", [
+    ("FG_phi35", "FG_phi35"), ("OG10", "OG10"), ("  A2 + U  ", "A2 + U"),
+    ("E6star", "E6star"), ("named.json", "a lattice"), ("nameless.json", None),
+])
+def test_info_name_of_each_kind_of_reference(capsys, tmp_path, monkeypatch, ref, name):
+    # a registry name prints itself, an expression its stripped text, a
+    # lattice file its "name" or else the path it was given
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "named.json").write_text(json.dumps({"name": "a lattice", "gram": [[2]]}))
+    (tmp_path / "nameless.json").write_text(json.dumps({"gram": [[2]]}))
+    code, out, _ = run(capsys, "--format", "json", "info", ref)
+    assert code == 0
+    assert json.loads(out)["name"] == (ref if name is None else name)
 
 
 def test_isom_bad_matrix_exit_2(capsys, tmp_path):

@@ -389,7 +389,12 @@ def test_anti_isometries_exist_for_complements():
 def test_odd_glue_maps():
     f1 = discriminant_form(make_named("[]", 3))
     f2 = discriminant_form(make_named("F"))
-    assert _match_maps(f1, f2, -1, q_mod=1) is not None
+    images = _match_maps(f1.bilinear(), f2.bilinear(), -1)
+    assert images is not None
+    # [3] is odd, so its q is b(x, x) mod 1, and the glue needs q(f x) + q(x)
+    # integral
+    (img,) = images.rows
+    assert (q_of(f2, img) + Fraction(f1.B[0][0], f1.den)).denominator == 1
 
 
 def test_subquotient_form():

@@ -440,9 +440,9 @@ def _recorded_overlattice_calls(monkeypatch, build):
     calls = []
     real = glue.overlattice
 
-    def recording(lat, rows, den, require_even=None, label=None):
+    def recording(lat, rows, den, require_even=None):
         calls.append((lat, list(rows), den, require_even))
-        return real(lat, rows, den, require_even=require_even, label=label)
+        return real(lat, rows, den, require_even=require_even)
 
     monkeypatch.setattr(glue, "overlattice", recording)
     build()
@@ -455,7 +455,7 @@ def test_overlattice_matches_fractions_on_cubic_middle_cohomology(monkeypatch, l
     alg = Lattice(row.alg_gram)
     trans = from_expression(row.coinv)
     calls = _recorded_overlattice_calls(monkeypatch, lambda: glue.primitive_extension(
-        glue.full_glue(alg, trans), require_even=False, label="H4"))
+        glue.full_glue(alg, trans), require_even=False))
     assert len(calls) == 1
     assert _assert_same_overlattice(*calls[0])
 

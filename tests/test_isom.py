@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from conftest import fraction_inverse, fraction_to_int
 
+from latticeforge import isom
 from latticeforge.discform import discriminant_form, forms_isomorphic
 from latticeforge.errors import DegenerateForm, NotAnIsometry, TooLarge
 from latticeforge.isom import (
@@ -52,11 +53,12 @@ def test_order():
     assert isometry_order(Isometry(A2, ROT3)) == 3
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
     # Pell automorphism of the form 2x^2 - 6y^2 has infinite order
     lat = Lattice(Matrix([[2, 0], [0, -6]]))
     f = Isometry(lat, Matrix([[2, 3], [1, 2]]))
-    assert isometry_order(f, cap=50) is None
+    monkeypatch.setattr(isom, "ORDER_CAP", 50)
+    assert isometry_order(f) is None
     with pytest.raises(Exception):
         invariant_coinvariant(f)
 
@@ -245,13 +247,15 @@ def _order_210():
     return Isometry(from_expression("A2 + A4 + A6 + A1"), block_diag(blocks + [Matrix([[-1]])]))
 
 
-def test_order_beyond_cap_is_too_large_not_infinite():
+def test_order_beyond_cap_is_too_large_not_infinite(monkeypatch):
     f = _order_210()
     with pytest.raises(TooLarge, match="cap 120"):
         isometry_order(f)
-    assert isometry_order(f, cap=210) == 210
-    with pytest.raises(TooLarge):
-        isometry_order(Isometry(A2, ROT3), cap=2)
+    monkeypatch.setattr(isom, "ORDER_CAP", 210)
+    assert isometry_order(f) == 210
+    monkeypatch.setattr(isom, "ORDER_CAP", 2)
+    with pytest.raises(TooLarge, match="cap 2$"):
+        isometry_order(Isometry(A2, ROT3))
 
 
 def test_invariant_coinvariant_needs_no_order():
@@ -268,11 +272,12 @@ def test_invariant_coinvariant_needs_no_order():
         invariant_coinvariant(eichler)
 
 
-def test_order_infinite_once_a_trace_exceeds_the_rank():
+def test_order_infinite_once_a_trace_exceeds_the_rank(monkeypatch):
     # the Pell automorphism has trace 4 > 2 at the first power
     lat = Lattice(Matrix([[2, 0], [0, -6]]))
     f = Isometry(lat, Matrix([[2, 3], [1, 2]]))
-    assert isometry_order(f, cap=1) is None
+    monkeypatch.setattr(isom, "ORDER_CAP", 1)
+    assert isometry_order(f) is None
 
 
 def test_prime_order_glue_bound_on_generated_isometries():

@@ -7,9 +7,12 @@ in those same files, so a function that only tests call has no place in the
 package.  Tests, `perfbench/test_*.py` included, do not count as callers.
 The check reads names, not calls: a caller-less method that shares its name
 with a called one, such as a second `to_json` beside `VerdictReport.to_json`,
-passes unseen.  The parts of Nikulin's genus-existence test are named only
-in `discform`, so every other module asks `discform.genus_obstruction` or,
-with the signature congruence given, `discform.length_or_local_obstruction`.
+passes unseen.  Likewise every defaulted parameter of a package function
+must be passed, by keyword or by position, by some call in those files, so
+a default that only tests override has no place either.  The parts of
+Nikulin's genus-existence test are named only in `discform`, so every other
+module asks `discform.genus_obstruction` or, with the signature congruence
+given, `discform.length_or_local_obstruction`.
 The parts of his complement step are named only in `discform` and `glue`,
 so every other module reads complement forms from `glue.complement_forms`.
 A direct sum's summands are read only in `lattice` and `discform`, so every
@@ -74,6 +77,72 @@ def _uncalled():
 def test_every_public_function_has_a_caller():
     uncalled = _uncalled()
     assert {name for _, _, name in uncalled} == set(RESERVED), uncalled
+
+
+def _knobs(path, tree):
+    """{name: [(file, line, parameter, position)]} of every defaulted
+    parameter of a function or method; `position` counts from 0 after
+    `self` or `cls`, and is None for a keyword-only parameter.  A class's
+    `__init__` is listed under the class name, as a class call passes its
+    arguments."""
+    out = {}
+
+    def visit(node, in_class=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if in_class and not static:
+                    positional = positional[1:]
+                name = in_class if in_class and child.name == "__init__" else child.name
+                where = (path.relative_to(ROOT).as_posix(), child.lineno)
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    out.setdefault(name, []).append(where + (arg.arg, i))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out.setdefault(name, []).append(where + (arg.arg, None))
+                visit(child)
+            else:
+                visit(child, in_class)
+
+    visit(tree)
+    return out
+
+
+def _unset_knobs():
+    """(file, line, parameter) of every defaulted parameter of a function
+    or method in `src/latticeforge` that no call in the program files passes,
+    by keyword or by position.  Calls are matched by the name they call, so
+    one passing call serves every definition of that name."""
+    knobs, calls = {}, []
+    for path in _program_files():
+        tree = ast.parse(path.read_text())
+        if path.parent.name == "latticeforge":
+            for name, params in _knobs(path, tree).items():
+                knobs.setdefault(name, []).extend(params)
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    passed = set()  # (name, parameter or position), "*" for anything
+    for call in calls:
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords):
+            passed.add((name, "*"))
+        passed |= {(name, i) for i in range(len(call.args))}
+        passed |= {(name, k.arg) for k in call.keywords}
+    return [(where, line, param)
+            for name, params in knobs.items()
+            for where, line, param, pos in params
+            if not passed & {(name, "*"), (name, param), (name, pos)}]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # a default no caller overrides is a knob that only tests turn
+    assert _unset_knobs() == []
 
 
 def _named_outside(parts, owners):

@@ -321,7 +321,7 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
         return real_walk(lat, bound)
 
     from_expression.cache_clear()
-    verify._cubic_lattice.cache_clear()
+    catalog.cubic_lattice.cache_clear()
     monkeypatch.setattr(linalg, "smith_normal_form", snf)
     monkeypatch.setattr(linalg, "symmetric_elimination", elim)
     monkeypatch.setattr(shortvec, "_enumerate_upto", walk)
@@ -342,7 +342,7 @@ def test_kernels_match_oracles_on_every_verify_all_input(monkeypatch):
                 shortvec.count_vectors(Lattice(-gram), 2)
     finally:
         from_expression.cache_clear()
-        verify._cubic_lattice.cache_clear()
+        catalog.cubic_lattice.cache_clear()
     monkeypatch.undo()
     assert len(seen["snf"]) > 50 and len(seen["elim"]) > 50
     for m in seen["snf"]:

@@ -38,9 +38,10 @@ def test_lambda_p_all_rows_pass():
     assert {str(i) for i in range(1, 53)} <= labels
 
 
-def test_lambda_p_negative_control():
+def test_lambda_p_negative_control(monkeypatch):
     bad = dataclasses.replace(next(r for r in catalog.RANK26_PAIRS if r.label == "1"), a=2)
-    report = verify.verify_lambda_p(rows=[bad])
+    monkeypatch.setattr(catalog, "RANK26_PAIRS", (bad,))
+    report = verify.verify_lambda_p()
     assert not report.ok
     names = {c.name for c in report.rows[0].checks if not c.passed}
     assert "coinv_p_elementary" in names
@@ -163,9 +164,10 @@ def test_perp_witness_of_the_wrong_shape_fails(witness, inv, start):
     assert detail.startswith(start), detail
 
 
-def test_cubic_negative_control():
+def test_cubic_negative_control(monkeypatch):
     bad = dataclasses.replace(catalog.cubic_row("phi35"), moduli_dim=9)
-    report = verify.verify_cubic_tables(rows=[bad])
+    monkeypatch.setattr(catalog, "CUBIC_ROWS", (bad,))
+    report = verify.verify_cubic_tables()
     assert not report.ok
     names = {c.name for c in report.rows[0].checks if not c.passed}
     assert "rank_coinv_2d_plus_2" in names
@@ -176,10 +178,11 @@ def test_lsv_rows_pass():
     assert report.ok, report.to_text(verbose=True)
 
 
-def test_lsv_negative_control():
+def test_lsv_negative_control(monkeypatch):
     row = next(r for r in catalog.INDUCED_ROWS if r.label == "phi35")
     bad = dataclasses.replace(row, sgn_inv=(1, 5))
-    report = verify.verify_lsv_table(rows=[bad])
+    monkeypatch.setattr(catalog, "INDUCED_ROWS", (bad,))
+    report = verify.verify_lsv_table()
     assert not report.ok
 
 
@@ -404,9 +407,10 @@ def test_k3_table_matches():
     assert report.ok, report.to_text(verbose=True)
 
 
-def test_k3_negative_control():
+def test_k3_negative_control(monkeypatch):
     bad = dataclasses.replace(catalog.cubic_row("phi37"), has_assoc_k3=False)
-    report = verify.verify_k3_table(rows=[bad])
+    monkeypatch.setattr(catalog, "CUBIC_ROWS", (bad,))
+    report = verify.verify_k3_table()
     assert not report.ok
 
 
@@ -667,11 +671,12 @@ def test_labeling_search_matches_box_oracle(expr, d_max):
 
 
 def test_candidates_crosscheck():
-    report, candidates = verify.derive_og10_order3_candidates()
+    report = verify.derive_og10_order3_candidates()
     assert report.ok, report.to_text(verbose=True)
     # every order-3 row of the rank-26 table got a candidate list
-    assert set(candidates) == {r.label for r in catalog.RANK26_PAIRS if r.p == 3}
-    assert all(cands for cands in candidates.values())
+    rows = [r for r in catalog.RANK26_PAIRS if r.p == 3]
+    assert [v.row for v in report.rows[:len(rows)]] == [r.label for r in rows]
+    assert all(verify.a2_complement_candidates(from_expression(r.inv)) for r in rows)
 
 
 def _replaced(rows, label, **changes):
@@ -688,7 +693,7 @@ def test_candidates_negative_control(monkeypatch):
     # an induced coinvariant whose genus no rank-26 row has pairs with no row
     monkeypatch.setattr(catalog, "INDUCED_ROWS", _replaced(
         catalog.INDUCED_ROWS, "phi37", coinv="U + U(3) + E8(-1) + [-6]^2"))
-    report, _ = verify.derive_og10_order3_candidates()
+    report = verify.derive_og10_order3_candidates()
     check = _crosscheck(report, "phi37")
     assert not check.passed and check.detail.endswith(": none (need exactly one)")
     assert [r.row for r in report.rows if not r.ok] == ["crosscheck_phi37"]
@@ -698,7 +703,7 @@ def test_candidates_two_matching_rank26_rows_fail(monkeypatch):
     twin = dataclasses.replace(
         next(r for r in catalog.RANK26_PAIRS if r.label == "18"), label="18b")
     monkeypatch.setattr(catalog, "RANK26_PAIRS", catalog.RANK26_PAIRS + (twin,))
-    report, _ = verify.derive_og10_order3_candidates()
+    report = verify.derive_og10_order3_candidates()
     check = _crosscheck(report, "phi37")
     assert not check.passed and ": 18, 18b (" in check.detail
 
@@ -708,7 +713,7 @@ def test_candidates_wrong_induced_invariant_fails(monkeypatch):
     # paired with row 18 as before, but among none of its A2 complements
     monkeypatch.setattr(catalog, "INDUCED_ROWS", _replaced(
         catalog.INDUCED_ROWS, "phi37", inv="U(3) + E6(-1) + A2(-1)"))
-    report, _ = verify.derive_og10_order3_candidates()
+    report = verify.derive_og10_order3_candidates()
     check = _crosscheck(report, "phi37")
     assert not check.passed and check.detail == "row 18 of the rank-26 table"
 
